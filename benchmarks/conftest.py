@@ -55,13 +55,36 @@ def merge_artifact(artifact: Path, section: str, payload: dict) -> dict:
 
 
 @pytest.fixture
-def bench_artifact():
-    """Writer for sections of ``BENCH_engine.json`` (atomic, host-stamped)."""
+def bench_artifact(request):
+    """Writer for sections of ``BENCH_engine.json`` (atomic, host-stamped).
 
-    def write(section: str, payload: dict) -> dict:
-        return merge_artifact(ENGINE_ARTIFACT, section, payload)
+    Writes only under ``--bench-record``, so a plain test run leaves the
+    tracked artifact alone.
+    """
+    record = bool(request.config.getoption("--bench-record"))
+
+    def write(section: str, payload: dict) -> None:
+        if record:
+            merge_artifact(ENGINE_ARTIFACT, section, payload)
 
     return write
+
+
+@pytest.fixture
+def bench_gate(request):
+    """Check a wall-clock bar, enforced only under ``--bench-gate``.
+
+    Timing bars flake on shared machines, so by default the measurement
+    is recorded but not asserted; a gated run (one CI leg, or a local
+    re-measure) turns each bar back into a failure.
+    """
+    enforce = bool(request.config.getoption("--bench-gate"))
+
+    def gate(passed: bool, message: str) -> None:
+        if enforce:
+            assert passed, message
+
+    return gate
 
 
 def run_once(benchmark, func, *args, **kwargs):

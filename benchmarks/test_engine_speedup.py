@@ -1,12 +1,14 @@
 """Engine speedup: cached sweep vs legacy resynthesis, plus backends.
 
-Three measurements, all written to ``benchmarks/BENCH_engine.json``:
+Five measurements, recorded to ``benchmarks/BENCH_engine.json`` under
+``--bench-record``. Bit-identity and structural checks always run; the
+wall-clock bars are enforced only under ``--bench-gate``:
 
 1. The full 5-power × 8-distance Fig. 8 BER sweep through the engine
    (cold ambient cache: one program synthesis + one composite modulation
    shared by all 40 points) versus the hand-rolled legacy loop it
    replaced (a fresh front-end synthesis at every point). Acceptance bar:
-   a >= 2x wall-clock win for the cached path, asserted with headroom for
+   a >= 2x wall-clock win for the cached path, gated with headroom for
    machine noise.
 2. The same sweep under each execution backend — serial, thread,
    process and batched — with a warm front-end cache, so the numbers
@@ -109,7 +111,7 @@ def no_persistent_cache(monkeypatch):
 
 
 @pytest.mark.engine_bench
-def test_engine_cached_sweep_speedup(no_persistent_cache, bench_artifact):
+def test_engine_cached_sweep_speedup(no_persistent_cache, bench_artifact, bench_gate):
     cache = default_cache()
     assert cache.store is None
     cache.clear()
@@ -145,9 +147,9 @@ def test_engine_cached_sweep_speedup(no_persistent_cache, bench_artifact):
     assert stats["hits"] == n_points - 1
     # Both paths cover the full grid with the agreed key scheme.
     assert set(cached_result) == set(legacy_result)
-    # The acceptance target is 2x; assert with headroom for CI noise
-    # (locally ~2.5x) so the suite doesn't flake on a loaded machine.
-    assert speedup > 1.5, f"cached sweep only {speedup:.2f}x faster"
+    # The acceptance target is 2x; gated with headroom for machine noise
+    # (locally ~2.5x).
+    bench_gate(speedup > 1.5, f"cached sweep only {speedup:.2f}x faster")
 
 
 @pytest.mark.engine_bench
@@ -205,7 +207,7 @@ PLL_BENCH_SAMPLES = 12_000
 
 @pytest.mark.engine_bench
 @exact_numerics_only
-def test_stereo_batched_speedup(no_persistent_cache, bench_artifact):
+def test_stereo_batched_speedup(no_persistent_cache, bench_artifact, bench_gate):
     """Stereo vectorization, measured at two levels on bit-identical work.
 
     1. Component: ``PhaseLockedLoop.track_batch`` versus per-waveform
@@ -293,13 +295,12 @@ def test_stereo_batched_speedup(no_persistent_cache, bench_artifact):
 
     assert results["batched"] == results["serial"]
     # Component bar: dispatch amortization is worth >= 2x at width 16
-    # locally; assert with CI headroom.
-    assert pll_speedup > 1.5, f"track_batch only {pll_speedup:.2f}x faster"
+    # locally; gated with headroom.
+    bench_gate(pll_speedup > 1.5, f"track_batch only {pll_speedup:.2f}x faster")
     # End-to-end bar: a no-significant-regression guard only (locally
     # ~1.2x, but the two sub-second timings leave too little margin for
-    # a hard >1x assert on shared CI runners; the recorded artifact is
-    # the measurement of record).
-    assert speedup > 0.8, f"batched stereo sweep regressed to {speedup:.2f}x"
+    # a >1x bar; the recorded artifact is the measurement of record).
+    bench_gate(speedup > 0.8, f"batched stereo sweep regressed to {speedup:.2f}x")
 
 
 FADING_DISTANCES = (1, 2, 3, 4, 6, 8, 12, 16)
@@ -313,7 +314,7 @@ narrows the stack; see ``_chunk_limit``)."""
 
 @pytest.mark.engine_bench
 @exact_numerics_only
-def test_zero_fallback_speedup(no_persistent_cache, bench_artifact):
+def test_zero_fallback_speedup(no_persistent_cache, bench_artifact, bench_gate):
     """Fading grid, serial vs batched: the lane that used to be closed.
 
     The Fig. 9 MRC grid with ``MotionFadingSpec`` fading on every link —
@@ -322,7 +323,7 @@ def test_zero_fallback_speedup(no_persistent_cache, bench_artifact):
     points dropped to the serial per-point path (``n_fallbacks`` would
     have equalled the grid size); ``envelope_batch`` + the vectorized
     output-effects path now batch all of them, asserted here along with
-    bit-identical results and the measured win.
+    bit-identical results; the measured win is gated by ``--bench-gate``.
     """
     modem = FdmFskModem(symbol_rate=200)
     scenario = fig09.build_scenario(
@@ -378,7 +379,7 @@ def test_zero_fallback_speedup(no_persistent_cache, bench_artifact):
     assert results["batched"].backend == f"batched[{n_points}/{n_points}]"
     # The acceptance bar is a real measured win (> 1x) on the grid that
     # previously saw none of the batched speedups.
-    assert speedup > 1.0, f"fading grid batched only {speedup:.2f}x vs serial"
+    bench_gate(speedup > 1.0, f"fading grid batched only {speedup:.2f}x vs serial")
 
 
 def _fig08_bench_scenario(modem) -> Scenario:
@@ -416,15 +417,15 @@ def _best_of(scenario, cache, backend: str, repeats: int = 2):
 
 @pytest.mark.engine_bench
 @exact_numerics_only
-def test_auto_backend(no_persistent_cache, bench_artifact):
+def test_auto_backend(no_persistent_cache, bench_artifact, bench_gate):
     """``auto`` vs the best hand-picked backend, on opposed grids.
 
     The two grids whose best backends *differ*: the long-row Fig. 8 BER
     grid, where the chunker narrows the batched stack until it loses to
     serial, and the short-row fading grid, where the vectorized stack
     wins. The planner must stay within a small factor of the best single
-    backend on both (acceptance bar 1.1x; asserted at 1.35x for CI
-    noise — the decision asserts below are the non-flaky part), record a
+    backend on both (acceptance bar 1.1x; gated at 1.35x under
+    ``--bench-gate`` — the decision asserts below are the non-flaky part), record a
     decision for every partition, and stay bit-identical with serial.
     """
     grids = {
@@ -477,7 +478,7 @@ def test_auto_backend(no_persistent_cache, bench_artifact):
             assert auto.n_fallbacks == 0
         # Timing bar, with headroom over the 1.1x acceptance target for
         # shared-runner noise; the artifact records the exact ratio.
-        assert ratio < 1.35, f"auto {ratio:.2f}x of best backend on {name}"
+        bench_gate(ratio < 1.35, f"auto {ratio:.2f}x of best backend on {name}")
 
     bench_artifact("auto_backend", record)
     print(f"\n=== auto backend ===\n{json.dumps(record, indent=2)}")
@@ -489,7 +490,7 @@ FAST_FIG13_DURATION_S = 0.3
 
 
 @pytest.mark.engine_bench
-def test_numerics_fast(no_persistent_cache, bench_artifact):
+def test_numerics_fast(no_persistent_cache, bench_artifact, bench_gate):
     """``REPRO_NUMERICS=fast`` vs exact on the batched backend.
 
     Two grids where the fused 2-D kernels have the most to fuse: the
@@ -543,14 +544,16 @@ def test_numerics_fast(no_persistent_cache, bench_artifact):
     print(f"\n=== numerics fast ===\n{json.dumps(record, indent=2)}")
 
     # Acceptance target on the fading grid is 1.3x (locally ~1.4x);
-    # asserted with headroom for shared-runner noise. The stereo grid is
+    # gated with headroom for shared-runner noise. The stereo grid is
     # Amdahl-bounded by the PLL and PESQ scoring, so it gets a
     # no-regression guard only — the artifact records the measured win.
-    assert record["fig09_fading"]["speedup"] > 1.15, (
+    bench_gate(
+        record["fig09_fading"]["speedup"] > 1.15,
         f"fast numerics only {record['fig09_fading']['speedup']:.2f}x on the "
-        "fading grid"
+        "fading grid",
     )
-    assert record["fig13_stereo_pesq"]["speedup"] > 0.9, (
+    bench_gate(
+        record["fig13_stereo_pesq"]["speedup"] > 0.9,
         f"fast numerics regressed the stereo grid to "
-        f"{record['fig13_stereo_pesq']['speedup']:.2f}x"
+        f"{record['fig13_stereo_pesq']['speedup']:.2f}x",
     )

@@ -35,6 +35,27 @@ def pytest_addoption(parser):
             "the diff alongside any --regen-golden regen."
         ),
     )
+    parser.addoption(
+        "--bench-record",
+        action="store_true",
+        default=False,
+        help=(
+            "Write the engine benchmarks' measurements to the tracked "
+            "benchmarks/BENCH_engine.json. Off by default so a test run "
+            "never dirties the tree; commit the diff when re-recording."
+        ),
+    )
+    parser.addoption(
+        "--bench-gate",
+        action="store_true",
+        default=False,
+        help=(
+            "Enforce the engine benchmarks' wall-clock speedup bars. Off "
+            "by default: timings are recorded, not asserted, so a loaded "
+            "machine cannot fail the suite. Bit-identity and structural "
+            "checks always run."
+        ),
+    )
 
 
 @pytest.fixture

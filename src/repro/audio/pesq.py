@@ -17,6 +17,8 @@ the 1.0 floor; light wideband noise (40 dB SNR) stays near 4.
 
 from __future__ import annotations
 
+from typing import Tuple
+
 import numpy as np
 
 from repro.dsp.windows import hann_window
@@ -54,16 +56,22 @@ def _apply_lag(degraded: np.ndarray, lag: int) -> np.ndarray:
     return degraded
 
 
-def _align(reference: np.ndarray, degraded: np.ndarray, max_lag: int) -> np.ndarray:
+def _align(
+    reference: np.ndarray, degraded: np.ndarray, max_lag: int
+) -> Tuple[np.ndarray, int]:
     """Shift ``degraded`` to best match ``reference``.
 
     Two stages: a decimated cross-correlation finds the coarse lag, then a
     sample-exact search over the remaining window removes the residual —
     a misalignment of even ten samples reads as high-frequency
     disturbance in the Bark domain and would wrongly depress the score.
+
+    Returns:
+        The shifted ``degraded`` and the lag applied; ``(degraded, 0)``
+        when ``max_lag <= 0`` disables the search.
     """
     if max_lag <= 0:
-        return degraded
+        return degraded, 0
     step = max(max_lag // 2048, 1)
     ref_d = reference[::step]
     deg_d = degraded[::step]

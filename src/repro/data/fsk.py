@@ -99,37 +99,41 @@ class BinaryFskModem:
     def demodulate(self, audio: np.ndarray, n_bits: int) -> np.ndarray:
         """Non-coherent detection: larger Goertzel power wins.
 
+        The ``argmax`` of :meth:`soft_powers` per symbol, so the decisions
+        are bit-identical to detecting symbol by symbol.
+
         Args:
             audio: received audio, symbol-aligned at sample 0.
-            n_bits: number of bits to detect.
+            n_bits: number of bits to detect; 0 gives an empty array.
 
         Raises:
+            ConfigurationError: if ``n_bits`` is negative.
             DemodulationError: if the audio is shorter than ``n_bits``
                 symbols.
         """
+        return np.argmax(self.soft_powers(audio, n_bits), axis=1)
+
+    def soft_powers(self, audio: np.ndarray, n_bits: int) -> np.ndarray:
+        """Per-symbol (P_zero, P_one) tone powers, for MRC-style combining.
+
+        The audio is reshaped once into a ``(symbols, samples)`` stack and
+        projected with one stacked Goertzel call; each row is
+        bit-identical to a per-symbol call on that block. Samples past
+        ``n_bits`` symbols are ignored.
+
+        Returns:
+            Array of shape ``(n_bits, 2)``.
+        """
         audio = ensure_real(audio, "audio")
+        if n_bits < 0:
+            raise ConfigurationError(f"n_bits must be >= 0, got {n_bits}")
         sps = self.samples_per_symbol
         if audio.size < n_bits * sps:
             raise DemodulationError(
                 f"audio has {audio.size} samples, need {n_bits * sps}"
             )
-        bits = np.empty(n_bits, dtype=int)
+        if n_bits == 0:
+            return np.empty((0, 2))
+        blocks = audio[: n_bits * sps].reshape(n_bits, sps)
         freqs = (self.freq_zero_hz, self.freq_one_hz)
-        for i in range(n_bits):
-            block = audio[i * sps : (i + 1) * sps]
-            powers = goertzel_power_many(block, freqs, self.sample_rate)
-            bits[i] = int(np.argmax(powers))
-        return bits
-
-    def soft_powers(self, audio: np.ndarray, n_bits: int) -> np.ndarray:
-        """Per-symbol (P_zero, P_one) tone powers, for MRC-style combining."""
-        audio = ensure_real(audio, "audio")
-        sps = self.samples_per_symbol
-        if audio.size < n_bits * sps:
-            raise DemodulationError("audio shorter than requested symbols")
-        out = np.empty((n_bits, 2))
-        freqs = (self.freq_zero_hz, self.freq_one_hz)
-        for i in range(n_bits):
-            block = audio[i * sps : (i + 1) * sps]
-            out[i] = goertzel_power_many(block, freqs, self.sample_rate)
-        return out
+        return goertzel_power_many(blocks, freqs, self.sample_rate)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.audio.pesq import mos_lqo, pesq_like
+from repro.audio.pesq import _align, mos_lqo, pesq_like
 from repro.audio.speech import speech_like
 from repro.errors import SignalError
 
@@ -73,6 +73,20 @@ class TestAlignment:
     def test_time_shift_absorbed(self, speech):
         shifted = np.concatenate([np.zeros(2400), speech[:-2400]])
         assert pesq_like(speech, shifted, FS) > 4.0
+
+    def test_zero_max_lag_returns_input_and_zero_lag(self, speech):
+        # pesq_like unpacks (degraded, lag); the disabled search must
+        # keep that shape rather than return the bare array.
+        shifted = np.concatenate([np.zeros(2400), speech[:-2400]])
+        aligned, lag = _align(speech, shifted, 0)
+        assert aligned is shifted
+        assert lag == 0
+
+    def test_reports_the_lag_it_applied(self, speech):
+        shifted = np.concatenate([np.zeros(2400), speech[:-2400]])
+        aligned, lag = _align(speech, shifted, int(0.5 * FS))
+        assert lag == 2400
+        assert np.array_equal(aligned[:-2400], speech[:-2400])
 
 
 class TestMosLqo:

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from repro.channel.noise import awgn
 from repro.data.bits import random_bits
 from repro.data.fdm import BITS_PER_SYMBOL, FdmFskModem
-from repro.errors import ConfigurationError, DemodulationError
+from repro.dsp.goertzel import goertzel_power_many
+from repro.errors import ConfigurationError, DemodulationError, SignalError
 
 
 class TestStructure:
@@ -77,6 +78,71 @@ class TestDemodulate:
         modem = FdmFskModem()
         with pytest.raises(DemodulationError):
             modem.demodulate(np.zeros(10), 8)
+
+    def test_rejects_zero_bits(self):
+        with pytest.raises(ConfigurationError):
+            FdmFskModem().demodulate(np.zeros(480), 0)
+
+    def test_rejects_complex_audio(self):
+        with pytest.raises(SignalError):
+            FdmFskModem().demodulate(np.zeros(480, dtype=complex), 8)
+
+
+def per_symbol_reference(modem: FdmFskModem, audio: np.ndarray, n_bits: int) -> np.ndarray:
+    """Reference detector: one Goertzel call per symbol and tone group."""
+    sps = modem.samples_per_symbol
+    bits = []
+    for i in range(n_bits // BITS_PER_SYMBOL):
+        block = audio[i * sps : (i + 1) * sps]
+        for group in range(4):
+            powers = goertzel_power_many(block, modem.group_tones_hz(group), modem.sample_rate)
+            idx = int(np.argmax(powers))
+            bits += [idx >> 1, idx & 1]
+    return np.array(bits)
+
+
+class TestStackedMatchesPerSymbol:
+    """The stacked detector must make exactly the per-symbol decisions,
+    including at SNRs where tones nearly tie and a summation-order ULP
+    could flip one."""
+
+    @pytest.mark.parametrize("rate", [200, 400])
+    @pytest.mark.parametrize("snr_db", [20.0, 0.0, -6.0, -12.0])
+    def test_noisy_demod_identical(self, rate, snr_db):
+        modem = FdmFskModem(symbol_rate=rate)
+        bits = random_bits(400, rng=rate)
+        noisy = awgn(modem.modulate(bits), snr_db, rng=int(rate - snr_db))
+        stacked = modem.demodulate(noisy, bits.size)
+        assert np.array_equal(stacked, per_symbol_reference(modem, noisy, bits.size))
+
+    def test_equal_power_ties_identical(self):
+        # Two tones of equal amplitude in every group: their powers differ
+        # only by rounding, so the decision rests on the exact bits.
+        modem = FdmFskModem(symbol_rate=400)
+        sps = modem.samples_per_symbol
+        t = np.arange(sps) / modem.sample_rate
+        gen = np.random.default_rng(11)
+        rows = []
+        for _ in range(200):
+            row = np.zeros(sps)
+            for group in range(4):
+                pair = gen.choice(4, size=2, replace=False)
+                for f in modem.group_tones_hz(group)[pair]:
+                    row += np.cos(2 * np.pi * f * t)
+            rows.append(row + 1e-13 * gen.standard_normal(sps))
+        audio = np.concatenate(rows)
+        n_bits = 200 * BITS_PER_SYMBOL
+        assert np.array_equal(modem.demodulate(audio, n_bits), per_symbol_reference(modem, audio, n_bits))
+
+    def test_tail_past_last_symbol_ignored(self):
+        modem = FdmFskModem(symbol_rate=400)
+        bits = random_bits(80, rng=3)
+        noisy = awgn(modem.modulate(bits), 0.0, rng=4)
+        tail = np.random.default_rng(5).standard_normal(modem.samples_per_symbol // 2)
+        longer = np.concatenate([noisy, tail])
+        assert np.array_equal(modem.demodulate(longer, bits.size), modem.demodulate(noisy, bits.size))
+        # Asking for fewer symbols than the audio holds ignores the rest.
+        assert np.array_equal(modem.demodulate(noisy, 40), modem.demodulate(noisy, 80)[:40])
 
 
 class TestRateRangeTradeoff:

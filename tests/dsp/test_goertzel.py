@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.dsp.goertzel import goertzel_power, goertzel_power_many
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SignalError
 
 FS = 48_000.0
 
@@ -61,3 +61,45 @@ class TestGoertzelMany:
         x = np.cos(2 * np.pi * 8000 * np.arange(n) / FS)
         powers = goertzel_power_many(x, (8000.0, 12000.0), FS)
         assert powers[0] > 100 * powers[1]
+
+
+class TestGoertzelManyStacked:
+    """A ``(blocks, n)`` stack must reproduce the 1-D call row by row, bit
+    for bit — the symbol detectors rely on it for identical decisions."""
+
+    @pytest.mark.parametrize("n", [120, 240, 480])
+    @pytest.mark.parametrize(
+        "freqs",
+        [(8000.0, 12000.0), (800.0, 1600.0, 2400.0, 3200.0), (9600.0, 10400.0, 11200.0, 12000.0)],
+        ids=["2-tone", "4-tone-low", "4-tone-high"],
+    )
+    def test_rows_bit_identical_to_1d(self, n, freqs):
+        rng = np.random.default_rng(n + len(freqs))
+        blocks = rng.standard_normal((37, n))
+        stacked = goertzel_power_many(blocks, freqs, FS)
+        assert stacked.shape == (37, len(freqs))
+        for row, powers in zip(blocks, stacked):
+            assert np.array_equal(powers, goertzel_power_many(row, freqs, FS))
+
+    def test_non_contiguous_rows(self):
+        # A strided view (every other block) must not change any row.
+        rng = np.random.default_rng(5)
+        blocks = rng.standard_normal((20, 240))[::2]
+        stacked = goertzel_power_many(blocks, (8000.0, 12000.0), FS)
+        for row, powers in zip(blocks, stacked):
+            assert np.array_equal(powers, goertzel_power_many(row, (8000.0, 12000.0), FS))
+
+    def test_single_row_stack(self):
+        x = np.random.default_rng(6).standard_normal(120)
+        stacked = goertzel_power_many(x[None, :], (800.0, 1600.0), FS)
+        assert np.array_equal(stacked[0], goertzel_power_many(x, (800.0, 1600.0), FS))
+
+    @pytest.mark.parametrize("shape", [(240,), (4, 240)])
+    def test_rejects_complex_like_1d(self, shape):
+        x = np.ones(shape, dtype=complex)
+        with pytest.raises(SignalError):
+            goertzel_power_many(x, (8000.0,), FS)
+
+    def test_rejects_empty_blocks(self):
+        with pytest.raises(SignalError):
+            goertzel_power_many(np.zeros((3, 0)), (8000.0,), FS)
