@@ -11,14 +11,33 @@ from __future__ import annotations
 
 import json
 import os
+import platform
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from repro.engine.planner import host_context
-
 ENGINE_ARTIFACT = Path(__file__).with_name("BENCH_engine.json")
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+"""BLAS threading knobs: an unpinned BLAS can swing timings by ~2x."""
+
+
+def host_context() -> dict:
+    """CPU/numpy/platform/BLAS-threading fingerprint of the measuring host,
+    so recorded crossovers and speedups stay interpretable across machines.
+    An unset BLAS variable is recorded as ``None``."""
+    context = {
+        "platform": platform.platform(),
+        "machine": platform.machine(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "cpu_count": os.cpu_count(),
+    }
+    for name in BLAS_THREAD_VARS:
+        context[name] = os.environ.get(name)
+    return context
 
 
 def merge_artifact(artifact: Path, section: str, payload: dict) -> dict:

@@ -31,7 +31,8 @@ wall-clock bars are enforced only under ``--bench-gate``:
    the long-row Fig. 8 grid (where batched measurably loses) and the
    short-row fading grid (where batched measurably wins). The planner
    must land within a small factor of the best hand-picked backend on
-   both — the measurement that a wrong calibration can't hide behind.
+   both — the measurement that a stale crossover constant can't hide
+   behind.
 """
 
 from __future__ import annotations

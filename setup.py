@@ -13,11 +13,4 @@ setup(
     version="0.7",
     package_dir={"": "src"},
     packages=find_packages(where="src"),
-    # The sweep planner's default cost-model constants ship with the code.
-    package_data={"repro.engine": ["calibration.json"]},
-    entry_points={
-        "console_scripts": [
-            "repro-calibrate = repro.engine.planner:main",
-        ]
-    },
 )

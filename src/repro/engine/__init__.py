@@ -8,7 +8,7 @@ measurement — as plain data (:class:`AxisRef` templates, ``chain_axes``,
 module-level measures), so a grid point can be shipped across a process
 boundary; a :class:`SweepRunner` executes it through one of four
 explicit backends (``serial`` / ``thread`` / ``process`` / ``batched``,
-see ``REPRO_SWEEP_BACKEND``) or lets the cost-model planner pick per
+see ``REPRO_SWEEP_BACKEND``) or lets the row-length planner pick per
 partition (``auto``, the single-worker default — decisions are recorded
 on ``SweepResult.plan``) with a keyed :class:`AmbientCache` so each
 ambient program is synthesized and FM-modulated exactly once per sweep
@@ -81,11 +81,8 @@ from repro.engine.deployment import (
     make_roster,
 )
 from repro.engine.planner import (
-    CalibrationConstants,
     PartitionFeatures,
     PlanDecision,
-    calibrate,
-    load_calibration,
     plan_sweep,
 )
 from repro.engine.results import SweepResult, format_axis_value, power_key
@@ -118,7 +115,6 @@ __all__ = [
     "BACKEND_CHOICES",
     "CachedAmbient",
     "CacheStore",
-    "CalibrationConstants",
     "ChannelAssignment",
     "ChannelPlan",
     "DeploymentScenario",
@@ -143,13 +139,11 @@ __all__ = [
     "SweepService",
     "SweepSpec",
     "active_plan",
-    "calibrate",
     "default_backend",
     "default_cache",
     "default_max_workers",
     "format_axis_value",
     "launch_sweep",
-    "load_calibration",
     "make_roster",
     "parse_faults",
     "payload_fingerprint",

@@ -103,10 +103,9 @@ def chunk_limit(n_samples: int, budget_mb: Optional[float] = None) -> int:
     decode stages receive it as their ``max_fft_rows`` — not the small
     per-row state that persists across passes (decimated pilot bands,
     audio-rate rows), which is what lets the stereo PLL span a whole
-    partition regardless of this limit. The planner calls this with the
-    same row length it predicts costs for, so a recorded
-    :class:`~repro.engine.planner.PlanDecision` names the exact chunk
-    rows the batched executor will use.
+    partition regardless of this limit. The planner records this limit
+    on each batched :class:`~repro.engine.planner.PlanDecision`, so the
+    plan names the exact chunk rows the batched executor will use.
     """
     if budget_mb is None:
         budget_mb = batch_memory_budget_mb()
@@ -119,8 +118,8 @@ def receiver_partition_signature(receiver) -> tuple:
 
     Points whose receivers agree on this tuple decode through one stacked
     pass (mono or stereo); the planner groups by the same key so its
-    per-partition cost estimates line up one-to-one with the partitions
-    the executor will actually run.
+    per-partition decisions line up one-to-one with the partitions the
+    executor will actually run.
     """
     stereo = supports_stereo_batch(receiver)
     assert stereo or supports_mono_batch(receiver)
@@ -138,15 +137,8 @@ def run_batched_backend(
     seeds: Sequence[int],
     cache: Optional[AmbientCache],
     ambient_master: int,
-    max_chunk_rows: Optional[int] = None,
 ) -> Tuple[List[object], int, int]:
     """Execute the grid with per-front-end vectorization.
-
-    Args:
-        max_chunk_rows: optional cap on the rows of one vectorized chunk,
-            applied on top of the memory-budget limit. The planner passes
-            its calibrated per-partition chunk budget through here; the
-            cap changes nothing numerically (chunking never does).
 
     Returns:
         ``(values, n_batched, n_fallbacks)`` — values in grid order, how
@@ -237,7 +229,7 @@ def run_batched_backend(
         _run_group(
             scenario, data, points, group_iq[key], ambients[key],
             indices, chains, gens, link_rngs, receivers, budgets,
-            envelopes, values, max_chunk_rows,
+            envelopes, values,
         )
 
     for i in fallback:
@@ -279,7 +271,6 @@ def _run_group(
     budgets: Dict[int, object],
     envelopes: Dict[int, np.ndarray],
     values: List[object],
-    max_chunk_rows: Optional[int] = None,
 ) -> None:
     """Vectorize one shared-front-end group of grid points."""
     # One group can still mix receiver configurations (e.g. a
@@ -293,8 +284,6 @@ def _run_group(
         partitions.setdefault(receiver_partition_signature(receivers[i]), []).append(i)
 
     limit = chunk_limit(iq.size)
-    if max_chunk_rows is not None:
-        limit = max(1, min(limit, int(max_chunk_rows)))
     for sig, members in partitions.items():
         rx_type, stereo = sig[0], sig[1]
         ref = receivers[members[0]]

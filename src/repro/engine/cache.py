@@ -110,20 +110,6 @@ class AmbientCache:
                 self._pending.pop(key, None)
             pending.set()
 
-    def contains(self, key: tuple) -> bool:
-        """Whether ``key`` would be served without a synthesis.
-
-        A pure probe — no counters move, no fill starts, no LRU
-        reordering. True when the key sits in memory or (by file
-        presence, not a load) in the attached disk store. The planner
-        uses this to cost ambient warmth: a cold front end pays one
-        synthesis regardless of backend, a warm one pays nothing.
-        """
-        with self._lock:
-            if key in self._store:
-                return True
-        return self.store is not None and self.store.path_for(key).exists()
-
     def clear(self) -> None:
         """Reset the in-memory store and counters (disk spill stays)."""
         with self._lock:

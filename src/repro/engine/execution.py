@@ -46,9 +46,9 @@ def composite_entry(
     """The point's (ambient view, front end, composite cache key) triple.
 
     One place derives the deterministic key a point's front-end composite
-    lives under, so the process backend's store warm-up and the planner's
-    cache-warmth probes can never disagree about which entry a point will
-    request. Builds only cheap value objects — no synthesis happens here.
+    lives under, so the process backend's store warm-up can never
+    disagree with execution about which entry a point will request.
+    Builds only cheap value objects — no synthesis happens here.
     """
     from repro.experiments.common import ExperimentChain
 

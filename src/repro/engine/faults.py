@@ -44,27 +44,18 @@ Fault classes:
     The worker spawned with id ``worker`` exits during initialization,
     before pulling any task. The launcher reaps it and spawns a
     replacement (fresh id, so the replacement survives).
-
-The pre-PR knob ``REPRO_LAUNCHER_FAULT=kill-shard:<n>`` remains as a
-**deprecated alias** (it accepts only its original ``kill-shard`` form
-and warns); when both variables are set their directives combine.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro.errors import ConfigurationError
 from repro.utils.env import env_list
 
 FAULTS_ENV_VAR = "REPRO_FAULTS"
 """The unified chaos knob: comma-separated fault directives."""
-
-LEGACY_FAULT_ENV_VAR = "REPRO_LAUNCHER_FAULT"
-"""Deprecated single-fault alias (``kill-shard:<n>`` only)."""
 
 FAULT_KINDS = (
     "kill-shard",
@@ -201,51 +192,14 @@ def parse_faults(spec: str, source: str = FAULTS_ENV_VAR) -> FaultPlan:
     return FaultPlan(tuple(_parse_item(item, source) for item in items))
 
 
-def _legacy_plan() -> FaultPlan:
-    """The deprecated ``REPRO_LAUNCHER_FAULT`` knob, original grammar only."""
-    raw = os.environ.get(LEGACY_FAULT_ENV_VAR, "").strip()
-    if not raw:
-        return FaultPlan()
-    warnings.warn(
-        f"{LEGACY_FAULT_ENV_VAR} is deprecated; use "
-        f"{FAULTS_ENV_VAR}={raw} (the unified fault registry) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    kind, sep, arg = raw.partition(":")
-    if kind == "kill-shard" and sep and arg.isdigit():
-        return FaultPlan((Fault(kind="kill-shard", target=int(arg)),))
-    raise ConfigurationError(
-        f"{LEGACY_FAULT_ENV_VAR} must look like 'kill-shard:<shard index>', "
-        f"got {raw!r}"
-    )
-
-
 def active_plan() -> FaultPlan:
     """The process's fault plan, parsed fresh from the environment.
 
-    Reads :data:`FAULTS_ENV_VAR` (the registry) and the deprecated
-    :data:`LEGACY_FAULT_ENV_VAR` alias; when both are set their
-    directives combine. Parsed at call time so tests can monkeypatch,
-    and so forked workers (which inherit the environment) agree with the
-    parent byte for byte.
+    Reads :data:`FAULTS_ENV_VAR`. Parsed at call time so tests can
+    monkeypatch, and so forked workers (which inherit the environment)
+    agree with the parent byte for byte.
     """
-    faults = tuple(
-        _parse_item(item, FAULTS_ENV_VAR) for item in env_list(FAULTS_ENV_VAR)
+    return FaultPlan(
+        tuple(_parse_item(item, FAULTS_ENV_VAR) for item in env_list(FAULTS_ENV_VAR))
     )
-    legacy = _legacy_plan()
-    return FaultPlan(faults + legacy.faults)
 
-
-def legacy_fault_spec() -> Optional[Tuple[str, int]]:
-    """Back-compat shim for the old ``launcher.fault_spec`` surface.
-
-    Returns the parsed ``(kind, target)`` of the deprecated
-    ``REPRO_LAUNCHER_FAULT`` knob, or ``None`` when unset — exactly the
-    pre-registry behavior, including the strict-parse error.
-    """
-    plan = _legacy_plan()
-    if not plan:
-        return None
-    fault = plan.faults[0]
-    return (fault.kind, fault.target)

@@ -51,7 +51,6 @@ kills, forced stragglers, dropped results, torn cache writes and
 worker-init failures, each deterministically targeted so a chaos run
 reproduces exactly. The CI ``chaos`` leg runs the full fault matrix to
 prove no fault class can change a single bit of the merged result.
-``REPRO_LAUNCHER_FAULT=kill-shard:<n>`` survives as a deprecated alias.
 """
 
 from __future__ import annotations
@@ -70,7 +69,7 @@ from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.engine.cache import AmbientCache, stats_delta
 from repro.engine.execution import execute_point
-from repro.engine.faults import LEGACY_FAULT_ENV_VAR, active_plan, legacy_fault_spec
+from repro.engine.faults import active_plan
 from repro.engine.journal import JobJournal
 from repro.engine.results import SweepResult
 from repro.engine.runner import derive_streams
@@ -79,9 +78,6 @@ from repro.engine.store import CACHE_DIR_ENV_VAR, CacheStore
 from repro.errors import ConfigurationError, LauncherError
 from repro.utils.env import env_int
 from repro.utils.rand import RngLike, as_generator, derive_seed
-
-FAULT_ENV_VAR = LEGACY_FAULT_ENV_VAR
-"""Deprecated chaos knob (``kill-shard:<n>`` only) — see ``REPRO_FAULTS``."""
 
 SHARD_POINTS_ENV_VAR = "REPRO_LAUNCHER_SHARD_POINTS"
 """Environment override for the points-per-shard slice size."""
@@ -94,18 +90,6 @@ _POLL_S = 0.02
 
 _SHUTDOWN_JOIN_S = 5.0
 """Grace period for workers (possibly mid-duplicate-shard) to exit."""
-
-
-def fault_spec() -> Optional[Tuple[str, int]]:
-    """Deprecated: the parsed ``REPRO_LAUNCHER_FAULT`` directive.
-
-    Kept for the pre-registry API surface; new code reads the unified
-    plan via :func:`repro.engine.faults.active_plan`. Strict like every
-    ``REPRO_*`` knob: anything but the documented ``kill-shard:<shard>``
-    form raises :class:`~repro.errors.ConfigurationError` naming the
-    variable.
-    """
-    return legacy_fault_spec()
 
 
 @dataclass(frozen=True)

@@ -1,262 +1,68 @@
-"""Cost-model backend planner: per-partition executor + chunk selection.
+"""Row-length backend planner: per-partition executor selection for ``auto``.
 
-BENCH_engine.json shows backend choice is *grid-dependent*: the batched
-backend wins ~1.3-1.5x on fading and stereo grids (short rows, wide
-stacks — per-point Python dispatch amortizes across the stack) but loses
-~2x on the warm-cache Fig. 8 grid (long rows narrow the
-``REPRO_BATCH_MAX_MB`` chunker until the vectorized passes are
-memory-bound with nothing left to amortize). Hand-picking
-``REPRO_SWEEP_BACKEND`` per figure is the user's problem today; this
-module makes it the engine's.
+No single executor wins everywhere: the batched backend wins ~1.3-1.5x on
+short-row and stereo grids (per-point Python dispatch amortizes across the
+stack) but loses on long mono rows (the ``REPRO_BATCH_MAX_MB`` chunker
+narrows the stack until nothing is left to amortize). ``auto`` decides per
+partition:
 
-The ``auto`` backend plans before it executes:
+1. :func:`extract_features` partitions the compiled scenario exactly as
+   the batched executor would (front-end group x receiver signature),
+   *without synthesizing anything*, and reads each partition's stack
+   width, exact row length in MPX samples and decode mode.
+2. :func:`choose_backend` applies a fixed rule (see
+   :data:`CROSSOVER_SAMPLES`) and :func:`plan_sweep` records every
+   decision with its reason on :attr:`~repro.engine.results.SweepResult.plan`.
+3. :func:`plan_and_run` dispatches *heterogeneously* — short-row
+   partitions ride the batched stack while long-row ones run serially —
+   on the same pre-derived per-point seeds every backend uses, so results
+   stay bit-identical in grid order.
 
-1. :func:`extract_features` derives per-partition predictors from the
-   compiled scenario *without synthesizing anything*: stack width,
-   waveform length in samples (exact — the composite is the payload
-   upsampled to the MPX rate), stereo/fading/receiver mix,
-   measure-driven flags, and ambient-cache warmth probed through
-   :meth:`~repro.engine.cache.AmbientCache.contains` on the same keys
-   :func:`~repro.engine.execution.composite_entry` gives the process
-   backend's store warm-up. Partitions are keyed exactly like the
-   batched executor's (front-end group x receiver signature), so every
-   decision maps one-to-one onto a stack the executor will actually run.
-2. :func:`estimate` prices each partition under every executor with an
-   analytic model parameterized by a small set of calibration constants
-   (per-point dispatch cost, serial and vectorized per-sample
-   throughputs at short/long row anchors, process-pool spawn cost, ...).
-   Defaults ship in a versioned ``calibration.json`` measured once;
-   ``repro-calibrate`` (``python -m repro.engine.planner``) re-measures
-   them for the host in a few seconds, and ``REPRO_PLANNER_CALIBRATION``
-   points the planner at the result.
-3. :func:`plan_sweep` picks the cheapest executor per partition and
-   :func:`plan_and_run` dispatches *heterogeneously* — one grid's
-   short-row partitions can ride the batched stack while its long-row
-   partitions run serially — reusing the same per-point pre-derived
-   seeds every backend uses, so results stay bit-identical in grid
-   order. Every decision (executor, chunk rows, predicted costs, feature
-   vector) is recorded on :attr:`~repro.engine.results.SweepResult.plan`
-   for audit and prediction-error scoring.
-
-Heterogeneous splits are disabled (the whole grid gets the single
-cheapest executor) when any link carries a *live* stateful fading model:
-such models consume their random stream in grid order across points, so
-splitting the grid between executors would reorder the draws. Frozen
-declarative specs (:class:`~repro.channel.fading.MotionFadingSpec`)
-resolve from each point's own stream and split freely.
+When any link carries a *live* stateful fading model and the partitions'
+choices disagree, the whole grid runs ``serial``: such models consume
+their random stream in grid order across points, so a split would
+reorder the draws. Frozen declarative specs
+(:class:`~repro.channel.fading.MotionFadingSpec`) resolve from each
+point's own stream and split freely.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
-import math
-import os
-import platform
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
-
-import numpy as np
 
 from repro.constants import AUDIO_RATE_HZ, MPX_RATE_HZ
 from repro.engine.cache import AmbientCache
-from repro.engine.execution import composite_entry, execute_point
+from repro.engine.execution import execute_point
 from repro.engine.scenario import GridPoint, Scenario
-from repro.errors import ConfigurationError
 from repro.utils.env import fast_numerics
 
-CALIBRATION_ENV_VAR = "REPRO_PLANNER_CALIBRATION"
-"""Environment override: path to a ``repro-calibrate``-written JSON file.
-A set-but-unreadable/invalid path raises :class:`ConfigurationError`
-naming the variable — never a silent fall-back to defaults."""
+CROSSOVER_SAMPLES = 158_490
+"""Longest mono row (MPX samples, ~0.33 s of audio) that runs batched.
 
-DEFAULT_CALIBRATION_PATH = Path(__file__).with_name("calibration.json")
-"""The versioned default constants shipped with the package."""
-
-CALIBRATION_VERSION = 1
-
-EXECUTORS = ("serial", "thread", "process", "batched")
-"""Executors the planner chooses among (the four explicit backends)."""
+Measured on a 1-CPU x86_64 host (numpy 2.4): the serial link + mono
+receive path cost 251.9 ns per sample at every row length, while the
+batched path cost 201.5 ns per sample at 24,000-sample rows and 257.0 ns
+at 192,000-sample rows. Interpolating the batched cost log-linearly in
+row length (the chunk working set crossing the cache hierarchy tracks
+the *ratio* of row lengths), the two meet at
+``24000 * 8 ** ((251.9 - 201.5) / (257.0 - 201.5))`` = 158,490 samples.
+Stereo rows always batch (the scalar pilot PLL made serial stereo 1.44x
+dearer per sample, batched stereo no dearer than mono), and so does
+``REPRO_NUMERICS=fast`` (its fused kernels cut the batched cost to 0.75x,
+and 0.75 x 257.0 ns < 251.9 ns at any row length).
+"""
 
 _MPX_PER_AUDIO = int(round(MPX_RATE_HZ / AUDIO_RATE_HZ))
 
 
 @dataclass(frozen=True)
-class CalibrationConstants:
-    """Host-measured constants parameterizing the analytic cost model.
-
-    Times are seconds unless the name says ``_ns`` (nanoseconds per
-    sample — per-sample throughputs are sub-microsecond, and ns keeps the
-    JSON readable). The vectorized per-sample cost is log-interpolated
-    between two measured row-length anchors: short rows admit wide stacks
-    whose dispatch amortization makes vector throughput *better* than
-    serial, long rows narrow the chunker until it is *worse* (the
-    measured Fig. 8 regression). Defaults here are conservative
-    fallbacks; the shipped ``calibration.json`` overrides them with
-    measured values.
-    """
-
-    point_overhead_s: float = 4.0e-3
-    """Fixed per-point cost of the serial path (chain build, filter
-    design, resampler setup, Python dispatch)."""
-
-    serial_sample_ns: float = 110.0
-    """Per-IQ-sample cost of the serial link + mono receive path."""
-
-    vector_sample_short_ns: float = 55.0
-    """Vectorized per-sample cost at (and below) ``short_row_samples``."""
-
-    vector_sample_long_ns: float = 180.0
-    """Vectorized per-sample cost at (and above) ``long_row_samples``."""
-
-    short_row_samples: int = 30_000
-    """Row-length anchor for ``vector_sample_short_ns``."""
-
-    long_row_samples: int = 200_000
-    """Row-length anchor for ``vector_sample_long_ns``."""
-
-    chunk_setup_s: float = 1.0e-3
-    """Per-chunk cost of one stacked transmit + demodulate pass."""
-
-    stereo_serial_factor: float = 3.0
-    """Serial sample-cost multiplier when the receiver stereo-decodes
-    (the scalar pilot PLL dominates a stereo point)."""
-
-    stereo_vector_factor: float = 1.5
-    """Vectorized sample-cost multiplier for stereo partitions (the
-    multi-waveform PLL amortizes most of the scalar cost)."""
-
-    fading_serial_factor: float = 1.15
-    """Serial sample-cost multiplier for a fading link (envelope
-    synthesis + per-sample scaling)."""
-
-    fading_vector_factor: float = 1.15
-    """Vectorized sample-cost multiplier for a fading link (stacked
-    envelope synthesis)."""
-
-    thread_speedup: float = 1.0
-    """Measured whole-grid speedup of the thread pool over serial (the
-    per-point NumPy work rarely releases the GIL long enough to win)."""
-
-    process_spawn_s: float = 0.35
-    """Process-pool spawn + worker warm-up cost (paid once per sweep)."""
-
-    process_speedup: float = 1.0
-    """Measured whole-grid compute speedup of the process pool over
-    serial, spawn excluded (IPC + per-worker cache loads eat the rest).
-    The conservative default means pools are only ever *chosen* on hosts
-    where ``repro-calibrate`` measured a real win."""
-
-    synth_sample_ns: float = 700.0
-    """Per-sample cost of one cold front-end synthesis (program audio +
-    composite MPX + FM modulation), paid once per cold partition on
-    every backend alike."""
-
-    fast_vector_factor: float = 0.75
-    """Vectorized sample-cost multiplier applied under
-    ``REPRO_NUMERICS=fast``: the fused 2-D kernels and single-precision
-    receive chain cut the batched path's per-sample cost by roughly a
-    quarter on the measured grids, which shifts the serial/batched
-    crossover toward wider use of the batched executor. Serial costs are
-    left unscaled — fast mode's fusion only pays off across rows."""
-
-    def vector_sample_ns(self, n_samples: int) -> float:
-        """Per-sample vectorized cost at a given row length.
-
-        Log-linear interpolation between the two measured anchors,
-        clamped outside them: the regime change is driven by the chunk
-        working set crossing the cache hierarchy, which tracks the
-        *ratio* of row lengths rather than their difference.
-        """
-        lo, hi = self.short_row_samples, self.long_row_samples
-        if n_samples <= lo or hi <= lo:
-            return self.vector_sample_short_ns
-        if n_samples >= hi:
-            return self.vector_sample_long_ns
-        frac = math.log(n_samples / lo) / math.log(hi / lo)
-        return (
-            self.vector_sample_short_ns
-            + frac * (self.vector_sample_long_ns - self.vector_sample_short_ns)
-        )
-
-    def to_payload(self, host: Optional[Mapping[str, object]] = None) -> Dict[str, object]:
-        """The JSON document ``repro-calibrate`` writes."""
-        return {
-            "version": CALIBRATION_VERSION,
-            "host": dict(host) if host is not None else host_context(),
-            "constants": dataclasses.asdict(self),
-        }
-
-
-def host_context() -> Dict[str, object]:
-    """CPU/numpy/platform fingerprint stored beside measured constants.
-
-    Shared with the benchmark artifact writer, so crossover constants in
-    the perf trajectory stay interpretable across machines.
-    """
-    return {
-        "platform": platform.platform(),
-        "machine": platform.machine(),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "cpu_count": os.cpu_count(),
-    }
-
-
-def load_calibration(path: Optional[str] = None) -> CalibrationConstants:
-    """The active calibration constants, strictly parsed.
-
-    Resolution order: explicit ``path`` argument, the
-    ``REPRO_PLANNER_CALIBRATION`` environment variable, the packaged
-    ``calibration.json``, and finally the dataclass defaults (only when
-    the packaged file is missing, e.g. a source tree stripped of data
-    files). A path the *user* named must exist and parse — a typo'd
-    override silently planning with defaults would be worse than the
-    crash.
-    """
-    source = "argument"
-    if path is None:
-        path = os.environ.get(CALIBRATION_ENV_VAR, "").strip() or None
-        source = CALIBRATION_ENV_VAR
-    if path is None:
-        if not DEFAULT_CALIBRATION_PATH.exists():
-            return CalibrationConstants()
-        path, source = str(DEFAULT_CALIBRATION_PATH), "default"
-    try:
-        payload = json.loads(Path(path).read_text())
-    except (OSError, ValueError) as exc:
-        raise ConfigurationError(
-            f"planner calibration file {path!r} (from {source}) is unreadable: {exc}"
-        ) from None
-    if not isinstance(payload, dict) or payload.get("version") != CALIBRATION_VERSION:
-        raise ConfigurationError(
-            f"planner calibration file {path!r} has version "
-            f"{payload.get('version')!r}, expected {CALIBRATION_VERSION} "
-            "(re-run repro-calibrate)"
-        )
-    constants = payload.get("constants")
-    if not isinstance(constants, dict):
-        raise ConfigurationError(
-            f"planner calibration file {path!r} has no 'constants' table"
-        )
-    known = {f.name for f in dataclasses.fields(CalibrationConstants)}
-    unknown = sorted(set(constants) - known)
-    if unknown:
-        raise ConfigurationError(
-            f"planner calibration file {path!r} has unknown constants "
-            f"{unknown} (version skew? re-run repro-calibrate)"
-        )
-    return CalibrationConstants(**constants)
-
-
-@dataclass(frozen=True)
 class PartitionFeatures:
-    """Per-partition predictors the cost model prices.
+    """Per-partition predictors the backend rule reads.
 
     Attributes:
-        label: human-readable partition tag (receiver kind + decode mode
-            + row length), stable enough to grep in a recorded plan.
+        label: partition tag (receiver kind, decode mode, row length).
         positions: positions into the *run's* point list (after any
             ``point_slice``), in grid order.
         n_points: stack width (grid points sharing this partition).
@@ -264,12 +70,8 @@ class PartitionFeatures:
             payload length upsampled to the MPX rate.
         stereo: partition decodes through the stereo (multi-waveform
             PLL) batch rather than the mono batch.
-        fading_points: how many of the points carry a fading link.
         measure_driven: the measure transmits internally (no
             runner-performed transmission exists to vectorize).
-        cache_warm: the partition's front-end composite is already in
-            the ambient cache (memory or disk store probe) — a cold one
-            pays one synthesis regardless of executor.
         chunk_rows: rows of one vectorized chunk under the current
             ``REPRO_BATCH_MAX_MB`` budget (capped by the stack width).
         batchable: the batched executor can take this partition at all.
@@ -280,9 +82,7 @@ class PartitionFeatures:
     n_points: int
     n_samples: int
     stereo: bool
-    fading_points: int
     measure_driven: bool
-    cache_warm: bool
     chunk_rows: int
     batchable: bool
 
@@ -302,15 +102,16 @@ class PlanDecision:
             global indices, so shard plans merge unambiguously.
         backend: the executor chosen for the partition.
         chunk_rows: vectorized chunk budget in rows (1 for serial paths).
-        predicted_s: the cost model's estimate per candidate executor.
-        features: the feature vector the decision was priced on.
+        reason: the rule that chose ``backend`` (``"stereo"``,
+            ``"long-rows"``, ``"live-fading"``, ...).
+        features: the feature vector the decision was made on.
     """
 
     partition: str
     point_indices: Tuple[int, ...]
     backend: str
     chunk_rows: int
-    predicted_s: Mapping[str, float]
+    reason: str
     features: Mapping[str, object]
 
 
@@ -323,10 +124,6 @@ class SweepPlan:
     label: str
 
 
-def _fading_value(scenario: Scenario, point: GridPoint) -> Optional[object]:
-    return scenario.chain_kwargs(point).get("fading")
-
-
 def _is_live_fading(fading: object) -> bool:
     """A stateful model instance (vs a frozen per-point-resolved spec)."""
     return fading is not None and hasattr(fading, "envelope")
@@ -337,46 +134,32 @@ def extract_features(
     data: Mapping[str, object],
     points: Sequence[GridPoint],
     cache: Optional[AmbientCache],
-    ambient_master: int,
 ) -> Tuple[List[PartitionFeatures], bool]:
     """Partition the grid exactly as the batched executor would and
-    derive each partition's predictors.
+    derive each partition's predictors — from chain/stage value objects
+    only, never synthesizing a waveform or a receiver noise stream.
 
     Returns ``(features, splittable)``: ``splittable`` is False when a
-    live stateful fading model forces a single uniform executor for the
-    whole grid (see module docstring).
-
-    Cheap by construction: builds chain/stage value objects and probes
-    cache keys, but never synthesizes a waveform or a receiver noise
-    stream.
+    live stateful fading model is on any link (see module docstring).
     """
     if scenario.measure_driven or not points:
         features = PartitionFeatures(
-            label="measure-driven",
-            positions=tuple(range(len(points))),
-            n_points=len(points),
-            n_samples=0,
-            stereo=False,
-            fading_points=0,
-            measure_driven=True,
-            cache_warm=True,
-            chunk_rows=1,
-            batchable=False,
+            label="measure-driven", positions=tuple(range(len(points))),
+            n_points=len(points), n_samples=0, stereo=False,
+            measure_driven=True, chunk_rows=1, batchable=False,
         )
         return [features], True
 
     from repro.engine.batch_backend import chunk_limit
     from repro.experiments.common import ExperimentChain
 
-    batchable_scenario = cache is not None and scenario.cache_ambient
+    batchable = cache is not None and scenario.cache_ambient
 
     partitions: "Dict[tuple, List[int]]" = {}
-    part_chain: Dict[tuple, ExperimentChain] = {}
-    part_payload: Dict[tuple, np.ndarray] = {}
-    fading_counts: Dict[tuple, int] = {}
     splittable = True
     for pos, point in enumerate(points):
-        chain = ExperimentChain(**scenario.chain_kwargs(point))
+        chain_kwargs = scenario.chain_kwargs(point)
+        chain = ExperimentChain(**chain_kwargs)
         payload = scenario.payload_for(point, data)
         stage = chain.receive_stage()
         # Mirrors the executor's two-level grouping: the front-end group
@@ -391,106 +174,48 @@ def extract_features(
             stage,
             stereo,
         )
-        members = partitions.setdefault(key, [])
-        members.append(pos)
-        if key not in part_chain:
-            part_chain[key] = chain
-            part_payload[key] = payload
-        fading = _fading_value(scenario, point)
-        if fading is not None:
-            fading_counts[key] = fading_counts.get(key, 0) + 1
-            if _is_live_fading(fading):
-                splittable = False
+        partitions.setdefault(key, []).append(pos)
+        if _is_live_fading(chain_kwargs.get("fading")):
+            splittable = False
 
     features: List[PartitionFeatures] = []
     for key, positions in partitions.items():
-        chain, payload = part_chain[key], part_payload[key]
         stage, stereo = key[4], key[5]
-        n_samples = int(payload.shape[-1]) * _MPX_PER_AUDIO
-        warm = False
-        if batchable_scenario:
-            _, _, composite_key = composite_entry(
-                scenario, points[positions[0]], payload, cache, ambient_master
-            )
-            warm = cache.contains(composite_key)
+        n_samples = int(key[2]) * _MPX_PER_AUDIO
+        mode = "stereo" if stereo else "mono"
         features.append(
             PartitionFeatures(
-                label=(
-                    f"{stage.receiver_kind}/{'stereo' if stereo else 'mono'}"
-                    f"@{n_samples}"
-                ),
+                label=f"{stage.receiver_kind}/{mode}@{n_samples}",
                 positions=tuple(positions),
                 n_points=len(positions),
                 n_samples=n_samples,
                 stereo=bool(stereo),
-                fading_points=fading_counts.get(key, 0),
                 measure_driven=False,
-                cache_warm=warm,
                 chunk_rows=min(len(positions), chunk_limit(n_samples)),
-                batchable=batchable_scenario,
+                batchable=batchable,
             )
         )
     return features, splittable
 
 
-def estimate(
-    features: PartitionFeatures,
-    calibration: Optional[CalibrationConstants] = None,
-    max_workers: int = 1,
-    picklable: bool = False,
-) -> Dict[str, float]:
-    """Predicted wall-clock seconds of one partition per executor.
+def choose_backend(features: PartitionFeatures) -> Tuple[str, str]:
+    """``(backend, reason)`` for one partition: the first rule that matches.
 
-    Executors a partition cannot run on are omitted: ``batched`` needs a
-    batchable partition, ``process`` a picklable scenario, and pool
-    backends more than one point. Measure-driven partitions price only
-    ``serial`` — the engine knows nothing about the inside of their
-    measures, and guessing would let noise flip the default away from
-    the reference semantics.
+    Measure-driven partitions stay ``serial`` (the engine knows nothing
+    about the inside of their measures), as do uncached ones, which the
+    batched executor cannot take.
     """
-    c = calibration if calibration is not None else load_calibration()
     if features.measure_driven:
-        return {"serial": features.n_points * c.point_overhead_s}
-
-    p, s = features.n_points, features.n_samples
-    fading_frac = features.fading_points / p if p else 0.0
-    synth_s = 0.0 if features.cache_warm else s * c.synth_sample_ns * 1e-9
-
-    serial_mix = 1.0 + fading_frac * (c.fading_serial_factor - 1.0)
+        return "serial", "measure-driven"
+    if not features.batchable:
+        return "serial", "uncached"
     if features.stereo:
-        serial_mix *= c.stereo_serial_factor
-    serial_s = synth_s + p * (
-        c.point_overhead_s + s * c.serial_sample_ns * 1e-9 * serial_mix
-    )
-    costs = {"serial": serial_s}
-
-    if p > 1 and max_workers > 1:
-        # Calibrated pool speedups can't exceed the workers available to
-        # *this* runner — on a single-worker host pools never win.
-        thread_eff = min(c.thread_speedup, float(max_workers))
-        costs["thread"] = synth_s + (serial_s - synth_s) / max(thread_eff, 1e-6)
-        if picklable:
-            # The parent warms the shared store, so synthesis is serial
-            # either way; only the compute scales with the pool.
-            process_eff = min(c.process_speedup, float(max_workers))
-            costs["process"] = (
-                synth_s
-                + c.process_spawn_s
-                + (serial_s - synth_s) / max(process_eff, 1e-6)
-            )
-    if features.batchable:
-        vector_mix = 1.0 + fading_frac * (c.fading_vector_factor - 1.0)
-        if features.stereo:
-            vector_mix *= c.stereo_vector_factor
-        if fast_numerics():
-            vector_mix *= c.fast_vector_factor
-        n_chunks = math.ceil(p / features.chunk_rows)
-        costs["batched"] = (
-            synth_s
-            + n_chunks * c.chunk_setup_s
-            + p * s * c.vector_sample_ns(s) * 1e-9 * vector_mix
-        )
-    return costs
+        return "batched", "stereo"
+    if fast_numerics():
+        return "batched", "fast-numerics"
+    if features.n_samples <= CROSSOVER_SAMPLES:
+        return "batched", "short-rows"
+    return "serial", "long-rows"
 
 
 def plan_sweep(
@@ -498,51 +223,26 @@ def plan_sweep(
     data: Mapping[str, object],
     points: Sequence[GridPoint],
     cache: Optional[AmbientCache],
-    ambient_master: int,
-    max_workers: int = 1,
-    calibration: Optional[CalibrationConstants] = None,
 ) -> SweepPlan:
-    """Choose the cheapest executor (and chunk budget) per partition."""
-    calibration = calibration if calibration is not None else load_calibration()
-    features, splittable = extract_features(
-        scenario, data, points, cache, ambient_master
-    )
-    picklable = False
-    if not scenario.measure_driven and len(points) > 1:
-        try:
-            scenario.require_picklable()
-            picklable = True
-        except ConfigurationError:
-            picklable = False
-
-    predictions = [
-        estimate(f, calibration, max_workers=max_workers, picklable=picklable)
-        for f in features
-    ]
-    choices = [min(costs, key=costs.get) for costs in predictions]
-    if not splittable and len(set(choices)) > 1:
+    """Choose the executor (and chunk budget) per partition."""
+    features, splittable = extract_features(scenario, data, points, cache)
+    choices = [choose_backend(f) for f in features]
+    if not splittable and len({backend for backend, _ in choices}) > 1:
         # A live stateful fading model consumes its stream in grid order
-        # across the whole grid: pick ONE executor — the grid-total
-        # cheapest among those every partition supports — so the
-        # consumption order matches a pure single-backend run.
-        common = set.intersection(*(set(costs) for costs in predictions))
-        totals = {
-            backend: sum(costs[backend] for costs in predictions)
-            for backend in common
-        }
-        uniform = min(totals, key=totals.get)
-        choices = [uniform] * len(features)
+        # across the whole grid: run it all serially, so the consumption
+        # order matches a pure single-backend run.
+        choices = [("serial", "live-fading")] * len(features)
 
     decisions: List[PlanDecision] = []
     by_backend: Dict[str, List[int]] = {}
-    for f, costs, backend in zip(features, predictions, choices):
+    for f, (backend, reason) in zip(features, choices):
         decisions.append(
             PlanDecision(
                 partition=f.label,
                 point_indices=tuple(points[pos].index for pos in f.positions),
                 backend=backend,
                 chunk_rows=f.chunk_rows if backend == "batched" else 1,
-                predicted_s={k: round(v, 6) for k, v in costs.items()},
+                reason=reason,
                 features=f.as_dict(),
             )
         )
@@ -562,72 +262,32 @@ def plan_and_run(
     seeds: Sequence[int],
     cache: Optional[AmbientCache],
     ambient_master: int,
-    max_workers: int = 1,
-) -> Tuple[List[object], int, int, List[PlanDecision], str]:
+) -> Tuple[List[object], int, List[PlanDecision], str]:
     """Plan the grid, then execute each partition on its chosen backend.
 
     Bit-identity across any split holds for the same reason it holds
     across whole-grid backends: every point's stream seed is pre-derived
     before execution, and each executor rebuilds ``default_rng(seed)``
-    per point (splits are disabled when a live stateful fading model
-    makes grid-order consumption span points — see :func:`plan_sweep`).
+    per point (live stateful fading disables splits; see :func:`plan_sweep`).
 
     Returns:
-        ``(values, n_fallbacks, n_workers, decisions, label)`` — values
-        in grid order; ``n_fallbacks`` counts batch-eligible points the
-        batched executor bounced to its serial fallback (points the
-        *planner* routed to serial are decisions, not fallbacks).
+        ``(values, n_fallbacks, decisions, label)`` — values in grid
+        order; ``n_fallbacks`` counts batch-eligible points the batched
+        executor bounced to its serial fallback (points the *planner*
+        routed to serial are decisions, not fallbacks).
     """
-    plan = plan_sweep(
-        scenario, data, points, cache, ambient_master, max_workers=max_workers
-    )
+    plan = plan_sweep(scenario, data, points, cache)
     values: List[object] = [None] * len(points)
     n_fallbacks = 0
-    n_workers = 1
     for backend, positions in plan.by_backend.items():
         if backend == "batched":
             from repro.engine.batch_backend import run_batched_backend
 
             sub_values, _, sub_fallbacks = run_batched_backend(
-                scenario,
-                data,
-                [points[pos] for pos in positions],
-                [seeds[pos] for pos in positions],
-                cache,
-                ambient_master,
+                scenario, data, [points[pos] for pos in positions],
+                [seeds[pos] for pos in positions], cache, ambient_master,
             )
             n_fallbacks += sub_fallbacks
-            for pos, value in zip(positions, sub_values):
-                values[pos] = value
-        elif backend == "thread":
-            from concurrent.futures import ThreadPoolExecutor
-
-            n_workers = max(n_workers, max_workers)
-            with ThreadPoolExecutor(max_workers=max_workers) as pool:
-                sub_values = list(
-                    pool.map(
-                        lambda pos: execute_point(
-                            scenario, points[pos], seeds[pos], data, cache,
-                            ambient_master,
-                        ),
-                        positions,
-                    )
-                )
-            for pos, value in zip(positions, sub_values):
-                values[pos] = value
-        elif backend == "process":
-            from repro.engine.process_backend import run_process_backend
-
-            n_workers = max(n_workers, max_workers)
-            sub_values = run_process_backend(
-                scenario,
-                data,
-                [points[pos] for pos in positions],
-                [seeds[pos] for pos in positions],
-                cache,
-                ambient_master,
-                max_workers,
-            )
             for pos, value in zip(positions, sub_values):
                 values[pos] = value
         else:  # serial
@@ -635,239 +295,4 @@ def plan_and_run(
                 values[pos] = execute_point(
                     scenario, points[pos], seeds[pos], data, cache, ambient_master
                 )
-    return values, n_fallbacks, n_workers, plan.decisions, plan.label
-
-
-# --------------------------------------------------------------------------
-# Calibration: measure the constants on this host with tiny real sweeps.
-# --------------------------------------------------------------------------
-
-
-def _calibration_measure(run):
-    """Module-level measure (picklable) used by calibration sweeps."""
-    return float(np.mean(np.abs(run.received.mono)))
-
-
-def _calibration_scenario(
-    name: str,
-    n_points: int,
-    duration_s: float,
-    stereo: bool = False,
-    fading: bool = False,
-):
-    """A one-partition link-budget grid: ``n_points`` rows of
-    ``duration_s`` payload through the silence front end."""
-    from repro.audio.tones import tone
-    from repro.engine.scenario import Scenario, SweepSpec
-
-    payload = tone(1000.0, duration_s, AUDIO_RATE_HZ, amplitude=0.9)
-    base_chain = {
-        "program": "silence",
-        "power_dbm": -40.0,
-        "stereo_decode": stereo,
-        "back_amplitude": 0.25,
-    }
-    if fading:
-        from repro.channel.fading import MotionFadingSpec
-
-        base_chain["fading"] = MotionFadingSpec("running")
-    return Scenario(
-        name=name,
-        sweep=SweepSpec.grid(distance_ft=tuple(2 + i for i in range(n_points))),
-        prepare=lambda gen: {"payload": payload},
-        base_chain=base_chain,
-        chain_axes=("distance_ft",),
-        payload="payload",
-        measure=_calibration_measure,
-    )
-
-
-def _time_backend(scenario, backend: str, cache, repeats: int = 2, **kwargs) -> float:
-    """Best-of-``repeats`` wall time of one warm run (seconds)."""
-    from repro.engine.runner import SweepRunner
-
-    best = math.inf
-    for _ in range(repeats):
-        result = SweepRunner(
-            scenario, rng=2017, cache=cache, backend=backend, **kwargs
-        ).run()
-        best = min(best, result.elapsed_s)
-    return best
-
-
-def calibrate(quick: bool = False) -> CalibrationConstants:
-    """Measure the cost-model constants on this host (a few seconds).
-
-    Runs small *real* sweeps — the same code paths the planner prices —
-    and solves for the constants: two serial mono grids at a short and a
-    long row length pin the per-point overhead and serial throughput;
-    their batched counterparts pin the vectorized throughput anchors; a
-    cold-vs-warm pair prices synthesis; stereo/fading variants measure
-    the mix multipliers; and (unless ``quick``) a thread run, a process
-    run and a bare pool spawn price the pool backends.
-    """
-    from repro.engine.batch_backend import chunk_limit
-
-    d = CalibrationConstants()
-    cache = AmbientCache()
-    p_short, dur_short = 16, 0.05
-    p_long, dur_long = 6, 0.4
-    s_short = int(dur_short * AUDIO_RATE_HZ) * _MPX_PER_AUDIO
-    s_long = int(dur_long * AUDIO_RATE_HZ) * _MPX_PER_AUDIO
-    short = _calibration_scenario("calib_short", p_short, dur_short)
-    long_ = _calibration_scenario("calib_long", p_long, dur_long)
-
-    # Cold pass: warms the cache for everything below AND prices one
-    # synthesis (cold minus warm, divided by the composite length).
-    t_cold_long = _time_backend(long_, "serial", cache, repeats=1)
-    t_serial_short = _time_backend(short, "serial", cache)
-    t_serial_long = _time_backend(long_, "serial", cache)
-    synth_sample_ns = max(
-        (t_cold_long - t_serial_long) / s_long * 1e9, 1.0
-    )
-
-    per_point_short = t_serial_short / p_short
-    per_point_long = t_serial_long / p_long
-    serial_sample_ns = max(
-        (per_point_long - per_point_short) / (s_long - s_short) * 1e9, 1.0
-    )
-    point_overhead_s = max(
-        per_point_short - s_short * serial_sample_ns * 1e-9, 1.0e-5
-    )
-
-    def vector_ns(t_batched: float, p: int, s: int) -> float:
-        n_chunks = math.ceil(p / max(1, min(p, chunk_limit(s))))
-        return max((t_batched - n_chunks * d.chunk_setup_s) / (p * s) * 1e9, 1.0)
-
-    t_batched_short = _time_backend(short, "batched", cache)
-    t_batched_long = _time_backend(long_, "batched", cache)
-    vector_short = vector_ns(t_batched_short, p_short, s_short)
-    vector_long = vector_ns(t_batched_long, p_long, s_long)
-
-    constants = {
-        "point_overhead_s": point_overhead_s,
-        "serial_sample_ns": serial_sample_ns,
-        "vector_sample_short_ns": vector_short,
-        "vector_sample_long_ns": vector_long,
-        "short_row_samples": s_short,
-        "long_row_samples": s_long,
-        "synth_sample_ns": synth_sample_ns,
-    }
-    if not quick:
-        interp = CalibrationConstants(**constants)
-        p_mix, dur_mix = 8, 0.1
-        s_mix = int(dur_mix * AUDIO_RATE_HZ) * _MPX_PER_AUDIO
-        base_serial_s = s_mix * serial_sample_ns * 1e-9
-        base_vector_s = s_mix * interp.vector_sample_ns(s_mix) * 1e-9
-
-        stereo = _calibration_scenario("calib_stereo", p_mix, dur_mix, stereo=True)
-        _time_backend(stereo, "serial", cache, repeats=1)  # warm its composite
-        t_ss = _time_backend(stereo, "serial", cache)
-        t_sb = _time_backend(stereo, "batched", cache)
-        constants["stereo_serial_factor"] = max(
-            (t_ss / p_mix - point_overhead_s) / base_serial_s, 1.0
-        )
-        constants["stereo_vector_factor"] = max(
-            vector_ns(t_sb, p_mix, s_mix) * 1e-9 * s_mix / base_vector_s, 1.0
-        )
-
-        fading = _calibration_scenario("calib_fade", p_mix, dur_mix, fading=True)
-        _time_backend(fading, "serial", cache, repeats=1)
-        t_fs = _time_backend(fading, "serial", cache)
-        t_fb = _time_backend(fading, "batched", cache)
-        constants["fading_serial_factor"] = max(
-            (t_fs / p_mix - point_overhead_s) / base_serial_s, 1.0
-        )
-        constants["fading_vector_factor"] = max(
-            vector_ns(t_fb, p_mix, s_mix) * 1e-9 * s_mix / base_vector_s, 1.0
-        )
-
-        workers = min(4, os.cpu_count() or 1)
-        if workers > 1:
-            t_thread = _time_backend(
-                short, "thread", cache, max_workers=workers
-            )
-            constants["thread_speedup"] = min(
-                max(t_serial_short / max(t_thread, 1e-6), 0.5), float(workers)
-            )
-
-            import time
-            from concurrent.futures import ProcessPoolExecutor
-
-            t0 = time.perf_counter()
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                list(pool.map(int, range(workers)))
-            spawn_s = time.perf_counter() - t0
-            t_process = _time_backend(
-                short, "process", cache, repeats=1, max_workers=workers
-            )
-            constants["process_spawn_s"] = spawn_s
-            constants["process_speedup"] = min(
-                max(
-                    t_serial_short / max(t_process - spawn_s, 1e-3), 0.1
-                ),
-                float(workers),
-            )
-    return CalibrationConstants(**constants)
-
-
-def write_calibration(
-    constants: CalibrationConstants, path: os.PathLike
-) -> None:
-    """Atomically write a ``repro-calibrate`` JSON document."""
-    import tempfile
-
-    target = Path(path)
-    payload = json.dumps(constants.to_payload(), indent=2, sort_keys=True) + "\n"
-    fd, tmp = tempfile.mkstemp(
-        dir=str(target.parent), prefix=target.name, suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(payload)
-        os.replace(tmp, target)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """``repro-calibrate``: measure this host, write ``calibration.json``."""
-    import argparse
-
-    default_out = os.environ.get(CALIBRATION_ENV_VAR, "").strip() or str(
-        DEFAULT_CALIBRATION_PATH
-    )
-    parser = argparse.ArgumentParser(
-        prog="repro-calibrate",
-        description=(
-            "Measure the sweep planner's cost-model constants on this host "
-            "(a few seconds of micro-sweeps) and write them as JSON. Point "
-            f"{CALIBRATION_ENV_VAR} at the output to activate it."
-        ),
-    )
-    parser.add_argument(
-        "-o",
-        "--output",
-        default=default_out,
-        help=f"output path (default: {default_out})",
-    )
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="skip the stereo/fading/pool measurements (ship defaults)",
-    )
-    args = parser.parse_args(argv)
-    constants = calibrate(quick=args.quick)
-    write_calibration(constants, args.output)
-    print(f"wrote {args.output}")
-    for name, value in sorted(dataclasses.asdict(constants).items()):
-        print(f"  {name:>24} = {value:.6g}")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+    return values, n_fallbacks, plan.decisions, plan.label

@@ -99,7 +99,7 @@ class SweepResult:
             concept (serial/thread/process) ran.
         plan: the planner's per-partition decisions
             (:class:`~repro.engine.planner.PlanDecision` records — chosen
-            backend, chunk budget, predicted costs, feature vector) when
+            backend, chunk budget, the rule's reason, feature vector) when
             the ``auto`` backend ran, else ``None``. Decisions carry
             *global* grid indices, so :meth:`merge` concatenates shard
             plans (grid order) whenever every shard has one — shards may

@@ -31,11 +31,11 @@
      that had to run serially (now structurally zero) while
      measure-driven scenarios execute per point by construction.
    - ``auto`` — the planner (:mod:`repro.engine.planner`) partitions the
-     grid exactly as the batched executor would, prices each partition
-     under every executor with a calibrated cost model, and dispatches
-     each to its cheapest backend — short-row partitions ride the
-     vectorized stack while long-row ones run serially — recording every
-     decision on :attr:`~repro.engine.results.SweepResult.plan`.
+     grid exactly as the batched executor would and sends each partition
+     to ``batched`` or ``serial`` by a measured row-length rule —
+     stereo and short-row partitions ride the vectorized stack while
+     long mono rows run serially — recording every decision and its
+     reason on :attr:`~repro.engine.results.SweepResult.plan`.
 
 Select with the ``backend`` argument or the ``REPRO_SWEEP_BACKEND``
 environment variable (strictly parsed — a typo raises
@@ -79,7 +79,7 @@ BACKENDS = ("serial", "thread", "process", "batched")
 """The explicit executors."""
 
 AUTO_BACKEND = "auto"
-"""Cost-model planned execution (see :mod:`repro.engine.planner`)."""
+"""Planned per-partition execution (see :mod:`repro.engine.planner`)."""
 
 BACKEND_CHOICES = BACKENDS + (AUTO_BACKEND,)
 """Everything ``backend=`` / ``REPRO_SWEEP_BACKEND`` accepts."""
@@ -275,14 +275,8 @@ class SweepRunner:
         elif self.backend == AUTO_BACKEND:
             from repro.engine.planner import plan_and_run
 
-            values, n_fallbacks, n_workers, plan, backend_label = plan_and_run(
-                scenario,
-                data,
-                points,
-                seeds,
-                cache,
-                ambient_master,
-                self._pool_workers(),
+            values, n_fallbacks, plan, backend_label = plan_and_run(
+                scenario, data, points, seeds, cache, ambient_master
             )
         else:  # batched
             from repro.engine.batch_backend import run_batched_backend

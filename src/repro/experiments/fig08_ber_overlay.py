@@ -53,6 +53,39 @@ def score_ber(run: PointRun, modem) -> float:
     return bit_error_rate(bits, detected)
 
 
+def build_scenario(
+    rate: str = "100bps",
+    powers_dbm: Sequence[float] = DEFAULT_POWERS_DBM,
+    distances_ft: Sequence[float] = DEFAULT_DISTANCES_FT,
+    program: str = "news",
+    n_bits: Optional[int] = None,
+) -> Scenario:
+    """The declarative sweep for one Fig. 8 panel.
+
+    Module-level so tests can plan or execute the exact grid ``run()``
+    uses under any backend.
+    """
+    modem = make_modem(rate)
+    if n_bits is None:
+        n_bits = RATE_CONFIGS[rate]["n_bits"]
+
+    def prepare(gen):
+        bits = random_bits(n_bits, child_generator(gen, "payload", rate))
+        return {"bits": bits, "waveform": modem.modulate(bits)}
+
+    return Scenario(
+        name="fig08",
+        sweep=SweepSpec.grid(power_dbm=tuple(powers_dbm), distance_ft=tuple(distances_ft)),
+        prepare=prepare,
+        base_chain={"program": program, "stereo_decode": False},
+        chain_axes=("power_dbm", "distance_ft"),
+        rng_keys=(rate, AxisRef("power_dbm"), AxisRef("distance_ft")),
+        payload="waveform",
+        measure=score_ber,
+        measure_params={"modem": modem},
+    )
+
+
 def run(
     rate: str = "100bps",
     powers_dbm: Sequence[float] = DEFAULT_POWERS_DBM,
@@ -67,25 +100,7 @@ def run(
         dict with ``distances_ft`` and one BER list per power level
         (keys ``"P<power>"``).
     """
-    modem = make_modem(rate)
-    if n_bits is None:
-        n_bits = RATE_CONFIGS[rate]["n_bits"]
-
-    def prepare(gen):
-        bits = random_bits(n_bits, child_generator(gen, "payload", rate))
-        return {"bits": bits, "waveform": modem.modulate(bits)}
-
-    scenario = Scenario(
-        name="fig08",
-        sweep=SweepSpec.grid(power_dbm=tuple(powers_dbm), distance_ft=tuple(distances_ft)),
-        prepare=prepare,
-        base_chain={"program": program, "stereo_decode": False},
-        chain_axes=("power_dbm", "distance_ft"),
-        rng_keys=(rate, AxisRef("power_dbm"), AxisRef("distance_ft")),
-        payload="waveform",
-        measure=score_ber,
-        measure_params={"modem": modem},
-    )
+    scenario = build_scenario(rate, powers_dbm, distances_ft, program, n_bits)
     result = run_scenario(scenario, rng=rng)
 
     results: Dict[str, object] = {"distances_ft": [float(d) for d in distances_ft]}

@@ -2,17 +2,13 @@
 
 Two contracts. The grammar one: ``REPRO_FAULTS`` parses strictly like
 every ``REPRO_*`` knob — a malformed directive raises
-:class:`~repro.errors.ConfigurationError` naming the variable — and the
-deprecated ``REPRO_LAUNCHER_FAULT`` alias keeps its original behavior
-behind a :class:`DeprecationWarning`. The chaos one (the CI ``chaos``
+:class:`~repro.errors.ConfigurationError` naming the variable. The chaos one (the CI ``chaos``
 leg in miniature): **every registered fault class**, injected into the
 fig09 grid, leaves the merged result bit-identical to a
 ``backend="serial"`` run at the same seed — crashes, stragglers, lost
 results, torn cache writes and init failures cost retries and wall
 clock, never bits.
 """
-
-import warnings
 
 import numpy as np
 import pytest
@@ -22,10 +18,8 @@ from repro.engine import Scenario, SweepRunner, SweepSpec, launch_sweep
 from repro.engine.faults import (
     FAULT_KINDS,
     FAULTS_ENV_VAR,
-    LEGACY_FAULT_ENV_VAR,
     Fault,
     active_plan,
-    legacy_fault_spec,
     parse_faults,
 )
 from repro.engine.launcher import RetryPolicy, Shard
@@ -60,7 +54,6 @@ def rng_scenario() -> Scenario:
 @pytest.fixture(autouse=True)
 def _clean_fault_env(monkeypatch):
     monkeypatch.delenv(FAULTS_ENV_VAR, raising=False)
-    monkeypatch.delenv(LEGACY_FAULT_ENV_VAR, raising=False)
 
 
 class TestGrammar:
@@ -107,28 +100,6 @@ class TestGrammar:
         monkeypatch.setenv(FAULTS_ENV_VAR, "kill-shard:1,bogus")
         with pytest.raises(ConfigurationError, match=FAULTS_ENV_VAR):
             active_plan()
-
-    def test_legacy_alias_combines_and_warns(self, monkeypatch):
-        monkeypatch.setenv(FAULTS_ENV_VAR, "drop-result:2")
-        monkeypatch.setenv(LEGACY_FAULT_ENV_VAR, "kill-shard:1")
-        with pytest.warns(DeprecationWarning, match=LEGACY_FAULT_ENV_VAR):
-            plan = active_plan()
-        assert {f.kind for f in plan.faults} == {"drop-result", "kill-shard"}
-
-    def test_legacy_alias_keeps_its_narrow_grammar(self, monkeypatch):
-        # The old knob never learned the new classes; aliases must not
-        # silently widen, or old pipelines typo into new semantics.
-        monkeypatch.setenv(LEGACY_FAULT_ENV_VAR, "kill-point:1")
-        with pytest.raises(ConfigurationError, match=LEGACY_FAULT_ENV_VAR):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                active_plan()
-
-    def test_legacy_fault_spec_shim(self, monkeypatch):
-        assert legacy_fault_spec() is None
-        monkeypatch.setenv(LEGACY_FAULT_ENV_VAR, "kill-shard:3")
-        with pytest.warns(DeprecationWarning):
-            assert legacy_fault_spec() == ("kill-shard", 3)
 
 
 class TestPlanQueries:

@@ -1,7 +1,7 @@
 """Distributed launcher: fan-out, crash retry, stragglers, bit-identity.
 
 The acceptance bar for the launcher is the determinism contract under
-chaos: a worker killed mid-shard (the ``REPRO_LAUNCHER_FAULT`` knob), a
+chaos: a worker killed mid-shard (the ``REPRO_FAULTS`` knob), a
 straggler past its deadline, or a duplicated speculative completion must
 not change a single bit of the merged result relative to a
 ``backend="serial"`` run at the same seed — every point's stream is
@@ -15,13 +15,12 @@ import pytest
 
 from repro.data.fdm import FdmFskModem
 from repro.engine import Scenario, SweepRunner, SweepSpec, launch_sweep
+from repro.engine.faults import FAULTS_ENV_VAR
 from repro.engine.launcher import (
-    FAULT_ENV_VAR,
     SHARD_POINTS_ENV_VAR,
     RetryPolicy,
     Shard,
     default_shard_points,
-    fault_spec,
 )
 from repro.errors import ConfigurationError, LauncherError
 from repro.experiments import fig09_mrc as fig09
@@ -117,7 +116,7 @@ class TestInjectedFailure:
     """The CI ``distributed`` leg in miniature: kill a worker mid-grid."""
 
     def test_killed_worker_does_not_change_a_bit(self, monkeypatch):
-        monkeypatch.setenv(FAULT_ENV_VAR, "kill-shard:1")
+        monkeypatch.setenv(FAULTS_ENV_VAR, "kill-shard:1")
         serial = SweepRunner(fig09_scenario(), rng=SEED, backend="serial").run()
         report = launch_sweep(fig09_scenario(), rng=SEED, n_workers=2, shard_points=1)
         assert report.failures >= 1
@@ -126,25 +125,16 @@ class TestInjectedFailure:
             assert np.array_equal(ours, reference)
 
     def test_killed_worker_on_rng_grid(self, monkeypatch):
-        monkeypatch.setenv(FAULT_ENV_VAR, "kill-shard:0")
+        monkeypatch.setenv(FAULTS_ENV_VAR, "kill-shard:0")
         serial = SweepRunner(rng_scenario(), rng=SEED, backend="serial").run()
         report = launch_sweep(rng_scenario(), rng=SEED, n_workers=2, shard_points=3)
         assert report.failures >= 1
         assert report.result.values == serial.values
 
     def test_malformed_fault_knob_fails_fast(self, monkeypatch):
-        monkeypatch.setenv(FAULT_ENV_VAR, "drop-table")
-        with pytest.raises(ConfigurationError, match=FAULT_ENV_VAR):
+        monkeypatch.setenv(FAULTS_ENV_VAR, "drop-table")
+        with pytest.raises(ConfigurationError, match=FAULTS_ENV_VAR):
             launch_sweep(rng_scenario(), rng=SEED)
-
-    def test_fault_spec_parses_and_rejects(self, monkeypatch):
-        monkeypatch.delenv(FAULT_ENV_VAR, raising=False)
-        assert fault_spec() is None
-        monkeypatch.setenv(FAULT_ENV_VAR, "kill-shard:3")
-        assert fault_spec() == ("kill-shard", 3)
-        monkeypatch.setenv(FAULT_ENV_VAR, "kill-shard:")
-        with pytest.raises(ConfigurationError):
-            fault_spec()
 
 
 class TestStragglers:

@@ -6,8 +6,7 @@ tier (``tests/experiments/test_golden_tolerance.py``) gates fast mode's
 figure-level accuracy. This module pins the *mechanics* in between: the
 fused kernels stay numerically close to their exact counterparts, carry
 the intended single-precision dtypes, genuinely give up bit-identity
-(so a silent fall-back to the exact path would be caught), and the
-planner prices the speedup.
+(so a silent fall-back to the exact path would be caught).
 
 Tests monkeypatch ``REPRO_NUMERICS`` directly — the helpers read the
 environment at call time — so the module passes under either ambient
@@ -170,32 +169,3 @@ class TestFastSweep:
             self._scenario(), rng=SEED, cache=AmbientCache(), backend="batched"
         ).run()
         assert all(isinstance(v, float) for v in result.values)
-
-
-class TestPlannerPricesFastMode:
-    def test_batched_estimate_scales_by_fast_vector_factor(self, monkeypatch):
-        from repro.engine.planner import CalibrationConstants, PartitionFeatures, estimate
-
-        features = PartitionFeatures(
-            label="smartphone/mono@24000",
-            positions=(0, 1, 2, 3),
-            n_points=4,
-            n_samples=24_000,
-            stereo=False,
-            fading_points=0,
-            measure_driven=False,
-            cache_warm=True,
-            chunk_rows=4,
-            batchable=True,
-        )
-        constants = CalibrationConstants()
-        monkeypatch.setenv(NUMERICS_ENV_VAR, "exact")
-        exact = estimate(features, constants)
-        monkeypatch.setenv(NUMERICS_ENV_VAR, "fast")
-        fast = estimate(features, constants)
-        assert fast["serial"] == exact["serial"]
-        vector_exact = exact["batched"] - constants.chunk_setup_s
-        vector_fast = fast["batched"] - constants.chunk_setup_s
-        assert vector_fast == pytest.approx(
-            vector_exact * constants.fast_vector_factor
-        )

@@ -1,16 +1,13 @@
-"""Cost-model planner: features, calibration, decisions, auto execution.
+"""Row-length planner: features, the backend rule, auto execution.
 
 The non-timing acceptance gates for ``REPRO_SWEEP_BACKEND=auto`` live
-here: under the *shipped* calibration the planner must route the
-known-regressing long-row Fig. 8 grid away from the batched executor and
-the short-row fading grid onto it — pure cost-model arithmetic over the
-committed ``calibration.json``, so CI checks the crossover without
-trusting wall clocks. Decision tests that need a *specific* crossover
-pin their own constants through ``REPRO_PLANNER_CALIBRATION``.
+here: the planner must route the known-regressing long-row Fig. 8 grids
+away from the batched executor and the short-row fading and stereo grids
+onto it. The rule is fixed arithmetic over row length and decode mode,
+so CI checks the crossover without trusting wall clocks.
 """
 
 import dataclasses
-import json
 
 import numpy as np
 import pytest
@@ -18,30 +15,28 @@ import pytest
 from repro.audio.tones import tone
 from repro.channel.fading import BodyMotionFading, MotionFadingSpec
 from repro.constants import AUDIO_RATE_HZ
-from repro.data.bits import random_bits
 from repro.engine import (
     AmbientCache,
-    AxisRef,
-    CalibrationConstants,
+    PayloadSelector,
     Scenario,
     SweepRunner,
     SweepSpec,
-    load_calibration,
     plan_sweep,
 )
-from repro.engine.planner import (
-    CALIBRATION_VERSION,
-    DEFAULT_CALIBRATION_PATH,
-    estimate,
-    extract_features,
-)
-from repro.errors import ConfigurationError
+from repro.engine.planner import CROSSOVER_SAMPLES, choose_backend, extract_features
 from repro.experiments import fig08_ber_overlay as fig08
 from repro.experiments import fig09_mrc as fig09
-from repro.utils.env import fast_numerics
+from repro.experiments import fig13_pesq_stereo as fig13
+from repro.utils.env import NUMERICS_ENV_VAR
 from repro.utils.rand import as_generator
 
 SEED = 2017
+
+
+@pytest.fixture
+def exact_env(monkeypatch):
+    """Pin exact numerics: fast mode batches every cached partition."""
+    monkeypatch.setenv(NUMERICS_ENV_VAR, "exact")
 
 
 def _mean_abs(run):
@@ -55,8 +50,9 @@ def _prepared(scenario):
     return data, scenario.sweep.points()
 
 
-def _tone_scenario(duration_s=0.05, n_points=4, **base_extra):
-    payload = tone(1000.0, duration_s, AUDIO_RATE_HZ, amplitude=0.9)
+def _tone_scenario(duration_s=0.05, n_points=4, payload=None, **base_extra):
+    if payload is None:
+        payload = tone(1000.0, duration_s, AUDIO_RATE_HZ, amplitude=0.9)
     return Scenario(
         name="plan",
         sweep=SweepSpec.grid(distance_ft=tuple(2 + i for i in range(n_points))),
@@ -68,65 +64,6 @@ def _tone_scenario(duration_s=0.05, n_points=4, **base_extra):
         payload="payload",
         measure=_mean_abs,
     )
-
-
-class TestCalibrationLoading:
-    def test_shipped_calibration_loads(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PLANNER_CALIBRATION", raising=False)
-        assert DEFAULT_CALIBRATION_PATH.exists()
-        constants = load_calibration()
-        for name, value in dataclasses.asdict(constants).items():
-            assert value > 0, name
-        # The shipped constants must encode the measured crossover: the
-        # vectorized path wins at the short-row anchor and loses (or at
-        # best ties) serial at the long-row anchor.
-        assert constants.vector_sample_short_ns < constants.serial_sample_ns
-        assert constants.vector_sample_long_ns >= constants.vector_sample_short_ns
-
-    def test_env_override_used(self, tmp_path, monkeypatch):
-        constants = CalibrationConstants(serial_sample_ns=123.25)
-        path = tmp_path / "cal.json"
-        path.write_text(json.dumps(constants.to_payload()))
-        monkeypatch.setenv("REPRO_PLANNER_CALIBRATION", str(path))
-        assert load_calibration().serial_sample_ns == 123.25
-
-    def test_version_skew_rejected(self, tmp_path, monkeypatch):
-        payload = CalibrationConstants().to_payload()
-        payload["version"] = CALIBRATION_VERSION + 1
-        path = tmp_path / "cal.json"
-        path.write_text(json.dumps(payload))
-        monkeypatch.setenv("REPRO_PLANNER_CALIBRATION", str(path))
-        with pytest.raises(ConfigurationError, match="version"):
-            load_calibration()
-
-    def test_unknown_constant_rejected(self, tmp_path, monkeypatch):
-        payload = CalibrationConstants().to_payload()
-        payload["constants"]["warp_factor"] = 9.0
-        path = tmp_path / "cal.json"
-        path.write_text(json.dumps(payload))
-        monkeypatch.setenv("REPRO_PLANNER_CALIBRATION", str(path))
-        with pytest.raises(ConfigurationError, match="warp_factor"):
-            load_calibration()
-
-    def test_malformed_json_rejected(self, tmp_path, monkeypatch):
-        path = tmp_path / "cal.json"
-        path.write_text("{not json")
-        monkeypatch.setenv("REPRO_PLANNER_CALIBRATION", str(path))
-        with pytest.raises(ConfigurationError, match="unreadable"):
-            load_calibration()
-
-    def test_interpolation_clamps_at_anchors(self):
-        c = CalibrationConstants(
-            vector_sample_short_ns=50.0,
-            vector_sample_long_ns=200.0,
-            short_row_samples=10_000,
-            long_row_samples=100_000,
-        )
-        assert c.vector_sample_ns(1_000) == 50.0
-        assert c.vector_sample_ns(10_000) == 50.0
-        assert c.vector_sample_ns(1_000_000) == 200.0
-        mid = c.vector_sample_ns(31_623)  # ~log-midpoint
-        assert 50.0 < mid < 200.0
 
 
 class TestFeatureExtraction:
@@ -151,7 +88,7 @@ class TestFeatureExtraction:
         )
         data, points = _prepared(scenario)
         features, splittable = extract_features(
-            scenario, data, points, AmbientCache(), ambient_master=7
+            scenario, data, points, AmbientCache()
         )
         assert splittable
         assert len(features) == 2
@@ -162,24 +99,17 @@ class TestFeatureExtraction:
             # Exact row length: payload upsampled audio->MPX rate (x10).
             assert f.n_samples == payload.size * 10
             assert f.batchable
-            assert not f.cache_warm  # nothing synthesized yet
         covered = sorted(pos for f in features for pos in f.positions)
         assert covered == list(range(len(points)))
 
-    def test_cache_warmth_probed_without_synthesis(self):
-        from repro.engine.execution import execute_point
-
+    def test_extraction_never_synthesizes(self):
         scenario = _tone_scenario()
         data, points = _prepared(scenario)
         cache = AmbientCache()
-        cold, _ = extract_features(scenario, data, points, cache, ambient_master=7)
-        assert not cold[0].cache_warm
-        assert len(cache) == 0  # probing must not synthesize
-        # One executed point fills the partition's shared composite entry
-        # (warmth is keyed on the front end + master, not the point).
-        execute_point(scenario, points[0], 123, data, cache, ambient_master=7)
-        warm, _ = extract_features(scenario, data, points, cache, ambient_master=7)
-        assert warm[0].cache_warm
+        features, _ = extract_features(scenario, data, points, cache)
+        assert [f.n_points for f in features] == [len(points)]
+        assert len(cache) == 0
+        assert cache.stats["misses"] == 0
 
     def test_measure_driven_grid_is_one_serial_partition(self):
         scenario = Scenario(
@@ -188,90 +118,79 @@ class TestFeatureExtraction:
             measure=lambda run: run.point["a"],
             cache_ambient=False,
         )
-        features, splittable = extract_features(scenario, {}, scenario.sweep.points(), None, 0)
+        features, splittable = extract_features(scenario, {}, scenario.sweep.points(), None)
         assert splittable
         assert len(features) == 1
         assert features[0].measure_driven
-        costs = estimate(features[0])
-        assert list(costs) == ["serial"]
+        assert choose_backend(features[0]) == ("serial", "measure-driven")
 
 
+def _mono_row_features(n_audio_samples):
+    """Features of a 4-point mono partition with rows of the given length."""
+    scenario = _tone_scenario(payload=np.full(n_audio_samples, 0.1))
+    data, points = _prepared(scenario)
+    (features,), _ = extract_features(scenario, data, points, AmbientCache())
+    return features
+
+
+@pytest.mark.usefixtures("exact_env")
 class TestCostModel:
-    def test_pools_require_workers_and_picklability(self):
-        scenario = _tone_scenario()
-        data, points = _prepared(scenario)
-        features, _ = extract_features(scenario, data, points, AmbientCache(), 0)
-        solo = estimate(features[0], max_workers=1, picklable=True)
-        assert "thread" not in solo and "process" not in solo
-        pooled = estimate(features[0], max_workers=4, picklable=False)
-        assert "thread" in pooled and "process" not in pooled
-        full = estimate(features[0], max_workers=4, picklable=True)
-        assert set(full) == {"serial", "thread", "process", "batched"}
+    """``choose_backend``, one rule at a time."""
 
     def test_batched_excluded_when_cache_off(self):
         scenario = _tone_scenario()
         scenario.cache_ambient = False
         data, points = _prepared(scenario)
-        features, _ = extract_features(scenario, data, points, None, 0)
+        features, _ = extract_features(scenario, data, points, None)
         assert not features[0].batchable
-        assert "batched" not in estimate(features[0])
+        assert choose_backend(features[0]) == ("serial", "uncached")
 
+    def test_mono_row_at_crossover_goes_batched(self):
+        features = _mono_row_features(CROSSOVER_SAMPLES // 10)
+        assert features.n_samples == CROSSOVER_SAMPLES
+        assert not features.stereo
+        assert choose_backend(features) == ("batched", "short-rows")
 
-POLARIZED = CalibrationConstants(
-    point_overhead_s=1e-4,
-    serial_sample_ns=100.0,
-    vector_sample_short_ns=20.0,
-    vector_sample_long_ns=400.0,
-    short_row_samples=30_000,
-    long_row_samples=200_000,
-)
-"""Constants with an unambiguous crossover, for decision tests that must
-not depend on the shipped (host-measured) numbers."""
+    def test_mono_row_past_crossover_goes_serial(self):
+        at = _mono_row_features(CROSSOVER_SAMPLES // 10)
+        past = dataclasses.replace(at, n_samples=CROSSOVER_SAMPLES + 1)
+        assert choose_backend(past) == ("serial", "long-rows")
+        # The next row an audio-rate payload can produce, end to end.
+        longer = _mono_row_features(CROSSOVER_SAMPLES // 10 + 1)
+        assert longer.n_samples > CROSSOVER_SAMPLES
+        assert choose_backend(longer) == ("serial", "long-rows")
+
+    def test_stereo_batched_at_960k_samples(self):
+        # Fig. 13's own 2 s speech clip: 960,000-sample stereo rows.
+        scenario = fig13.build_scenario("stereo_station", duration_s=2.0)
+        data, points = _prepared(scenario)
+        features, _ = extract_features(scenario, data, points, AmbientCache())
+        assert {f.n_samples for f in features} == {960_000}
+        for f in features:
+            assert f.stereo
+            assert choose_backend(f) == ("batched", "stereo")
+
+    def test_fast_numerics_batches_long_mono_rows(self, monkeypatch):
+        features = _mono_row_features(CROSSOVER_SAMPLES // 10 + 1)
+        monkeypatch.setenv(NUMERICS_ENV_VAR, "fast")
+        assert choose_backend(features) == ("batched", "fast-numerics")
+        # Uncached partitions stay serial even in fast mode.
+        uncached = dataclasses.replace(features, batchable=False)
+        assert choose_backend(uncached) == ("serial", "uncached")
 
 
 class TestDecisionGates:
     """The crossover gates CI runs without trusting wall clocks."""
 
-    @pytest.fixture(autouse=True)
-    def default_calibration(self, monkeypatch):
-        # "Under default calibration" is the contract being tested.
-        monkeypatch.delenv("REPRO_PLANNER_CALIBRATION", raising=False)
-
-    @pytest.mark.skipif(
-        fast_numerics(),
-        reason="fast_vector_factor intentionally moves the serial/batched "
-        "crossover under REPRO_NUMERICS=fast; this gate encodes exact-mode "
-        "pricing",
-    )
+    @pytest.mark.usefixtures("exact_env")
     def test_never_batched_on_fig08_long_row_grid(self):
         # The grid the backend-matrix benchmark measures regressing ~2x
         # under batched: 100 bps payload -> 0.4 s waveform -> 192k-sample
         # rows that starve the chunker. The planner must never send it
         # to the batched executor.
-        modem = fig08.make_modem("100bps")
-
-        def prepare(gen):
-            from repro.utils.rand import child_generator
-
-            bits = random_bits(40, child_generator(gen, "payload", "100bps"))
-            return {"bits": bits, "waveform": modem.modulate(bits)}
-
-        scenario = Scenario(
-            name="fig08",
-            sweep=SweepSpec.grid(
-                power_dbm=fig08.DEFAULT_POWERS_DBM,
-                distance_ft=fig08.DEFAULT_DISTANCES_FT,
-            ),
-            prepare=prepare,
-            base_chain={"program": "news", "stereo_decode": False},
-            chain_axes=("power_dbm", "distance_ft"),
-            rng_keys=("100bps", AxisRef("power_dbm"), AxisRef("distance_ft")),
-            payload="waveform",
-            measure=fig08.score_ber,
-            measure_params={"modem": modem},
-        )
+        scenario = fig08.build_scenario("100bps", n_bits=40)
         data, points = _prepared(scenario)
-        plan = plan_sweep(scenario, data, points, AmbientCache(), ambient_master=1)
+        plan = plan_sweep(scenario, data, points, AmbientCache())
         assert plan.decisions, "a decision per partition is required"
         assert all(d.backend != "batched" for d in plan.decisions)
 
@@ -288,19 +207,37 @@ class TestDecisionGates:
             scenario.base_chain, fading=MotionFadingSpec("running")
         )
         data, points = _prepared(scenario)
-        plan = plan_sweep(scenario, data, points, AmbientCache(), ambient_master=1)
+        plan = plan_sweep(scenario, data, points, AmbientCache())
         assert all(d.backend == "batched" for d in plan.decisions)
         covered = sorted(i for d in plan.decisions for i in d.point_indices)
         assert covered == list(range(len(points)))
 
+    @pytest.mark.usefixtures("exact_env")
+    def test_fig08_3k2_benchmark_grid_all_serial(self):
+        # The fig08_ber_3k2 benchmark workload's grid: 1 s FDM payload,
+        # 480,000-sample mono rows, 5 powers x 8 distances.
+        scenario = fig08.build_scenario("3.2kbps")
+        data, points = _prepared(scenario)
+        cache = AmbientCache()
+        plan = plan_sweep(scenario, data, points, cache)
+        assert [d.reason for d in plan.decisions] == ["long-rows"]
+        assert plan.by_backend == {"serial": list(range(40))}
+        assert len(cache) == 0  # planned without synthesis
 
+    def test_fig13_benchmark_grid_all_batched(self):
+        # The fig13_stereo_pesq benchmark workload's grid: the stereo
+        # station with 1 s speech clips, 3 powers x 6 distances.
+        scenario = fig13.build_scenario("stereo_station", duration_s=1.0)
+        data, points = _prepared(scenario)
+        cache = AmbientCache()
+        plan = plan_sweep(scenario, data, points, cache)
+        assert {d.reason for d in plan.decisions} == {"stereo"}
+        assert plan.by_backend == {"batched": list(range(18))}
+        assert len(cache) == 0
+
+
+@pytest.mark.usefixtures("exact_env")
 class TestPlanExecution:
-    @pytest.fixture(autouse=True)
-    def polarized_calibration(self, tmp_path, monkeypatch):
-        path = tmp_path / "calibration.json"
-        path.write_text(json.dumps(POLARIZED.to_payload()))
-        monkeypatch.setenv("REPRO_PLANNER_CALIBRATION", str(path))
-
     def test_auto_records_decision_per_partition(self):
         scenario = _tone_scenario(duration_s=0.05, n_points=4)
         result = SweepRunner(
@@ -308,10 +245,10 @@ class TestPlanExecution:
         ).run()
         assert result.plan is not None and len(result.plan) == 1
         decision = result.plan[0]
-        assert decision.backend == "batched"  # short rows, polarized cal
+        assert decision.backend == "batched"
+        assert decision.reason == "short-rows"
         assert decision.point_indices == (0, 1, 2, 3)
         assert decision.chunk_rows >= 1
-        assert set(decision.predicted_s) >= {"serial", "batched"}
         assert decision.features["n_samples"] == 24_000
         assert result.backend == "auto[batched:4]"
         assert result.n_fallbacks == 0
@@ -327,10 +264,8 @@ class TestPlanExecution:
     def test_live_fading_model_forces_uniform_backend(self):
         # A shared stateful fading model consumes its stream in grid
         # order across points; a heterogeneous split would reorder the
-        # draws. The planner must collapse to one backend even when the
-        # partitions' individual optima differ (short + long rows here).
-        from repro.engine import PayloadSelector
-
+        # draws. The planner must run the whole grid serially when the
+        # partitions' individual choices differ (short + long rows here).
         live = BodyMotionFading("running", rng=7)
         short = tone(1000.0, 0.02, AUDIO_RATE_HZ, amplitude=0.9)
         long_ = tone(1000.0, 0.5, AUDIO_RATE_HZ, amplitude=0.9)
@@ -349,11 +284,19 @@ class TestPlanExecution:
         )
         data, points = _prepared(scenario)
         features, splittable = extract_features(
-            scenario, data, points, AmbientCache(), 0
+            scenario, data, points, AmbientCache()
         )
         assert not splittable
-        plan = plan_sweep(scenario, data, points, AmbientCache(), ambient_master=3)
-        assert len({d.backend for d in plan.decisions}) == 1
+        assert {choose_backend(f)[0] for f in features} == {"batched", "serial"}
+        plan = plan_sweep(scenario, data, points, AmbientCache())
+        assert len(plan.decisions) == 2
+        assert {(d.backend, d.reason) for d in plan.decisions} == {
+            ("serial", "live-fading")
+        }
+        result = SweepRunner(
+            scenario, rng=SEED, cache=AmbientCache(), backend="auto"
+        ).run()
+        assert result.backend == "auto[serial:4]"
 
         # The declarative-spec twin of the same grid IS splittable.
         spec_scenario = Scenario(
@@ -366,13 +309,9 @@ class TestPlanExecution:
             measure=_mean_abs,
         )
         data, points = _prepared(spec_scenario)
-        _, splittable = extract_features(
-            spec_scenario, data, points, AmbientCache(), 0
-        )
+        _, splittable = extract_features(spec_scenario, data, points, AmbientCache())
         assert splittable
-        plan = plan_sweep(
-            spec_scenario, data, points, AmbientCache(), ambient_master=3
-        )
+        plan = plan_sweep(spec_scenario, data, points, AmbientCache())
         assert {d.backend for d in plan.decisions} == {"batched", "serial"}
 
     def test_single_point_grid_short_circuits_without_plan(self):

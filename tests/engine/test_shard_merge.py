@@ -6,15 +6,12 @@ shards run anywhere (any backend, any machine sharing the cache dir) and
 merge back into a result bit-identical to the whole-grid run.
 """
 
-import json
-
 import pytest
 
 from repro.audio.tones import tone
 from repro.constants import AUDIO_RATE_HZ
 from repro.engine import (
     AmbientCache,
-    CalibrationConstants,
     PayloadSelector,
     Scenario,
     SweepResult,
@@ -226,28 +223,11 @@ def _mean_abs(run):
 class TestPlanMerge:
     """``SweepResult.plan`` propagation across shards under ``auto``."""
 
-    @pytest.fixture(autouse=True)
-    def polarized_calibration(self, tmp_path, monkeypatch):
-        """Pin a calibration whose serial/batched crossover is unambiguous,
-        so the decisions asserted below never depend on the shipped
-        (host-measured) constants: short rows must go batched, long rows
-        must not."""
-        constants = CalibrationConstants(
-            point_overhead_s=1e-4,
-            serial_sample_ns=100.0,
-            vector_sample_short_ns=20.0,
-            vector_sample_long_ns=400.0,
-            short_row_samples=30_000,
-            long_row_samples=200_000,
-        )
-        path = tmp_path / "calibration.json"
-        path.write_text(json.dumps(constants.to_payload()))
-        monkeypatch.setenv("REPRO_PLANNER_CALIBRATION", str(path))
-
     def _two_row_scenario(self) -> Scenario:
         # One grid, two payload lengths via PayloadSelector: the short
-        # half lands in the planner's batched regime, the long half in
-        # its serial regime — a single sweep whose partitions (and hence
+        # half's 9,600-sample rows sit under the planner's
+        # CROSSOVER_SAMPLES and batch, the long half's 240,000-sample
+        # rows run serially — a single sweep whose partitions (and hence
         # shards) execute under different chosen backends.
         short = tone(1000.0, 0.02, AUDIO_RATE_HZ, amplitude=0.9)
         long_ = tone(1000.0, 0.5, AUDIO_RATE_HZ, amplitude=0.9)

@@ -178,12 +178,3 @@ class TestEngineKnobsAreStrict:
             ConfigurationError, match=r"REPRO_SWEEP_BACKEND.*auto.*'gpu'"
         ):
             default_backend()
-
-    def test_planner_calibration_path_must_exist(self, monkeypatch, tmp_path):
-        from repro.engine.planner import CALIBRATION_ENV_VAR, load_calibration
-
-        monkeypatch.setenv(CALIBRATION_ENV_VAR, str(tmp_path / "missing.json"))
-        with pytest.raises(
-            ConfigurationError, match="REPRO_PLANNER_CALIBRATION"
-        ):
-            load_calibration()
