@@ -14,7 +14,7 @@ from repro.dsp.filters import (
 from repro.dsp.biquad import Biquad, deemphasis_filter, preemphasis_filter
 from repro.dsp.resample import resample_by_ratio, resample_poly_exact
 from repro.dsp.goertzel import goertzel_power, goertzel_power_many
-from repro.dsp.spectrum import band_power, power_spectrum, tone_snr_db
+from repro.dsp.spectrum import band_power, band_powers, power_spectrum, tone_snr_db
 from repro.dsp.phase import frequency_to_phase, phase_to_frequency
 from repro.dsp.pll import PhaseLockedLoop, PLLBatchResult, PLLResult
 from repro.dsp.agc import AutomaticGainControl
@@ -27,6 +27,7 @@ __all__ = [
     "PLLResult",
     "PhaseLockedLoop",
     "band_power",
+    "band_powers",
     "bandpass_fir",
     "deemphasis_filter",
     "design_lowpass_fir",

@@ -8,14 +8,17 @@ are simple, linear-phase, and entirely adequate at these sample rates.
 Designs are memoized through the process-wide DSP plan cache
 (:mod:`repro.dsp.plan_cache`): a sweep that runs the same receive chain
 at every grid point designs each filter once instead of once per point.
-Cached taps are returned non-writable; derive a fresh array before
-mutating.
+So are the taps' spectra at each FFT length :func:`filter_signal` uses.
+Cached taps and spectra are returned non-writable; derive a fresh array
+before mutating.
 """
 
 from __future__ import annotations
 
+from typing import Dict, Optional
+
 import numpy as np
-from scipy import signal as sp_signal
+from scipy import fft as sp_fft
 
 from repro.dsp.plan_cache import cached_plan
 from repro.dsp.windows import hann_window
@@ -86,12 +89,57 @@ def bandpass_fir(
     )
 
 
-def filter_signal(taps: np.ndarray, signal: np.ndarray) -> np.ndarray:
+def fft_length(num_taps: int, n_samples: int, complex_input: bool = False) -> int:
+    """FFT length :func:`filter_signal` uses for ``num_taps`` over ``n_samples``.
+
+    The rule ``scipy.signal.fftconvolve`` applies to the delay-padded full
+    convolution: the next fast length at or above
+    ``n_samples + delay + num_taps - 1``. Filters whose lengths agree can
+    share one forward transform of the signal.
+    """
+    delay = (num_taps - 1) // 2
+    return sp_fft.next_fast_len(n_samples + delay + num_taps - 1, real=not complex_input)
+
+
+def _transform(x: np.ndarray, nfft: int, complex_input: bool) -> np.ndarray:
+    """Forward transform along the last axis, zero-padded to ``nfft``.
+
+    The transforms ``fftconvolve`` picks: ``rfftn`` when the filtered
+    signal is real, ``fftn`` when it is complex (the real taps then go in
+    as they are).
+    """
+    if complex_input:
+        return sp_fft.fftn(x, [nfft], axes=[-1])
+    return sp_fft.rfftn(x, [nfft], axes=[-1])
+
+
+def _kernel_spectrum(taps: np.ndarray, nfft: int, complex_input: bool) -> np.ndarray:
+    """The taps' transform at ``nfft``, memoized through the plan cache.
+
+    Keyed by the taps themselves, the FFT length, the dtype and the
+    transform kind, so two designs never share an entry. At the stereo
+    receive chain's length (486,000) one spectrum is about 3.9 MB.
+    """
+    return cached_plan(
+        ("fir_spectrum", taps.dtype.str, nfft, complex_input, taps.tobytes()),
+        lambda: _transform(taps, nfft, complex_input),
+    )
+
+
+def filter_signal(
+    taps: np.ndarray,
+    signal: np.ndarray,
+    spectra: Optional[Dict[int, np.ndarray]] = None,
+) -> np.ndarray:
     """Apply an FIR filter with group-delay compensation.
 
     Uses FFT convolution (fast for the long filters used here) and trims
     the (num_taps - 1) / 2 sample group delay so the output is aligned with
     the input, which keeps symbol boundaries where the modulator put them.
+    The arithmetic is exactly that of ``scipy.signal.fftconvolve`` on the
+    delay-padded signal (same FFT length, same transforms, same product
+    order), so the output is bit-identical to it; the taps' spectrum is
+    cached (see :func:`_kernel_spectrum`) instead of re-transformed.
 
     Args:
         taps: FIR taps with odd length.
@@ -100,6 +148,10 @@ def filter_signal(taps: np.ndarray, signal: np.ndarray) -> np.ndarray:
             pass. Each row's output is bit-identical to filtering that row
             alone, so the sweep engine's batched backend can share this
             exact code path with the serial one.
+        spectra: forward transforms of this same ``signal``, keyed by FFT
+            length. A caller that runs several filters over one signal
+            passes one dict to every call: a missing length is computed
+            and stored, a present one is reused.
 
     Returns:
         Filtered signal, same shape and alignment as the input.
@@ -115,9 +167,25 @@ def filter_signal(taps: np.ndarray, signal: np.ndarray) -> np.ndarray:
         # inputs — everything the exact numerics mode produces — are
         # untouched.
         taps = taps.astype(np.float32)
+    n = signal.shape[-1]
     delay = (taps.size - 1) // 2
-    pad = np.zeros(signal.shape[:-1] + (delay,), dtype=signal.dtype)
-    padded = np.concatenate([signal, pad], axis=-1)
-    kernel = taps if signal.ndim == 1 else taps[np.newaxis, :]
-    filtered = sp_signal.fftconvolve(padded, kernel, mode="full", axes=-1)
-    return filtered[..., delay : delay + signal.shape[-1]]
+    if taps.size == 1:
+        # fftconvolve skips the transform for a length-1 kernel axis.
+        return signal * taps
+    complex_input = np.iscomplexobj(signal)
+    nfft = fft_length(taps.size, n, complex_input)
+    if spectra is None:
+        forward = _transform(signal, nfft, complex_input)
+    else:
+        forward = spectra.get(nfft)
+        if forward is None:
+            forward = spectra[nfft] = _transform(signal, nfft, complex_input)
+    product = forward * _kernel_spectrum(taps, nfft, complex_input)
+    del forward
+    if complex_input:
+        full = sp_fft.ifftn(product, [nfft], axes=[-1])
+    else:
+        full = sp_fft.irfftn(product, [nfft], axes=[-1])
+    del product
+    # Copy out the aligned span so the full-length buffer is freed here.
+    return full[..., delay : delay + n].copy()

@@ -5,8 +5,9 @@ used to re-design the same FIR filters (windowed-sinc synthesis is a few
 hundred numpy ops) and rebuild the same Welch window. Those objects are
 pure functions of their design parameters, so this module gives the DSP
 layer one process-wide plan cache: :mod:`repro.dsp.filters` keys FIR
-designs by (kind, band edges, sample rate, taps) and
-:mod:`repro.dsp.spectrum` keys Welch windows by segment length.
+designs by (kind, band edges, sample rate, taps) and the taps' spectra by
+(taps, FFT length, dtype), and :mod:`repro.dsp.spectrum` keys Welch
+windows by segment length.
 
 Cached arrays are returned **non-writable** (and every hit returns the
 same object), so an accidental in-place mutation by a caller raises
@@ -28,8 +29,8 @@ import numpy as np
 from repro.utils.env import env_int
 
 PLAN_CACHE_ENV_VAR = "REPRO_DSP_PLAN_CACHE"
-"""Maximum number of cached DSP plans (FIR designs, Welch windows);
-``0`` disables the cache."""
+"""Maximum number of cached DSP plans (FIR designs, FIR kernel spectra,
+Welch windows); ``0`` disables the cache."""
 
 DEFAULT_PLAN_CACHE_ENTRIES = 128
 """Default capacity — generous for the library's filter vocabulary (a

@@ -15,6 +15,7 @@ decoding across grid points instead of falling back to per-point loops.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,13 +23,40 @@ import numpy as np
 from repro.errors import ConfigurationError, SignalError
 from repro.utils.validation import ensure_positive, ensure_real
 
-MIN_VECTOR_WAVEFORMS = 6
-"""Stack width below which :meth:`PhaseLockedLoop.track_batch` runs the
-scalar loop per row instead of the vector loop. The vector loop's
-per-step cost is dominated by fixed NumPy dispatch overhead (~10 ufunc
-calls regardless of width), so it only beats ``width`` scalar loops past
-roughly this many waveforms (measured crossover ~5-6 on the benchmark
-machine). Either path returns bit-identical results."""
+MIN_VECTOR_WAVEFORMS = 22
+"""Stack width from which :meth:`PhaseLockedLoop.track_batch` runs the
+vector loop instead of the float loop per row. The vector loop's
+per-step cost is dominated by fixed NumPy dispatch (~10 ufunc calls
+regardless of width), about 0.8-0.95 s over 96,000 steps at 18-40 rows;
+the float loop costs about 0.035 s per 96,000-sample row. Measured by
+timing ``track_batch`` on stacks of 96,000-sample noisy pilots (the
+Fig. 13 decimated pilot length) with this constant forced high, then
+low, median of 5, on a 2-CPU x86-64 host: float/vector time was 0.83-0.86
+at 20 rows, 1.02-1.14 at 24 and 1.11-1.37 at 26-28 rows. Either path
+returns bit-identical results."""
+
+
+def _float_sin_is_numpy_sin() -> bool:
+    """Whether ``math.sin`` equals ``np.sin`` bit for bit on this host.
+
+    The float loop's bit-identity to the vector loop rests on it. Probed
+    on phases like the loop's own (small, and unwrapped up to ~1e6 rad)
+    through both a long array and one-element arrays, the widths the
+    vector loop runs at.
+    """
+    rng = np.random.default_rng(0)
+    probe = np.concatenate(
+        [rng.uniform(-2.0 * np.pi, 2.0 * np.pi, 512), rng.uniform(-1e6, 1e6, 512)]
+    )
+    floats = [math.sin(x) for x in probe.tolist()]
+    return np.array_equal(np.sin(probe), floats) and all(
+        np.sin(probe[i : i + 1])[0] == floats[i] for i in range(0, probe.size, 7)
+    )
+
+
+FLOAT_SIN_IS_NUMPY_SIN = _float_sin_is_numpy_sin()
+"""Whether narrow stacks may take the float loop; if ``math.sin`` and
+``np.sin`` ever disagree, every stack runs the NumPy vector loop."""
 
 
 @dataclass
@@ -142,46 +170,23 @@ class PhaseLockedLoop:
         """Run the loop over a real input block and return the NCO track.
 
         The phase detector multiplies the input by the NCO quadrature
-        output and low-passes implicitly through the loop filter.
+        output and low-passes implicitly through the loop filter. This is
+        the one-row case of :meth:`track_batch`.
         """
         signal = ensure_real(signal, "signal")
-        n = signal.size
-        # Scale the detector by the input RMS so loop gain is amplitude
-        # independent; amplitude is re-estimated at the end.
-        rms = float(np.sqrt(np.mean(signal**2)))
-        scale = 1.0 / rms if rms > 0 else 1.0
-
-        phase = np.empty(n)
-        freq = np.empty(n)
-        theta = 0.0
-        integrator = 0.0
-        omega0 = 2.0 * np.pi * self.center_freq_hz / self.sample_rate
-        for i in range(n):
-            error = scale * signal[i] * -np.sin(theta)
-            integrator += self._ki * error
-            step = omega0 + self._kp * error + integrator
-            phase[i] = theta
-            freq[i] = step * self.sample_rate / (2.0 * np.pi)
-            theta += step
-
-        tail = max(n // 8, 1)
-        freq_err = abs(float(np.mean(freq[-tail:])) - self.center_freq_hz)
-        locked = freq_err < self.lock_tolerance_hz
-        # Amplitude: correlate the tail of the input with the locked cosine.
-        ref_tail = np.cos(phase[-tail:])
-        amplitude = 2.0 * float(np.mean(signal[-tail:] * ref_tail))
-        return PLLResult(phase=phase, frequency_hz=freq, locked=locked, amplitude=amplitude)
+        return self.track_batch(signal[np.newaxis, :]).row(0)
 
     def track_batch(self, signals: np.ndarray) -> PLLBatchResult:
         """Run the loop over a stack of independent waveforms at once.
 
         The time loop stays sequential — a PLL's phase recursion cannot be
-        unrolled — but each step advances an ``(n_waveforms,)`` state
-        vector instead of a scalar, so the Python iteration cost is paid
-        once for the whole stack. Waveforms are independent (no state is
-        shared between rows) and every per-step operation is elementwise,
-        so row ``i`` of the result is bit-identical to
-        ``track(signals[i])``.
+        unrolled. Narrow stacks run it per row over plain Python floats;
+        from :data:`MIN_VECTOR_WAVEFORMS` rows on, each step advances an
+        ``(n_waveforms,)`` state vector instead, so the Python iteration
+        cost is paid once for the whole stack. Waveforms are independent
+        (no state is shared between rows) and both loops perform the same
+        operations in the same order, so row ``i`` of the result is
+        bit-identical to ``track(signals[i])`` at any stack width.
 
         Args:
             signals: real waveform stack, shape ``(n_waveforms, n_samples)``.
@@ -207,37 +212,71 @@ class PhaseLockedLoop:
                 locked=np.zeros(0, dtype=bool),
                 amplitude=np.empty(0),
             )
-        if n_waveforms < MIN_VECTOR_WAVEFORMS:
-            # Narrow stacks: NumPy dispatch overhead makes the vector
-            # loop slower than running the scalar loop per row, and the
-            # results are identical either way.
-            rows = [self.track(signals[i]) for i in range(n_waveforms)]
-            return PLLBatchResult(
-                phase=np.stack([r.phase for r in rows]),
-                frequency_hz=np.stack([r.frequency_hz for r in rows]),
-                locked=np.array([r.locked for r in rows], dtype=bool),
-                amplitude=np.array([r.amplitude for r in rows]),
-            )
 
-        # Same amplitude normalization as track, per waveform.
+        # Scale the detector by the input RMS so loop gain is amplitude
+        # independent; amplitude is re-estimated at the end.
         rms = np.sqrt(np.mean(signals**2, axis=-1))
         scale = np.ones(n_waveforms)
         nonzero = rms > 0
         scale[nonzero] = 1.0 / rms[nonzero]
+        if n_waveforms < MIN_VECTOR_WAVEFORMS and FLOAT_SIN_IS_NUMPY_SIN:
+            phase = np.empty((n_waveforms, n))
+            freq = np.empty((n_waveforms, n))
+            for row in range(n_waveforms):
+                phase[row], freq[row] = self._float_loop(signals[row] * scale[row])
+        else:
+            phase, freq = self._vector_loop(signals, scale)
+        # The loops store raw phase increments; `step * sample_rate /
+        # (2 pi)` is applied in place as one 2-D pass.
+        freq *= self.sample_rate
+        freq /= 2.0 * np.pi
 
-        # The loop below is the scalar recursion of track with every
-        # operation widened to an (n_waveforms,) vector. Each rewrite
-        # keeps the scalar path's association order (only operands are
-        # hoisted or buffers reused), so every element stays bit-identical
-        # to the scalar loop:
-        #  - track's `scale * signal[i]` factor is precomputed for all
-        #    steps in one 2-D multiply;
-        #  - `step * sample_rate / (2 pi)` is deferred to one 2-D pass
-        #    after the loop (the loop stores raw phase increments);
-        #  - per-step results are written to (time, waveform)-major
-        #    buffers so the inner writes are contiguous.
-        scaled = signals * scale[:, np.newaxis]
-        columns = np.ascontiguousarray(scaled.T)
+        tail = max(n // 8, 1)
+        freq_err = np.abs(np.mean(freq[:, -tail:], axis=-1) - self.center_freq_hz)
+        locked = freq_err < self.lock_tolerance_hz
+        # Amplitude: correlate the tail of the input with the locked cosine.
+        ref_tail = np.cos(phase[:, -tail:])
+        amplitude = 2.0 * np.mean(signals[:, -tail:] * ref_tail, axis=-1)
+        return PLLBatchResult(
+            phase=phase, frequency_hz=freq, locked=locked, amplitude=amplitude
+        )
+
+    def _float_loop(self, scaled: np.ndarray):
+        """One waveform's recursion over plain Python floats.
+
+        ``scaled`` is the input times its detector scale. Returns the
+        per-sample NCO phase and raw phase increment lists. ``math.sin``
+        on a float skips the NumPy-scalar dispatch that dominates a
+        per-sample loop; it is used only where it equals ``np.sin``
+        (:data:`FLOAT_SIN_IS_NUMPY_SIN`).
+        """
+        ki, kp = self._ki, self._kp
+        omega0 = 2.0 * math.pi * self.center_freq_hz / self.sample_rate
+        sin = math.sin
+        phase = []
+        steps = []
+        theta = 0.0
+        integrator = 0.0
+        for sample in scaled.tolist():
+            error = sample * -sin(theta)
+            integrator += ki * error
+            step = omega0 + kp * error + integrator
+            phase.append(theta)
+            steps.append(step)
+            theta += step
+        return phase, steps
+
+    def _vector_loop(self, signals: np.ndarray, scale: np.ndarray):
+        """The recursion widened to an ``(n_waveforms,)`` state vector.
+
+        Each operation keeps the float loop's association order (only
+        operands are hoisted or buffers reused), so every element is
+        bit-identical to it. Per-step results go to (time, waveform)-major
+        buffers so the inner writes are contiguous. Returns the phase and
+        raw phase increment arrays, ``(n_waveforms, n_samples)`` each.
+        """
+        n_waveforms, n = signals.shape
+        columns = np.ascontiguousarray((signals * scale[:, np.newaxis]).T)
         phase_t = np.empty((n, n_waveforms))
         steps_t = np.empty((n, n_waveforms))
         theta = np.zeros(n_waveforms)
@@ -258,15 +297,7 @@ class PhaseLockedLoop:
             phase_t[i] = theta
             steps_t[i] = scratch
             theta += scratch
-
+        del columns
         phase = np.ascontiguousarray(phase_t.T)
-        freq = np.ascontiguousarray(steps_t.T) * self.sample_rate / (2.0 * np.pi)
-
-        tail = max(n // 8, 1)
-        freq_err = np.abs(np.mean(freq[:, -tail:], axis=-1) - self.center_freq_hz)
-        locked = freq_err < self.lock_tolerance_hz
-        ref_tail = np.cos(phase[:, -tail:])
-        amplitude = 2.0 * np.mean(signals[:, -tail:] * ref_tail, axis=-1)
-        return PLLBatchResult(
-            phase=phase, frequency_hz=freq, locked=locked, amplitude=amplitude
-        )
+        del phase_t
+        return phase, np.ascontiguousarray(steps_t.T)

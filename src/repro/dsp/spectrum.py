@@ -7,13 +7,13 @@ frequency divided by the summed power at all other audio frequencies;
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 from scipy import signal as sp_signal
 
 from repro.dsp.plan_cache import cached_plan
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SignalError
 from repro.utils.validation import ensure_positive, ensure_real_signal
 
 
@@ -61,6 +61,59 @@ def power_spectrum(
     return freqs, psd
 
 
+def band_powers(
+    signal: np.ndarray,
+    sample_rate: float,
+    bands: Sequence[Tuple[float, float]],
+    nperseg: int = 4096,
+) -> List:
+    """Total power of ``signal`` within each ``(low_hz, high_hz)`` band.
+
+    Every band is integrated over one Welch PSD, so a caller comparing
+    several bands of one signal (a pilot against its guard band, a tone
+    against the audio band) estimates the spectrum once. Integrating the
+    PSD makes the powers robust to spectral leakage from strong
+    out-of-band components.
+
+    Returns:
+        One entry per band, in order: a float for 1-D input, a
+        ``(batch,)`` array of per-row powers for 2-D ``(batch, samples)``
+        input.
+
+    Raises:
+        ConfigurationError: on an inverted band or one that holds no PSD
+            bin.
+        SignalError: if ``signal`` is too short to give two PSD bins.
+    """
+    for low_hz, high_hz in bands:
+        if high_hz <= low_hz:
+            raise ConfigurationError(f"high_hz ({high_hz}) must exceed low_hz ({low_hz})")
+    freqs, psd = power_spectrum(signal, sample_rate, nperseg)
+    if freqs.size < 2:
+        raise SignalError(
+            f"signal must be long enough for two PSD bins, got {freqs.size} "
+            f"from {np.shape(signal)[-1]} sample(s)"
+        )
+    df = freqs[1] - freqs[0]
+    powers = []
+    for low_hz, high_hz in bands:
+        mask = (freqs >= low_hz) & (freqs <= high_hz)
+        if not np.any(mask):
+            raise ConfigurationError(
+                f"band [{low_hz}, {high_hz}] Hz contains no PSD bins at fs={sample_rate}"
+            )
+        if psd.ndim == 1:
+            powers.append(float(np.sum(psd[mask]) * df))
+        else:
+            # Welch returns a strided view, and its masked columns come
+            # out column-major, where a last-axis sum runs sequentially;
+            # contiguous rows get the 1-D pairwise sum, so each row's
+            # power is bit-identical to the row's own 1-D power.
+            rows = np.ascontiguousarray(psd[..., mask])
+            powers.append(np.sum(rows, axis=-1) * df)
+    return powers
+
+
 def band_power(
     signal: np.ndarray,
     sample_rate: float,
@@ -70,25 +123,13 @@ def band_power(
 ):
     """Total power of ``signal`` within ``[low_hz, high_hz]``.
 
-    Integrates the Welch PSD over the band, so it is robust to spectral
-    leakage from strong out-of-band components.
+    The one-band case of :func:`band_powers`.
 
     Returns:
         A float for 1-D input; a ``(batch,)`` array of per-row band
         powers for 2-D ``(batch, samples)`` input.
     """
-    if high_hz <= low_hz:
-        raise ConfigurationError(f"high_hz ({high_hz}) must exceed low_hz ({low_hz})")
-    freqs, psd = power_spectrum(signal, sample_rate, nperseg)
-    mask = (freqs >= low_hz) & (freqs <= high_hz)
-    if not np.any(mask):
-        raise ConfigurationError(
-            f"band [{low_hz}, {high_hz}] Hz contains no PSD bins at fs={sample_rate}"
-        )
-    df = freqs[1] - freqs[0]
-    if psd.ndim == 1:
-        return float(np.sum(psd[mask]) * df)
-    return np.sum(psd[..., mask], axis=-1) * df
+    return band_powers(signal, sample_rate, [(low_hz, high_hz)], nperseg)[0]
 
 
 def tone_snr_db(
@@ -115,9 +156,13 @@ def tone_snr_db(
     Returns:
         SNR in dB; large and positive when the tone dominates.
     """
-    tone_power = band_power(
-        signal, sample_rate, tone_hz - tone_halfwidth_hz, tone_hz + tone_halfwidth_hz
+    tone_power, total = band_powers(
+        signal,
+        sample_rate,
+        [
+            (tone_hz - tone_halfwidth_hz, tone_hz + tone_halfwidth_hz),
+            (band_low_hz, band_high_hz),
+        ],
     )
-    total = band_power(signal, sample_rate, band_low_hz, band_high_hz)
     noise = max(total - tone_power, 1e-30)
     return float(10.0 * np.log10(max(tone_power, 1e-30) / noise))

@@ -15,7 +15,7 @@ respected.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -142,8 +142,13 @@ def decompose_mpx(mpx: np.ndarray, mpx_rate: float = MPX_RATE_HZ) -> dict:
         (55-59 kHz band), all at ``mpx_rate``.
     """
     mpx = ensure_real(mpx, "mpx")
-    mono = filter_signal(design_lowpass_fir(15e3, mpx_rate, 513), mpx)
-    pilot = filter_signal(bandpass_fir(18.5e3, 19.5e3, mpx_rate, 1025), mpx)
-    stereo_rf = filter_signal(bandpass_fir(23e3, 53e3, mpx_rate, 513), mpx)
-    rds_rf = filter_signal(bandpass_fir(55e3, 59e3, mpx_rate, 1025), mpx)
-    return {"mono": mono, "pilot": pilot, "stereo_rf": stereo_rf, "rds_rf": rds_rf}
+    # The four filters share the forward transform of the MPX (one per
+    # FFT length their tap counts need).
+    spectra: Dict[int, np.ndarray] = {}
+    bands = {
+        "mono": design_lowpass_fir(15e3, mpx_rate, 513),
+        "pilot": bandpass_fir(18.5e3, 19.5e3, mpx_rate, 1025),
+        "stereo_rf": bandpass_fir(23e3, 53e3, mpx_rate, 513),
+        "rds_rf": bandpass_fir(55e3, 59e3, mpx_rate, 1025),
+    }
+    return {name: filter_signal(taps, mpx, spectra=spectra) for name, taps in bands.items()}

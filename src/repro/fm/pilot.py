@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.constants import MPX_RATE_HZ, PILOT_FREQ_HZ
-from repro.dsp.spectrum import band_power
+from repro.dsp.spectrum import band_powers
 from repro.utils.validation import ensure_positive, ensure_real_signal
 
 PILOT_DETECT_THRESHOLD_DB = 6.0
@@ -29,8 +29,9 @@ def pilot_power_ratio_db(mpx: np.ndarray, mpx_rate: float = MPX_RATE_HZ):
     """
     mpx = ensure_real_signal(mpx, "mpx")
     mpx_rate = ensure_positive(mpx_rate, "mpx_rate")
-    pilot = band_power(mpx, mpx_rate, PILOT_FREQ_HZ - 250.0, PILOT_FREQ_HZ + 250.0)
-    guard = band_power(mpx, mpx_rate, 16e3, 18e3)
+    pilot, guard = band_powers(
+        mpx, mpx_rate, [(PILOT_FREQ_HZ - 250.0, PILOT_FREQ_HZ + 250.0), (16e3, 18e3)]
+    )
     if mpx.ndim == 1:
         return float(10.0 * np.log10(max(pilot, 1e-30) / max(guard, 1e-30)))
     return 10.0 * np.log10(np.maximum(pilot, 1e-30) / np.maximum(guard, 1e-30))

@@ -11,16 +11,16 @@ mode and L == R, exactly the fallback behaviour the paper leans on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.constants import AUDIO_RATE_HZ, MPX_RATE_HZ, PILOT_FREQ_HZ
-from repro.dsp.filters import bandpass_fir, design_lowpass_fir, filter_signal
+from repro.dsp.filters import bandpass_fir, design_lowpass_fir, fft_length, filter_signal
 from repro.dsp.pll import PhaseLockedLoop
 from repro.dsp.resample import resample_by_ratio
 from repro.errors import SignalError
-from repro.fm.pilot import PILOT_DETECT_THRESHOLD_DB, detect_pilot, pilot_power_ratio_db
+from repro.fm.pilot import PILOT_DETECT_THRESHOLD_DB, pilot_power_ratio_db
 from repro.utils.validation import ensure_positive, ensure_real, ensure_real_signal
 
 
@@ -57,6 +57,7 @@ def decode_mono(
     mpx: np.ndarray,
     mpx_rate: float = MPX_RATE_HZ,
     audio_rate: float = AUDIO_RATE_HZ,
+    spectra: Optional[Dict[int, np.ndarray]] = None,
 ) -> np.ndarray:
     """Extract only the mono (L+R) audio from an MPX baseband.
 
@@ -67,11 +68,14 @@ def decode_mono(
     Accepts a 1-D MPX or a 2-D ``(batch, samples)`` stack — the batched
     sweep backend decodes every grid point's MPX in one filtering +
     resampling pass, each row bit-identical to decoding it alone.
+    ``spectra`` is passed to :func:`~repro.dsp.filters.filter_signal`, so
+    the stereo decoder's other filters reuse the low-pass's forward
+    transform of ``mpx``.
     """
     mpx = ensure_real_signal(mpx, "mpx")
     mpx_rate = ensure_positive(mpx_rate, "mpx_rate")
     audio_rate = ensure_positive(audio_rate, "audio_rate")
-    mono_mpx = filter_signal(design_lowpass_fir(15e3, mpx_rate, 513), mpx)
+    mono_mpx = filter_signal(design_lowpass_fir(15e3, mpx_rate, 513), mpx, spectra=spectra)
     return resample_by_ratio(mono_mpx, mpx_rate, audio_rate)
 
 
@@ -82,6 +86,8 @@ def decode_stereo(
     force_stereo: bool = False,
 ) -> StereoAudio:
     """Decode an MPX baseband into left/right audio.
+
+    The one-row case of :func:`decode_stereo_batch`.
 
     Args:
         mpx: demodulated composite baseband.
@@ -95,44 +101,7 @@ def decode_stereo(
         :class:`StereoAudio` with mono fallback when no pilot is present.
     """
     mpx = ensure_real(mpx, "mpx")
-    mpx_rate = ensure_positive(mpx_rate, "mpx_rate")
-    audio_rate = ensure_positive(audio_rate, "audio_rate")
-
-    mono = decode_mono(mpx, mpx_rate, audio_rate)
-
-    has_pilot = detect_pilot(mpx, mpx_rate)
-    if not (has_pilot or force_stereo):
-        return StereoAudio(left=mono, right=mono.copy(), stereo_locked=False, audio_rate=audio_rate)
-
-    # Recover the pilot and regenerate the 38 kHz carrier coherently. The
-    # PLL runs on a 5x-decimated pilot band (the 19 kHz tone is still well
-    # below the decimated Nyquist) and its unwrapped phase is linearly
-    # interpolated back to the MPX rate — the phase of a narrowband tone
-    # is nearly linear over 5 samples, and this cuts the loop's Python
-    # iteration count fivefold.
-    pilot_band = filter_signal(bandpass_fir(18.5e3, 19.5e3, mpx_rate, 1025), mpx)
-    decimation = 5
-    decimated_rate = mpx_rate / decimation
-    pll = PhaseLockedLoop(PILOT_FREQ_HZ, decimated_rate, loop_bandwidth_hz=30.0)
-    track = pll.track(pilot_band[::decimation])
-    if not (track.locked or force_stereo):
-        return StereoAudio(left=mono, right=mono.copy(), stereo_locked=False, audio_rate=audio_rate)
-
-    sample_positions = np.arange(mpx.size) / decimation
-    phase_full = np.interp(
-        sample_positions, np.arange(track.phase.size), track.phase
-    )
-    carrier38 = np.cos(2.0 * phase_full)
-    stereo_band = filter_signal(bandpass_fir(23e3, 53e3, mpx_rate, 513), mpx)
-    # Synchronous AM detection; factor 2 undoes the 1/2 from the product.
-    diff_mpx = 2.0 * stereo_band * carrier38
-    diff_mpx = filter_signal(design_lowpass_fir(15e3, mpx_rate, 513), diff_mpx)
-    diff = resample_by_ratio(diff_mpx, mpx_rate, audio_rate)
-
-    n = min(mono.size, diff.size)
-    left = mono[:n] + diff[:n]
-    right = mono[:n] - diff[:n]
-    return StereoAudio(left=left, right=right, stereo_locked=True, audio_rate=audio_rate)
+    return decode_stereo_batch(mpx[np.newaxis, :], mpx_rate, audio_rate, force_stereo)[0]
 
 
 def row_chunks(n_rows: int, max_rows: Optional[int]) -> List[slice]:
@@ -158,15 +127,19 @@ def decode_stereo_batch(
 ) -> List[StereoAudio]:
     """Decode a stack of MPX basebands into left/right audio in one pass.
 
-    The batched counterpart of :func:`decode_stereo`: pilot detection runs
-    as one vectorized power-ratio computation, the pilot PLL advances all
-    pilot-bearing waveforms together through
+    :func:`decode_stereo` is the one-row case. Pilot detection takes
+    both band powers from one Welch PSD per row, the pilot PLL advances
+    all pilot-bearing waveforms together through
     :meth:`~repro.dsp.pll.PhaseLockedLoop.track_batch`, and the 38 kHz
     regeneration, L-R demodulation and audio filtering are 2-D NumPy ops.
-    Every stage either is the same code path the 1-D calls take or is
-    elementwise across waveforms, so row ``i``'s result is bit-identical
-    to ``decode_stereo(mpx[i])`` — including per-row mono fallback when a
-    row's pilot is absent or its loop fails to lock.
+    The mono low-pass, the pilot band-pass and the stereo band-pass all
+    filter the MPX, so they share its forward transform (one per FFT
+    length; at 480,000 samples all three use 486,000). The candidates'
+    transforms are kept from the mono stage until the stereo stage, about
+    3.9 MB a row at that length. Every stage is row-independent, so row
+    ``i``'s result is bit-identical to ``decode_stereo(mpx[i])`` —
+    including per-row mono fallback when a row's pilot is absent or its
+    loop fails to lock.
 
     Args:
         mpx: demodulated composite basebands, shape ``(batch, samples)``.
@@ -198,67 +171,101 @@ def decode_stereo_batch(
     if n_rows == 0:
         return []
     mpx = mpx.astype(float, copy=False)
+    n_samples = mpx.shape[-1]
 
-    # Mono (L+R) decode for every row; chunked — the 15 kHz low-pass and
-    # the polyphase resample are the FFT-heavy part of the mono path.
+    # Stage 1: the pilot gate (the per-row detect_pilot decision), one
+    # Welch PSD per row, working set capped like the filters.
+    if force_stereo:
+        candidate = np.ones(n_rows, dtype=bool)
+    else:
+        candidate = np.empty(n_rows, dtype=bool)
+        for rows in row_chunks(n_rows, max_fft_rows):
+            ratios = pilot_power_ratio_db(mpx[rows], mpx_rate)
+            candidate[rows] = ratios > PILOT_DETECT_THRESHOLD_DB
+    candidates = np.flatnonzero(candidate)
+
+    # Stage 2, in memory-capped chunks: the mono (L+R) decode of every
+    # row and the pilot band-pass of the candidate rows share one forward
+    # transform per chunk. The PLL runs on a 5x-decimated pilot band (the
+    # 19 kHz tone is still well below the decimated Nyquist) and its
+    # unwrapped phase is linearly interpolated back to the MPX rate — the
+    # phase of a narrowband tone is nearly linear over 5 samples, and
+    # this cuts the loop's iteration count fivefold. Only the decimated
+    # pilot band and the candidates' transforms persist, so the PLL
+    # advances ALL candidate rows per time step regardless of the chunk
+    # size, and the stereo band-pass below reuses the transforms.
+    decimation = 5
+    pilot_taps = bandpass_fir(18.5e3, 19.5e3, mpx_rate, 1025)
+    stereo_taps = bandpass_fir(23e3, 53e3, mpx_rate, 513)
+    stereo_nfft = fft_length(stereo_taps.size, n_samples)
+    pilot_decimated = np.empty((candidates.size, len(range(0, n_samples, decimation))))
+    candidate_spectra: Optional[np.ndarray] = None
     mono: Optional[np.ndarray] = None
+    first = 0  # position in `candidates` of this chunk's first candidate
     for rows in row_chunks(n_rows, max_fft_rows):
-        chunk = decode_mono(mpx[rows], mpx_rate, audio_rate)
+        spectra: Dict[int, np.ndarray] = {}
+        chunk = decode_mono(mpx[rows], mpx_rate, audio_rate, spectra=spectra)
         if mono is None:
             mono = np.empty((n_rows, chunk.shape[-1]))
         mono[rows] = chunk
+        local = np.flatnonzero(candidate[rows])
+        if local.size:
+            if local.size < rows.stop - rows.start:
+                spectra = {nfft: spectrum[local] for nfft, spectrum in spectra.items()}
+            taken = slice(first, first + local.size)
+            pilot_decimated[taken] = filter_signal(
+                pilot_taps, mpx[rows.start + local], spectra=spectra
+            )[:, ::decimation]
+            # The stereo band-pass has the mono low-pass's 513 taps, so
+            # it needs the transform decode_mono already stored.
+            if candidate_spectra is None:
+                candidate_spectra = np.empty(
+                    (candidates.size, spectra[stereo_nfft].shape[-1]), complex
+                )
+            candidate_spectra[taken] = spectra[stereo_nfft]
+            first += local.size
+        del spectra
     results: List[Optional[StereoAudio]] = [None] * n_rows
 
-    # Stage 1: vectorized pilot gate (the per-row detect_pilot decision),
-    # Welch working set capped like the filters.
-    if force_stereo:
-        candidates = np.arange(n_rows)
-    else:
-        ratios = np.empty(n_rows)
-        for rows in row_chunks(n_rows, max_fft_rows):
-            ratios[rows] = pilot_power_ratio_db(mpx[rows], mpx_rate)
-        candidates = np.flatnonzero(ratios > PILOT_DETECT_THRESHOLD_DB)
-
     if candidates.size:
-        # Stage 2: multi-waveform pilot recovery — same decimated loop,
-        # same coefficients as the scalar path. The band-pass runs in
-        # memory-capped chunks; only the (5x smaller) decimated pilot
-        # band persists, so the PLL advances ALL candidate rows per time
-        # step regardless of the FFT chunk size.
-        decimation = 5
-        pilot_taps = bandpass_fir(18.5e3, 19.5e3, mpx_rate, 1025)
-        n_decimated = len(range(0, mpx.shape[-1], decimation))
-        pilot_decimated = np.empty((candidates.size, n_decimated))
-        for rows in row_chunks(candidates.size, max_fft_rows):
-            pilot_decimated[rows] = filter_signal(pilot_taps, mpx[candidates[rows]])[
-                :, ::decimation
-            ]
         decimated_rate = mpx_rate / decimation
         pll = PhaseLockedLoop(PILOT_FREQ_HZ, decimated_rate, loop_bandwidth_hz=30.0)
         track = pll.track_batch(pilot_decimated)
-
+        # Keep only the phase: the pilot band and the frequency track are
+        # not needed past the lock decision.
+        phase = track.phase
         engaged = np.flatnonzero(track.locked | force_stereo)
+        del track, pilot_decimated
         if engaged.size:
             rows = candidates[engaged]
             # Stage 3: subcarrier regeneration + L-R matrix for the
             # locked rows, stacked and chunked like the other filters.
-            sample_positions = np.arange(mpx.shape[-1]) / decimation
-            decimated_index = np.arange(track.phase.shape[-1])
-            stereo_taps = bandpass_fir(23e3, 53e3, mpx_rate, 513)
+            # The in-place updates below perform the same operations in
+            # the same order as `np.cos(2.0 * phase)` and
+            # `2.0 * stereo_band * carrier38`.
+            sample_positions = np.arange(n_samples) / decimation
+            decimated_index = np.arange(phase.shape[-1])
             diff_taps = design_lowpass_fir(15e3, mpx_rate, 513)
             diff: Optional[np.ndarray] = None
             for chunk in row_chunks(engaged.size, max_fft_rows):
-                phase_full = np.stack(
-                    [
-                        np.interp(sample_positions, decimated_index, track.phase[pos])
-                        for pos in engaged[chunk]
-                    ]
+                diff_mpx = filter_signal(
+                    stereo_taps,
+                    mpx[rows[chunk]],
+                    spectra={stereo_nfft: candidate_spectra[engaged[chunk]]},
                 )
-                carrier38 = np.cos(2.0 * phase_full)
-                stereo_band = filter_signal(stereo_taps, mpx[rows[chunk]])
-                diff_mpx = 2.0 * stereo_band * carrier38
+                carrier38 = np.empty_like(diff_mpx)
+                for k, pos in enumerate(engaged[chunk]):
+                    carrier38[k] = np.interp(sample_positions, decimated_index, phase[pos])
+                carrier38 *= 2.0
+                np.cos(carrier38, out=carrier38)
+                # Synchronous AM detection; factor 2 undoes the 1/2 from
+                # the product.
+                diff_mpx *= 2.0
+                diff_mpx *= carrier38
+                del carrier38
                 diff_mpx = filter_signal(diff_taps, diff_mpx)
                 diff_chunk = resample_by_ratio(diff_mpx, mpx_rate, audio_rate)
+                del diff_mpx
                 if diff is None:
                     diff = np.empty((engaged.size, diff_chunk.shape[-1]))
                 diff[chunk] = diff_chunk

@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.audio.music import PROGRAM_TYPES, program_material
 from repro.constants import AUDIO_RATE_HZ, MPX_RATE_HZ
-from repro.dsp.spectrum import band_power
+from repro.dsp.spectrum import band_powers
 from repro.errors import ConfigurationError
 from repro.fm.mpx import MpxComponents, compose_mpx
 from repro.utils.rand import RngLike, as_generator, child_generator
@@ -24,8 +24,7 @@ from repro.utils.rand import RngLike, as_generator, child_generator
 
 def stereo_to_noise_ratio_db(mpx: np.ndarray, mpx_rate: float = MPX_RATE_HZ) -> float:
     """P(23-53 kHz stereo band) over P(16-18 kHz guard band), in dB."""
-    stereo = band_power(mpx, mpx_rate, 23e3, 53e3)
-    guard = band_power(mpx, mpx_rate, 16e3, 18e3)
+    stereo, guard = band_powers(mpx, mpx_rate, [(23e3, 53e3), (16e3, 18e3)])
     return float(10.0 * np.log10(max(stereo, 1e-30) / max(guard, 1e-30)))
 
 

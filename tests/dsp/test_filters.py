@@ -2,13 +2,17 @@
 
 import numpy as np
 import pytest
+from scipy import signal as sp_signal
 
+from repro.dsp import plan_cache
 from repro.dsp.filters import (
     bandpass_fir,
     design_lowpass_fir,
+    fft_length,
     filter_signal,
     highpass_fir,
 )
+from repro.dsp.plan_cache import PLAN_CACHE_ENV_VAR, clear_plan_cache, plan_cache_stats
 from repro.errors import ConfigurationError
 
 FS = 48_000.0
@@ -99,3 +103,109 @@ class TestFilterSignal:
     def test_rejects_even_taps(self):
         with pytest.raises(ConfigurationError):
             filter_signal(np.ones(4), np.ones(10))
+
+
+def fftconvolve_reference(taps, signal):
+    """The delay-padded ``fftconvolve`` formula filter_signal must match."""
+    signal = np.asarray(signal)
+    if not np.iscomplexobj(signal):
+        signal = signal.astype(float)
+    taps = np.asarray(taps, dtype=float)
+    if signal.dtype == np.complex64:
+        taps = taps.astype(np.float32)
+    delay = (taps.size - 1) // 2
+    pad = np.zeros(signal.shape[:-1] + (delay,), dtype=signal.dtype)
+    padded = np.concatenate([signal, pad], axis=-1)
+    kernel = taps if signal.ndim == 1 else taps[np.newaxis, :]
+    full = sp_signal.fftconvolve(padded, kernel, mode="full", axes=-1)
+    return full[..., delay : delay + signal.shape[-1]]
+
+
+def random_signal(rng, shape, dtype):
+    x = rng.standard_normal(shape)
+    if np.dtype(dtype).kind == "c":
+        x = x + 1j * rng.standard_normal(shape)
+    return x.astype(dtype)
+
+
+def spectrum_entries():
+    return [v for k, v in plan_cache._cache.items() if k[0] == "fir_spectrum"]
+
+
+class TestFftPath:
+    """filter_signal runs its own FFT convolution with cached kernel
+    spectra; every output must equal the fftconvolve formula bit for bit."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_cache(self):
+        clear_plan_cache()
+        yield
+        clear_plan_cache()
+
+    @pytest.mark.parametrize("num_taps", [3, 129, 513, 1025])
+    @pytest.mark.parametrize("shape", [(4801,), (3, 4801)])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.complex128, np.complex64])
+    def test_bit_identical_to_fftconvolve(self, num_taps, shape, dtype):
+        rng = np.random.default_rng(num_taps)
+        taps = rng.standard_normal(num_taps)
+        x = random_signal(rng, shape, dtype)
+        expected = fftconvolve_reference(taps, x)
+        for _ in range(2):  # a cache miss, then a hit
+            out = filter_signal(taps, x)
+            assert out.dtype == expected.dtype and out.shape == expected.shape
+            assert np.array_equal(out, expected)
+
+    def test_two_fft_lengths_give_two_shared_transforms(self):
+        n = 4801
+        assert fft_length(513, n) != fft_length(1025, n)
+        rng = np.random.default_rng(1)
+        x = rng.standard_normal((2, n))
+        spectra = {}
+        for taps in (rng.standard_normal(513), rng.standard_normal(1025),
+                     rng.standard_normal(513)):
+            out = filter_signal(taps, x, spectra=spectra)
+            assert np.array_equal(out, fftconvolve_reference(taps, x))
+        assert sorted(spectra) == sorted({fft_length(513, n), fft_length(1025, n)})
+
+    def test_mpx_row_filters_share_one_transform(self):
+        # At 480,000 samples the receive chain's 513- and 1025-tap
+        # filters land on one FFT length.
+        n = 480_000
+        assert fft_length(513, n) == fft_length(1025, n) == 486_000
+        x = np.random.default_rng(2).standard_normal(n)
+        spectra = {}
+        for taps in (design_lowpass_fir(15e3, 480e3, 513),
+                     bandpass_fir(18.5e3, 19.5e3, 480e3, 1025),
+                     bandpass_fir(23e3, 53e3, 480e3, 513)):
+            out = filter_signal(taps, x, spectra=spectra)
+            assert np.array_equal(out, fftconvolve_reference(taps, x))
+        assert list(spectra) == [486_000]
+
+    def test_plan_cache_disabled(self, monkeypatch):
+        monkeypatch.setenv(PLAN_CACHE_ENV_VAR, "0")
+        rng = np.random.default_rng(3)
+        taps, x = rng.standard_normal(129), rng.standard_normal((2, 3000))
+        assert np.array_equal(filter_signal(taps, x), fftconvolve_reference(taps, x))
+        assert plan_cache_stats()["items"] == 0
+
+    def test_cached_spectra_are_non_writable_and_reused(self):
+        rng = np.random.default_rng(4)
+        taps, x = rng.standard_normal(129), rng.standard_normal(3000)
+        filter_signal(taps, x)
+        (spectrum,) = spectrum_entries()
+        assert not spectrum.flags.writeable
+        with pytest.raises(ValueError):
+            spectrum[0] = 0.0
+        hits = plan_cache_stats()["hits"]
+        filter_signal(taps, x)
+        assert plan_cache_stats()["hits"] == hits + 1
+        assert spectrum_entries() == [spectrum]
+
+    def test_spectra_keyed_by_taps_length_and_dtype(self):
+        rng = np.random.default_rng(5)
+        taps = rng.standard_normal(129)
+        filter_signal(taps, rng.standard_normal(3000))
+        filter_signal(taps, rng.standard_normal(5000))
+        filter_signal(taps, random_signal(rng, 3000, np.complex64))
+        filter_signal(taps[::-1].copy(), rng.standard_normal(3000))
+        assert len(spectrum_entries()) == 4

@@ -1,13 +1,21 @@
 """PLL tests: lock, tracking, harmonics, and the multi-waveform batch."""
 
+import math
+
 import numpy as np
 import pytest
 
+from repro.dsp import pll as pll_module
 from repro.dsp.pll import MIN_VECTOR_WAVEFORMS, PhaseLockedLoop, PLLBatchResult
 from repro.errors import ConfigurationError, SignalError
 from repro.fm.pilot import PILOT_DETECT_THRESHOLD_DB
 
 FS = 96_000.0
+
+
+def vector_width(stack):
+    """Repeat a stack's rows until it is wide enough for the vector loop."""
+    return np.tile(stack, (-(-MIN_VECTOR_WAVEFORMS // stack.shape[0]), 1))
 
 
 class TestLock:
@@ -95,6 +103,7 @@ class TestTrackBatch:
                 for offset in (0.0, 4.0, -3.0, 8.0, -7.0, 2.0, 5.5, -1.0)
             ]
         )
+        stack = vector_width(stack)
         assert stack.shape[0] >= MIN_VECTOR_WAVEFORMS
         self._assert_rows_match_track(PhaseLockedLoop(19_000, FS), stack)
 
@@ -118,6 +127,7 @@ class TestTrackBatch:
                 0.25 * np.cos(2 * np.pi * 19_004 * t),
             ]
         )
+        stack = vector_width(stack)
         assert stack.shape[0] >= MIN_VECTOR_WAVEFORMS
         batch = PhaseLockedLoop(19_000, FS).track_batch(stack)
         assert bool(batch.locked[0])
@@ -136,12 +146,13 @@ class TestTrackBatch:
         stack = np.stack(
             [a * np.cos(2 * np.pi * 19_000 * t) + noise for a in amplitudes]
         )
+        stack = vector_width(stack)
         assert stack.shape[0] >= MIN_VECTOR_WAVEFORMS
         self._assert_rows_match_track(PhaseLockedLoop(19_000, FS), stack)
 
     def test_narrow_stack_delegation_matches_track(self, rng):
-        # Below MIN_VECTOR_WAVEFORMS the batch delegates to per-row
-        # scalar loops; results must be indistinguishable.
+        # Below MIN_VECTOR_WAVEFORMS the batch runs the float loop per
+        # row; results must be indistinguishable.
         t = np.arange(int(0.2 * FS)) / FS
         stack = np.stack(
             [
@@ -183,3 +194,38 @@ class TestTrackBatch:
         assert np.array_equal(batch.reference_harmonic(2), np.cos(2 * batch.phase))
         with pytest.raises(ConfigurationError):
             batch.reference_harmonic(0)
+
+
+class TestFloatLoop:
+    """Narrow stacks (and every 1-D track) run the recursion over plain
+    floats with ``math.sin``; its bit-identity to the NumPy vector loop
+    rests on ``math.sin == np.sin``."""
+
+    def test_math_sin_equals_numpy_sin(self, rng):
+        # Phases like the loop's own: small, and unwrapped far from zero.
+        probe = np.concatenate(
+            [rng.uniform(-10.0, 10.0, 2000), rng.uniform(-3e6, 3e6, 2000)]
+        )
+        floats = np.array([math.sin(x) for x in probe.tolist()])
+        assert np.array_equal(np.sin(probe), floats)
+        assert all(np.sin(x) == math.sin(x) for x in probe[:200].tolist())
+        assert pll_module.FLOAT_SIN_IS_NUMPY_SIN
+
+    def test_float_loop_matches_vector_loop(self, rng, monkeypatch):
+        t = np.arange(int(0.25 * FS)) / FS
+        stack = np.stack(
+            [
+                0.3 * np.cos(2 * np.pi * (19_000 + offset) * t + 0.4)
+                + 0.05 * rng.standard_normal(t.size)
+                for offset in (0.0, 6.0, -9.0)
+            ]
+        )
+        pll = PhaseLockedLoop(19_000, FS)
+        floats = pll.track_batch(stack)
+        # With the probe failing, narrow stacks fall back to the vector loop.
+        monkeypatch.setattr(pll_module, "FLOAT_SIN_IS_NUMPY_SIN", False)
+        vector = pll.track_batch(stack)
+        assert np.array_equal(floats.phase, vector.phase)
+        assert np.array_equal(floats.frequency_hz, vector.frequency_hz)
+        assert np.array_equal(floats.locked, vector.locked)
+        assert np.array_equal(floats.amplitude, vector.amplitude)

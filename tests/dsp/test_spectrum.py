@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.dsp.spectrum import band_power, power_spectrum, tone_snr_db
-from repro.errors import ConfigurationError
+from repro.dsp.spectrum import band_power, band_powers, power_spectrum, tone_snr_db
+from repro.errors import ConfigurationError, SignalError
 
 FS = 48_000.0
 
@@ -33,6 +33,37 @@ class TestBandPower:
     def test_rejects_inverted_band(self):
         with pytest.raises(ConfigurationError):
             band_power(np.ones(100), FS, 6000, 4000)
+
+    def test_rejects_single_sample_signal(self):
+        # One sample gives one PSD bin, so there is no bin width.
+        with pytest.raises(SignalError, match="signal"):
+            band_power(np.array([1.0]), FS, 0.0, 100.0)
+
+
+class TestBandPowers:
+    BANDS = [(4000.0, 6000.0), (100.0, 15_000.0), (16_000.0, 18_000.0)]
+
+    def test_matches_band_power_on_1d(self, rng):
+        x = rng.standard_normal(30_000)
+        powers = band_powers(x, FS, self.BANDS)
+        for (low, high), power in zip(self.BANDS, powers):
+            assert isinstance(power, float)
+            assert power == band_power(x, FS, low, high)
+
+    def test_matches_band_power_on_2d_stack(self, rng):
+        stack = rng.standard_normal((5, 30_000))
+        powers = band_powers(stack, FS, self.BANDS)
+        for (low, high), power in zip(self.BANDS, powers):
+            assert power.shape == (5,)
+            assert np.array_equal(power, band_power(stack, FS, low, high))
+            for row in range(5):
+                assert power[row] == band_power(stack[row], FS, low, high)
+
+    def test_rejects_bad_bands(self):
+        with pytest.raises(ConfigurationError):
+            band_powers(np.ones(100), FS, [(100.0, 200.0), (6000.0, 4000.0)])
+        with pytest.raises(ConfigurationError, match="no PSD bins"):
+            band_powers(np.ones(4096), FS, [(100.0, 101.0)])
 
 
 class TestToneSnr:

@@ -77,6 +77,21 @@ class TestBatchedPilotDetection:
         assert ratios[0] == pilot_power_ratio_db(stack[0], MPX_RATE_HZ)
         assert ratios[1] == pilot_power_ratio_db(stack[1], MPX_RATE_HZ)
 
+    def test_noisy_stack_ratios_match_per_row(self, rng):
+        # Rows with noise scattered around the detect threshold: each
+        # batched ratio must equal the row's own ratio bit for bit, so the
+        # batched gate can never decide differently from the serial one.
+        base = stereo_mpx(duration=0.2)
+        stack = np.stack(
+            [
+                base + rng.uniform(0.0, 0.6) * rng.standard_normal(base.size)
+                for _ in range(5)
+            ]
+        )
+        ratios = pilot_power_ratio_db(stack, MPX_RATE_HZ)
+        for row in range(stack.shape[0]):
+            assert ratios[row] == pilot_power_ratio_db(stack[row], MPX_RATE_HZ)
+
     def test_batch_detection_matches_per_row(self):
         stack = np.stack([stereo_mpx(), mono_mpx()])
         detected = detect_pilot(stack, MPX_RATE_HZ)
