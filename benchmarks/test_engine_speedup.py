@@ -17,10 +17,11 @@ wall-clock bars are enforced only under ``--bench-gate``:
    so the timings compare equal work.
 3. The Fig. 10 stereo grid, serial vs batched with a warm cache: the
    stereo half of that grid runs the pilot PLL — a sequential per-sample
-   loop — at every point, and the batched backend's multi-waveform
-   ``track_batch`` amortizes the Python iteration cost across the whole
-   stack. This is the measurement that shows stereo decoding no longer
-   forces per-point fallback.
+   loop — at every point, and the batched backend decodes the whole
+   stack in one pass. This is the measurement that shows stereo decoding
+   no longer forces per-point fallback. Alongside it, the PLL's
+   plain-float loop is timed against the NumPy vector loop it falls back
+   to.
 4. A Fig. 9-style grid with body-motion fading on every link, serial vs
    batched with a warm cache. Before the zero-fallback backend, any
    fading link forced per-point serial fallback, so this grid saw none
@@ -202,19 +203,26 @@ def test_engine_backend_matrix_timings(no_persistent_cache, bench_artifact):
 
 STEREO_DISTANCES = (1, 2, 3, 4, 6, 8, 12, 16)
 STEREO_N_BITS = 200
-PLL_BENCH_WAVEFORMS = 16
+PLL_BENCH_WAVEFORMS = 18
+"""Fig. 13's stereo partition, the widest any figure sweep decodes."""
 PLL_BENCH_SAMPLES = 12_000
+PLL_BENCH_REPEATS = 3
 
 
 @pytest.mark.engine_bench
 @exact_numerics_only
-def test_stereo_batched_speedup(no_persistent_cache, bench_artifact, bench_gate):
+def test_stereo_batched_speedup(
+    no_persistent_cache, bench_artifact, bench_gate, monkeypatch
+):
     """Stereo vectorization, measured at two levels on bit-identical work.
 
-    1. Component: ``PhaseLockedLoop.track_batch`` versus per-waveform
-       ``track`` on a 16-wide pilot stack. The loop is sequential in
-       time, so the vector form amortizes Python/NumPy dispatch across
-       the stack — this is where the multi-waveform PLL wins big.
+    1. Component: ``PhaseLockedLoop.track_batch``'s plain-float loop
+       versus its NumPy vector loop (the fallback taken when ``math.sin``
+       and ``np.sin`` disagree) on an 18-wide pilot stack, best of three
+       runs each, interleaved. The vector loop pays ~10 ufunc dispatches
+       per step whatever the width, the float loop pays per sample, so
+       at this width the two are close (float 1.05-1.7x faster on a
+       2-CPU x86-64 host, varying with load).
     2. End to end: the Fig. 10 grid (overlay + stereo placements, two
        rates, 32 points), serial vs batched with a warm front-end cache.
        Stereo points used to force per-point fallback; now they ride the
@@ -223,9 +231,10 @@ def test_stereo_batched_speedup(no_persistent_cache, bench_artifact, bench_gate)
        working sets cache-sized, and the overlay half of the grid was
        already vectorized — so the bar here is deliberately modest.
     """
+    from repro.dsp import pll as pll_module
     from repro.dsp.pll import PhaseLockedLoop
 
-    # Component measurement: the multi-waveform loop itself.
+    # Component measurement: the float loop against its vector fallback.
     pll = PhaseLockedLoop(19_000.0, 96_000.0)
     t = np.arange(PLL_BENCH_SAMPLES) / 96_000.0
     gen = np.random.default_rng(SEED)
@@ -236,18 +245,19 @@ def test_stereo_batched_speedup(no_persistent_cache, bench_artifact, bench_gate)
             for _ in range(PLL_BENCH_WAVEFORMS)
         ]
     )
-    pll.track_batch(stack)  # warm-up (allocator, ufunc caches)
-    start = time.perf_counter()
-    batch_track = pll.track_batch(stack)
-    pll_batch_s = time.perf_counter() - start
-    start = time.perf_counter()
-    scalar_tracks = [pll.track(row) for row in stack]
-    pll_scalar_s = time.perf_counter() - start
-    assert all(
-        np.array_equal(batch_track.phase[i], scalar_tracks[i].phase)
-        for i in range(PLL_BENCH_WAVEFORMS)
-    )
-    pll_speedup = round(pll_scalar_s / pll_batch_s, 3)
+    tracks = {}
+    loop_s = {True: [], False: []}
+    for _ in range(PLL_BENCH_REPEATS + 1):  # the first round warms up
+        for float_loop in (True, False):
+            monkeypatch.setattr(pll_module, "FLOAT_SIN_IS_NUMPY_SIN", float_loop)
+            start = time.perf_counter()
+            tracks[float_loop] = pll.track_batch(stack)
+            loop_s[float_loop].append(time.perf_counter() - start)
+    monkeypatch.undo()
+    assert np.array_equal(tracks[True].phase, tracks[False].phase)
+    float_loop_s = min(loop_s[True][1:])
+    vector_loop_s = min(loop_s[False][1:])
+    pll_speedup = round(vector_loop_s / float_loop_s, 3)
 
     # End-to-end measurement: the Fig. 10 grid.
     default_cache().clear()
@@ -275,8 +285,8 @@ def test_stereo_batched_speedup(no_persistent_cache, bench_artifact, bench_gate)
         "pll_track_batch": {
             "n_waveforms": PLL_BENCH_WAVEFORMS,
             "n_samples": PLL_BENCH_SAMPLES,
-            "batch_s": round(pll_batch_s, 4),
-            "per_waveform_s": round(pll_scalar_s, 4),
+            "float_loop_s": round(float_loop_s, 4),
+            "vector_loop_s": round(vector_loop_s, 4),
             "speedup": pll_speedup,
         },
         "fig10_end_to_end": {
@@ -295,9 +305,10 @@ def test_stereo_batched_speedup(no_persistent_cache, bench_artifact, bench_gate)
     print(f"\n=== stereo batch ===\n{json.dumps(record, indent=2)}")
 
     assert results["batched"] == results["serial"]
-    # Component bar: dispatch amortization is worth >= 2x at width 16
-    # locally; gated with headroom.
-    bench_gate(pll_speedup > 1.5, f"track_batch only {pll_speedup:.2f}x faster")
+    # Component bar: a no-regression guard only. The float loop must not
+    # lose to the vector loop at the widest stereo partition; its margin
+    # there is too small and load-dependent for a bar above 1x.
+    bench_gate(pll_speedup > 0.9, f"float-loop PLL {pll_speedup:.2f}x the vector loop")
     # End-to-end bar: a no-significant-regression guard only (locally
     # ~1.2x, but the two sub-second timings leave too little margin for
     # a >1x bar; the recorded artifact is the measurement of record).

@@ -16,6 +16,10 @@ instead of silently poisoning every later user of that plan.
 The capacity knob is ``REPRO_DSP_PLAN_CACHE`` (entries; ``0`` disables
 caching entirely); malformed values raise
 :class:`~repro.errors.ConfigurationError` naming the offending string.
+Whatever the entry count, the cache also evicts least-recently-used plans
+once they total more than :data:`PLAN_CACHE_MAX_BYTES`: a FIR kernel
+spectrum at a long signal's FFT length is megabytes, not the kilobytes of
+a design.
 """
 
 from __future__ import annotations
@@ -36,8 +40,17 @@ DEFAULT_PLAN_CACHE_ENTRIES = 128
 """Default capacity — generous for the library's filter vocabulary (a
 few dozen distinct designs) while bounding memory for exotic sweeps."""
 
+PLAN_CACHE_MAX_BYTES = 32 * 2**20
+"""Byte bound on all cached plans together. The largest figure working
+set is Fig. 13's default sweep, 26.5 MB: its stereo chain keeps three
+7.8 MB kernel spectra at FFT length 972,000 (2 s of MPX). Running every
+figure's default sweep in one process accumulated 72.5 MB without this
+bound. A plan that does not fit is rebuilt on its next use, which costs
+what filtering cost before spectra were cached; a plan larger than the
+bound is returned but not kept."""
+
 _cache: "OrderedDict[Tuple[object, ...], np.ndarray]" = OrderedDict()
-_stats: Dict[str, int] = {"hits": 0, "misses": 0}
+_stats: Dict[str, int] = {"hits": 0, "misses": 0, "bytes": 0}
 _lock = threading.Lock()
 """The cache is process-wide and the thread sweep backend runs points
 concurrently; the lock keeps lookup + LRU reorder + eviction atomic
@@ -78,20 +91,25 @@ def cached_plan(key: Tuple[object, ...], build: Callable[[], np.ndarray]) -> np.
     plan.setflags(write=False)
     if capacity > 0:
         with _lock:
+            previous = _cache.pop(key, None)
+            if previous is not None:
+                _stats["bytes"] -= previous.nbytes
             _cache[key] = plan
-            _cache.move_to_end(key)
-            while len(_cache) > capacity:
-                _cache.popitem(last=False)
+            _stats["bytes"] += plan.nbytes
+            while len(_cache) > capacity or _stats["bytes"] > PLAN_CACHE_MAX_BYTES:
+                _stats["bytes"] -= _cache.popitem(last=False)[1].nbytes
     return plan
 
 
 def plan_cache_stats() -> Dict[str, int]:
-    """Cache counters: ``hits`` / ``misses`` / ``items`` / ``capacity``."""
+    """Cache counters: ``hits`` / ``misses`` / ``items`` / ``bytes`` /
+    ``capacity``."""
     with _lock:
         return {
             "hits": _stats["hits"],
             "misses": _stats["misses"],
             "items": len(_cache),
+            "bytes": _stats["bytes"],
             "capacity": plan_cache_capacity(),
         }
 
@@ -102,3 +120,4 @@ def clear_plan_cache() -> None:
         _cache.clear()
         _stats["hits"] = 0
         _stats["misses"] = 0
+        _stats["bytes"] = 0

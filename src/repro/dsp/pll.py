@@ -7,10 +7,9 @@ a numerically controlled oscillator, a multiplier phase detector, and a
 proportional-integral loop filter.
 
 The loop is inherently sequential in *time* (each step's phase feeds the
-next), but independent waveforms share no state, so :meth:`track_batch`
-runs the same time loop with an ``(n_waveforms,)`` state vector per step.
-That is what lets the sweep engine's batched backend vectorize stereo
-decoding across grid points instead of falling back to per-point loops.
+next), and independent waveforms share no state, so :meth:`track_batch`
+runs the time loop per waveform over plain Python floats. Its NumPy
+fallback advances an ``(n_waveforms,)`` state vector per step instead.
 """
 
 from __future__ import annotations
@@ -22,19 +21,6 @@ import numpy as np
 
 from repro.errors import ConfigurationError, SignalError
 from repro.utils.validation import ensure_positive, ensure_real
-
-MIN_VECTOR_WAVEFORMS = 22
-"""Stack width from which :meth:`PhaseLockedLoop.track_batch` runs the
-vector loop instead of the float loop per row. The vector loop's
-per-step cost is dominated by fixed NumPy dispatch (~10 ufunc calls
-regardless of width), about 0.8-0.95 s over 96,000 steps at 18-40 rows;
-the float loop costs about 0.035 s per 96,000-sample row. Measured by
-timing ``track_batch`` on stacks of 96,000-sample noisy pilots (the
-Fig. 13 decimated pilot length) with this constant forced high, then
-low, median of 5, on a 2-CPU x86-64 host: float/vector time was 0.83-0.86
-at 20 rows, 1.02-1.14 at 24 and 1.11-1.37 at 26-28 rows. Either path
-returns bit-identical results."""
-
 
 def _float_sin_is_numpy_sin() -> bool:
     """Whether ``math.sin`` equals ``np.sin`` bit for bit on this host.
@@ -55,8 +41,9 @@ def _float_sin_is_numpy_sin() -> bool:
 
 
 FLOAT_SIN_IS_NUMPY_SIN = _float_sin_is_numpy_sin()
-"""Whether narrow stacks may take the float loop; if ``math.sin`` and
-``np.sin`` ever disagree, every stack runs the NumPy vector loop."""
+"""Whether :meth:`PhaseLockedLoop.track_batch` may run the float loop; if
+``math.sin`` and ``np.sin`` ever disagree, every stack runs the NumPy
+vector loop instead."""
 
 
 @dataclass
@@ -180,13 +167,17 @@ class PhaseLockedLoop:
         """Run the loop over a stack of independent waveforms at once.
 
         The time loop stays sequential — a PLL's phase recursion cannot be
-        unrolled. Narrow stacks run it per row over plain Python floats;
-        from :data:`MIN_VECTOR_WAVEFORMS` rows on, each step advances an
-        ``(n_waveforms,)`` state vector instead, so the Python iteration
-        cost is paid once for the whole stack. Waveforms are independent
-        (no state is shared between rows) and both loops perform the same
-        operations in the same order, so row ``i`` of the result is
-        bit-identical to ``track(signals[i])`` at any stack width.
+        unrolled. It runs per row over plain Python floats, which costs
+        about 0.035 s per 96,000-sample row (the Fig. 13 decimated pilot
+        length) on a 2-CPU x86-64 host. The NumPy vector loop, which
+        advances an ``(n_waveforms,)`` state vector per step, costs about
+        0.8-0.95 s over those 96,000 steps at 18-40 rows, so it would win
+        only past ~22 rows, a width no figure's stereo partition reaches;
+        it runs only when :data:`FLOAT_SIN_IS_NUMPY_SIN` is false.
+        Waveforms are independent (no state is shared between rows) and
+        both loops perform the same operations in the same order, so row
+        ``i`` of the result is bit-identical to ``track(signals[i])``
+        either way.
 
         Args:
             signals: real waveform stack, shape ``(n_waveforms, n_samples)``.
@@ -219,7 +210,7 @@ class PhaseLockedLoop:
         scale = np.ones(n_waveforms)
         nonzero = rms > 0
         scale[nonzero] = 1.0 / rms[nonzero]
-        if n_waveforms < MIN_VECTOR_WAVEFORMS and FLOAT_SIN_IS_NUMPY_SIN:
+        if FLOAT_SIN_IS_NUMPY_SIN:
             phase = np.empty((n_waveforms, n))
             freq = np.empty((n_waveforms, n))
             for row in range(n_waveforms):

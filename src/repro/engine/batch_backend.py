@@ -23,8 +23,8 @@ feature forces a per-point fallback:
 - **Stereo-capable receivers** (phone stereo *and* the car radio) batch
   through the multi-waveform pilot PLL
   (:meth:`repro.dsp.pll.PhaseLockedLoop.track_batch`). The PLL runs on
-  the decimated pilot band of the *whole* partition, so its stack width
-  is independent of the FFT chunking below.
+  the decimated pilot band of the *whole* partition in one call,
+  independent of the FFT chunking below.
 - **Receiver output effects** (smartphone AGC + codec noise, the car
   cabin microphone path) and **de-emphasis** batch through
   :meth:`repro.receiver.fm_receiver.FMReceiver.apply_output_effects_batch`
@@ -100,10 +100,11 @@ def chunk_limit(n_samples: int, budget_mb: Optional[float] = None) -> int:
     """How many grid points fit one vectorized chunk under the memory cap.
 
     The cap bounds the *working set* of each FFT/transmit pass — the
-    decode stages receive it as their ``max_fft_rows`` — not the small
-    per-row state that persists across passes (decimated pilot bands,
-    audio-rate rows), which is what lets the stereo PLL span a whole
-    partition regardless of this limit. The planner records this limit
+    decode stages receive it as their ``max_fft_rows`` — not the per-row
+    state that persists across passes (the MPX stack, decimated pilot
+    bands, the stereo candidates' MPX spectra, audio-rate rows), which is
+    what lets the stereo PLL span a whole partition regardless of this
+    limit. The planner records this limit
     on each batched :class:`~repro.engine.planner.PlanDecision`, so the
     plan names the exact chunk rows the batched executor will use.
     """

@@ -128,9 +128,9 @@ def decode_stereo_batch(
     """Decode a stack of MPX basebands into left/right audio in one pass.
 
     :func:`decode_stereo` is the one-row case. Pilot detection takes
-    both band powers from one Welch PSD per row, the pilot PLL advances
-    all pilot-bearing waveforms together through
-    :meth:`~repro.dsp.pll.PhaseLockedLoop.track_batch`, and the 38 kHz
+    both band powers from one Welch PSD per row, the pilot PLL tracks
+    all pilot-bearing waveforms in one
+    :meth:`~repro.dsp.pll.PhaseLockedLoop.track_batch` call, and the 38 kHz
     regeneration, L-R demodulation and audio filtering are 2-D NumPy ops.
     The mono low-pass, the pilot band-pass and the stereo band-pass all
     filter the MPX, so they share its forward transform (one per FFT
@@ -151,11 +151,13 @@ def decode_stereo_batch(
         max_fft_rows: cap on how many rows each FFT-heavy stage (mono
             low-pass, pilot/stereo band-passes, Welch pilot gate, the
             L-R filtering) spans per pass, keeping its working set
-            cache-sized. The pilot PLL is *not* capped: its per-step
-            state vector always spans every pilot-bearing row, so its
-            vectorization width no longer depends on memory chunking.
-            Purely a performance knob — results are bit-identical at any
-            value (each stage is row-independent).
+            cache-sized. It does *not* cap what persists across passes:
+            the pilot PLL tracks every pilot-bearing row in one call, and
+            those rows' forward transforms span the whole partition from
+            the mono stage to the stereo band-pass (as many bytes again
+            as the candidate MPX rows). Purely a performance knob —
+            results are bit-identical at any value (each stage is
+            row-independent).
 
     Returns:
         One :class:`StereoAudio` per row, in order.

@@ -277,9 +277,8 @@ def decode_stereo_rows(
     and lock decisions preserved — a row whose pilot is missing falls
     back to mono *inside* the batch, exactly as the serial receive
     would. ``max_fft_rows`` caps only the FFT-heavy filtering passes;
-    the pilot PLL always advances the *full* stack of pilot-bearing
-    rows per time step, so its vectorization width is independent of the
-    memory-capped chunking (see
+    the pilot PLL always tracks the *full* stack of pilot-bearing rows
+    in one call, independent of the memory-capped chunking (see
     :meth:`repro.dsp.pll.PhaseLockedLoop.track_batch`).
     """
     receivers = list(receivers)
@@ -373,8 +372,8 @@ def receive_stereo_batch(
     """Receive many envelopes through the shared stereo DSP in one pass.
 
     The stereo counterpart of :func:`receive_mono_batch`: demodulation,
-    the pilot-gated stereo decode (whose pilot PLL advances every
-    waveform's state vector per time step) and the audio post-filter run
+    the pilot-gated stereo decode (whose pilot PLL tracks every
+    pilot-bearing waveform in one call) and the audio post-filter run
     over the full ``(points, samples)`` stack
     (:func:`decode_stereo_rows`), then receiver-specific stochastic
     effects batch through

@@ -59,6 +59,20 @@ class TestCachedPlan:
         cached_plan(("b",), lambda: rebuilt.append(1) or np.zeros(1))
         assert rebuilt  # b was evicted, so its builder ran again
 
+    def test_byte_bound_evicts_oldest(self, monkeypatch):
+        monkeypatch.setattr(plan_cache, "PLAN_CACHE_MAX_BYTES", 3 * 800)
+        for key in ("a", "b", "c"):
+            cached_plan((key,), lambda: np.zeros(100))  # 800 bytes each
+        assert plan_cache_stats()["bytes"] == 2400
+        cached_plan(("d",), lambda: np.zeros(100))  # evicts a
+        stats = plan_cache_stats()
+        assert stats["items"] == 3 and stats["bytes"] == 2400
+        assert ("a",) not in plan_cache._cache
+        big = cached_plan(("big",), lambda: np.zeros(400))  # over the bound
+        assert big.shape == (400,) and not big.flags.writeable
+        stats = plan_cache_stats()
+        assert stats["items"] == 0 and stats["bytes"] == 0
+
     def test_zero_capacity_disables_caching(self, monkeypatch):
         monkeypatch.setenv(PLAN_CACHE_ENV_VAR, "0")
         calls = []

@@ -6,16 +6,11 @@ import numpy as np
 import pytest
 
 from repro.dsp import pll as pll_module
-from repro.dsp.pll import MIN_VECTOR_WAVEFORMS, PhaseLockedLoop, PLLBatchResult
+from repro.dsp.pll import PhaseLockedLoop, PLLBatchResult
 from repro.errors import ConfigurationError, SignalError
 from repro.fm.pilot import PILOT_DETECT_THRESHOLD_DB
 
 FS = 96_000.0
-
-
-def vector_width(stack):
-    """Repeat a stack's rows until it is wide enough for the vector loop."""
-    return np.tile(stack, (-(-MIN_VECTOR_WAVEFORMS // stack.shape[0]), 1))
 
 
 class TestLock:
@@ -77,23 +72,27 @@ class TestConfig:
 
 
 class TestTrackBatch:
-    """track_batch advances independent per-waveform state vectors, so
-    every row must be bit-identical to tracking that waveform alone —
-    the invariant the batched sweep backend's stereo decode rests on."""
+    """track_batch tracks independent waveforms, so every row must be
+    bit-identical to tracking that waveform alone — the invariant the
+    batched sweep backend's stereo decode rests on. It must hold for the
+    float loop and for the NumPy vector loop it falls back to."""
 
     @staticmethod
     def _assert_rows_match_track(pll, stack):
         batch = pll.track_batch(stack)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(pll_module, "FLOAT_SIN_IS_NUMPY_SIN", False)
+            vector = pll.track_batch(stack)
         for i in range(stack.shape[0]):
             single = pll.track(stack[i])
-            assert np.array_equal(batch.phase[i], single.phase), i
-            assert np.array_equal(batch.frequency_hz[i], single.frequency_hz), i
-            assert bool(batch.locked[i]) == single.locked, i
-            assert float(batch.amplitude[i]) == single.amplitude, i
+            for result in (batch, vector):
+                assert np.array_equal(result.phase[i], single.phase), i
+                assert np.array_equal(result.frequency_hz[i], single.frequency_hz), i
+                assert bool(result.locked[i]) == single.locked, i
+                assert float(result.amplitude[i]) == single.amplitude, i
 
     def test_random_stack_rows_bit_identical_to_track(self, rng):
-        # Wide enough to take the vector loop (not the narrow-stack
-        # delegation), with amplitudes and offsets scattered per row.
+        # Amplitudes and offsets scattered per row.
         t = np.arange(int(0.25 * FS)) / FS
         stack = np.stack(
             [
@@ -103,8 +102,6 @@ class TestTrackBatch:
                 for offset in (0.0, 4.0, -3.0, 8.0, -7.0, 2.0, 5.5, -1.0)
             ]
         )
-        stack = vector_width(stack)
-        assert stack.shape[0] >= MIN_VECTOR_WAVEFORMS
         self._assert_rows_match_track(PhaseLockedLoop(19_000, FS), stack)
 
     def test_single_waveform_batch_matches_track(self):
@@ -127,8 +124,6 @@ class TestTrackBatch:
                 0.25 * np.cos(2 * np.pi * 19_004 * t),
             ]
         )
-        stack = vector_width(stack)
-        assert stack.shape[0] >= MIN_VECTOR_WAVEFORMS
         batch = PhaseLockedLoop(19_000, FS).track_batch(stack)
         assert bool(batch.locked[0])
         assert not bool(batch.locked[2])
@@ -146,18 +141,16 @@ class TestTrackBatch:
         stack = np.stack(
             [a * np.cos(2 * np.pi * 19_000 * t) + noise for a in amplitudes]
         )
-        stack = vector_width(stack)
-        assert stack.shape[0] >= MIN_VECTOR_WAVEFORMS
         self._assert_rows_match_track(PhaseLockedLoop(19_000, FS), stack)
 
     def test_narrow_stack_delegation_matches_track(self, rng):
-        # Below MIN_VECTOR_WAVEFORMS the batch runs the float loop per
-        # row; results must be indistinguishable.
+        # A stack narrower than the sweep's partitions; results must be
+        # indistinguishable from per-row tracks.
         t = np.arange(int(0.2 * FS)) / FS
         stack = np.stack(
             [
                 0.1 * np.cos(2 * np.pi * 19_000 * t) + 0.01 * rng.standard_normal(t.size)
-                for _ in range(MIN_VECTOR_WAVEFORMS - 1)
+                for _ in range(3)
             ]
         )
         self._assert_rows_match_track(PhaseLockedLoop(19_000, FS), stack)
@@ -197,7 +190,7 @@ class TestTrackBatch:
 
 
 class TestFloatLoop:
-    """Narrow stacks (and every 1-D track) run the recursion over plain
+    """track_batch (and so every 1-D track) runs the recursion over plain
     floats with ``math.sin``; its bit-identity to the NumPy vector loop
     rests on ``math.sin == np.sin``."""
 
@@ -222,7 +215,7 @@ class TestFloatLoop:
         )
         pll = PhaseLockedLoop(19_000, FS)
         floats = pll.track_batch(stack)
-        # With the probe failing, narrow stacks fall back to the vector loop.
+        # With the probe failing, every stack falls back to the vector loop.
         monkeypatch.setattr(pll_module, "FLOAT_SIN_IS_NUMPY_SIN", False)
         vector = pll.track_batch(stack)
         assert np.array_equal(floats.phase, vector.phase)
