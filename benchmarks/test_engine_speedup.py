@@ -333,7 +333,7 @@ def test_zero_fallback_speedup(no_persistent_cache, bench_artifact, bench_gate):
     the shape of the paper's mobility scenarios (smart fabric, moving
     receivers). Before the zero-fallback backend every one of these
     points dropped to the serial per-point path (``n_fallbacks`` would
-    have equalled the grid size); ``envelope_batch`` + the vectorized
+    have equalled the grid size); ``stack_envelopes`` + the vectorized
     output-effects path now batch all of them, asserted here along with
     bit-identical results; the measured win is gated by ``--bench-gate``.
     """

@@ -11,9 +11,7 @@ Two usage shapes:
 
 - :class:`BodyMotionFading` — a stateful generator holding its own RNG;
   successive :meth:`~BodyMotionFading.envelope` calls advance that
-  stream. :meth:`~BodyMotionFading.envelope_batch` produces the next
-  ``n_rows`` envelopes as one vectorized stack, bit-identical per row to
-  the successive scalar calls.
+  stream.
 - :class:`MotionFadingSpec` — a frozen, picklable *declaration* of the
   same fading, resolved per transmission from the link's own generator
   (``build``). Scenarios that put a spec (rather than a live model) in
@@ -21,10 +19,11 @@ Two usage shapes:
   is what lets the batched backend vectorize fading grids with zero
   per-point fallbacks.
 
-:func:`stack_envelopes` is the engine-facing batch entry point: it draws
-every model's Gaussian innovations in caller order (preserving each
-model's stream exactly) and then runs the Doppler shaping, Rician
-combination and normalization for all rows as stacked array ops.
+:func:`stack_envelopes` is the one envelope synthesis: it draws every
+model's Gaussian innovations in caller order (preserving each model's
+stream exactly) and then runs the Doppler shaping, Rician combination
+and normalization for all rows as stacked array ops.
+:meth:`BodyMotionFading.envelope` is its one-row call.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.dsp.filters import design_lowpass_fir, filter_signal
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, LinkBudgetError
 from repro.utils.env import fast_numerics
 from repro.utils.rand import RngLike, as_generator
 from repro.utils.validation import ensure_positive
@@ -98,16 +97,15 @@ def _shape_envelopes(
     Args:
         profile: the mobility state shared by every row.
         raws: complex innovations, shape ``(rows, n_internal)`` — each
-            row exactly the two ``standard_normal`` draws the scalar
-            :meth:`BodyMotionFading.envelope` makes.
+            row one model's two ``standard_normal`` draws
+            (:meth:`BodyMotionFading._draw_raw`).
         internal_rate: the rows' internal sample rate.
         n_samples: output envelope length per row.
 
     Returns:
-        Envelopes of shape ``(rows, n_samples)``. Every operation is the
-        2-D form of the scalar path's expression (same association
-        order, reductions along the last axis), so each row is
-        bit-identical to the scalar computation on the same draws.
+        Envelopes of shape ``(rows, n_samples)``. Every operation is
+        row-wise (reductions along the last axis), so a row depends only
+        on its own draws, not on how many rows share the stack.
     """
     k_linear = 10.0 ** (profile.k_factor_db / 10.0)
     specular = np.sqrt(k_linear / (k_linear + 1.0))
@@ -132,9 +130,9 @@ def _shape_envelopes(
         x_out = np.linspace(0.0, 1.0, n_samples)
         env = np.empty((raws.shape[0], n_samples))
         for row in range(raws.shape[0]):
-            # np.interp is 1-D only; the per-row loop keeps each row's
-            # interpolation the exact C routine the scalar path uses —
-            # the bit-identity contract of exact mode.
+            # np.interp is 1-D only; the per-row loop keeps every row on
+            # its exact C routine — the bit-identity contract of exact
+            # mode.
             env[row] = np.interp(x_out, x_internal, fading[row])
     return env / np.sqrt(np.mean(env**2, axis=-1, keepdims=True) + 1e-12)
 
@@ -179,7 +177,7 @@ class BodyMotionFading:
         self._rng = as_generator(rng)
 
     def _draw_raw(self, n_internal: int) -> np.ndarray:
-        """The scalar path's two Gaussian draws, in its exact order."""
+        """One envelope's Gaussian innovations: real draws, then imaginary."""
         return self._rng.standard_normal(n_internal) + 1j * self._rng.standard_normal(
             n_internal
         )
@@ -189,35 +187,9 @@ class BodyMotionFading:
 
         The scattered component is complex Gaussian noise low-passed to the
         profile's Doppler bandwidth; the specular component is a constant
-        set by the K-factor.
+        set by the K-factor. The one-row call of :func:`stack_envelopes`.
         """
-        return self.envelope_batch(n_samples, sample_rate, 1)[0]
-
-    def envelope_batch(
-        self, n_samples: int, sample_rate: float, n_rows: int
-    ) -> np.ndarray:
-        """The next ``n_rows`` envelopes as one ``(n_rows, n_samples)`` stack.
-
-        Row ``i`` is bit-identical to the ``i``-th of ``n_rows``
-        successive :meth:`envelope` calls — the Gaussian innovations are
-        drawn row by row from this model's own stream in the scalar call
-        order, and only the (deterministic) Doppler shaping and
-        normalization run stacked. This is the hook the sweep engine's
-        batched backend uses to vectorize fading links instead of
-        falling back point by point.
-        """
-        if n_samples < 1:
-            raise ConfigurationError("n_samples must be >= 1")
-        sample_rate = ensure_positive(sample_rate, "sample_rate")
-        if n_rows < 0:
-            raise ConfigurationError(f"n_rows must be >= 0, got {n_rows}")
-        internal_rate, n_internal = _internal_grid(self.profile, n_samples, sample_rate)
-        if n_rows == 0:
-            return np.empty((0, n_samples))
-        raws = np.empty((n_rows, n_internal), dtype=complex)
-        for row in range(n_rows):
-            raws[row] = self._draw_raw(n_internal)
-        return _shape_envelopes(self.profile, raws, internal_rate, n_samples)
+        return stack_envelopes([self], n_samples, sample_rate)[0]
 
 
 @dataclass(frozen=True)
@@ -244,6 +216,24 @@ class MotionFadingSpec:
     def build(self, rng: RngLike = None) -> BodyMotionFading:
         """Instantiate the live fading model on a resolved generator."""
         return BodyMotionFading(self.profile, rng)
+
+
+def checked_envelope(envelope, n_samples: int, what: str) -> np.ndarray:
+    """``envelope`` as an array, if its shape is ``(n_samples,)``.
+
+    A fading envelope of any other shape would broadcast against the
+    link's rows instead of failing — a length-1 envelope silently scales
+    a whole row — so every envelope a link applies passes through here.
+
+    Raises:
+        LinkBudgetError: naming ``what``, the shape and the expected one.
+    """
+    envelope = np.asarray(envelope)
+    if envelope.shape != (n_samples,):
+        raise LinkBudgetError(
+            f"{what} has shape {envelope.shape}, expected ({n_samples},)"
+        )
+    return envelope
 
 
 def stack_envelopes(
@@ -287,7 +277,11 @@ def stack_envelopes(
             entry[1].append(model._draw_raw(n_internal))
             entry[2].append(pos)
         else:
-            out[pos] = model.envelope(n_samples, sample_rate)
+            out[pos] = checked_envelope(
+                model.envelope(n_samples, sample_rate),
+                n_samples,
+                f"fading envelope of {type(model).__name__}",
+            )
     # Pass 2: deterministic shaping, stacked per shared profile.
     for profile, (internal_rate, raws, positions) in groups.items():
         shaped = _shape_envelopes(profile, np.stack(raws), internal_rate, n_samples)

@@ -27,7 +27,7 @@ from typing import Optional, Protocol, Sequence
 import numpy as np
 
 from repro.channel.antenna import Antenna, DIPOLE_POSTER, HEADPHONE_WIRE
-from repro.channel.noise import complex_awgn
+from repro.channel.fading import checked_envelope
 from repro.channel.pathloss import free_space_path_loss_db
 from repro.errors import LinkBudgetError
 from repro.utils.env import fast_numerics
@@ -41,23 +41,12 @@ class FadingModel(Protocol):
 
     Implemented by :class:`repro.channel.fading.BodyMotionFading`; the
     link multiplies the envelope onto the complex baseband sample-wise.
+    The envelope must have shape ``(n_samples,)``: anything else raises
+    :class:`~repro.errors.LinkBudgetError` rather than broadcasting.
     """
 
     def envelope(self, n_samples: int, sample_rate: float) -> np.ndarray:
         """Amplitude envelope of ``n_samples`` at ``sample_rate``."""
-        ...
-
-    def envelope_batch(
-        self, n_samples: int, sample_rate: float, n_rows: int
-    ) -> np.ndarray:
-        """The next ``n_rows`` envelopes stacked as ``(n_rows, n_samples)``.
-
-        Row ``i`` must be bit-identical to the ``i``-th of ``n_rows``
-        successive :meth:`envelope` calls — the contract the batched
-        sweep backend's vectorized fading path rests on. (Call sites
-        fall back to per-row ``envelope`` when an implementation
-        predates this method.)
-        """
         ...
 
 
@@ -220,17 +209,16 @@ def transmit_batch(
 ) -> np.ndarray:
     """Pass one shared envelope through many link budgets at once.
 
-    The batched counterpart of :meth:`BackscatterLink.transmit`: every
-    grid point reuses the same cached front-end envelope, so only the
-    per-point fading and noise differ. SNRs, fading multiplication,
-    per-row signal powers and the noise scale-and-add all run as single
-    array ops over the ``(rows, samples)`` stack. The Gaussian draws
-    themselves still come from each point's own pre-derived generator —
-    two ``standard_normal`` calls per point, in the exact order of
-    :func:`repro.channel.noise.complex_awgn`, filled into one
-    preallocated ``(rows, 2, samples)`` scratch (no per-row Python
-    arithmetic or temporaries) — so each output row is bit-identical to
-    the serial link. Under ``REPRO_NUMERICS=fast`` the per-row draws are
+    The one link model: :meth:`BackscatterLink.transmit` is its one-row
+    call. Every grid point of a sweep reuses the same cached front-end
+    envelope, so only the per-point fading and noise differ. SNRs,
+    fading multiplication, per-row signal powers and the noise
+    scale-and-add all run as single array ops over the
+    ``(rows, samples)`` stack. The Gaussian draws come from each point's
+    own generator — two ``standard_normal`` fills per row, real part
+    then imaginary part — into one preallocated ``(rows, 2, samples)``
+    scratch, so a row depends only on its own budget, envelope and
+    generator. Under ``REPRO_NUMERICS=fast`` the per-row draws are
     replaced by one batched ``standard_normal`` from the first row's
     generator (statistically identical, not bit-identical — gated by the
     tolerance-tier goldens instead).
@@ -267,26 +255,19 @@ def transmit_batch(
     # cheaper float32 transforms. Exact mode keeps complex128 end to
     # end.
     fast = fast_numerics()
-    clean = iq.astype(np.complex64 if fast else complex)
     out = np.empty((n_rows, iq.size), dtype=np.complex64 if fast else complex)
     if envelopes is None or all(env is None for env in envelopes):
-        # One shared clean row: the power term is the scalar the serial
-        # link computes, reused for every row.
-        out[:] = clean
+        # One shared clean row: the power term is one scalar, reused
+        # for every row.
+        out[:] = iq
         power: np.ndarray = np.float64(np.mean(np.abs(iq) ** 2))
     else:
-        for row in range(n_rows):
-            env = envelopes[row]
+        for row, env in enumerate(envelopes):
             if env is None:
-                out[row] = clean
+                out[row] = iq
             else:
-                env = np.asarray(env)
-                if env.shape != (iq.size,):
-                    raise LinkBudgetError(
-                        f"fading envelope for row {row} has shape {env.shape}, "
-                        f"expected ({iq.size},)"
-                    )
-                np.multiply(clean, env, out=out[row])
+                env = checked_envelope(env, iq.size, f"fading envelope for row {row}")
+                np.multiply(iq, env, out=out[row], dtype=out.dtype)
         if fast:
             # mean(|z|^2) without the hypot-then-square detour: the real
             # view interleaves re/im, so twice the mean of its squares is
@@ -298,8 +279,11 @@ def transmit_batch(
         else:
             power = np.mean(np.abs(out) ** 2, axis=-1)
 
-    noise_power = power / (10.0 ** (snr_db / 10.0))
-    scales = np.sqrt(noise_power / 2.0)
+    # 10^(SNR/10) through the scalar pow, one row at a time: NumPy's
+    # SIMD array power can round an ULP away from it on some hosts, and
+    # then a row's noise would depend on how many rows share its call.
+    snr_linear = np.array([10.0 ** x for x in (snr_db / 10.0).tolist()])
+    scales = np.sqrt(power / snr_linear / 2.0)
 
     if fast and n_rows:
         # REPRO_NUMERICS=fast: one batched float32 standard_normal for
@@ -307,9 +291,8 @@ def transmit_batch(
         # runs on an SFC64 generator seeded from the first row's stream
         # (the fastest bit generator numpy ships; the per-row generators
         # other than the first stay untouched), lands interleaved and is
-        # viewed as complex — so the combine pass of the exact path
-        # disappears and the noise is scaled and added in place. The
-        # draws are iid standard normal either way; only the stream
+        # viewed as complex — so the noise is scaled and added in place.
+        # The draws are iid standard normal either way; only the stream
         # consumption (and hence the realization) differs, which is
         # exactly what fast mode trades away and the tolerance-tier
         # goldens bound.
@@ -323,17 +306,17 @@ def transmit_batch(
         out += noise
         return out
 
-    # Per-row draws into one preallocated scratch — each generator's two
-    # standard_normal fills, exactly like complex_awgn — then a single
-    # vectorized scale-and-add over the whole stack.
+    # Per-row draws into one preallocated scratch, scaled in place and
+    # added straight onto the real and imaginary parts: no complex
+    # noise temporary, one pass per part over the stack.
     draws = np.empty((n_rows, 2, iq.size))
     for row, rng in enumerate(rngs):
         gen = as_generator(rng)
         gen.standard_normal(out=draws[row, 0])
         gen.standard_normal(out=draws[row, 1])
-    noise = draws[:, 0] + 1j * draws[:, 1]
-    noise *= np.asarray(scales).reshape(n_rows, 1)
-    out += noise
+    draws *= scales.reshape(n_rows, 1, 1)
+    out.real += draws[:, 0]
+    out.imag += draws[:, 1]
     return out
 
 
@@ -359,15 +342,12 @@ class BackscatterLink:
     ) -> np.ndarray:
         """Pass a unit-amplitude complex envelope through the link.
 
-        Returns the faded, noise-corrupted envelope whose average SNR is
-        the budget's :meth:`LinkBudget.rf_snr_db`.
+        The one-row call of :func:`transmit_batch`. Returns the faded,
+        noise-corrupted envelope whose average SNR is the budget's
+        :meth:`LinkBudget.rf_snr_db`.
         """
         iq = ensure_1d(iq, "iq")
-        if not np.iscomplexobj(iq):
-            raise LinkBudgetError("iq must be a complex envelope")
         gen = as_generator(rng)
         fading = resolve_fading(self.fading, gen)
-        if fading is not None:
-            envelope = fading.envelope(iq.size, sample_rate)
-            iq = iq * envelope
-        return complex_awgn(iq, self.budget.rf_snr_db(), gen)
+        envelope = None if fading is None else fading.envelope(iq.size, sample_rate)
+        return transmit_batch(iq, [self.budget], [gen], envelopes=[envelope])[0]

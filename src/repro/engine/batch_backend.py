@@ -31,12 +31,15 @@ feature forces a per-point fallback:
   and the 2-D de-emphasis IIR — applied once per partition, random
   draws still per row from each point's own generator.
 
-Bit-identity with the serial backend holds because (a) every stochastic
-draw still comes from the point's own pre-derived generators, in the
-same order the chain consumes them (station, link incl. fading, then
-receiver), and (b) the vectorized DSP is the *same code path* the 1-D
-calls take — the engine's DSP layer processes 2-D inputs along the last
-axis with row-independent operations.
+Bit-identity with the serial backend holds because (a) the serial
+per-point chain is the one-row call of these same batch functions
+(:meth:`~repro.channel.link.BackscatterLink.transmit`,
+:meth:`~repro.receiver.fm_receiver.FMReceiver.receive` and
+:meth:`~repro.channel.fading.BodyMotionFading.envelope` are batches of
+one), whose operations are row-independent, and (b) every stochastic
+draw comes from the point's own pre-derived generators, split by
+:meth:`~repro.experiments.common.ExperimentChain.stage_streams` — the
+method the per-point ``transmit`` uses too.
 
 Scenarios whose ``measure`` performs its own transmissions (Fig. 12's
 two-phone cancellation, the deployment layer's MAC-gated per-device
@@ -63,14 +66,8 @@ from repro.engine.cache import AmbientCache
 from repro.engine.execution import execute_point, make_ambient
 from repro.engine.scenario import GridPoint, PointRun, Scenario
 from repro.fm.demodulator import fm_demodulate
-from repro.receiver.fm_receiver import (
-    decode_mono_rows,
-    decode_stereo_rows,
-    supports_mono_batch,
-    supports_stereo_batch,
-)
+from repro.receiver.fm_receiver import decode_mono_rows, decode_stereo_rows
 from repro.utils.env import env_float
-from repro.utils.rand import child_generator
 
 BATCH_MEMORY_ENV_VAR = "REPRO_BATCH_MAX_MB"
 """Cap (in MB) on one stacked FFT working set; grids larger than the cap
@@ -122,11 +119,9 @@ def receiver_partition_signature(receiver) -> tuple:
     per-partition decisions line up one-to-one with the partitions the
     executor will actually run.
     """
-    stereo = supports_stereo_batch(receiver)
-    assert stereo or supports_mono_batch(receiver)
     return (
-        type(receiver), stereo, receiver.mpx_rate, receiver.audio_rate,
-        receiver.deviation_hz, receiver.audio_cutoff_hz,
+        type(receiver), receiver.stereo_capable, receiver.mpx_rate,
+        receiver.audio_rate, receiver.deviation_hz, receiver.audio_cutoff_hz,
         receiver.apply_deemphasis,
     )
 
@@ -190,10 +185,9 @@ def run_batched_backend(
         i: group_iq[key].size for key, indices in groups.items() for i in indices
     }
 
-    # Per-point stream derivation, in grid order, exactly as the chain
-    # consumes its children: station child (spent on the cached path),
-    # link child (whose own "fade" child resolves a declarative fading
-    # spec), then the receiver's child from the main generator.
+    # Per-point streams, in grid order, from the same chain method
+    # transmit uses; the link child's own "fade" child resolves a
+    # declarative fading spec, as inside the link.
     batchable = sorted(chains)
     gens: Dict[int, np.random.Generator] = {}
     link_rngs: Dict[int, np.random.Generator] = {}
@@ -201,15 +195,12 @@ def run_batched_backend(
     receivers: Dict[int, object] = {}
     budgets: Dict[int, object] = {}
     for i in batchable:
-        gen = np.random.default_rng(seeds[i])
-        child_generator(gen, "station")  # parity with the serial front end
-        link_rngs[i] = child_generator(gen, "link")
+        gens[i] = np.random.default_rng(seeds[i])
+        _, link_rngs[i], receivers[i] = chains[i].stage_streams(gens[i])
         fading = resolve_fading(chains[i].fading, link_rngs[i])
         if fading is not None:
             fadings[i] = fading
-        receivers[i] = chains[i].receive_stage().build_receiver(gen)
         budgets[i] = chains[i].link_budget()
-        gens[i] = gen
 
     # Fading pre-pass, strictly in grid order: a stateful model shared
     # across points consumes its stream exactly as the serial loop

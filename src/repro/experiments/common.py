@@ -346,33 +346,50 @@ class ExperimentChain:
 
     # -- end-to-end execution ----------------------------------------------
 
+    def stage_streams(
+        self, rng: RngLike = None
+    ) -> Tuple[np.random.Generator, np.random.Generator, FMReceiver]:
+        """The per-transmission streams, derived in the chain's one order.
+
+        Draws from ``rng``, in this order: the station child, the link
+        child, then the receiver's own child (inside
+        :meth:`ReceiveStage.build_receiver`). :meth:`transmit` and the
+        sweep engine's batched backend both call this, so the order
+        lives here alone and a batched row draws exactly what the
+        point's own :meth:`transmit` would. The station child is derived
+        even when an ambient source serves the front end, which keeps the
+        link and receiver draws identical with and without one.
+
+        Returns:
+            ``(station_rng, link_rng, receiver)``.
+        """
+        gen = as_generator(rng)
+        station_rng = child_generator(gen, "station")
+        link_rng = child_generator(gen, "link")
+        return station_rng, link_rng, self.receive_stage().build_receiver(gen)
+
     def transmit(
         self, payload_audio: np.ndarray, rng: RngLike = None
     ) -> ReceivedAudio:
         """Run one end-to-end transmission and return the received audio.
 
-        Applies the three stages in order, deriving each stage's child
-        generator from ``rng`` exactly as the monolithic chain always did
-        (station, link, then receiver), so results are bit-identical to
-        the pre-pipeline implementation and invariant to whether an
-        ambient source served the front end.
+        Applies the front-end and link stages in order, then the
+        receiver, on the streams of :meth:`stage_streams`, so results are
+        invariant to whether an ambient source served the front end.
 
         Args:
             payload_audio: the device payload (audio or data waveform) at
                 the audio rate; its duration sets the simulation length.
             rng: seed or Generator for the stochastic stages.
         """
-        gen = as_generator(rng)
-        state = ChainState(payload_audio=payload_audio)
-        # The station child is derived even on the cached path, keeping
-        # the link/receiver draws below identical with and without an
-        # ambient source.
+        station_rng, link_rng, receiver = self.stage_streams(rng)
         state = self.front_end().apply(
-            state, child_generator(gen, "station"), ambient=self.ambient_source
+            ChainState(payload_audio=payload_audio),
+            station_rng,
+            ambient=self.ambient_source,
         )
-        state = self.link_stage().apply(state, child_generator(gen, "link"))
-        state = self.receive_stage().apply(state, gen)
-        return state.received
+        state = self.link_stage().apply(state, link_rng)
+        return receiver.receive(state.rx_iq)
 
     def payload_channel(self, received: ReceivedAudio) -> np.ndarray:
         """The audio stream carrying the payload for this chain's mode.

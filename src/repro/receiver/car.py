@@ -51,67 +51,24 @@ class CarReceiver(FMReceiver):
         self.cabin_noise_snr_db = cabin_noise_snr_db
         self._rng = as_generator(rng)
 
-    def _acoustic_path(self, audio: np.ndarray) -> np.ndarray:
-        """Speaker -> cabin -> microphone: band-limit plus engine noise."""
-        # Speakers and mic pass ~60 Hz - 12 kHz.
-        shaped = filter_signal(
-            bandpass_fir(60.0, min(12e3, self.audio_rate / 2 * 0.9), self.audio_rate, 257),
-            audio,
-        )
-        signal_power = float(np.mean(shaped**2))
-        if signal_power <= 0:
-            return shaped
-        # Engine noise is low-frequency dominated: shape white noise down.
-        noise = self._rng.standard_normal(shaped.size)
-        noise = filter_signal(design_lowpass_fir(400.0, self.audio_rate, 129), noise)
-        noise += 0.1 * self._rng.standard_normal(shaped.size)
-        noise_power = float(np.mean(noise**2))
-        target_noise_power = signal_power / (10.0 ** (self.cabin_noise_snr_db / 10.0))
-        noise *= np.sqrt(target_noise_power / max(noise_power, 1e-30))
-        return shaped + noise
-
-    def apply_output_effects(self, received: ReceivedAudio) -> ReceivedAudio:
-        """Pass the decoded audio through the cabin microphone path.
-
-        Left precedes right so the cabin-noise generator draws in the
-        same order on the serial and batched receive paths.
-        """
-        return ReceivedAudio(
-            left=self._acoustic_path(received.left),
-            right=self._acoustic_path(received.right),
-            stereo_locked=received.stereo_locked,
-            mpx=received.mpx,
-            audio_rate=received.audio_rate,
-        )
-
     @classmethod
     def apply_output_effects_batch(
         cls, receivers: Sequence["CarReceiver"], received: Sequence[ReceivedAudio]
     ) -> List[ReceivedAudio]:
-        """The cabin microphone path for a whole batch, vectorized.
+        """Speaker -> cabin -> microphone: band-limit plus engine noise.
 
-        Speaker/cabin band-limiting and the engine-noise shaping filter
-        are the expensive part of :meth:`_acoustic_path`; here they run
+        The speakers and microphone pass ~60 Hz - 12 kHz; the engine
+        noise is white noise shaped low-frequency dominated, scaled to
+        ``cabin_noise_snr_db`` below the shaped signal. Both filters run
         as 2-D passes over every (row, channel) at once. The noise draws
         stay per row — left's two draws, then right's, from each
-        receiver's own generator, exactly the serial order, and a
-        channel whose shaped signal has no power skips its draws just
-        like the serial early-return — so every row stays bit-identical
-        to :meth:`apply_output_effects`.
+        receiver's own generator — and a channel whose shaped signal has
+        no power is returned shaped but noiseless, drawing nothing.
         """
         receivers = list(receivers)
         received = list(received)
         if not receivers:
             return []
-        vectorizable = (
-            all(isinstance(rx, CarReceiver) for rx in receivers)
-            and len({rx.audio_rate for rx in receivers}) == 1
-            and len({row.left.shape for row in received}) == 1
-        )
-        if not vectorizable:
-            return [
-                rx.apply_output_effects(row) for rx, row in zip(receivers, received)
-            ]
         ref = receivers[0]
         n_rows = len(receivers)
 
@@ -130,12 +87,12 @@ class CarReceiver(FMReceiver):
         )
         signal_power = np.mean(shaped**2, axis=-1)
 
-        # Draws in serial order — per row: left d1, d2 then right d1, d2
-        # from that row's generator; silent channels draw nothing. Under
+        # Draws per row: left d1, d2 then right d1, d2 from that row's
+        # generator; silent channels draw nothing. Under
         # REPRO_NUMERICS=fast the enumeration of active channels is the
         # same but every pair comes from one stacked draw on the first
         # active row's generator (iid either way; bit-identity with the
-        # serial path is given up).
+        # exact path is given up).
         active: List[Tuple[int, int]] = []  # (row, channel-major index)
         n_samples = shaped.shape[-1]
         fast = fast_numerics()
@@ -164,8 +121,13 @@ class CarReceiver(FMReceiver):
             noise_power = np.mean(noise**2, axis=-1)
             rows_idx = np.array([i for i, _ in active])
             stacked_idx = np.array([s for _, s in active])
-            snr_db = np.array([receivers[i].cabin_noise_snr_db for i in rows_idx])
-            target = signal_power[stacked_idx] / (10.0 ** (snr_db / 10.0))
+            # The scalar pow per row: NumPy's SIMD array power can round
+            # an ULP away from it, which would tie a row's noise to its
+            # batch.
+            snr_linear = np.array(
+                [10.0 ** (receivers[i].cabin_noise_snr_db / 10.0) for i in rows_idx]
+            )
+            target = signal_power[stacked_idx] / snr_linear
             noise *= np.sqrt(target / np.maximum(noise_power, 1e-30))[:, np.newaxis]
             shaped[stacked_idx] += noise
 

@@ -1,4 +1,11 @@
-"""The generic FM receiver chain: IQ -> MPX -> mono/stereo audio."""
+"""The generic FM receiver chain: IQ -> MPX -> mono/stereo audio.
+
+There is one chain, and it is batched: :func:`receive_mono_batch` and
+:func:`receive_stereo_batch` demodulate, decode and post-process a
+``(receivers, samples)`` stack, then apply the receiver type's
+:meth:`FMReceiver.apply_output_effects_batch`. :meth:`FMReceiver.receive`
+and :meth:`FMReceiver.apply_output_effects` are their one-row calls.
+"""
 
 from __future__ import annotations
 
@@ -12,13 +19,7 @@ from repro.dsp.biquad import deemphasis_filter
 from repro.dsp.filters import design_lowpass_fir, filter_signal
 from repro.errors import ConfigurationError
 from repro.fm.demodulator import fm_demodulate
-from repro.fm.stereo import (
-    StereoAudio,
-    decode_mono,
-    decode_stereo,
-    decode_stereo_batch,
-    row_chunks,
-)
+from repro.fm.stereo import decode_mono, decode_stereo_batch, row_chunks
 from repro.utils.validation import ensure_positive
 
 
@@ -92,16 +93,12 @@ class FMReceiver:
         return audio
 
     def apply_output_effects(self, received: ReceivedAudio) -> ReceivedAudio:
-        """Receiver-specific effects on the decoded audio.
+        """Receiver-specific effects on one decoded reception.
 
-        Subclasses model their recording chain here (smartphone AGC and
-        codec noise, car cabin acoustics). The hook runs after the shared
-        demodulate/decode/post-process DSP, on both the serial path
-        (:meth:`receive`) and the batched one
-        (:func:`receive_mono_batch`), so a receiver's stochastic effects
-        are applied per point with that point's own generator either way.
+        The one-row call of :meth:`apply_output_effects_batch`, which is
+        where subclasses model their recording chain.
         """
-        return received
+        return type(self).apply_output_effects_batch([self], [received])[0]
 
     @classmethod
     def apply_output_effects_batch(
@@ -109,77 +106,43 @@ class FMReceiver:
     ) -> List[ReceivedAudio]:
         """Receiver-specific effects over a whole decoded batch at once.
 
-        The batch counterpart of :meth:`apply_output_effects`: row ``i``
-        of the result must be bit-identical to
-        ``receivers[i].apply_output_effects(received[i])``. This default
-        simply loops — correct for any receiver subclass, which is what
-        lets the batched sweep backend keep *every* receiver on the
-        vectorized path. Subclasses with per-row stochastic effects
-        (smartphone codec noise, the car cabin) override it to keep the
-        random draws per row (each receiver's own generator, left before
-        right) while running the deterministic shaping as stacked array
-        ops over the batch. Under ``REPRO_NUMERICS=fast`` those
-        overrides collapse the per-row draws into one batched
-        ``standard_normal`` per partition — statistically identical, not
-        bit-identical, and gated by the tolerance-tier goldens.
+        Runs after the shared demodulate/decode/post-process DSP, for a
+        batch of one receiver type (the base receiver has no effects).
+        Subclasses model their recording chain here (smartphone AGC and
+        codec noise, car cabin acoustics) by overriding this method
+        alone: row ``i`` must equal the one-row call on
+        ``(receivers[i], received[i])``, so stochastic effects draw per
+        row from each receiver's own generator (left before right) while
+        the deterministic shaping runs as stacked array ops. Under
+        ``REPRO_NUMERICS=fast`` the overrides collapse the per-row draws
+        into one batched ``standard_normal`` per partition —
+        statistically identical, not bit-identical, and gated by the
+        tolerance-tier goldens.
         """
-        return [rx.apply_output_effects(row) for rx, row in zip(receivers, received)]
-
-    def receive_mpx(self, iq: np.ndarray) -> np.ndarray:
-        """Demodulate the complex envelope into the MPX baseband."""
-        return fm_demodulate(iq, self.mpx_rate, self.deviation_hz)
+        return list(received)
 
     def receive(self, iq: np.ndarray) -> ReceivedAudio:
-        """Full receive chain: demodulate, stereo-decode, post-process."""
-        mpx = self.receive_mpx(iq)
-        if self.stereo_capable:
-            decoded: StereoAudio = decode_stereo(mpx, self.mpx_rate, self.audio_rate)
-            left = self._post_process(decoded.left)
-            right = self._post_process(decoded.right)
-            stereo_locked = decoded.stereo_locked
-        else:
-            # Mono fast path: pilot recovery and the stereo matrix are
-            # pure, deterministic DSP whose output a mono receiver
-            # discards, so skipping them changes nothing downstream —
-            # L and R are the identically post-processed mono mix.
-            left = self._post_process(decode_mono(mpx, self.mpx_rate, self.audio_rate))
-            right = left.copy()
-            stereo_locked = False
-        return self.apply_output_effects(
-            ReceivedAudio(
-                left=left,
-                right=right,
-                stereo_locked=stereo_locked,
-                mpx=mpx,
-                audio_rate=self.audio_rate,
-            )
-        )
+        """Full receive chain: demodulate, decode, post-process, effects.
 
-
-def supports_mono_batch(receiver: FMReceiver) -> bool:
-    """Whether :func:`receive_mono_batch` can stand in for ``receive``.
-
-    Every mono receiver qualifies — de-emphasis runs as a 2-D IIR pass
-    and receiver-specific output effects batch through
-    :meth:`FMReceiver.apply_output_effects_batch` — so the batched sweep
-    backend never falls back on a receiver's account.
-    """
-    return not receiver.stereo_capable
-
-
-def supports_stereo_batch(receiver: FMReceiver) -> bool:
-    """Whether :func:`receive_stereo_batch` can stand in for ``receive``."""
-    return receiver.stereo_capable
+        The one-row call of :func:`receive_stereo_batch` for a
+        stereo-capable receiver, of :func:`receive_mono_batch` otherwise.
+        """
+        batch = receive_stereo_batch if self.stereo_capable else receive_mono_batch
+        return batch([self], np.asarray(iq)[np.newaxis])[0]
 
 
 def _require_uniform_batch(
     receivers: Sequence[FMReceiver],
     batch: np.ndarray,
-    supports,
+    stereo: bool,
     requirement: str,
     batch_name: str = "iq_batch",
 ) -> None:
-    """Shared shape / configuration validation for the batch receive paths."""
+    """Shared shape / configuration validation for the batch receive paths.
+
+    A batch is one receiver type, all stereo-capable (``stereo``) or all
+    mono, sharing every DSP setting.
+    """
     if batch.ndim != 2 or batch.shape[0] != len(receivers):
         raise ConfigurationError(
             f"{batch_name} must have shape (n_receivers, samples); got "
@@ -189,8 +152,13 @@ def _require_uniform_batch(
         return
     ref = receivers[0]
     for rx in receivers:
-        if not supports(rx):
+        if rx.stereo_capable != stereo:
             raise ConfigurationError(requirement)
+        if type(rx) is not type(ref):
+            raise ConfigurationError(
+                "all receivers in one batch must be one type; got "
+                f"{type(ref).__name__} and {type(rx).__name__}"
+            )
         if (
             rx.mpx_rate != ref.mpx_rate
             or rx.audio_rate != ref.audio_rate
@@ -213,9 +181,9 @@ def decode_mono_rows(
 
     The mono decoder and audio low-pass (and, when configured, the
     de-emphasis IIR) are deterministic and sample-wise independent
-    across waveforms, so they run as NumPy ops over the stack —
-    bit-identical per row to the serial decode because the 2-D code path
-    in the DSP layer is the same code path the 1-D calls take.
+    across waveforms, so they run as NumPy ops over the stack; every DSP
+    pass is row-wise, so a row's output does not depend on the rows
+    beside it.
     Receiver-specific (stochastic) output effects are *not* applied;
     callers batch them separately through
     :meth:`FMReceiver.apply_output_effects_batch`, which lets the sweep
@@ -235,7 +203,7 @@ def decode_mono_rows(
     _require_uniform_batch(
         receivers,
         mpx_batch,
-        supports_mono_batch,
+        False,
         "decode_mono_rows needs mono receivers "
         "(stereo-capable receivers batch through the stereo decode)",
         batch_name="mpx_batch",
@@ -275,10 +243,10 @@ def decode_stereo_rows(
     stereo decode (:func:`~repro.fm.stereo.decode_stereo_batch`) and the
     audio post-filter run over the stack, with per-row pilot detection
     and lock decisions preserved — a row whose pilot is missing falls
-    back to mono *inside* the batch, exactly as the serial receive
-    would. ``max_fft_rows`` caps only the FFT-heavy filtering passes;
-    the pilot PLL always tracks the *full* stack of pilot-bearing rows
-    in one call, independent of the memory-capped chunking (see
+    back to mono *inside* the batch, exactly as it would alone.
+    ``max_fft_rows`` caps only the FFT-heavy filtering passes; the pilot
+    PLL always tracks the *full* stack of pilot-bearing rows in one
+    call, independent of the memory-capped chunking (see
     :meth:`repro.dsp.pll.PhaseLockedLoop.track_batch`).
     """
     receivers = list(receivers)
@@ -286,7 +254,7 @@ def decode_stereo_rows(
     _require_uniform_batch(
         receivers,
         mpx_batch,
-        supports_stereo_batch,
+        True,
         "decode_stereo_rows needs stereo-capable receivers "
         "(mono receivers batch through the mono decode)",
         batch_name="mpx_batch",
@@ -298,11 +266,10 @@ def decode_stereo_rows(
     decoded = decode_stereo_batch(
         mpx_batch, ref.mpx_rate, ref.audio_rate, max_fft_rows=max_fft_rows
     )
-    # All rows share one MPX length, so the decoder's outputs stack; the
-    # serial receive post-processes left then right, and both are
-    # deterministic filters, so batching each channel separately keeps
-    # every row bit-identical. These run at the audio rate (a tenth of
-    # the MPX working set), so they span the full stack.
+    # All rows share one MPX length, so the decoder's outputs stack, and
+    # the post-filters are row-wise, so each channel filters as one
+    # stack. These run at the audio rate (a tenth of the MPX working
+    # set), so they span the full stack.
     left_batch = ref._post_process(np.stack([audio.left for audio in decoded]))
     right_batch = ref._post_process(np.stack([audio.right for audio in decoded]))
 
@@ -334,34 +301,22 @@ def receive_mono_batch(
     effects (codec noise, cabin noise) batch through
     :meth:`FMReceiver.apply_output_effects_batch` — random draws per row
     with each receiver's own generator, deterministic shaping
-    vectorized. Every row is bit-identical to
-    ``receivers[i].receive(iq_batch[i])``.
+    vectorized. A mono receiver skips pilot recovery and the stereo
+    matrix, whose output it would discard: left and right are the same
+    post-processed mono mix. :meth:`FMReceiver.receive` is the one-row
+    call, and every row equals it.
 
     Args:
-        receivers: one configured mono receiver per row; all must share
-            the DSP-relevant configuration (rates, cutoff, deviation,
-            de-emphasis).
+        receivers: one configured mono receiver per row, all of one
+            type and sharing the DSP-relevant configuration (rates,
+            cutoff, deviation, de-emphasis).
         iq_batch: complex envelopes, shape ``(len(receivers), samples)``.
         max_fft_rows: optional cap on the rows per FFT filtering pass.
 
     Returns:
         One :class:`ReceivedAudio` per row, in order.
     """
-    receivers = list(receivers)
-    iq_batch = np.asarray(iq_batch)
-    _require_uniform_batch(
-        receivers,
-        iq_batch,
-        supports_mono_batch,
-        "receive_mono_batch needs mono receivers "
-        "(stereo-capable receivers batch through receive_stereo_batch)",
-    )
-    if not receivers:
-        return []
-    ref = receivers[0]
-    mpx_batch = fm_demodulate(iq_batch, ref.mpx_rate, ref.deviation_hz)
-    rows = decode_mono_rows(receivers, mpx_batch, max_fft_rows)
-    return type(ref).apply_output_effects_batch(receivers, rows)
+    return _receive_batch(receivers, iq_batch, max_fft_rows, stereo=False)
 
 
 def receive_stereo_batch(
@@ -378,13 +333,13 @@ def receive_stereo_batch(
     (:func:`decode_stereo_rows`), then receiver-specific stochastic
     effects batch through
     :meth:`FMReceiver.apply_output_effects_batch` — left before right,
-    each receiver's own generator — so every row is bit-identical to the
-    serial receive.
+    each receiver's own generator — so every row equals the one-row
+    :meth:`FMReceiver.receive`.
 
     Args:
-        receivers: one configured stereo-capable receiver per row; all
-            must share the DSP-relevant configuration (rates, cutoff,
-            deviation, de-emphasis).
+        receivers: one configured stereo-capable receiver per row, all
+            of one type and sharing the DSP-relevant configuration
+            (rates, cutoff, deviation, de-emphasis).
         iq_batch: complex envelopes, shape ``(len(receivers), samples)``.
         max_fft_rows: optional cap on the rows per FFT filtering pass
             (the pilot PLL always spans the full stack).
@@ -392,18 +347,30 @@ def receive_stereo_batch(
     Returns:
         One :class:`ReceivedAudio` per row, in order.
     """
+    return _receive_batch(receivers, iq_batch, max_fft_rows, stereo=True)
+
+
+def _receive_batch(
+    receivers: Sequence[FMReceiver],
+    iq_batch: np.ndarray,
+    max_fft_rows: Optional[int],
+    stereo: bool,
+) -> List[ReceivedAudio]:
+    """Demodulate, decode and apply output effects to a uniform batch."""
     receivers = list(receivers)
     iq_batch = np.asarray(iq_batch)
+    kind, other = ("stereo", "mono") if stereo else ("mono", "stereo")
     _require_uniform_batch(
         receivers,
         iq_batch,
-        supports_stereo_batch,
-        "receive_stereo_batch needs stereo-capable receivers "
-        "(mono receivers batch through receive_mono_batch)",
+        stereo,
+        f"receive_{kind}_batch needs {kind} receivers "
+        f"({other} receivers batch through receive_{other}_batch)",
     )
     if not receivers:
         return []
     ref = receivers[0]
     mpx_batch = fm_demodulate(iq_batch, ref.mpx_rate, ref.deviation_hz)
-    rows = decode_stereo_rows(receivers, mpx_batch, max_fft_rows)
+    decode = decode_stereo_rows if stereo else decode_mono_rows
+    rows = decode(receivers, mpx_batch, max_fft_rows)
     return type(ref).apply_output_effects_batch(receivers, rows)

@@ -60,76 +60,40 @@ class SmartphoneReceiver(FMReceiver):
         self._agc = AutomaticGainControl(sample_rate=audio_rate)
         self._rng = as_generator(rng)
 
-    def _finalize(self, audio: np.ndarray) -> np.ndarray:
-        if self.agc_enabled:
-            if self.agc_dynamic:
-                audio = self._agc.apply(audio)
-            else:
-                audio = self._agc.static_gain(audio) * audio
-        if self.codec_noise_db is not None:
-            noise_rms = 10.0 ** (self.codec_noise_db / 20.0)
-            audio = audio + noise_rms * self._rng.standard_normal(audio.size)
-        return audio
-
-    def apply_output_effects(self, received: ReceivedAudio) -> ReceivedAudio:
-        """Apply the phone's recording-chain effects (AGC, codec noise).
-
-        Left is finalized before right, preserving the draw order of the
-        codec-noise generator across the serial and batched receive paths.
-        """
-        return ReceivedAudio(
-            left=self._finalize(received.left),
-            right=self._finalize(received.right),
-            stereo_locked=received.stereo_locked,
-            mpx=received.mpx,
-            audio_rate=received.audio_rate,
-        )
-
     @classmethod
     def apply_output_effects_batch(
         cls, receivers: Sequence["SmartphoneReceiver"], received: Sequence[ReceivedAudio]
     ) -> List[ReceivedAudio]:
-        """Recording-chain effects for a whole batch, vectorized.
+        """The phone's recording-chain effects (AGC, codec noise), vectorized.
 
-        The codec-noise draws stay per row — left then right from each
-        receiver's own generator, the exact serial order — but the gain
-        application and the noise scale-and-add run as stacked array
-        ops, so the batched sweep backend pays the Python cost once per
-        partition instead of once per point. Rows whose configuration
-        the vector path cannot express (block-adaptive AGC) fall back to
-        the per-row :meth:`apply_output_effects`, which is bit-identical
-        by construction.
+        Gains apply per row through the row's own AGC — a single static
+        gain, or the block-adaptive AGC when ``agc_dynamic``. The AGC is
+        stateless, so applying all gains before any noise leaves the
+        draw order alone. The codec-noise draws stay per row — left then
+        right from each receiver's own generator — and the noise
+        scale-and-add runs as stacked array ops, so the Python cost is
+        paid once per batch instead of once per point.
         """
         receivers = list(receivers)
         received = list(received)
         if not receivers:
             return []
-        vectorizable = all(
-            isinstance(rx, SmartphoneReceiver)
-            and not (rx.agc_enabled and rx.agc_dynamic)
-            for rx in receivers
-        ) and len({row.left.shape for row in received}) == 1
-        if not vectorizable:
-            return [
-                rx.apply_output_effects(row) for rx, row in zip(receivers, received)
-            ]
 
-        n_rows = len(receivers)
         stacks = {
             "left": np.stack([row.left for row in received]),
             "right": np.stack([row.right for row in received]),
         }
         out = {}
-        # Per-row static gains through the same AGC call the serial
-        # _finalize makes (1.0 when the AGC is off).
-        for channel in ("left", "right"):  # serial order: left before right
+        for channel in ("left", "right"):
             audio = stacks[channel]
             gained = np.empty_like(audio)
             for i, rx in enumerate(receivers):
-                if rx.agc_enabled:
-                    np.multiply(audio[i], rx._agc.static_gain(audio[i]), out=gained[i])
-                else:
+                if not rx.agc_enabled:
                     gained[i] = audio[i]
+                elif rx.agc_dynamic:
+                    gained[i] = rx._agc.apply(audio[i])
+                else:
+                    np.multiply(audio[i], rx._agc.static_gain(audio[i]), out=gained[i])
             out[channel] = gained
         # Codec noise: per-row draws (left first, then right — each
         # receiver's own stream), one vectorized scale-and-add.
@@ -142,7 +106,7 @@ class SmartphoneReceiver(FMReceiver):
                 # REPRO_NUMERICS=fast: one stacked draw for the whole
                 # partition from the first noisy receiver's generator
                 # (iid either way; the per-row streams — and hence
-                # bit-identity with the serial path — are given up).
+                # bit-identity with the exact path — are given up).
                 receivers[noisy_rows[0]]._rng.standard_normal(out=draws)
                 for k, i in enumerate(noisy_rows):
                     noise_rms[k, 0] = 10.0 ** (receivers[i].codec_noise_db / 20.0)

@@ -49,17 +49,23 @@ class TestEnvelope:
 
 class TestEnvelopeBatch:
     def test_rows_bit_identical_to_successive_scalar_calls(self):
-        batch = BodyMotionFading("walking", rng=7).envelope_batch(5000, 48_000.0, 4)
+        model = BodyMotionFading("walking", rng=7)
+        batch = stack_envelopes([model] * 4, 5000, 48_000.0)
         serial = BodyMotionFading("walking", rng=7)
         for i in range(4):
             assert np.array_equal(batch[i], serial.envelope(5000, 48_000.0)), i
 
     def test_empty_batch(self):
-        assert BodyMotionFading("walking", rng=0).envelope_batch(100, 48e3, 0).shape == (0, 100)
+        model = BodyMotionFading("walking", rng=0)
+        assert stack_envelopes([model] * 0, 100, 48e3).shape == (0, 100)
 
-    def test_rejects_negative_rows(self):
-        with pytest.raises(ConfigurationError):
-            BodyMotionFading("walking", rng=0).envelope_batch(100, 48e3, -1)
+    def test_rejects_nonpositive_length(self):
+        model = BodyMotionFading("walking", rng=0)
+        for n_samples in (0, -1):
+            with pytest.raises(ConfigurationError):
+                stack_envelopes([model], n_samples, 48e3)
+            with pytest.raises(ConfigurationError):
+                model.envelope(n_samples, 48e3)
 
 
 class TestStackEnvelopes:

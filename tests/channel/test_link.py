@@ -82,3 +82,13 @@ class TestBackscatterLink:
         link = BackscatterLink(budget())
         with pytest.raises(LinkBudgetError):
             link.transmit(np.ones(100), 480_000.0, rng)
+
+    @pytest.mark.parametrize("shape", [(1,), (100, 1), (99,)])
+    def test_rejects_wrong_shape_fading_envelope(self, rng, shape):
+        class FixedShape:
+            def envelope(self, n_samples, sample_rate):
+                return np.full(shape, 0.5)
+
+        link = BackscatterLink(budget(), fading=FixedShape())
+        with pytest.raises(LinkBudgetError, match=r"expected \(100,\)"):
+            link.transmit(np.ones(100, dtype=complex), 480_000.0, rng)

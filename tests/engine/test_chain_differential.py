@@ -1,0 +1,113 @@
+"""Differential check of the receive chain over generated scenarios.
+
+The golden grids pin a handful of hand-picked configurations. This suite
+draws small link-budget scenarios over every chain knob the sweep
+backends treat differently — backscatter mode, receiver kind, stereo
+decoding, the phone's AGC, body-motion fading, power and distance — and
+asserts the one contract all of them rest on: the ``serial``,
+``batched`` and ``auto`` backends return bit-identical values, and each
+batched row is exactly the point's own :meth:`ExperimentChain.transmit`.
+Payloads are at most 0.05 s, so a whole run stays in tier-1's budget.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.audio.tones import tone
+from repro.backscatter.device import BackscatterMode
+from repro.channel.fading import MOTION_PROFILES, MotionFadingSpec
+from repro.constants import AUDIO_RATE_HZ
+from repro.engine import AmbientCache, Scenario, SweepRunner, SweepSpec
+from repro.engine.execution import make_ambient
+from repro.engine.runner import derive_streams
+from repro.experiments.common import ExperimentChain
+from repro.utils.env import fast_numerics
+
+pytestmark = pytest.mark.skipif(
+    fast_numerics(),
+    reason="bit-identity is an exact-numerics contract; REPRO_NUMERICS=fast "
+    "is gated by the tolerance golden tier",
+)
+
+SEED = 2017
+CACHE = AmbientCache()
+
+
+def _reception(received):
+    """The whole reception, so the comparison covers every output."""
+    return received.left, received.right, received.mpx, received.stereo_locked
+
+
+def _capture(run):
+    return _reception(run.received)
+
+
+def _same(a, b) -> bool:
+    return all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+@st.composite
+def scenarios(draw):
+    mode = draw(st.sampled_from([BackscatterMode.OVERLAY, BackscatterMode.STEREO]))
+    kinds = draw(
+        st.sampled_from([("smartphone",), ("car",), ("smartphone", "car")])
+    )
+    fading = draw(st.sampled_from([None, *sorted(MOTION_PROFILES)]))
+    powers = draw(
+        st.lists(
+            st.sampled_from([-20.0, -35.0, -47.5, -60.0]),
+            min_size=1, max_size=2, unique=True,
+        )
+    )
+    distances = draw(
+        st.lists(
+            # Two distances at least: a one-point grid always runs serially.
+            st.sampled_from([1.0, 3.0, 8.0, 20.0]), min_size=2, max_size=2, unique=True
+        )
+    )
+    duration = draw(st.sampled_from([0.02, 0.05]))
+    payload = tone(draw(st.sampled_from([500.0, 1000.0, 3000.0])), duration,
+                   AUDIO_RATE_HZ, amplitude=0.9)
+    return Scenario(
+        name="differential",
+        sweep=SweepSpec.grid(
+            receiver_kind=kinds, power_dbm=tuple(powers), distance_ft=tuple(distances)
+        ),
+        prepare=lambda gen: {"payload": payload},
+        base_chain={
+            "mode": mode,
+            "stereo_decode": draw(st.booleans()),
+            "agc": draw(st.booleans()),
+            "fading": None if fading is None else MotionFadingSpec(fading),
+        },
+        chain_axes=("receiver_kind", "power_dbm", "distance_ft"),
+        payload="payload",
+        measure=_capture,
+    )
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(scenario=scenarios())
+def test_backends_and_per_point_transmit_agree(scenario):
+    results = {
+        backend: SweepRunner(scenario, rng=SEED, cache=CACHE, backend=backend).run()
+        for backend in ("serial", "batched", "auto")
+    }
+    assert results["batched"].n_fallbacks == 0
+    serial = results["serial"].values
+    for backend in ("batched", "auto"):
+        values = results[backend].values
+        assert len(values) == len(serial)
+        for i, (got, want) in enumerate(zip(values, serial)):
+            assert _same(got, want), (backend, i)
+
+    data, points, seeds, ambient_master = derive_streams(
+        scenario, np.random.default_rng(SEED)
+    )
+    for i, point in enumerate(points):
+        chain = ExperimentChain(**scenario.chain_kwargs(point))
+        chain.ambient_source = make_ambient(scenario, point, CACHE, ambient_master)
+        received = chain.transmit(data["payload"], np.random.default_rng(seeds[i]))
+        assert _same(results["batched"].values[i], _reception(received)), i

@@ -16,7 +16,7 @@ from repro.experiments.common import (
     LinkStage,
     ReceiveStage,
 )
-from repro.receiver.fm_receiver import receive_mono_batch, supports_mono_batch
+from repro.receiver.fm_receiver import receive_mono_batch
 from repro.utils.rand import as_generator, child_generator
 from repro.utils.env import fast_numerics
 
@@ -165,7 +165,6 @@ class TestBatchedReceive:
     def test_stereo_receivers_rejected(self):
         stage = ReceiveStage(receiver_kind="smartphone", stereo_decode=True)
         receiver = stage.build_receiver(as_generator(SEED))
-        assert not supports_mono_batch(receiver)
         with pytest.raises(ConfigurationError):
             receive_mono_batch([receiver], np.zeros((1, 16), dtype=complex))
 

@@ -18,6 +18,7 @@ from repro.channel.fading import MotionFadingSpec
 from repro.constants import AUDIO_RATE_HZ
 from repro.data.fdm import FdmFskModem
 from repro.engine import AmbientCache, Scenario, SweepRunner, SweepSpec
+from repro.errors import LinkBudgetError
 from repro.experiments import deployment_scale
 from repro.experiments import fig09_mrc as fig09
 from repro.experiments import fig10_stereo_ber as fig10
@@ -151,3 +152,25 @@ class TestFadingGridAllBackends:
         scenario.base_chain = dict(scenario.base_chain)
         del scenario.base_chain["fading"]
         assert _run(scenario, "serial").values != by_backend["serial"].values
+
+
+class _FixedShapeFading:
+    """A custom fading model whose envelope ignores the requested length."""
+
+    def __init__(self, shape):
+        self.shape = shape
+
+    def envelope(self, n_samples, sample_rate):
+        return np.full(self.shape, 0.5)
+
+
+class TestWrongShapeFading:
+    @pytest.mark.parametrize("shape", [(1,), (3,)])
+    @pytest.mark.parametrize("backend", ["serial", "batched"])
+    def test_wrong_length_envelope_raises_on_every_backend(self, shape, backend):
+        # A length-1 envelope used to broadcast over the whole row on
+        # both paths and scale it without error.
+        scenario = build_fading_scenario("fade_wrong_shape")
+        scenario.base_chain = dict(scenario.base_chain, fading=_FixedShapeFading(shape))
+        with pytest.raises(LinkBudgetError, match=rf"shape \({shape[0]},\), expected"):
+            _run(scenario, backend)

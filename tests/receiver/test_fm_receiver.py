@@ -12,9 +12,8 @@ from repro.fm.modulator import fm_modulate
 from repro.receiver.car import CarReceiver
 from repro.receiver.fm_receiver import (
     FMReceiver,
+    receive_mono_batch,
     receive_stereo_batch,
-    supports_mono_batch,
-    supports_stereo_batch,
 )
 from repro.receiver.smartphone import SmartphoneReceiver
 
@@ -93,18 +92,23 @@ class TestReceiveStereoBatch:
                 assert np.array_equal(rows[i].left, serial.left), (build, i)
                 assert np.array_equal(rows[i].right, serial.right), (build, i)
 
-    def test_support_predicates(self):
-        assert supports_stereo_batch(FMReceiver())
-        assert not supports_stereo_batch(FMReceiver(stereo_capable=False))
-        # De-emphasis no longer forces a fallback: the biquad runs as a
-        # 2-D pass, so de-emphasizing receivers batch like any other.
-        assert supports_stereo_batch(FMReceiver(apply_deemphasis=True))
-        assert supports_mono_batch(
-            FMReceiver(stereo_capable=False, apply_deemphasis=True)
-        )
-        assert supports_stereo_batch(CarReceiver())
-        assert supports_mono_batch(FMReceiver(stereo_capable=False))
-        assert not supports_mono_batch(FMReceiver())
+    def test_rejects_mixed_receiver_types(self):
+        # One batch is one receiver type: its output effects run through
+        # that type's apply_output_effects_batch, so a mixed batch would
+        # silently apply one type's recording chain to another's rows.
+        iq_batch = np.stack([broadcast_iq(1000, 3000)] * 2)
+        with pytest.raises(ConfigurationError, match="one type"):
+            receive_stereo_batch([CarReceiver(), FMReceiver()], iq_batch)
+        with pytest.raises(ConfigurationError, match="one type"):
+            receive_stereo_batch(
+                [SmartphoneReceiver(rng=1), CarReceiver(rng=2)], iq_batch
+            )
+        mono_phone = SmartphoneReceiver(rng=1)
+        mono_phone.stereo_capable = False
+        with pytest.raises(ConfigurationError, match="one type"):
+            receive_mono_batch(
+                [mono_phone, FMReceiver(stereo_capable=False)], iq_batch
+            )
 
     def test_deemphasis_batch_bit_identical(self):
         iq_batch = np.stack([broadcast_iq(1000, 3000), broadcast_iq(2000)])
