@@ -80,13 +80,22 @@ def _align(
     coarse = lag_d * step
 
     # Fine search: +/- step samples around the coarse estimate using a
-    # short representative segment.
+    # short representative segment. Each lag scores the slice of
+    # ``degraded`` that _apply_lag would move into the segment (its
+    # zero padding adds nothing), so no shifted copy is made, and the
+    # reduction is einsum's own loop rather than a BLAS dot, which would
+    # start BLAS threads under the sweep's own.
     seg_start = len(reference) // 4
-    seg = slice(seg_start, min(seg_start + 16_384, len(reference)))
+    seg_stop = min(seg_start + 16_384, len(reference))
     best_lag, best_score = coarse, -np.inf
     for lag in range(coarse - step, coarse + step + 1):
-        candidate = _apply_lag(degraded, lag)
-        score = float(np.dot(candidate[seg], reference[seg]))
+        lo = max(seg_start, -lag)
+        hi = min(seg_stop, len(degraded) - lag)
+        score = 0.0
+        if lo < hi:
+            score = float(
+                np.einsum("i,i->", degraded[lo + lag : hi + lag], reference[lo:hi])
+            )
         if score > best_score:
             best_score, best_lag = score, lag
     return _apply_lag(degraded, best_lag), best_lag

@@ -82,6 +82,22 @@ def resolve_fading(
         f"fading must provide envelope() or build(), got {type(fading)!r}"
     )
 
+
+def fading_envelope(
+    fading: Optional[object],
+    rng: np.random.Generator,
+    n_samples: int,
+    sample_rate: float,
+) -> Optional[np.ndarray]:
+    """One transmission's fading envelope (``None`` without fading).
+
+    Resolves ``fading`` on the link generator (:func:`resolve_fading`)
+    and draws its envelope, both before any noise draw, which is the
+    stream order every one-row transmission shares.
+    """
+    model = resolve_fading(fading, rng)
+    return None if model is None else model.envelope(n_samples, sample_rate)
+
 SQUARE_WAVE_SIDEBAND_LOSS_DB = 3.92
 """Power loss of one first-order square-wave sideband: (2/pi)^2."""
 
@@ -216,12 +232,12 @@ def transmit_batch(
     scale-and-add all run as single array ops over the
     ``(rows, samples)`` stack. The Gaussian draws come from each point's
     own generator — two ``standard_normal`` fills per row, real part
-    then imaginary part — into one preallocated ``(rows, 2, samples)``
-    scratch, so a row depends only on its own budget, envelope and
-    generator. Under ``REPRO_NUMERICS=fast`` the per-row draws are
-    replaced by one batched ``standard_normal`` from the first row's
-    generator (statistically identical, not bit-identical — gated by the
-    tolerance-tier goldens instead).
+    then imaginary part — into one row-length scratch, so a row depends
+    only on its own budget, envelope and generator. Under
+    ``REPRO_NUMERICS=fast`` the per-row draws are replaced by one batched
+    ``standard_normal`` from the first row's generator (statistically
+    identical, not bit-identical — gated by the tolerance-tier goldens
+    instead).
 
     Args:
         iq: shared unit-amplitude complex envelope, 1-D.
@@ -306,17 +322,17 @@ def transmit_batch(
         out += noise
         return out
 
-    # Per-row draws into one preallocated scratch, scaled in place and
-    # added straight onto the real and imaginary parts: no complex
-    # noise temporary, one pass per part over the stack.
-    draws = np.empty((n_rows, 2, iq.size))
+    # Per-row draws into one row-length scratch, real part then
+    # imaginary part, each scaled in place and added straight onto its
+    # part of the row: no complex noise temporary, and the scratch is one
+    # row however many rows the stack has.
+    draws = np.empty(iq.size)
     for row, rng in enumerate(rngs):
         gen = as_generator(rng)
-        gen.standard_normal(out=draws[row, 0])
-        gen.standard_normal(out=draws[row, 1])
-    draws *= scales.reshape(n_rows, 1, 1)
-    out.real += draws[:, 0]
-    out.imag += draws[:, 1]
+        for part in (out[row].real, out[row].imag):
+            gen.standard_normal(out=draws)
+            draws *= scales[row]
+            part += draws
     return out
 
 
@@ -348,6 +364,5 @@ class BackscatterLink:
         """
         iq = ensure_1d(iq, "iq")
         gen = as_generator(rng)
-        fading = resolve_fading(self.fading, gen)
-        envelope = None if fading is None else fading.envelope(iq.size, sample_rate)
+        envelope = fading_envelope(self.fading, gen, iq.size, sample_rate)
         return transmit_batch(iq, [self.budget], [gen], envelopes=[envelope])[0]

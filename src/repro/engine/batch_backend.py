@@ -7,9 +7,8 @@ This backend exploits that structurally: points are grouped by front-end
 key (program/mode/amplitude + payload + ambient variant), each group's
 envelope is stacked into a ``(points, samples)`` array, and the link
 fading + noise scaling, FM discriminator, audio decode and low-pass run
-as NumPy ops over the stack (:func:`repro.channel.link.transmit_batch` +
-:func:`repro.receiver.fm_receiver.receive_mono_batch` /
-:func:`~repro.receiver.fm_receiver.receive_stereo_batch` internals).
+as NumPy ops over the stack
+(:func:`repro.experiments.common.receive_over_link` per partition).
 
 Coverage is total over the runner-transmitted scenario space — no chain
 feature forces a per-point fallback:
@@ -33,9 +32,9 @@ feature forces a per-point fallback:
 
 Bit-identity with the serial backend holds because (a) the serial
 per-point chain is the one-row call of these same batch functions
-(:meth:`~repro.channel.link.BackscatterLink.transmit`,
-:meth:`~repro.receiver.fm_receiver.FMReceiver.receive` and
-:meth:`~repro.channel.fading.BodyMotionFading.envelope` are batches of
+(:meth:`~repro.experiments.common.ExperimentChain.transmit` calls
+``receive_over_link`` with one row, and
+:meth:`~repro.channel.fading.BodyMotionFading.envelope` is a batch of
 one), whose operations are row-independent, and (b) every stochastic
 draw comes from the point's own pre-derived generators, split by
 :meth:`~repro.experiments.common.ExperimentChain.stage_streams` — the
@@ -60,13 +59,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.channel.fading import stack_envelopes
-from repro.channel.link import resolve_fading, transmit_batch
+from repro.channel.link import resolve_fading
 from repro.constants import MPX_RATE_HZ
 from repro.engine.cache import AmbientCache
 from repro.engine.execution import execute_point, make_ambient
 from repro.engine.scenario import GridPoint, PointRun, Scenario
-from repro.fm.demodulator import fm_demodulate
-from repro.receiver.fm_receiver import decode_mono_rows, decode_stereo_rows
 from repro.utils.env import env_float
 
 BATCH_MEMORY_ENV_VAR = "REPRO_BATCH_MAX_MB"
@@ -82,8 +79,9 @@ Fig. 8 grid)."""
 
 _TRANSMIT_BYTES_PER_SAMPLE = 48
 """Per-point bytes one transmit + demodulate chunk holds: the complex rx
-row (16 B/sample), its two noise-draw scratch rows (16) and the
-demodulated MPX row (8), plus slack for audio tails."""
+row (16 B/sample), the discriminator's magnitude row and the
+demodulated MPX row (8 each), plus slack for the link's power pass and
+audio tails."""
 
 
 def batch_memory_budget_mb() -> float:
@@ -265,44 +263,30 @@ def _run_group(
     values: List[object],
 ) -> None:
     """Vectorize one shared-front-end group of grid points."""
+    from repro.experiments.common import receive_over_link
+
     # One group can still mix receiver configurations (e.g. a
     # receiver-kind axis downstream of a shared front end); each
     # homogeneous slice batches separately — mono receivers through the
     # mono decode, stereo-capable ones (phone stereo decode, the car
     # radio) through the multi-waveform-PLL stereo decode. Every
-    # receiver batches one way or the other.
+    # receiver batches one way or the other. Within a partition the link
+    # and the discriminator run in memory-capped chunks, and only the
+    # real MPX rows outlive a chunk (see receive_over_link).
     partitions: "Dict[tuple, List[int]]" = {}
     for i in indices:
         partitions.setdefault(receiver_partition_signature(receivers[i]), []).append(i)
 
     limit = chunk_limit(iq.size)
-    for sig, members in partitions.items():
-        rx_type, stereo = sig[0], sig[1]
-        ref = receivers[members[0]]
-        part_receivers = [receivers[i] for i in members]
-
-        # Transmit + demodulate in memory-capped chunks. Only the real
-        # MPX rows persist (half the complex envelope's footprint); the
-        # decode below re-chunks its own FFT passes, so holding the
-        # partition's MPX stack is what frees the stereo PLL width from
-        # the chunk size.
-        mpx = np.empty((len(members), iq.size))
-        for start in range(0, len(members), limit):
-            chunk = members[start : start + limit]
-            rx_iq = transmit_batch(
-                iq,
-                [budgets[i] for i in chunk],
-                [link_rngs[i] for i in chunk],
-                envelopes=[envelopes.get(i) for i in chunk],
-            )
-            mpx[start : start + len(chunk)] = fm_demodulate(
-                rx_iq, ref.mpx_rate, ref.deviation_hz
-            )
-
-        decode = decode_stereo_rows if stereo else decode_mono_rows
-        raw_rows = decode(part_receivers, mpx, max_fft_rows=limit)
-        received_rows = rx_type.apply_output_effects_batch(part_receivers, raw_rows)
-
+    for members in partitions.values():
+        received_rows = receive_over_link(
+            iq,
+            [receivers[i] for i in members],
+            [budgets[i] for i in members],
+            [link_rngs[i] for i in members],
+            [envelopes.get(i) for i in members],
+            chunk_rows=limit,
+        )
         for i, received in zip(members, received_rows):
             # The group key pins the variant, so the group-level
             # ambient is every member point's ambient.

@@ -13,15 +13,20 @@ partition:
 2. :func:`choose_backend` applies a fixed rule (see
    :data:`CROSSOVER_SAMPLES`) and :func:`plan_sweep` records every
    decision with its reason on :attr:`~repro.engine.results.SweepResult.plan`.
-3. :func:`plan_and_run` dispatches *heterogeneously* — short-row
-   partitions ride the batched stack while long-row ones run serially —
-   on the same pre-derived per-point seeds every backend uses, so results
-   stay bit-identical in grid order.
+3. :func:`plan_and_run` hands the plan's *units* to the runner's thread
+   pool (:func:`~repro.engine.runner.run_units`): every point routed to
+   serial is one unit, and all batched partitions together are another
+   (one batched call, so one partition's stacks are live at a time).
+   Each unit runs on the same pre-derived per-point seeds every backend
+   uses, so results stay bit-identical in grid order at any pool size.
 
-When any link carries a *live* stateful fading model and the partitions'
-choices disagree, the whole grid runs ``serial``: such models consume
-their random stream in grid order across points, so a split would
-reorder the draws. Frozen declarative specs
+A grid with a *live* stateful fading model on any link is not
+splittable (:attr:`SweepPlan.splittable`): such a model consumes its
+random stream in grid order across points. Its partitions must then
+agree — if their choices differ, the whole grid runs ``serial``
+(reason ``"live-fading"``) — and the whole grid is one sequential unit.
+That holds for a uniform grid too, whose reason (``"long-rows"``, say)
+does not mention the fading. Frozen declarative specs
 (:class:`~repro.channel.fading.MotionFadingSpec`) resolve from each
 point's own stream and split freely.
 """
@@ -34,7 +39,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.constants import AUDIO_RATE_HZ, MPX_RATE_HZ
 from repro.engine.cache import AmbientCache
-from repro.engine.execution import execute_point
+from repro.engine.runner import Unit, run_units
 from repro.engine.scenario import GridPoint, Scenario
 from repro.utils.env import fast_numerics
 
@@ -48,10 +53,19 @@ at 192,000-sample rows. Interpolating the batched cost log-linearly in
 row length (the chunk working set crossing the cache hierarchy tracks
 the *ratio* of row lengths), the two meet at
 ``24000 * 8 ** ((251.9 - 201.5) / (257.0 - 201.5))`` = 158,490 samples.
-Stereo rows always batch (the scalar pilot PLL made serial stereo 1.44x
-dearer per sample, batched stereo no dearer than mono), and so does
-``REPRO_NUMERICS=fast`` (its fused kernels cut the batched cost to 0.75x,
-and 0.75 x 257.0 ns < 251.9 ns at any row length).
+
+Stereo rows always batch, though no longer for the reason the rule
+was first measured on (a scalar pilot PLL that made serial stereo 1.44x
+dearer per sample): both paths now run the same plain-float PLL loop,
+and one Fig. 13 point (480,000-sample rows) costs about the same either
+way, 0.165-0.181 s serial against 0.173-0.210 s batched (2-CPU x86_64
+host, BLAS on one thread). What keeps stereo batched is the pool: run
+one point per pool thread, Fig. 13's stereo points cost up to a quarter
+more CPU each than in its one batched unit, as the two threads' FFT
+passes contend for memory, so per-point stereo waits for a cheaper PLL.
+``REPRO_NUMERICS=fast`` batches every cached
+partition (its fused kernels cut the batched cost to 0.75x, and
+0.75 x 257.0 ns < 251.9 ns at any row length).
 """
 
 _MPX_PER_AUDIO = int(round(MPX_RATE_HZ / AUDIO_RATE_HZ))
@@ -117,16 +131,48 @@ class PlanDecision:
 
 @dataclass
 class SweepPlan:
-    """Everything ``auto`` decided for one grid."""
+    """Everything ``auto`` decided for one grid.
+
+    Attributes:
+        decisions: one audited decision per partition.
+        by_backend: run positions per executor, each list in grid order.
+        label: the result's backend label, e.g. ``auto[serial:40]``.
+        splittable: no live stateful fading model is on any link, so the
+            grid may run as concurrent units.
+        units: the work for :func:`~repro.engine.runner.run_units` —
+            every batched position in one unit and each serial point
+            alone when ``splittable``, else the whole grid as one
+            sequential unit.
+    """
 
     decisions: List[PlanDecision]
     by_backend: Dict[str, List[int]]
     label: str
+    splittable: bool
+    units: List[Unit]
 
 
 def _is_live_fading(fading: object) -> bool:
     """A stateful model instance (vs a frozen per-point-resolved spec)."""
     return fading is not None and hasattr(fading, "envelope")
+
+
+def live_fading_model(
+    scenario: Scenario, points: Sequence[GridPoint]
+) -> Optional[object]:
+    """The first live stateful fading model on any point's link, if any.
+
+    Such a model draws its random stream in grid order across points, so
+    a grid carrying one cannot be split into concurrent units or shipped
+    to worker processes without changing its values.
+    """
+    if not scenario.uses_chain:
+        return None
+    for point in points:
+        fading = scenario.chain_kwargs(point).get("fading")
+        if _is_live_fading(fading):
+            return fading
+    return None
 
 
 def extract_features(
@@ -142,13 +188,14 @@ def extract_features(
     Returns ``(features, splittable)``: ``splittable`` is False when a
     live stateful fading model is on any link (see module docstring).
     """
+    splittable = live_fading_model(scenario, points) is None
     if scenario.measure_driven or not points:
         features = PartitionFeatures(
             label="measure-driven", positions=tuple(range(len(points))),
             n_points=len(points), n_samples=0, stereo=False,
             measure_driven=True, chunk_rows=1, batchable=False,
         )
-        return [features], True
+        return [features], splittable
 
     from repro.engine.batch_backend import chunk_limit
     from repro.experiments.common import ExperimentChain
@@ -156,10 +203,8 @@ def extract_features(
     batchable = cache is not None and scenario.cache_ambient
 
     partitions: "Dict[tuple, List[int]]" = {}
-    splittable = True
     for pos, point in enumerate(points):
-        chain_kwargs = scenario.chain_kwargs(point)
-        chain = ExperimentChain(**chain_kwargs)
+        chain = ExperimentChain(**scenario.chain_kwargs(point))
         payload = scenario.payload_for(point, data)
         stage = chain.receive_stage()
         # Mirrors the executor's two-level grouping: the front-end group
@@ -175,8 +220,6 @@ def extract_features(
             stereo,
         )
         partitions.setdefault(key, []).append(pos)
-        if _is_live_fading(chain_kwargs.get("fading")):
-            splittable = False
 
     features: List[PartitionFeatures] = []
     for key, positions in partitions.items():
@@ -252,7 +295,21 @@ def plan_sweep(
     label = "auto[" + "+".join(
         f"{backend}:{len(by_backend[backend])}" for backend in sorted(by_backend)
     ) + "]"
-    return SweepPlan(decisions=decisions, by_backend=by_backend, label=label)
+    if splittable:
+        # All batched positions are one unit, one batched call as in a
+        # single-backend run, so one partition's stacks are live at a
+        # time. It is submitted first, as it is usually the longest.
+        units: List[Unit] = []
+        if "batched" in by_backend:
+            units.append(("batched", by_backend["batched"]))
+        units += [("serial", [pos]) for pos in by_backend.get("serial", [])]
+    else:
+        # The partitions agree (see above), so this is one unit.
+        units = list(by_backend.items())
+    return SweepPlan(
+        decisions=decisions, by_backend=by_backend, label=label,
+        splittable=splittable, units=units,
+    )
 
 
 def plan_and_run(
@@ -262,37 +319,30 @@ def plan_and_run(
     seeds: Sequence[int],
     cache: Optional[AmbientCache],
     ambient_master: int,
-) -> Tuple[List[object], int, List[PlanDecision], str]:
-    """Plan the grid, then execute each partition on its chosen backend.
+    max_workers: Optional[int] = None,
+) -> Tuple[List[object], int, List[PlanDecision], str, int]:
+    """Plan the grid, then run the plan's units on one thread pool.
 
-    Bit-identity across any split holds for the same reason it holds
-    across whole-grid backends: every point's stream seed is pre-derived
-    before execution, and each executor rebuilds ``default_rng(seed)``
-    per point (live stateful fading disables splits; see :func:`plan_sweep`).
+    Bit-identity across any split and pool size holds for the same
+    reason it holds across whole-grid backends: every point's stream
+    seed is pre-derived before execution, and each executor rebuilds
+    ``default_rng(seed)`` per point (a live stateful fading model keeps
+    the grid in one sequential unit; see :func:`plan_sweep`).
+
+    Args:
+        max_workers: pool size; ``None`` sizes the pool to the CPUs
+            (see :func:`~repro.engine.runner.pool_size`).
 
     Returns:
-        ``(values, n_fallbacks, decisions, label)`` — values in grid
-        order; ``n_fallbacks`` counts batch-eligible points the batched
-        executor bounced to its serial fallback (points the *planner*
-        routed to serial are decisions, not fallbacks).
+        ``(values, n_fallbacks, decisions, label, n_workers)`` — values
+        in grid order; ``n_fallbacks`` counts batch-eligible points the
+        batched executor bounced to its serial fallback (points the
+        *planner* routed to serial are decisions, not fallbacks);
+        ``n_workers`` is the pool size.
     """
     plan = plan_sweep(scenario, data, points, cache)
-    values: List[object] = [None] * len(points)
-    n_fallbacks = 0
-    for backend, positions in plan.by_backend.items():
-        if backend == "batched":
-            from repro.engine.batch_backend import run_batched_backend
-
-            sub_values, _, sub_fallbacks = run_batched_backend(
-                scenario, data, [points[pos] for pos in positions],
-                [seeds[pos] for pos in positions], cache, ambient_master,
-            )
-            n_fallbacks += sub_fallbacks
-            for pos, value in zip(positions, sub_values):
-                values[pos] = value
-        else:  # serial
-            for pos in positions:
-                values[pos] = execute_point(
-                    scenario, points[pos], seeds[pos], data, cache, ambient_master
-                )
-    return values, n_fallbacks, plan.decisions, plan.label
+    values, n_fallbacks, n_workers = run_units(
+        scenario, data, points, seeds, cache, ambient_master,
+        plan.units, max_workers,
+    )
+    return values, n_fallbacks, plan.decisions, plan.label, n_workers

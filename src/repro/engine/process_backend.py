@@ -35,6 +35,7 @@ from repro.engine.cache import AmbientCache
 from repro.engine.execution import composite_entry, execute_point
 from repro.engine.scenario import GridPoint, Scenario
 from repro.engine.store import CACHE_DIR_ENV_VAR, CacheStore
+from repro.errors import ConfigurationError
 
 _WORKER_STATE: Dict[str, object] = {}
 
@@ -120,7 +121,24 @@ def run_process_backend(
     ambient_master: int,
     max_workers: int,
 ) -> List[object]:
-    """Execute the grid across a process pool; values in grid order."""
+    """Execute the grid across a process pool; values in grid order.
+
+    Raises:
+        ConfigurationError: if the scenario is not picklable, or a live
+            stateful fading model is on any link — each worker would
+            unpickle its own copy and draw from it out of grid order.
+    """
+    from repro.engine.planner import live_fading_model
+
+    model = live_fading_model(scenario, points)
+    if model is not None:
+        raise ConfigurationError(
+            f"backend 'process' cannot reproduce the grid-order draws of the "
+            f"live fading model {type(model).__name__} in scenario "
+            f"{scenario.name!r}: each worker would draw from its own copy. "
+            "Declare the fading as a repro.channel.fading.MotionFadingSpec, "
+            "which resolves per point, or use another backend"
+        )
     blob = scenario.require_picklable()
 
     store_dir: Optional[str] = None

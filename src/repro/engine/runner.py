@@ -16,12 +16,17 @@
 3. The selected backend executes the points:
 
    - ``serial`` — a plain loop (the reference semantics).
-   - ``thread`` — a thread pool; right when the heavy lifting is
-     NumPy/SciPy FFT work that releases the GIL.
+   - ``thread`` — every point is a unit of the shared thread pool (see
+     :func:`run_units`); right when the heavy lifting is NumPy/SciPy FFT
+     work that releases the GIL.
    - ``process`` — a :class:`concurrent.futures.ProcessPoolExecutor`
      over the picklable point specs, for GIL-bound measures; requires
-     the scenario's declarative (spec) form. The parent warms a shared
-     disk store so workers skip ambient synthesis.
+     the scenario's declarative (spec) form, and starts ``min(8, CPUs)``
+     workers unless told otherwise (each holds its own caches). The
+     parent warms a shared disk store so workers skip ambient
+     synthesis. A live stateful
+     fading model cannot cross into workers (each would draw from its
+     own copy), so it raises :class:`~repro.errors.ConfigurationError`.
    - ``batched`` — groups points sharing one front end and runs the
      link + receive math (fading, mono and stereo decode alike — via
      per-row envelope stacks and the multi-waveform pilot PLL — plus
@@ -34,15 +39,25 @@
      grid exactly as the batched executor would and sends each partition
      to ``batched`` or ``serial`` by a measured row-length rule —
      stereo and short-row partitions ride the vectorized stack while
-     long mono rows run serially — recording every decision and its
-     reason on :attr:`~repro.engine.results.SweepResult.plan`.
+     long mono rows run per point — recording every decision and its
+     reason on :attr:`~repro.engine.results.SweepResult.plan`. Each
+     serial point and each whole batched partition is then one unit of
+     the thread pool.
+
+``thread`` and ``auto`` share one executor, :func:`run_units`: a thread
+pool with one thread per available CPU, capped at the number of units;
+``max_workers`` or ``REPRO_SWEEP_WORKERS`` sets the count instead, and a
+pool of one runs inline. A grid with a live stateful fading model on any
+link is one sequential unit, because such a model draws its stream in
+grid order across points and concurrent units would reorder the draws.
+Everything else may run concurrently: each point's stream is derived
+before execution, and the ambient cache and the DSP plan cache lock.
 
 Select with the ``backend`` argument or the ``REPRO_SWEEP_BACKEND``
 environment variable (strictly parsed — a typo raises
 :class:`~repro.errors.ConfigurationError` naming the variable and its
-choices); worker counts come from ``max_workers`` /
-``REPRO_SWEEP_WORKERS``. With neither set, single-worker runners default
-to ``auto``.
+choices). With neither set, a runner given more than one worker
+defaults to ``thread`` and any other to ``auto``.
 
 Ambient caching: when the scenario opts in (the default), every point
 receives a :class:`~repro.engine.cache.CachedAmbient` view keyed by a
@@ -59,12 +74,12 @@ import operator
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.engine.cache import AmbientCache, default_cache, stats_delta
 from repro.engine.execution import execute_point
 from repro.engine.results import SweepResult
-from repro.engine.scenario import Scenario
+from repro.engine.scenario import GridPoint, Scenario
 from repro.errors import ConfigurationError
 from repro.utils.env import env_choice, env_int
 from repro.utils.rand import RngLike, as_generator, derive_seed
@@ -93,6 +108,85 @@ def default_max_workers() -> int:
     offending string instead of being silently clamped.
     """
     return env_int(WORKERS_ENV_VAR, 1, minimum=1)
+
+
+def pool_size(n_units: int, max_workers: Optional[int] = None) -> int:
+    """Threads for a pool over ``n_units`` units of work.
+
+    One per CPU this process may run on, unless ``max_workers`` names a
+    count, and never more than there are units.
+    """
+    if max_workers is None:
+        try:
+            max_workers = len(os.sched_getaffinity(0))
+        except AttributeError:  # not every platform has affinity masks
+            max_workers = os.cpu_count() or 1
+    return max(1, min(max_workers, n_units))
+
+
+Unit = Tuple[str, List[int]]
+"""One unit of pooled work, ``(executor, positions)``, run on one thread:
+the executor is ``"serial"`` (each position in turn through
+:func:`~repro.engine.execution.execute_point`) or ``"batched"`` (the
+positions through one :func:`~repro.engine.batch_backend.run_batched_backend`
+call)."""
+
+
+def run_units(
+    scenario: Scenario,
+    data: Dict[str, object],
+    points: Sequence[GridPoint],
+    seeds: Sequence[int],
+    cache: Optional[AmbientCache],
+    ambient_master: int,
+    units: Sequence[Unit],
+    max_workers: Optional[int] = None,
+) -> Tuple[List[object], int, int]:
+    """Execute ``units`` on one thread pool of :func:`pool_size` threads.
+
+    Units run concurrently, the points inside one unit in order. Every
+    point's stream is pre-derived, so values are bit-identical to a
+    serial run whatever the pool size, as long as nothing shared draws
+    random numbers across units: a live stateful fading model must be
+    confined to one unit by the caller.
+
+    Returns:
+        ``(values, n_fallbacks, n_workers)`` — values in grid order, the
+        batched executor's fallbacks summed over units, and the pool
+        size (1 when the units ran inline).
+    """
+    from repro.engine.batch_backend import run_batched_backend
+
+    values: List[object] = [None] * len(points)
+
+    def run(unit: Unit) -> int:
+        backend, positions = unit
+        if backend == "batched":
+            sub_values, _, fallbacks = run_batched_backend(
+                scenario, data, [points[pos] for pos in positions],
+                [seeds[pos] for pos in positions], cache, ambient_master,
+            )
+            for pos, value in zip(positions, sub_values):
+                values[pos] = value
+            return fallbacks
+        for pos in positions:  # serial
+            values[pos] = execute_point(
+                scenario, points[pos], seeds[pos], data, cache, ambient_master
+            )
+        return 0
+
+    n_workers = pool_size(len(units), max_workers)
+    if n_workers == 1:
+        n_fallbacks = sum(run(unit) for unit in units)
+        return values, n_fallbacks, 1
+    pool = ThreadPoolExecutor(max_workers=n_workers)
+    try:
+        futures = [pool.submit(run, unit) for unit in units]
+        n_fallbacks = sum(future.result() for future in futures)
+    finally:
+        # On a failure, units not yet started are dropped rather than run.
+        pool.shutdown(cancel_futures=True)
+    return values, n_fallbacks, n_workers
 
 
 def default_backend() -> Optional[str]:
@@ -148,15 +242,16 @@ class SweepRunner:
             figure ``run()`` functions, passed straight through).
         cache: ambient cache to share; defaults to the process-wide one,
             so repeated runs with the same seed hit instead of refill.
-        max_workers: grid-point concurrency for the thread/process
+        max_workers: pool size for the thread, process and auto
             backends; ``None`` reads ``REPRO_SWEEP_WORKERS``, and when
-            that is unset too, pool backends size themselves to the
-            machine. Results are identical at any worker count.
+            that is unset too, the thread pools size themselves to the
+            CPUs (see :func:`pool_size`) and the process pool to
+            ``min(8, CPUs)``. Results are identical at any count.
         backend: one of :data:`BACKEND_CHOICES`; ``None`` reads
             ``REPRO_SWEEP_BACKEND`` and finally falls back to ``thread``
-            when ``max_workers > 1`` (honoring an explicit
-            ``REPRO_SWEEP_WORKERS``) else ``auto`` — the planner picks
-            per partition, and its decisions land on ``result.plan``.
+            when more than one worker was asked for, else ``auto`` — the
+            planner picks per partition, and its decisions land on
+            ``result.plan``.
     """
 
     def __init__(
@@ -170,8 +265,11 @@ class SweepRunner:
         self.scenario = scenario
         self.rng = rng
         self.cache = cache
-        self._explicit_workers = max_workers is not None
-        self.max_workers = default_max_workers() if max_workers is None else max(1, int(max_workers))
+        if max_workers is None and os.environ.get(WORKERS_ENV_VAR, "").strip():
+            max_workers = default_max_workers()
+        self.max_workers: Optional[int] = (
+            None if max_workers is None else max(1, int(max_workers))
+        )
         if backend is not None and backend not in BACKEND_CHOICES:
             raise ConfigurationError(
                 f"backend must be one of {BACKEND_CHOICES}, got {backend!r}"
@@ -179,21 +277,8 @@ class SweepRunner:
         if backend is None:
             backend = default_backend()
         if backend is None:
-            backend = "thread" if self.max_workers > 1 else AUTO_BACKEND
+            backend = "thread" if (self.max_workers or 1) > 1 else AUTO_BACKEND
         self.backend = backend
-
-    def _pool_workers(self) -> int:
-        """Worker count for the thread/process pools.
-
-        An explicit ``max_workers`` or ``REPRO_SWEEP_WORKERS`` wins; a
-        pool backend chosen without either sizes itself to the machine
-        (results never depend on the count).
-        """
-        if self.max_workers > 1 or self._explicit_workers:
-            return self.max_workers
-        if os.environ.get(WORKERS_ENV_VAR, "").strip():
-            return self.max_workers
-        return min(8, os.cpu_count() or 1)
 
     def run(self, point_slice: Optional[Tuple[int, int]] = None) -> SweepResult:
         """Execute the grid (or one contiguous shard of it).
@@ -255,28 +340,29 @@ class SweepRunner:
                 for i, point in enumerate(points)
             ]
         elif self.backend == "thread":
-            n_workers = self._pool_workers()
-            with ThreadPoolExecutor(max_workers=n_workers) as pool:
-                values = list(
-                    pool.map(
-                        lambda args: execute_point(
-                            scenario, args[1], seeds[args[0]], data, cache, ambient_master
-                        ),
-                        enumerate(points),
-                    )
-                )
+            from repro.engine.planner import live_fading_model
+
+            if live_fading_model(scenario, points) is None:
+                units = [("serial", [pos]) for pos in range(len(points))]
+            else:
+                units = [("serial", list(range(len(points))))]
+            values, _, n_workers = run_units(
+                scenario, data, points, seeds, cache, ambient_master,
+                units, self.max_workers,
+            )
         elif self.backend == "process":
             from repro.engine.process_backend import run_process_backend
 
-            n_workers = self._pool_workers()
+            n_workers = self.max_workers or min(8, os.cpu_count() or 1)
             values = run_process_backend(
                 scenario, data, points, seeds, cache, ambient_master, n_workers
             )
         elif self.backend == AUTO_BACKEND:
             from repro.engine.planner import plan_and_run
 
-            values, n_fallbacks, plan, backend_label = plan_and_run(
-                scenario, data, points, seeds, cache, ambient_master
+            values, n_fallbacks, plan, backend_label, n_workers = plan_and_run(
+                scenario, data, points, seeds, cache, ambient_master,
+                self.max_workers,
             )
         else:  # batched
             from repro.engine.batch_backend import run_batched_backend
@@ -295,7 +381,7 @@ class SweepRunner:
             points=points,
             values=values,
             elapsed_s=elapsed,
-            n_workers=n_workers if self.backend != "serial" else 1,
+            n_workers=n_workers,
             cache_stats=cache_stats,
             data=data,
             backend=backend_label,

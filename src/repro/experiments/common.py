@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field, replace
-from typing import Optional, Protocol, Tuple
+from typing import List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
@@ -33,14 +33,21 @@ from repro.backscatter.dco import CapacitorBankDco
 from repro.backscatter.device import BackscatterDevice, BackscatterMode
 from repro.backscatter.modulator import composite_mpx
 from repro.channel.antenna import Antenna, CAR_WHIP, DIPOLE_POSTER, HEADPHONE_WIRE
-from repro.channel.link import BackscatterLink, FadingModel, LinkBudget
+from repro.channel.link import (
+    BackscatterLink,
+    FadingModel,
+    LinkBudget,
+    fading_envelope,
+    transmit_batch,
+)
 from repro.constants import AUDIO_RATE_HZ, MPX_RATE_HZ
 from repro.data.ber import bit_error_rate
 from repro.errors import ConfigurationError
+from repro.fm.demodulator import fm_demodulate
 from repro.fm.modulator import fm_modulate
 from repro.fm.station import FMStation, StationConfig
 from repro.receiver.car import CarReceiver
-from repro.receiver.fm_receiver import FMReceiver, ReceivedAudio
+from repro.receiver.fm_receiver import FMReceiver, ReceivedAudio, decode_rows
 from repro.receiver.smartphone import SmartphoneReceiver
 from repro.utils.rand import RngLike, as_generator, child_generator
 
@@ -373,9 +380,10 @@ class ExperimentChain:
     ) -> ReceivedAudio:
         """Run one end-to-end transmission and return the received audio.
 
-        Applies the front-end and link stages in order, then the
-        receiver, on the streams of :meth:`stage_streams`, so results are
-        invariant to whether an ambient source served the front end.
+        Applies the front-end stage, then the link and the receiver as
+        the one-row call of :func:`receive_over_link`, on the streams of
+        :meth:`stage_streams`, so results are invariant to whether an
+        ambient source served the front end.
 
         Args:
             payload_audio: the device payload (audio or data waveform) at
@@ -383,13 +391,15 @@ class ExperimentChain:
             rng: seed or Generator for the stochastic stages.
         """
         station_rng, link_rng, receiver = self.stage_streams(rng)
-        state = self.front_end().apply(
+        iq = self.front_end().apply(
             ChainState(payload_audio=payload_audio),
             station_rng,
             ambient=self.ambient_source,
-        )
-        state = self.link_stage().apply(state, link_rng)
-        return receiver.receive(state.rx_iq)
+        ).iq
+        envelope = fading_envelope(self.fading, link_rng, iq.size, MPX_RATE_HZ)
+        return receive_over_link(
+            iq, [receiver], [self.link_budget()], [link_rng], [envelope]
+        )[0]
 
     def payload_channel(self, received: ReceivedAudio) -> np.ndarray:
         """The audio stream carrying the payload for this chain's mode.
@@ -401,6 +411,50 @@ class ExperimentChain:
         if self.mode is BackscatterMode.OVERLAY:
             return received.mono
         return received.difference
+
+
+def receive_over_link(
+    iq: np.ndarray,
+    receivers: Sequence[FMReceiver],
+    budgets: Sequence[LinkBudget],
+    link_rngs: Sequence[np.random.Generator],
+    envelopes: Sequence[Optional[np.ndarray]],
+    chunk_rows: Optional[int] = None,
+) -> List[ReceivedAudio]:
+    """Link, discriminator, decode and output effects for rows sharing ``iq``.
+
+    The one transmit -> demodulate -> decode path:
+    :meth:`ExperimentChain.transmit` is its one-row call and the sweep
+    engine's batched backend calls it per partition. Row ``i`` passes the
+    shared composite envelope ``iq`` through ``budgets[i]``, fading
+    ``envelopes[i]`` (``None`` for none) and noise from ``link_rngs[i]``,
+    and ``receivers[i]`` decodes it; the receivers share one type and
+    DSP configuration. The link and the discriminator run ``chunk_rows``
+    rows at a time (all rows when ``None``), and each chunk's complex
+    stack is freed once it is demodulated: only the real MPX rows reach
+    the decode, which caps its FFT passes at the same row count. In exact
+    numerics, results are bit-identical at any ``chunk_rows``.
+    """
+    n_rows = len(receivers)
+    limit = n_rows if chunk_rows is None else chunk_rows
+    ref = receivers[0]
+    mpx = None
+    for start in range(0, n_rows, limit):
+        rows = slice(start, start + limit)
+        demodulated = fm_demodulate(
+            transmit_batch(
+                iq, budgets[rows], link_rngs[rows], envelopes=envelopes[rows]
+            ),
+            ref.mpx_rate,
+            ref.deviation_hz,
+        )
+        if len(demodulated) == n_rows:
+            mpx = demodulated
+        else:
+            if mpx is None:
+                mpx = np.empty((n_rows, iq.size), dtype=demodulated.dtype)
+            mpx[rows] = demodulated
+    return decode_rows(receivers, mpx, max_fft_rows=chunk_rows)
 
 
 def simulate_overlay_audio(

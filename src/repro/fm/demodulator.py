@@ -17,6 +17,11 @@ from repro.errors import SignalError
 from repro.utils.env import fast_numerics
 from repro.utils.validation import ensure_positive, ensure_signal
 
+_LAG_BLOCK = 65_536
+"""Samples per lag-product block of the exact discriminator (1 MiB of
+complex128). It must be at least 16,384 samples, the 256 KiB at which
+NumPy elides the ``conj`` temporary (see :func:`_phase_increments`)."""
+
 
 def fm_demodulate(
     iq: np.ndarray,
@@ -62,8 +67,8 @@ def fm_demodulate(
         if increments.shape[-1] == 0:
             return np.zeros(iq.shape[:-1] + (1,))
         # Single fused scaling written straight into the output (the
-        # exact path's two scaling passes and the concatenate collapse
-        # into one multiply plus a first-sample copy). The dtype follows
+        # exact path's three in-place scaling passes collapse into one
+        # multiply, which rounds differently). The dtype follows
         # the input: a complex64 stack from the fast transmit path keeps
         # the MPX in float32 for the receive chain's filters.
         out = np.empty(iq.shape, dtype=increments.dtype)
@@ -72,34 +77,58 @@ def fm_demodulate(
         )
         out[..., 0] = out[..., 1]
         return out
+    magnitude = np.abs(iq)
+    if not np.all(np.any(magnitude > 0, axis=-1)):
+        raise SignalError("iq contains no signal (all zeros)")
+    if iq.shape[-1] == 1:
+        return np.zeros(iq.shape)
+    # Quadrature discriminator. Guard against zero samples from hard
+    # channel fades by substituting the previous sample (limiter
+    # behavior). The floor is per waveform, so a batch demodulates each
+    # row exactly as it would alone. Without a sample below the floor the
+    # substitution is the identity, and the input is used as it is.
+    floor = 1e-12 * np.max(magnitude, axis=-1, keepdims=True)
+    above = magnitude > floor
+    del magnitude
+    if np.all(above):
+        safe = np.ascontiguousarray(iq)
     else:
-        magnitude = np.abs(iq)
-        if not np.all(np.any(magnitude > 0, axis=-1)):
-            raise SignalError("iq contains no signal (all zeros)")
-        # Quadrature discriminator. Guard against zero samples from hard
-        # channel fades by substituting the previous sample (limiter
-        # behavior). The floor is per waveform, so a batch demodulates
-        # each row exactly as it would alone.
-        floor = 1e-12 * np.max(magnitude, axis=-1, keepdims=True)
-        safe = np.where(magnitude > floor, iq, floor)
-        if safe.ndim == 1:
-            increments = np.angle(safe[1:] * np.conj(safe[:-1]))
-        else:
-            # Per-row evaluation of the exact 1-D expression. A single
-            # 2-D pass over the lag-product views routes through numpy's
-            # buffered iterator, whose chunk boundaries differ from the
-            # 1-D case and perturb the complex multiply by an ULP for
-            # some waveform lengths — per-row contiguous views take the
-            # same code path as the serial demodulate for every length,
-            # keeping the batched backend's bit-identity contract
-            # unconditional. (Each row is still one vectorized C call;
-            # only the cross-row fusion is given up — that is what
-            # REPRO_NUMERICS=fast buys back.)
-            increments = np.empty(safe.shape[:-1] + (safe.shape[-1] - 1,))
-            for row in range(safe.shape[0]):
-                increments[row] = np.angle(safe[row, 1:] * np.conj(safe[row, :-1]))
-    inst_freq = increments * sample_rate / (2.0 * np.pi)
-    if inst_freq.shape[-1] == 0:
-        return np.zeros(iq.shape[:-1] + (1,))
-    inst_freq = np.concatenate([inst_freq[..., :1], inst_freq], axis=-1)
-    return inst_freq / deviation_hz
+        safe = np.where(above, iq, floor)
+    del above
+    out = np.empty(safe.shape, dtype=safe.real.dtype)
+    # Per-row evaluation: a single 2-D pass over the lag-product views
+    # routes through numpy's buffered iterator, whose chunk boundaries
+    # perturb the complex multiply by an ULP for some lengths. Each row
+    # is still vectorized C calls; only the cross-row fusion is given up
+    # (that is what REPRO_NUMERICS=fast buys back).
+    for row, out_row in zip(safe.reshape(-1, safe.shape[-1]), out.reshape(-1, out.shape[-1])):
+        _phase_increments(row, out_row[1:])
+    # The scalings of inst_freq = angle * rate / (2 pi) / deviation, in
+    # place and in that order, then the first sample duplicated.
+    increments = out[..., 1:]
+    increments *= sample_rate
+    increments /= 2.0 * np.pi
+    increments /= deviation_hz
+    out[..., 0] = out[..., 1]
+    return out
+
+
+def _phase_increments(x: np.ndarray, out: np.ndarray) -> None:
+    """``out[:] = np.angle(x[1:] * np.conj(x[:-1]))`` in blocks, bit for bit.
+
+    Each block evaluates that same expression, so the product temporary
+    never spans the whole row. Blocks hold at least
+    :data:`_LAG_BLOCK` samples (the last one absorbs the remainder), and
+    that matters for exactness: at 256 KiB and more NumPy reuses the
+    ``conj`` temporary as the output and multiplies as ``(conj, x)``, the
+    AVX-512 complex multiply is not bitwise commutative, and so a block
+    below the threshold would round differently from the whole row.
+    ``np.arctan2(p.imag, p.real)`` is exactly what ``np.angle`` computes.
+    """
+    m = out.shape[-1]
+    n_blocks = max(1, m // _LAG_BLOCK)
+    for k in range(n_blocks):
+        start = k * _LAG_BLOCK
+        stop = m if k == n_blocks - 1 else start + _LAG_BLOCK
+        product = x[start + 1 : stop + 1] * np.conj(x[start:stop])
+        np.arctan2(product.imag, product.real, out=out[start:stop])

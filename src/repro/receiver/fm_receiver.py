@@ -371,6 +371,26 @@ def _receive_batch(
         return []
     ref = receivers[0]
     mpx_batch = fm_demodulate(iq_batch, ref.mpx_rate, ref.deviation_hz)
-    decode = decode_stereo_rows if stereo else decode_mono_rows
+    return decode_rows(receivers, mpx_batch, max_fft_rows)
+
+
+def decode_rows(
+    receivers: Sequence[FMReceiver],
+    mpx_batch: np.ndarray,
+    max_fft_rows: Optional[int] = None,
+) -> List[ReceivedAudio]:
+    """Decode a demodulated MPX stack, then apply the output effects.
+
+    The tail every receive path shares after the discriminator:
+    stereo-capable receivers decode through :func:`decode_stereo_rows`,
+    mono ones through :func:`decode_mono_rows`, and the receiver type's
+    :meth:`FMReceiver.apply_output_effects_batch` runs over the decoded
+    rows. ``max_fft_rows`` caps the rows per FFT filtering pass.
+    """
+    receivers = list(receivers)
+    if not receivers:
+        return []
+    ref = receivers[0]
+    decode = decode_stereo_rows if ref.stereo_capable else decode_mono_rows
     rows = decode(receivers, mpx_batch, max_fft_rows)
     return type(ref).apply_output_effects_batch(receivers, rows)

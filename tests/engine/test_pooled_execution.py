@@ -1,0 +1,226 @@
+"""The shared thread pool behind ``auto`` and ``thread``.
+
+``auto`` runs each serially-routed point as one unit of a thread pool,
+and all its batched partitions together as one more (one batched call,
+so one partition's stacks are live at a time); ``thread`` runs every
+point as one unit. Values must equal the serial backend's bit for bit at any pool
+size. ``REPRO_SWEEP_WORKERS=2`` forces a two-thread pool, so these tests
+exercise real concurrency on a one-CPU machine too. A live stateful
+fading model draws in grid order across points, so its grid must stay
+one sequential unit, and the process backend, whose workers would each
+draw from their own copy, must refuse it.
+"""
+
+import os
+import sys
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from repro.audio.tones import tone
+from repro.channel.fading import BodyMotionFading
+from repro.constants import AUDIO_RATE_HZ
+from repro.engine import AmbientCache, PayloadSelector, Scenario, SweepRunner, SweepSpec
+from repro.engine import process_backend
+from repro.engine.execution import execute_point
+from repro.engine.planner import plan_sweep
+from repro.engine.runner import WORKERS_ENV_VAR, derive_streams, pool_size
+from repro.errors import ConfigurationError
+from repro.experiments import fig08_ber_overlay as fig08
+from repro.utils.env import NUMERICS_ENV_VAR
+from repro.utils.rand import as_generator
+
+SEED = 2017
+
+
+@pytest.fixture(autouse=True)
+def exact_env(monkeypatch):
+    """Bit-identity is the exact-numerics contract."""
+    monkeypatch.setenv(NUMERICS_ENV_VAR, "exact")
+
+
+@pytest.fixture
+def two_workers(monkeypatch):
+    monkeypatch.setenv(WORKERS_ENV_VAR, "2")
+
+
+def _mean_abs(run):
+    return float(np.mean(np.abs(run.received.mono)))
+
+
+def _draw(run):
+    return float(run.rng.standard_normal(1000).sum())
+
+
+def _scenario(rows=("short", "long"), distances=(2, 4), fading=None):
+    """Mono grid whose ``row`` axis picks a short (batched) or a long
+    (serial, past the planner's crossover) payload."""
+    payloads = {
+        "short": tone(1000.0, 0.02, AUDIO_RATE_HZ, amplitude=0.9),
+        "short2": tone(2000.0, 0.02, AUDIO_RATE_HZ, amplitude=0.9),
+        "long": tone(1000.0, 0.4, AUDIO_RATE_HZ, amplitude=0.9),
+    }
+    return Scenario(
+        name="pool",
+        sweep=SweepSpec.grid(row=rows, distance_ft=distances),
+        prepare=lambda gen: dict(payloads),
+        base_chain={
+            "program": "silence",
+            "stereo_decode": False,
+            "power_dbm": -50.0,
+            "fading": fading,
+        },
+        chain_axes=("distance_ft",),
+        payload=PayloadSelector("row", {name: name for name in payloads}),
+        measure=_mean_abs,
+    )
+
+
+def _run(scenario, backend, **kwargs):
+    return SweepRunner(
+        scenario, rng=SEED, cache=AmbientCache(), backend=backend, **kwargs
+    ).run()
+
+
+class TestPoolSize:
+    def test_one_thread_per_cpu_capped_at_units(self):
+        assert pool_size(1) == 1
+        assert 1 <= pool_size(1000) <= 1000
+
+    def test_explicit_count_overrides_cpus(self):
+        assert pool_size(10, max_workers=3) == 3
+        assert pool_size(2, max_workers=8) == 2
+
+    def test_more_threads_than_cores_with_fast_switching(self):
+        # Every unit writes its own slot of one shared values list; a
+        # lost or misplaced write would break equality with serial.
+        scenario = Scenario(
+            name="stress",
+            sweep=SweepSpec.grid(a=tuple(range(64))),
+            measure=_draw,
+            cache_ambient=False,
+        )
+        serial = _run(scenario, "serial")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = _run(scenario, "thread", max_workers=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded.n_workers == 8
+        assert threaded.values == serial.values
+
+
+@pytest.mark.usefixtures("two_workers")
+class TestThreadedAuto:
+    def test_mixed_grid_matches_serial(self):
+        scenario = _scenario(distances=(2, 4, 8))
+        serial = _run(scenario, "serial")
+        auto = _run(scenario, "auto")
+        # Three long points run one per unit beside the short partition.
+        assert auto.backend == "auto[batched:3+serial:3]"
+        assert auto.n_workers == 2
+        assert auto.n_fallbacks == 0
+        assert auto.values == serial.values
+
+    def test_batched_partitions_share_one_unit(self):
+        # Two short payloads are two batched partitions; running them as
+        # concurrent units would hold both partitions' stacks at once.
+        scenario = _scenario(rows=("short", "short2", "long"), distances=(2, 4))
+        data, points, _, _ = derive_streams(scenario, as_generator(SEED))
+        plan = plan_sweep(scenario, data, points, AmbientCache())
+        assert [d.backend for d in plan.decisions].count("batched") == 2
+        short = [pos for pos, p in enumerate(points) if p["row"] != "long"]
+        long = [pos for pos, p in enumerate(points) if p["row"] == "long"]
+        assert plan.units == [("batched", short)] + [("serial", [pos]) for pos in long]
+
+        serial = _run(scenario, "serial")
+        auto = _run(scenario, "auto")
+        assert auto.n_workers == 2
+        assert auto.n_fallbacks == 0
+        assert auto.values == serial.values
+
+    def test_fig08_grid_matches_serial(self):
+        scenario = fig08.build_scenario(
+            "3.2kbps", powers_dbm=(-50.0, -60.0), distances_ft=(8, 16)
+        )
+        serial = _run(scenario, "serial")
+        auto = _run(scenario, "auto")
+        assert auto.backend == "auto[serial:4]"
+        assert auto.n_workers == 2
+        assert auto.values == serial.values
+        assert any(v > 0 for v in serial.values)
+
+    def test_uniform_live_fading_grid_is_one_unit(self):
+        # Every partition chooses serial ("long-rows"), so the plan's
+        # reasons never mention the fading; the grid must still run as
+        # one sequential unit, or the shared model's draws reorder.
+        def scenario():
+            return _scenario(
+                rows=("long",), distances=(2, 4, 6, 8),
+                fading=BodyMotionFading("running", rng=7),
+            )
+
+        serial = _run(scenario(), "serial")
+        auto = _run(scenario(), "auto")
+        assert auto.backend == "auto[serial:4]"
+        assert {d.reason for d in auto.plan} == {"long-rows"}
+        assert auto.n_workers == 1
+        assert auto.values == serial.values
+
+
+class TestLiveFadingBackends:
+    @staticmethod
+    def _live_scenario():
+        return _scenario(
+            rows=("short",), distances=(2, 3, 4, 5, 6, 7),
+            fading=BodyMotionFading("running", rng=7),
+        )
+
+    def test_thread_backend_matches_serial(self):
+        serial = _run(self._live_scenario(), "serial")
+        for _ in range(3):
+            threaded = _run(self._live_scenario(), "thread", max_workers=2)
+            assert threaded.values == serial.values
+
+    def test_process_backend_default_pool_stays_at_most_eight(self, monkeypatch):
+        # Every process worker warms and holds its own caches, so the
+        # process pool keeps its min(8, CPUs) default on many-core hosts.
+        seen = {}
+
+        def fake_process_backend(scenario, data, points, seeds, cache, master, n):
+            seen["n_workers"] = n
+            return [None] * len(points)
+
+        monkeypatch.delenv(WORKERS_ENV_VAR, raising=False)
+        monkeypatch.setattr(process_backend, "run_process_backend", fake_process_backend)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        result = _run(_scenario(), "process")
+        assert seen["n_workers"] == result.n_workers == 8
+
+    def test_process_backend_refuses_live_model(self):
+        with pytest.raises(ConfigurationError, match="BodyMotionFading.*MotionFadingSpec"):
+            _run(self._live_scenario(), "process", max_workers=2)
+
+
+class TestPointWorkingSet:
+    def test_warm_fig08_point_peak(self):
+        # auto keeps one point in flight per CPU, so a warm 3.2 kbps
+        # Fig. 8 point (a 480,000-sample complex row, 7.7 MB) may hold
+        # little more than two row-sized buffers: no full-row copies in
+        # the discriminator or the noise draw, and the complex row freed
+        # once it is demodulated.
+        scenario = fig08.build_scenario("3.2kbps", powers_dbm=(-40.0,), distances_ft=(4,))
+        data = scenario.prepare(as_generator(SEED))
+        point = scenario.sweep.points()[0]
+        cache = AmbientCache()
+        warm = execute_point(scenario, point, 123, data, cache, 7)
+        tracemalloc.start()
+        try:
+            value = execute_point(scenario, point, 123, data, cache, 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == warm
+        assert peak < 16e6
