@@ -20,8 +20,7 @@ wall-clock bars are enforced only under ``--bench-gate``:
    loop — at every point, and the batched backend decodes the whole
    stack in one pass. This is the measurement that shows stereo decoding
    no longer forces per-point fallback. Alongside it, the PLL's
-   plain-float loop is timed against the NumPy vector loop it falls back
-   to.
+   default loop is timed against the NumPy vector loop it falls back to.
 4. A Fig. 9-style grid with body-motion fading on every link, serial vs
    batched with a warm cache. Before the zero-fallback backend, any
    fading link forced per-point serial fallback, so this grid saw none
@@ -216,13 +215,15 @@ def test_stereo_batched_speedup(
 ):
     """Stereo vectorization, measured at two levels on bit-identical work.
 
-    1. Component: ``PhaseLockedLoop.track_batch``'s plain-float loop
-       versus its NumPy vector loop (the fallback taken when ``math.sin``
-       and ``np.sin`` disagree) on an 18-wide pilot stack, best of three
-       runs each, interleaved. The vector loop pays ~10 ufunc dispatches
-       per step whatever the width, the float loop pays per sample, so
-       at this width the two are close (float 1.05-1.7x faster on a
-       2-CPU x86-64 host, varying with load).
+    1. Component: ``PhaseLockedLoop.track_batch``'s default loop (the
+       compiled loop where a C compiler is available, else the
+       plain-float loop) versus its NumPy vector loop (the fallback
+       taken when ``math.sin`` and ``np.sin`` disagree) on an 18-wide
+       pilot stack, best of three runs each, interleaved. The vector
+       loop pays ~10 ufunc dispatches per step whatever the width, the
+       float loop pays per sample, so at this width those two are close
+       (float 1.05-1.7x faster on a 2-CPU x86-64 host, varying with
+       load); the compiled loop is about 6x faster than the float loop.
     2. End to end: the Fig. 10 grid (overlay + stereo placements, two
        rates, 32 points), serial vs batched with a warm front-end cache.
        Stereo points used to force per-point fallback; now they ride the
@@ -234,7 +235,7 @@ def test_stereo_batched_speedup(
     from repro.dsp import pll as pll_module
     from repro.dsp.pll import PhaseLockedLoop
 
-    # Component measurement: the float loop against its vector fallback.
+    # Component measurement: the default loop against its vector fallback.
     pll = PhaseLockedLoop(19_000.0, 96_000.0)
     t = np.arange(PLL_BENCH_SAMPLES) / 96_000.0
     gen = np.random.default_rng(SEED)
@@ -305,10 +306,11 @@ def test_stereo_batched_speedup(
     print(f"\n=== stereo batch ===\n{json.dumps(record, indent=2)}")
 
     assert results["batched"] == results["serial"]
-    # Component bar: a no-regression guard only. The float loop must not
-    # lose to the vector loop at the widest stereo partition; its margin
-    # there is too small and load-dependent for a bar above 1x.
-    bench_gate(pll_speedup > 0.9, f"float-loop PLL {pll_speedup:.2f}x the vector loop")
+    # Component bar: a no-regression guard only. The default loop must
+    # not lose to the vector loop at the widest stereo partition; the
+    # float loop's margin there is too small and load-dependent for a
+    # bar above 1x.
+    bench_gate(pll_speedup > 0.9, f"default-loop PLL {pll_speedup:.2f}x the vector loop")
     # End-to-end bar: a no-significant-regression guard only (locally
     # ~1.2x, but the two sub-second timings leave too little margin for
     # a >1x bar; the recorded artifact is the measurement of record).

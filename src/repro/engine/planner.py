@@ -1,10 +1,10 @@
 """Row-length backend planner: per-partition executor selection for ``auto``.
 
-No single executor wins everywhere: the batched backend wins ~1.3-1.5x on
-short-row and stereo grids (per-point Python dispatch amortizes across the
-stack) but loses on long mono rows (the ``REPRO_BATCH_MAX_MB`` chunker
-narrows the stack until nothing is left to amortize). ``auto`` decides per
-partition:
+No single executor wins everywhere: the batched backend wins on short
+rows (per-point Python dispatch amortizes across the stack) but loses on
+long ones (the ``REPRO_BATCH_MAX_MB`` chunker narrows the stack until
+nothing is left to amortize, while per-point units run on every core).
+``auto`` decides per partition:
 
 1. :func:`extract_features` partitions the compiled scenario exactly as
    the batched executor would (front-end group x receiver signature),
@@ -54,18 +54,24 @@ row length (the chunk working set crossing the cache hierarchy tracks
 the *ratio* of row lengths), the two meet at
 ``24000 * 8 ** ((251.9 - 201.5) / (257.0 - 201.5))`` = 158,490 samples.
 
-Stereo rows always batch, though no longer for the reason the rule
-was first measured on (a scalar pilot PLL that made serial stereo 1.44x
-dearer per sample): both paths now run the same plain-float PLL loop,
-and one Fig. 13 point (480,000-sample rows) costs about the same either
-way, 0.165-0.181 s serial against 0.173-0.210 s batched (2-CPU x86_64
-host, BLAS on one thread). What keeps stereo batched is the pool: run
-one point per pool thread, Fig. 13's stereo points cost up to a quarter
-more CPU each than in its one batched unit, as the two threads' FFT
-passes contend for memory, so per-point stereo waits for a cheaper PLL.
+Stereo rows have their own crossover, :data:`STEREO_CROSSOVER_SAMPLES`.
 ``REPRO_NUMERICS=fast`` batches every cached
 partition (its fused kernels cut the batched cost to 0.75x, and
 0.75 x 257.0 ns < 251.9 ns at any row length).
+"""
+
+STEREO_CROSSOVER_SAMPLES = 48_000
+"""Longest stereo row (MPX samples, 0.1 s of audio) that runs batched.
+
+Measured with the compiled pilot PLL on a 2-CPU x86_64 host (numpy 2.4,
+BLAS on one thread, warm caches): an 18-point stereo-only Fig. 10 grid
+(3.2 kbps, -30 dBm) as one batched unit against one point per unit of a
+two-thread pool. Wall time per row sample, median of 15 interleaved
+runs, batched against pooled: 310 against 368 ns at 30,000-sample rows,
+310 against 310 ns at 48,000, 297 against 275 ns at 60,000; median of 5
+at 120,000 (351 against 272 ns) and 480,000 (388 against 228 ns). The
+pooled points cost more CPU, 1.1x the batched unit's at 480,000-sample
+rows and up to 1.8x at 30,000.
 """
 
 _MPX_PER_AUDIO = int(round(MPX_RATE_HZ / AUDIO_RATE_HZ))
@@ -116,7 +122,7 @@ class PlanDecision:
             global indices, so shard plans merge unambiguously.
         backend: the executor chosen for the partition.
         chunk_rows: vectorized chunk budget in rows (1 for serial paths).
-        reason: the rule that chose ``backend`` (``"stereo"``,
+        reason: the rule that chose ``backend`` (``"short-rows"``,
             ``"long-rows"``, ``"live-fading"``, ...).
         features: the feature vector the decision was made on.
     """
@@ -252,11 +258,10 @@ def choose_backend(features: PartitionFeatures) -> Tuple[str, str]:
         return "serial", "measure-driven"
     if not features.batchable:
         return "serial", "uncached"
-    if features.stereo:
-        return "batched", "stereo"
     if fast_numerics():
         return "batched", "fast-numerics"
-    if features.n_samples <= CROSSOVER_SAMPLES:
+    crossover = STEREO_CROSSOVER_SAMPLES if features.stereo else CROSSOVER_SAMPLES
+    if features.n_samples <= crossover:
         return "batched", "short-rows"
     return "serial", "long-rows"
 

@@ -37,12 +37,13 @@
      measure-driven scenarios execute per point by construction.
    - ``auto`` — the planner (:mod:`repro.engine.planner`) partitions the
      grid exactly as the batched executor would and sends each partition
-     to ``batched`` or ``serial`` by a measured row-length rule —
-     stereo and short-row partitions ride the vectorized stack while
-     long mono rows run per point — recording every decision and its
-     reason on :attr:`~repro.engine.results.SweepResult.plan`. Each
-     serial point and each whole batched partition is then one unit of
-     the thread pool.
+     to ``batched`` or ``serial`` by a measured row-length rule (one
+     crossover for mono rows, one for stereo) — short-row partitions
+     ride the vectorized stack while long rows run per point —
+     recording every decision and its reason on
+     :attr:`~repro.engine.results.SweepResult.plan`. Each serial point
+     is then one unit of the thread pool, and all batched partitions
+     together are one more.
 
 ``thread`` and ``auto`` share one executor, :func:`run_units`: a thread
 pool with one thread per available CPU, capped at the number of units;

@@ -1,6 +1,14 @@
-"""PLL tests: lock, tracking, harmonics, and the multi-waveform batch."""
+"""PLL tests: lock, tracking, harmonics, the multi-waveform batch, and
+the three bit-identical loops behind it (compiled, float, vector)."""
 
+import ctypes
+import ctypes.util
+import logging
 import math
+import os
+import shutil
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -11,6 +19,25 @@ from repro.errors import ConfigurationError, SignalError
 from repro.fm.pilot import PILOT_DETECT_THRESHOLD_DB
 
 FS = 96_000.0
+
+
+def _disable_compiled_loop(monkeypatch):
+    """Make ``track_batch`` run the float loop, as on a host without gcc."""
+    disabled = pll_module._CompiledLoop()
+    disabled._ready = True
+    monkeypatch.setattr(pll_module, "_COMPILED_LOOP", disabled)
+
+
+def _fresh_compiled_loop(monkeypatch, cache_home):
+    """An unbuilt compiled loop whose cache lives under ``cache_home``."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(cache_home))
+    monkeypatch.setattr(pll_module, "_COMPILED_LOOP", pll_module._CompiledLoop())
+
+
+requires_compiled_loop = pytest.mark.skipif(
+    not pll_module.FLOAT_SIN_IS_NUMPY_SIN or shutil.which(pll_module._COMPILER) is None,
+    reason="the compiled loop needs a C compiler and math.sin == np.sin",
+)
 
 
 class TestLock:
@@ -75,17 +102,19 @@ class TestTrackBatch:
     """track_batch tracks independent waveforms, so every row must be
     bit-identical to tracking that waveform alone — the invariant the
     batched sweep backend's stereo decode rests on. It must hold for the
-    float loop and for the NumPy vector loop it falls back to."""
+    default loop and for the float and vector loops it falls back to."""
 
     @staticmethod
     def _assert_rows_match_track(pll, stack):
         batch = pll.track_batch(stack)
         with pytest.MonkeyPatch.context() as patch:
+            _disable_compiled_loop(patch)
+            floats = pll.track_batch(stack)
             patch.setattr(pll_module, "FLOAT_SIN_IS_NUMPY_SIN", False)
             vector = pll.track_batch(stack)
         for i in range(stack.shape[0]):
             single = pll.track(stack[i])
-            for result in (batch, vector):
+            for result in (batch, floats, vector):
                 assert np.array_equal(result.phase[i], single.phase), i
                 assert np.array_equal(result.frequency_hz[i], single.frequency_hz), i
                 assert bool(result.locked[i]) == single.locked, i
@@ -189,10 +218,30 @@ class TestTrackBatch:
             batch.reference_harmonic(0)
 
 
+def _assert_same_tracks(a, b):
+    assert np.array_equal(a.phase, b.phase)
+    assert np.array_equal(a.frequency_hz, b.frequency_hz)
+    assert np.array_equal(a.locked, b.locked)
+    assert np.array_equal(a.amplitude, b.amplitude)
+
+
+def _pilot_rows(n, rng):
+    """A clean pilot, a noisy off-frequency pilot and a zero-RMS row."""
+    t = np.arange(n) / FS
+    return np.stack(
+        [
+            0.1 * np.cos(2 * np.pi * 19_000 * t + 0.5),
+            0.05 * np.cos(2 * np.pi * 19_004 * t) + 0.05 * rng.standard_normal(n),
+            np.zeros(n),
+        ]
+    )
+
+
 class TestFloatLoop:
-    """track_batch (and so every 1-D track) runs the recursion over plain
+    """Without a compiled loop, track_batch runs the recursion over plain
     floats with ``math.sin``; its bit-identity to the NumPy vector loop
-    rests on ``math.sin == np.sin``."""
+    rests on ``math.sin == np.sin``, and the compiled loop's on the C
+    library's ``sin`` being that same function."""
 
     def test_math_sin_equals_numpy_sin(self, rng):
         # Phases like the loop's own: small, and unwrapped far from zero.
@@ -203,6 +252,12 @@ class TestFloatLoop:
         assert np.array_equal(np.sin(probe), floats)
         assert all(np.sin(x) == math.sin(x) for x in probe[:200].tolist())
         assert pll_module.FLOAT_SIN_IS_NUMPY_SIN
+        # The compiled loop calls the C library's sin, which must be the
+        # function math.sin calls.
+        libm = ctypes.CDLL(ctypes.util.find_library("m"))
+        libm.sin.restype = ctypes.c_double
+        libm.sin.argtypes = (ctypes.c_double,)
+        assert np.array_equal([libm.sin(x) for x in probe.tolist()], floats)
 
     def test_float_loop_matches_vector_loop(self, rng, monkeypatch):
         t = np.arange(int(0.25 * FS)) / FS
@@ -214,11 +269,151 @@ class TestFloatLoop:
             ]
         )
         pll = PhaseLockedLoop(19_000, FS)
+        _disable_compiled_loop(monkeypatch)
         floats = pll.track_batch(stack)
         # With the probe failing, every stack falls back to the vector loop.
         monkeypatch.setattr(pll_module, "FLOAT_SIN_IS_NUMPY_SIN", False)
         vector = pll.track_batch(stack)
-        assert np.array_equal(floats.phase, vector.phase)
-        assert np.array_equal(floats.frequency_hz, vector.frequency_hz)
-        assert np.array_equal(floats.locked, vector.locked)
-        assert np.array_equal(floats.amplitude, vector.amplitude)
+        _assert_same_tracks(floats, vector)
+
+
+@requires_compiled_loop
+class TestCompiledLoop:
+    """The compiled, float and vector loops perform the same operations
+    in the same order, so their tracks must be bit-identical, row by
+    row, at every length."""
+
+    def test_compiled_loop_is_active(self):
+        assert pll_module.active_loop() == "compiled"
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 12_345, 96_000, 192_000])
+    def test_loops_agree_per_row(self, n, rng, monkeypatch):
+        stack = _pilot_rows(n, rng)
+        pll = PhaseLockedLoop(19_000, FS, loop_bandwidth_hz=30.0)
+        compiled = pll.track_batch(stack)
+        singles = [pll.track(row) for row in stack]
+        _disable_compiled_loop(monkeypatch)
+        floats = pll.track_batch(stack)
+        monkeypatch.setattr(pll_module, "FLOAT_SIN_IS_NUMPY_SIN", False)
+        vector = pll.track_batch(stack)
+        _assert_same_tracks(compiled, floats)
+        _assert_same_tracks(floats, vector)
+        for i, single in enumerate(singles):
+            assert np.array_equal(compiled.phase[i], single.phase), i
+            assert np.array_equal(compiled.frequency_hz[i], single.frequency_hz), i
+            assert bool(compiled.locked[i]) == single.locked, i
+            assert float(compiled.amplitude[i]) == single.amplitude, i
+
+
+@requires_compiled_loop
+class TestCompiledLoopFallback:
+    """Whatever stops the compiled loop, track_batch must fall back to
+    the float loop, warn once under ``repro.dsp.pll`` and give the same
+    tracks."""
+
+    @pytest.fixture
+    def stack(self, rng):
+        return _pilot_rows(20_000, rng)
+
+    @staticmethod
+    def _assert_falls_back(stack, caplog):
+        pll = PhaseLockedLoop(19_000, FS)
+        with caplog.at_level(logging.WARNING, logger="repro.dsp.pll"):
+            first = pll.track_batch(stack)
+            second = pll.track_batch(stack)
+            assert pll_module.active_loop() == "float"
+        warnings = [r for r in caplog.records if r.name == "repro.dsp.pll"]
+        assert len(warnings) == 1
+        assert warnings[0].levelno == logging.WARNING
+        with pytest.MonkeyPatch.context() as patch:
+            _disable_compiled_loop(patch)
+            reference = pll.track_batch(stack)
+        _assert_same_tracks(first, reference)
+        _assert_same_tracks(second, reference)
+        return warnings[0].getMessage()
+
+    def test_compiler_missing(self, stack, caplog, monkeypatch, tmp_path):
+        _fresh_compiled_loop(monkeypatch, tmp_path)
+        monkeypatch.setattr(pll_module, "_COMPILER", "repro-no-such-compiler")
+        self._assert_falls_back(stack, caplog)
+
+    def test_probe_mismatch(self, stack, caplog, monkeypatch, tmp_path):
+        # A loop that rounds its sine to single precision builds and
+        # runs, but its probe track cannot equal the float loop's.
+        _fresh_compiled_loop(monkeypatch, tmp_path)
+        monkeypatch.setattr(
+            pll_module, "_C_SOURCE",
+            pll_module._C_SOURCE.replace("sin(theta)", "sinf((float)theta)"),
+        )
+        message = self._assert_falls_back(stack, caplog)
+        assert "probe" in message
+
+    def test_unwritable_cache_directory(self, stack, caplog, monkeypatch, tmp_path):
+        # A file where the cache directory's parent should be: nothing
+        # can be created under it, whatever this user's privileges.
+        blocker = tmp_path / "cache-home"
+        blocker.write_text("")
+        _fresh_compiled_loop(monkeypatch, blocker)
+        self._assert_falls_back(stack, caplog)
+
+    def test_cache_directory_writable_by_others(self, stack, caplog, monkeypatch, tmp_path):
+        shared = tmp_path / "repro"
+        shared.mkdir()
+        shared.chmod(0o777)
+        _fresh_compiled_loop(monkeypatch, tmp_path)
+        message = self._assert_falls_back(stack, caplog)
+        assert "private" in message
+
+    @pytest.mark.skipif(
+        not hasattr(os, "geteuid") or os.geteuid() != 0,
+        reason="handing a directory to another user needs root",
+    )
+    def test_foreign_owned_cache_directory(self, stack, caplog, monkeypatch, tmp_path):
+        foreign = tmp_path / "repro"
+        foreign.mkdir(mode=0o700)
+        os.chown(foreign, 4242, 4242)
+        _fresh_compiled_loop(monkeypatch, tmp_path)
+        message = self._assert_falls_back(stack, caplog)
+        assert "private" in message
+
+
+@requires_compiled_loop
+def test_concurrent_first_calls_build_once(rng, monkeypatch, tmp_path):
+    _fresh_compiled_loop(monkeypatch, tmp_path)
+    builds = []
+    compile_ = pll_module._compile
+
+    def counting_compile(source, library):
+        builds.append(library)
+        compile_(source, library)
+
+    monkeypatch.setattr(pll_module, "_compile", counting_compile)
+    stack = _pilot_rows(12_345, rng)
+    pll = PhaseLockedLoop(19_000, FS)
+    barrier = threading.Barrier(8)
+    results = [None] * 8
+
+    def first_call(i):
+        barrier.wait()
+        results[i] = pll.track_batch(stack)
+
+    threads = [threading.Thread(target=first_call, args=(i,)) for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(builds) == 1
+    assert pll_module.active_loop() == "compiled"
+    assert [p.name for p in (tmp_path / "repro").iterdir()] == [
+        os.path.basename(pll_module._build())
+    ]
+    for result in results[1:]:
+        _assert_same_tracks(result, results[0])
+    _disable_compiled_loop(monkeypatch)
+    _assert_same_tracks(results[0], pll.track_batch(stack))

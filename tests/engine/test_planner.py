@@ -1,10 +1,10 @@
 """Row-length planner: features, the backend rule, auto execution.
 
 The non-timing acceptance gates for ``REPRO_SWEEP_BACKEND=auto`` live
-here: the planner must route the known-regressing long-row Fig. 8 grids
-away from the batched executor and the short-row fading and stereo grids
-onto it. The rule is fixed arithmetic over row length and decode mode,
-so CI checks the crossover without trusting wall clocks.
+here: the planner must route the long-row Fig. 8 and Fig. 13 grids away
+from the batched executor and the short-row fading and stereo grids onto
+it. The rule is fixed arithmetic over row length and decode mode, so CI
+checks the crossovers without trusting wall clocks.
 """
 
 import dataclasses
@@ -23,9 +23,16 @@ from repro.engine import (
     SweepSpec,
     plan_sweep,
 )
-from repro.engine.planner import CROSSOVER_SAMPLES, choose_backend, extract_features
+from repro.data.fdm import FdmFskModem
+from repro.engine.planner import (
+    CROSSOVER_SAMPLES,
+    STEREO_CROSSOVER_SAMPLES,
+    choose_backend,
+    extract_features,
+)
 from repro.experiments import fig08_ber_overlay as fig08
 from repro.experiments import fig09_mrc as fig09
+from repro.experiments import fig10_stereo_ber as fig10
 from repro.experiments import fig13_pesq_stereo as fig13
 from repro.utils.env import NUMERICS_ENV_VAR
 from repro.utils.rand import as_generator
@@ -160,7 +167,7 @@ class TestCostModel:
         assert longer.n_samples > CROSSOVER_SAMPLES
         assert choose_backend(longer) == ("serial", "long-rows")
 
-    def test_stereo_batched_at_960k_samples(self):
+    def test_stereo_rows_follow_the_row_length_rule(self):
         # Fig. 13's own 2 s speech clip: 960,000-sample stereo rows.
         scenario = fig13.build_scenario("stereo_station", duration_s=2.0)
         data, points = _prepared(scenario)
@@ -168,7 +175,30 @@ class TestCostModel:
         assert {f.n_samples for f in features} == {960_000}
         for f in features:
             assert f.stereo
-            assert choose_backend(f) == ("batched", "stereo")
+            assert choose_backend(f) == ("serial", "long-rows")
+        # Fig. 10 at 200 bits: the 3.2 kbps stereo rows are 30,000
+        # samples and batch; the 1.6 kbps ones, 60,000, run per point.
+        expected = {
+            "3.2k": (30_000, ("batched", "short-rows")),
+            "1.6k": (60_000, ("serial", "long-rows")),
+        }
+        for label, rate in (("3.2k", 400), ("1.6k", 200)):
+            scenario = fig10.build_scenario(
+                label, FdmFskModem(symbol_rate=rate), n_bits=200
+            )
+            data, points = _prepared(scenario)
+            features, _ = extract_features(scenario, data, points, AmbientCache())
+            (stereo,) = [f for f in features if f.stereo]
+            n_samples, choice = expected[label]
+            assert stereo.n_samples == n_samples
+            assert choose_backend(stereo) == choice
+
+    def test_stereo_row_at_crossover_goes_batched(self):
+        at = _mono_row_features(STEREO_CROSSOVER_SAMPLES // 10)
+        at = dataclasses.replace(at, stereo=True)
+        assert choose_backend(at) == ("batched", "short-rows")
+        past = dataclasses.replace(at, n_samples=STEREO_CROSSOVER_SAMPLES + 1)
+        assert choose_backend(past) == ("serial", "long-rows")
 
     def test_fast_numerics_batches_long_mono_rows(self, monkeypatch):
         features = _mono_row_features(CROSSOVER_SAMPLES // 10 + 1)
@@ -195,8 +225,6 @@ class TestDecisionGates:
         assert all(d.backend != "batched" for d in plan.decisions)
 
     def test_batched_on_fading_short_row_grid(self):
-        from repro.data.fdm import FdmFskModem
-
         scenario = fig09.build_scenario(
             FdmFskModem(symbol_rate=200),
             distances_ft=(1, 2, 3, 4, 6, 8, 12, 16),
@@ -224,15 +252,18 @@ class TestDecisionGates:
         assert plan.by_backend == {"serial": list(range(40))}
         assert len(cache) == 0  # planned without synthesis
 
-    def test_fig13_benchmark_grid_all_batched(self):
+    @pytest.mark.usefixtures("exact_env")
+    def test_fig13_benchmark_grid_all_serial(self):
         # The fig13_stereo_pesq benchmark workload's grid: the stereo
-        # station with 1 s speech clips, 3 powers x 6 distances.
+        # station with 1 s speech clips (480,000-sample rows), 3 powers
+        # x 6 distances, each point its own pool unit.
         scenario = fig13.build_scenario("stereo_station", duration_s=1.0)
         data, points = _prepared(scenario)
         cache = AmbientCache()
         plan = plan_sweep(scenario, data, points, cache)
-        assert {d.reason for d in plan.decisions} == {"stereo"}
-        assert plan.by_backend == {"batched": list(range(18))}
+        assert {d.reason for d in plan.decisions} == {"long-rows"}
+        assert plan.by_backend == {"serial": list(range(18))}
+        assert plan.units == [("serial", [pos]) for pos in range(18)]
         assert len(cache) == 0
 
 

@@ -1,9 +1,9 @@
 """The shared thread pool behind ``auto`` and ``thread``.
 
-``auto`` runs each serially-routed point as one unit of a thread pool,
-and all its batched partitions together as one more (one batched call,
-so one partition's stacks are live at a time); ``thread`` runs every
-point as one unit. Values must equal the serial backend's bit for bit at any pool
+``auto`` runs each serially-routed point (long mono and stereo rows
+alike) as one unit of a thread pool, and all its batched partitions
+together as one more (one batched call, so one partition's stacks are
+live at a time); ``thread`` runs every point as one unit. Values must equal the serial backend's bit for bit at any pool
 size. ``REPRO_SWEEP_WORKERS=2`` forces a two-thread pool, so these tests
 exercise real concurrency on a one-CPU machine too. A live stateful
 fading model draws in grid order across points, so its grid must stay
@@ -28,6 +28,7 @@ from repro.engine.planner import plan_sweep
 from repro.engine.runner import WORKERS_ENV_VAR, derive_streams, pool_size
 from repro.errors import ConfigurationError
 from repro.experiments import fig08_ber_overlay as fig08
+from repro.experiments import fig13_pesq_stereo as fig13
 from repro.utils.env import NUMERICS_ENV_VAR
 from repro.utils.rand import as_generator
 
@@ -151,6 +152,41 @@ class TestThreadedAuto:
         assert auto.n_workers == 2
         assert auto.values == serial.values
         assert any(v > 0 for v in serial.values)
+
+    def test_fig13_stereo_grid_one_unit_per_point(self):
+        # 0.2 s clips are 96,000-sample stereo rows, past the stereo
+        # crossover: every point is its own unit, and its pilot PLL runs
+        # beside the other thread's.
+        scenario = fig13.build_scenario(
+            "stereo_station", powers_dbm=(-20.0, -40.0),
+            distances_ft=(1, 8, 16), duration_s=0.2,
+        )
+        data, points, _, _ = derive_streams(scenario, as_generator(SEED))
+        plan = plan_sweep(scenario, data, points, AmbientCache())
+        assert plan.units == [("serial", [pos]) for pos in range(len(points))]
+
+        serial = _run(scenario, "serial")
+        auto = _run(scenario, "auto")
+        assert auto.backend == f"auto[serial:{len(points)}]"
+        assert auto.n_workers == 2
+        assert auto.values == serial.values
+
+    def test_stereo_live_fading_grid_is_one_unit(self):
+        def scenario():
+            scenario = fig13.build_scenario(
+                "stereo_station", powers_dbm=(-20.0,),
+                distances_ft=(1, 4, 8), duration_s=0.2,
+            )
+            scenario.base_chain = dict(
+                scenario.base_chain, fading=BodyMotionFading("running", rng=7)
+            )
+            return scenario
+
+        serial = _run(scenario(), "serial")
+        auto = _run(scenario(), "auto")
+        assert {d.reason for d in auto.plan} == {"long-rows"}
+        assert auto.n_workers == 1
+        assert auto.values == serial.values
 
     def test_uniform_live_fading_grid_is_one_unit(self):
         # Every partition chooses serial ("long-rows"), so the plan's
