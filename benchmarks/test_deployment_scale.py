@@ -3,8 +3,8 @@
 Acceptance bars for the deployment layer, measured and recorded to
 ``benchmarks/BENCH_engine.json``:
 
-- the device-count sweep returns bit-identical results on all four
-  ``REPRO_SWEEP_BACKEND`` backends;
+- the device-count sweep returns bit-identical results under every
+  ``REPRO_SWEEP_BACKEND`` setting (serial, batched and auto);
 - with a warm persistent cache (``REPRO_CACHE_DIR``), a repeat run
   performs **zero** ambient syntheses regardless of device count — the
   grid shares one ambient synthesis instead of one per device.
@@ -18,7 +18,7 @@ import time
 import pytest
 
 import repro.engine.cache as cache_mod
-from repro.engine import BACKENDS
+from repro.engine import BACKEND_CHOICES
 from repro.experiments import deployment_scale
 
 SEED = 2017
@@ -46,7 +46,7 @@ def test_deployment_backend_matrix_with_warm_cache(
 
     timings = {}
     warm_syntheses = {}
-    for backend in BACKENDS:
+    for backend in BACKEND_CHOICES:
         monkeypatch.setenv("REPRO_SWEEP_BACKEND", backend)
         # Fresh default cache per backend = a fresh process on the
         # same spill dir; every ambient must come from disk.

@@ -10,11 +10,12 @@ wall-clock bars are enforced only under ``--bench-gate``:
    replaced (a fresh front-end synthesis at every point). Acceptance bar:
    a >= 2x wall-clock win for the cached path, gated with headroom for
    machine noise.
-2. The same sweep under each execution backend — serial, thread,
-   process and batched — with a warm front-end cache, so the numbers
-   isolate the per-point link + receive work each backend parallelizes
-   or vectorizes. Backends must agree bit-for-bit with serial (asserted),
-   so the timings compare equal work.
+2. The same sweep under each ``REPRO_SWEEP_BACKEND`` setting — serial,
+   batched and auto (the planner's split on a thread pool) — with a
+   warm front-end cache, so the numbers isolate the per-point link +
+   receive work each setting parallelizes or vectorizes. Settings must
+   agree bit-for-bit with serial (asserted), so the timings compare
+   equal work.
 3. The Fig. 10 stereo grid, serial vs batched with a warm cache: the
    stereo half of that grid runs the pilot PLL — a sequential per-sample
    loop — at every point, and the batched backend decodes the whole
@@ -48,7 +49,7 @@ from repro.channel.fading import MotionFadingSpec
 from repro.data.bits import random_bits
 from repro.data.fdm import FdmFskModem
 from repro.engine import (
-    BACKENDS,
+    BACKEND_CHOICES,
     AmbientCache,
     AxisRef,
     Scenario,
@@ -170,7 +171,7 @@ def test_engine_backend_matrix_timings(no_persistent_cache, bench_artifact):
     results = {}
     before = os.environ.get("REPRO_SWEEP_BACKEND")
     try:
-        for backend in BACKENDS:
+        for backend in BACKEND_CHOICES:
             os.environ["REPRO_SWEEP_BACKEND"] = backend
             start = time.perf_counter()
             results[backend] = fig08.run(rate=RATE, n_bits=N_BITS, rng=SEED)
@@ -190,13 +191,13 @@ def test_engine_backend_matrix_timings(no_persistent_cache, bench_artifact):
         "backend_s": timings,
         "speedup_vs_serial": {
             backend: round(timings["serial"] / timings[backend], 3)
-            for backend in BACKENDS
+            for backend in BACKEND_CHOICES
         },
     }
     bench_artifact("backend_matrix", record)
     print(f"\n=== backend matrix ===\n{json.dumps(record, indent=2)}")
 
-    for backend in BACKENDS[1:]:
+    for backend in BACKEND_CHOICES[1:]:
         assert results[backend] == results["serial"], backend
 
 

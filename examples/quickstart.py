@@ -11,8 +11,9 @@ Reproduces the core loop of the paper in ~20 lines of API:
 
 Then sweeps the same link over a power × distance grid through the sweep
 engine (`repro.engine`): the grid is declared once, the ambient program
-is synthesized once and shared by every grid point, and setting
-``REPRO_SWEEP_WORKERS=<n>`` parallelizes it without code changes.
+is synthesized once and shared by every grid point, and the default
+``auto`` setting runs it on every core (``REPRO_SWEEP_WORKERS=<n>`` sets
+the pool size) without code changes.
 
 Run:
     python examples/quickstart.py

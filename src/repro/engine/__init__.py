@@ -6,18 +6,17 @@ separates the *what* from the *how*: a :class:`Scenario` declares the
 grid, the per-point RNG derivation, the transmission payload and the
 measurement — as plain data (:class:`AxisRef` templates, ``chain_axes``,
 module-level measures), so a grid point can be shipped across a process
-boundary; a :class:`SweepRunner` executes it through one of four
-explicit backends (``serial`` / ``thread`` / ``process`` / ``batched``,
-see ``REPRO_SWEEP_BACKEND``) or lets the row-length planner pick per
-partition (``auto``, the single-worker default — decisions are recorded
-on ``SweepResult.plan``) with a keyed :class:`AmbientCache` so each
-ambient program is synthesized and FM-modulated exactly once per sweep
-instead of once per grid point — and at most once *ever* per
-configuration when ``REPRO_CACHE_DIR`` points the cache at a persistent
-:class:`CacheStore`.
+boundary; a :class:`SweepRunner` executes it ``serial``, ``batched`` or
+— the default — ``auto``, where the row-length planner picks per
+partition and runs the pieces on one thread pool (decisions are
+recorded on ``SweepResult.plan``; see ``REPRO_SWEEP_BACKEND``), with a
+keyed :class:`AmbientCache` so each ambient program is synthesized and
+FM-modulated exactly once per sweep instead of once per grid point — and
+at most once *ever* per configuration when ``REPRO_CACHE_DIR`` points
+the cache at a persistent :class:`CacheStore`.
 
 Usage (the spec form — plain data plus a module-level measure, so the
-same scenario runs on every backend including ``process``)::
+same scenario also runs on the distributed launcher's worker processes)::
 
     from repro.engine import AxisRef, Scenario, SweepSpec, SweepRunner
 
@@ -41,8 +40,8 @@ same scenario runs on every backend including ``process``)::
     series = result.series(along="distance_ft", power_dbm=-40.0)
 
 The callable style (``chain_params`` / ``rng_keys`` lambdas) still works
-for in-process backends (``serial`` / ``thread`` / ``batched``'s
-fallback); only ``process`` requires the picklable spec form.
+for every :class:`SweepRunner` setting; only the launcher requires the
+picklable spec form.
 
 Many-device deployments (:mod:`repro.engine.deployment`) build on the
 same machinery: a :class:`DeploymentScenario` (device roster +
@@ -61,8 +60,8 @@ submissions share one warm :class:`CacheStore`.
 
 Determinism contract: the per-point streams are pre-derived from the
 sweep generator in grid order (exactly the draws the legacy nested loops
-consumed), so results are bit-identical across all four backends and any
-worker count. Set ``REPRO_SWEEP_WORKERS=<n>`` / ``REPRO_SWEEP_BACKEND=
+consumed), so results are bit-identical across all three settings, the
+launcher and any worker count. Set ``REPRO_SWEEP_WORKERS=<n>`` / ``REPRO_SWEEP_BACKEND=
 <backend>`` to change execution for every figure sweep without touching
 call sites.
 """
@@ -89,7 +88,6 @@ from repro.engine.results import SweepResult, format_axis_value, power_key
 from repro.engine.runner import (
     AUTO_BACKEND,
     BACKEND_CHOICES,
-    BACKENDS,
     SweepRunner,
     default_backend,
     default_max_workers,
@@ -111,7 +109,6 @@ __all__ = [
     "AmbientCache",
     "Axis",
     "AxisRef",
-    "BACKENDS",
     "BACKEND_CHOICES",
     "CachedAmbient",
     "CacheStore",

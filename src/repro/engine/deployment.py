@@ -19,9 +19,9 @@ workload:
   placement, compiled by :meth:`DeploymentScenario.compile` into an
   ordinary picklable :class:`~repro.engine.scenario.Scenario`, so device
   count, per-device power, ALOHA slot count and sign density are sweep
-  axes like any other: they run on all four ``REPRO_SWEEP_BACKEND``
-  backends, their per-point streams are pre-derived (bit-identical
-  results everywhere), and the ambient station is synthesized once per
+  axes like any other: they run under every ``REPRO_SWEEP_BACKEND``
+  setting and on the launcher, their per-point streams are pre-derived
+  (bit-identical results everywhere), and the ambient station is synthesized once per
   grid — not once per device — through the runner's
   :class:`~repro.engine.cache.AmbientCache`.
 
@@ -336,9 +336,9 @@ class DeploymentScenario:
     :meth:`compile` lowers the deployment onto the ordinary
     :class:`~repro.engine.scenario.Scenario` machinery, in the picklable
     spec form (module-level measure, plain-data ``measure_params``,
-    :class:`AxisRef` RNG template), so the compiled sweep runs on all
-    four backends — including ``process`` — and every grid point shares
-    one cached ambient synthesis.
+    :class:`AxisRef` RNG template), so the compiled sweep runs under
+    every runner setting and on the launcher's worker processes, and
+    every grid point shares one cached ambient synthesis.
 
     Args:
         name: scenario label (and RNG key prefix).
@@ -447,7 +447,7 @@ class DeploymentScenario:
 
         The deployment itself travels as a ``measure_params`` entry —
         every field is plain data, so the compiled scenario pickles into
-        process-pool workers unchanged.
+        the launcher's worker processes unchanged.
         """
         sweep = self.sweep_spec()
         return Scenario(

@@ -1,13 +1,13 @@
-"""Single-point execution shared by every sweep backend.
+"""Single-point execution shared by every sweep setting.
 
 :func:`execute_point` is the one place that turns (scenario, grid point,
-pre-derived seed) into a measured value. The serial and thread backends
-call it directly; the process backend calls it inside each worker with
-the worker's own cache; the batched backend falls back to it for points
-it cannot vectorize. Keeping the RNG discipline here — build the point
+pre-derived seed) into a measured value. The runner's serial units call
+it directly; the distributed launcher's workers call it with each
+worker's own cache; the batched executor falls back to it for points it
+cannot vectorize. Keeping the RNG discipline here — build the point
 generator from the pre-derived seed, attach the cached ambient, let the
 chain consume its station/link/receiver children in order — is what
-makes all four backends bit-identical.
+makes every setting and the launcher bit-identical.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ def composite_entry(
     """The point's (ambient view, front end, composite cache key) triple.
 
     One place derives the deterministic key a point's front-end composite
-    lives under, so the process backend's store warm-up can never
+    lives under, so the launcher's store warm-up can never
     disagree with execution about which entry a point will request.
     Builds only cheap value objects — no synthesis happens here.
     """

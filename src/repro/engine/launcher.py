@@ -14,7 +14,8 @@ job-queue orchestrator that:
   stragglers (a shard past its per-shard deadline) and *re-slices* the
   affected range into halves before re-queueing it — after the
   :class:`RetryPolicy`'s exponential backoff with deterministic jitter —
-  so retried work spreads across the pool without thundering back;
+  so retried work spreads across the pool without thundering back; each
+  re-queue logs a WARNING under ``repro.engine.launcher``;
 - discards duplicated completions — determinism makes speculative
   retries free of coordination: two copies of a point compute the same
   bytes, so whichever arrives first wins and the loser is dropped
@@ -24,7 +25,8 @@ job-queue orchestrator that:
   :attr:`RetryPolicy.job_deadline_s`), the launcher salvages every
   completed shard and finishes the lost range *in-process, serially* —
   the merged grid is still complete and bit-identical, and
-  :attr:`LaunchReport.degraded` says the fan-out lost redundancy.
+  :attr:`LaunchReport.degraded` says the fan-out lost redundancy (and a
+  WARNING under ``repro.engine.launcher`` names the salvaged points).
   :class:`~repro.errors.LauncherError` (now carrying shard id, point
   range, attempt count, worker exit codes and the partial merged result)
   is reserved for the case where even the in-process salvage fails —
@@ -46,6 +48,10 @@ front end, via :func:`~repro.engine.process_backend.warm_store`);
 workers anywhere then load bytes instead of synthesizing, and a warm
 re-run performs zero syntheses.
 
+It is the engine's one multi-process fan-out; :func:`require_shippable`
+refuses a live stateful fading model before any fork (each worker would
+draw from its own copy), here and at the service's ``submit``.
+
 Chaos: ``REPRO_FAULTS`` (:mod:`repro.engine.faults`) injects worker
 kills, forced stragglers, dropped results, torn cache writes and
 worker-init failures, each deterministically targeted so a chaos run
@@ -55,6 +61,7 @@ prove no fault class can change a single bit of the merged result.
 
 from __future__ import annotations
 
+import logging
 import multiprocessing
 import os
 import pickle
@@ -71,6 +78,7 @@ from repro.engine.cache import AmbientCache, stats_delta
 from repro.engine.execution import execute_point
 from repro.engine.faults import active_plan
 from repro.engine.journal import JobJournal
+from repro.engine.planner import live_fading_model
 from repro.engine.results import SweepResult
 from repro.engine.runner import derive_streams
 from repro.engine.scenario import Scenario
@@ -78,6 +86,8 @@ from repro.engine.store import CACHE_DIR_ENV_VAR, CacheStore
 from repro.errors import ConfigurationError, LauncherError
 from repro.utils.env import env_int
 from repro.utils.rand import RngLike, as_generator, derive_seed
+
+logger = logging.getLogger(__name__)
 
 SHARD_POINTS_ENV_VAR = "REPRO_LAUNCHER_SHARD_POINTS"
 """Environment override for the points-per-shard slice size."""
@@ -262,6 +272,25 @@ def default_shard_points(n_points: int, n_workers: int) -> int:
     return max(1, -(-n_points // (4 * n_workers)))
 
 
+def require_shippable(scenario: Scenario) -> bytes:
+    """The pickle workers rebuild ``scenario`` from, once it is safe to ship.
+
+    Raises:
+        ConfigurationError: if a live stateful fading model is on any
+            link — each worker would unpickle its own copy and draw from
+            it out of grid order — or the scenario is not picklable.
+    """
+    model = live_fading_model(scenario, scenario.sweep.points())
+    if model is not None:
+        raise ConfigurationError(
+            f"the launcher cannot reproduce the grid-order draws of the live fading "
+            f"model {type(model).__name__} in scenario {scenario.name!r}: each worker "
+            "would draw from its own copy; declare the fading as a MotionFadingSpec "
+            "(repro.channel.fading), which resolves per point, or use SweepRunner"
+        )
+    return scenario.require_picklable()
+
+
 def _initial_shards(n_points: int, shard_points: int) -> List[Shard]:
     return [
         Shard(shard_id=i, start=start, stop=min(start + shard_points, n_points))
@@ -404,7 +433,8 @@ def launch_sweep(
 
     Args:
         scenario: the declarative sweep; must be in the picklable spec
-            form (validated up front via ``require_picklable``).
+            form, with no live stateful fading model on any link
+            (validated up front via :func:`require_shippable`).
         rng: sweep-level seed or Generator — the same argument a
             :class:`~repro.engine.runner.SweepRunner` takes, producing
             the same streams: the merged result is bit-identical to a
@@ -454,7 +484,7 @@ def launch_sweep(
     if journal is not None and job_id is None:
         raise ConfigurationError("journal= requires job_id= to key the records")
     active_plan()  # fail fast on a malformed chaos knob, before any fork
-    blob = scenario.require_picklable()
+    blob = require_shippable(scenario)
 
     wall_start = time.perf_counter()
     gen = as_generator(rng)
@@ -689,6 +719,10 @@ def launch_sweep(
         if not fresh_indices:
             return
         elapsed = time.perf_counter() - started
+        logger.warning(
+            "scenario %r: ran points %s of [%d:%d) in-process after %d attempts (%s)",
+            scenario.name, fresh_indices, task.start, task.stop, task.attempt + 1, reason,
+        )
         stats = None
         if parent_cache is not None and stats_before is not None:
             stats = stats_delta(parent_cache.stats, stats_before)
@@ -728,6 +762,11 @@ def launch_sweep(
             degrade(task, f"retry budget exhausted: {reason}")
             return
         retries += 1
+        logger.warning(
+            "scenario %r: re-queueing points [%d:%d), retry %d of %d: %s",
+            scenario.name, task.start, task.stop, task.attempt + 1,
+            policy.max_retries, reason,
+        )
         ready_at = time.perf_counter() + policy.backoff_s(
             task.start, task.stop, task.attempt
         )

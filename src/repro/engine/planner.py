@@ -13,11 +13,11 @@ nothing is left to amortize, while per-point units run on every core).
 2. :func:`choose_backend` applies a fixed rule (see
    :data:`CROSSOVER_SAMPLES`) and :func:`plan_sweep` records every
    decision with its reason on :attr:`~repro.engine.results.SweepResult.plan`.
-3. :func:`plan_and_run` hands the plan's *units* to the runner's thread
-   pool (:func:`~repro.engine.runner.run_units`): every point routed to
+3. The runner hands the plan's *units* to its thread pool
+   (:func:`~repro.engine.runner.run_units`): every point routed to
    serial is one unit, and all batched partitions together are another
    (one batched call, so one partition's stacks are live at a time).
-   Each unit runs on the same pre-derived per-point seeds every backend
+   Each unit runs on the same pre-derived per-point seeds every setting
    uses, so results stay bit-identical in grid order at any pool size.
 
 A grid with a *live* stateful fading model on any link is not
@@ -39,7 +39,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.constants import AUDIO_RATE_HZ, MPX_RATE_HZ
 from repro.engine.cache import AmbientCache
-from repro.engine.runner import Unit, run_units
+from repro.engine.runner import Unit
 from repro.engine.scenario import GridPoint, Scenario
 from repro.utils.env import fast_numerics
 
@@ -315,39 +315,3 @@ def plan_sweep(
         decisions=decisions, by_backend=by_backend, label=label,
         splittable=splittable, units=units,
     )
-
-
-def plan_and_run(
-    scenario: Scenario,
-    data: Dict[str, object],
-    points: Sequence[GridPoint],
-    seeds: Sequence[int],
-    cache: Optional[AmbientCache],
-    ambient_master: int,
-    max_workers: Optional[int] = None,
-) -> Tuple[List[object], int, List[PlanDecision], str, int]:
-    """Plan the grid, then run the plan's units on one thread pool.
-
-    Bit-identity across any split and pool size holds for the same
-    reason it holds across whole-grid backends: every point's stream
-    seed is pre-derived before execution, and each executor rebuilds
-    ``default_rng(seed)`` per point (a live stateful fading model keeps
-    the grid in one sequential unit; see :func:`plan_sweep`).
-
-    Args:
-        max_workers: pool size; ``None`` sizes the pool to the CPUs
-            (see :func:`~repro.engine.runner.pool_size`).
-
-    Returns:
-        ``(values, n_fallbacks, decisions, label, n_workers)`` — values
-        in grid order; ``n_fallbacks`` counts batch-eligible points the
-        batched executor bounced to its serial fallback (points the
-        *planner* routed to serial are decisions, not fallbacks);
-        ``n_workers`` is the pool size.
-    """
-    plan = plan_sweep(scenario, data, points, cache)
-    values, n_fallbacks, n_workers = run_units(
-        scenario, data, points, seeds, cache, ambient_master,
-        plan.units, max_workers,
-    )
-    return values, n_fallbacks, plan.decisions, plan.label, n_workers

@@ -95,8 +95,8 @@ class SweepResult:
             scenarios (no declared payload; the measure transmits
             itself, e.g. Fig. 12's two-phone cancellation or the
             deployment layer) execute per point by construction and are
-            not counted. ``None`` when a backend without a fallback
-            concept (serial/thread/process) ran.
+            not counted. ``None`` when the ``serial`` setting, which has
+            no fallback concept, ran.
         plan: the planner's per-partition decisions
             (:class:`~repro.engine.planner.PlanDecision` records — chosen
             backend, chunk budget, the rule's reason, feature vector) when

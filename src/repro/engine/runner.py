@@ -1,4 +1,4 @@
-"""Sweep execution: serial, thread, process or batched — always seed-stable.
+"""Sweep execution: serial, batched or auto — always seed-stable.
 
 :class:`SweepRunner` turns a declarative
 :class:`~repro.engine.scenario.Scenario` into results:
@@ -10,55 +10,46 @@
    via :func:`~repro.utils.rand.child_generator` — and mixed with the
    scenario's per-point keys through the pure
    :func:`~repro.utils.rand.derive_seed`. Every point's stream is
-   therefore fixed before execution starts, so all backends are
+   therefore fixed before execution starts, so all settings are
    bit-identical to the serial loop and to the hand-rolled loops they
    replaced.
-3. The selected backend executes the points:
+3. The selected setting builds a list of units and :func:`run_units`
+   executes them:
 
-   - ``serial`` — a plain loop (the reference semantics).
-   - ``thread`` — every point is a unit of the shared thread pool (see
-     :func:`run_units`); right when the heavy lifting is NumPy/SciPy FFT
-     work that releases the GIL.
-   - ``process`` — a :class:`concurrent.futures.ProcessPoolExecutor`
-     over the picklable point specs, for GIL-bound measures; requires
-     the scenario's declarative (spec) form, and starts ``min(8, CPUs)``
-     workers unless told otherwise (each holds its own caches). The
-     parent warms a shared disk store so workers skip ambient
-     synthesis. A live stateful
-     fading model cannot cross into workers (each would draw from its
-     own copy), so it raises :class:`~repro.errors.ConfigurationError`.
-   - ``batched`` — groups points sharing one front end and runs the
-     link + receive math (fading, mono and stereo decode alike — via
-     per-row envelope stacks and the multi-waveform pilot PLL — plus
-     de-emphasis and receiver output effects) vectorized over a
+   - ``serial`` — one unit running every point in turn (the reference
+     semantics).
+   - ``batched`` — one unit that groups points sharing one front end and
+     runs the link + receive math (fading, mono and stereo decode alike
+     — via per-row envelope stacks and the multi-waveform pilot PLL —
+     plus de-emphasis and receiver output effects) vectorized over a
      ``(points, samples)`` stack. Every runner-transmitted point
      batches; ``SweepResult.n_fallbacks`` counts batch-eligible points
      that had to run serially (now structurally zero) while
      measure-driven scenarios execute per point by construction.
-   - ``auto`` — the planner (:mod:`repro.engine.planner`) partitions the
-     grid exactly as the batched executor would and sends each partition
-     to ``batched`` or ``serial`` by a measured row-length rule (one
-     crossover for mono rows, one for stereo) — short-row partitions
-     ride the vectorized stack while long rows run per point —
-     recording every decision and its reason on
+   - ``auto`` (the default) — the planner (:mod:`repro.engine.planner`)
+     partitions the grid exactly as the batched executor would and
+     sends each partition to ``batched`` or ``serial`` by a measured
+     row-length rule (one crossover for mono rows, one for stereo) —
+     short-row partitions ride the vectorized stack while long rows run
+     per point — recording every decision and its reason on
      :attr:`~repro.engine.results.SweepResult.plan`. Each serial point
-     is then one unit of the thread pool, and all batched partitions
-     together are one more.
+     is then one unit, and all batched partitions together are one more.
 
-``thread`` and ``auto`` share one executor, :func:`run_units`: a thread
-pool with one thread per available CPU, capped at the number of units;
-``max_workers`` or ``REPRO_SWEEP_WORKERS`` sets the count instead, and a
-pool of one runs inline. A grid with a live stateful fading model on any
-link is one sequential unit, because such a model draws its stream in
-grid order across points and concurrent units would reorder the draws.
-Everything else may run concurrently: each point's stream is derived
-before execution, and the ambient cache and the DSP plan cache lock.
+:func:`run_units` is a thread pool with one thread per available CPU,
+capped at the number of units; ``max_workers`` or
+``REPRO_SWEEP_WORKERS`` sets the count instead, and a pool of one (as
+for the single unit of ``serial`` and ``batched``) runs inline. A grid
+with a live stateful fading model on any link is one sequential unit,
+because such a model draws its stream in grid order across points and
+concurrent units would reorder the draws. Everything else may run
+concurrently: each point's stream is derived before execution, and the
+ambient cache and the DSP plan cache lock. Multi-process execution is
+the distributed launcher's job (:mod:`repro.engine.launcher`).
 
 Select with the ``backend`` argument or the ``REPRO_SWEEP_BACKEND``
 environment variable (strictly parsed — a typo raises
 :class:`~repro.errors.ConfigurationError` naming the variable and its
-choices). With neither set, a runner given more than one worker
-defaults to ``thread`` and any other to ``auto``.
+choices); with neither set, the runner uses ``auto``.
 
 Ambient caching: when the scenario opts in (the default), every point
 receives a :class:`~repro.engine.cache.CachedAmbient` view keyed by a
@@ -86,18 +77,15 @@ from repro.utils.env import env_choice, env_int
 from repro.utils.rand import RngLike, as_generator, derive_seed
 
 WORKERS_ENV_VAR = "REPRO_SWEEP_WORKERS"
-"""Environment override for the default worker count (1 == serial)."""
+"""Environment override for the pool size (1 runs ``auto`` on one thread)."""
 
 BACKEND_ENV_VAR = "REPRO_SWEEP_BACKEND"
 """Environment override for the execution backend."""
 
-BACKENDS = ("serial", "thread", "process", "batched")
-"""The explicit executors."""
-
 AUTO_BACKEND = "auto"
-"""Planned per-partition execution (see :mod:`repro.engine.planner`)."""
+"""The default: planned per-partition execution (:mod:`repro.engine.planner`)."""
 
-BACKEND_CHOICES = BACKENDS + (AUTO_BACKEND,)
+BACKEND_CHOICES = ("serial", "batched", AUTO_BACKEND)
 """Everything ``backend=`` / ``REPRO_SWEEP_BACKEND`` accepts."""
 
 
@@ -142,7 +130,7 @@ def run_units(
     ambient_master: int,
     units: Sequence[Unit],
     max_workers: Optional[int] = None,
-) -> Tuple[List[object], int, int]:
+) -> Tuple[List[object], int, int, int]:
     """Execute ``units`` on one thread pool of :func:`pool_size` threads.
 
     Units run concurrently, the points inside one unit in order. Every
@@ -152,42 +140,44 @@ def run_units(
     confined to one unit by the caller.
 
     Returns:
-        ``(values, n_fallbacks, n_workers)`` — values in grid order, the
-        batched executor's fallbacks summed over units, and the pool
-        size (1 when the units ran inline).
+        ``(values, n_fallbacks, n_batched, n_workers)`` — values in grid
+        order, the batched executor's fallbacks and vectorized points
+        summed over units, and the pool size (1 when run inline).
     """
     from repro.engine.batch_backend import run_batched_backend
 
     values: List[object] = [None] * len(points)
 
-    def run(unit: Unit) -> int:
+    def run(unit: Unit) -> Tuple[int, int]:
         backend, positions = unit
         if backend == "batched":
-            sub_values, _, fallbacks = run_batched_backend(
+            sub_values, n_batched, fallbacks = run_batched_backend(
                 scenario, data, [points[pos] for pos in positions],
                 [seeds[pos] for pos in positions], cache, ambient_master,
             )
             for pos, value in zip(positions, sub_values):
                 values[pos] = value
-            return fallbacks
+            return fallbacks, n_batched
         for pos in positions:  # serial
             values[pos] = execute_point(
                 scenario, points[pos], seeds[pos], data, cache, ambient_master
             )
-        return 0
+        return 0, 0
 
     n_workers = pool_size(len(units), max_workers)
     if n_workers == 1:
-        n_fallbacks = sum(run(unit) for unit in units)
-        return values, n_fallbacks, 1
-    pool = ThreadPoolExecutor(max_workers=n_workers)
-    try:
-        futures = [pool.submit(run, unit) for unit in units]
-        n_fallbacks = sum(future.result() for future in futures)
-    finally:
-        # On a failure, units not yet started are dropped rather than run.
-        pool.shutdown(cancel_futures=True)
-    return values, n_fallbacks, n_workers
+        counts = [run(unit) for unit in units]
+    else:
+        pool = ThreadPoolExecutor(max_workers=n_workers)
+        try:
+            futures = [pool.submit(run, unit) for unit in units]
+            counts = [future.result() for future in futures]
+        finally:
+            # On a failure, units not yet started are dropped rather than run.
+            pool.shutdown(cancel_futures=True)
+    n_fallbacks = sum(fallbacks for fallbacks, _ in counts)
+    n_batched = sum(batched for _, batched in counts)
+    return values, n_fallbacks, n_batched, n_workers
 
 
 def default_backend() -> Optional[str]:
@@ -243,15 +233,14 @@ class SweepRunner:
             figure ``run()`` functions, passed straight through).
         cache: ambient cache to share; defaults to the process-wide one,
             so repeated runs with the same seed hit instead of refill.
-        max_workers: pool size for the thread, process and auto
-            backends; ``None`` reads ``REPRO_SWEEP_WORKERS``, and when
-            that is unset too, the thread pools size themselves to the
-            CPUs (see :func:`pool_size`) and the process pool to
-            ``min(8, CPUs)``. Results are identical at any count.
+        max_workers: size of the thread pool :func:`run_units` runs
+            ``auto``'s units on; ``None`` reads ``REPRO_SWEEP_WORKERS``,
+            and when that is unset too, the pool sizes itself to the
+            CPUs (see :func:`pool_size`). Results are identical at any
+            count.
         backend: one of :data:`BACKEND_CHOICES`; ``None`` reads
-            ``REPRO_SWEEP_BACKEND`` and finally falls back to ``thread``
-            when more than one worker was asked for, else ``auto`` — the
-            planner picks per partition, and its decisions land on
+            ``REPRO_SWEEP_BACKEND`` and finally falls back to ``auto`` —
+            the planner picks per partition, and its decisions land on
             ``result.plan``.
     """
 
@@ -276,9 +265,7 @@ class SweepRunner:
                 f"backend must be one of {BACKEND_CHOICES}, got {backend!r}"
             )
         if backend is None:
-            backend = default_backend()
-        if backend is None:
-            backend = "thread" if (self.max_workers or 1) > 1 else AUTO_BACKEND
+            backend = default_backend() or AUTO_BACKEND
         self.backend = backend
 
     def run(self, point_slice: Optional[Tuple[int, int]] = None) -> SweepResult:
@@ -327,52 +314,29 @@ class SweepRunner:
             cache = self.cache if self.cache is not None else default_cache()
         stats_before = cache.stats if cache is not None else None
 
-        backend_label = self.backend
-        n_workers = 1
-        n_fallbacks: Optional[int] = None
+        # Pools and stacking buy nothing on a <=1-point grid; the label
+        # records what actually executed.
+        backend = "serial" if len(points) <= 1 else self.backend
         plan = None
         start = time.perf_counter()
-        if self.backend == "serial" or len(points) <= 1:
-            # Pools and stacking buy nothing on a <=1-point grid; the
-            # label records what actually executed.
-            backend_label = "serial"
-            values: List[object] = [
-                execute_point(scenario, point, seeds[i], data, cache, ambient_master)
-                for i, point in enumerate(points)
-            ]
-        elif self.backend == "thread":
-            from repro.engine.planner import live_fading_model
+        if backend == AUTO_BACKEND:
+            from repro.engine.planner import plan_sweep
 
-            if live_fading_model(scenario, points) is None:
-                units = [("serial", [pos]) for pos in range(len(points))]
-            else:
-                units = [("serial", list(range(len(points))))]
-            values, _, n_workers = run_units(
-                scenario, data, points, seeds, cache, ambient_master,
-                units, self.max_workers,
-            )
-        elif self.backend == "process":
-            from repro.engine.process_backend import run_process_backend
-
-            n_workers = self.max_workers or min(8, os.cpu_count() or 1)
-            values = run_process_backend(
-                scenario, data, points, seeds, cache, ambient_master, n_workers
-            )
-        elif self.backend == AUTO_BACKEND:
-            from repro.engine.planner import plan_and_run
-
-            values, n_fallbacks, plan, backend_label, n_workers = plan_and_run(
-                scenario, data, points, seeds, cache, ambient_master,
-                self.max_workers,
-            )
-        else:  # batched
-            from repro.engine.batch_backend import run_batched_backend
-
-            values, n_batched, n_fallbacks = run_batched_backend(
-                scenario, data, points, seeds, cache, ambient_master
-            )
-            backend_label = f"batched[{n_batched}/{len(points)}]"
+            sweep_plan = plan_sweep(scenario, data, points, cache)
+            plan, units = sweep_plan.decisions, sweep_plan.units
+        else:
+            units = [(backend, list(range(len(points))))]
+        values, n_fallbacks, n_batched, n_workers = run_units(
+            scenario, data, points, seeds, cache, ambient_master,
+            units, self.max_workers,
+        )
         elapsed = time.perf_counter() - start
+        if backend == AUTO_BACKEND:
+            backend_label = sweep_plan.label
+        elif backend == "batched":
+            backend_label = f"batched[{n_batched}/{len(points)}]"
+        else:
+            backend_label, n_fallbacks = "serial", None
 
         cache_stats = None
         if cache is not None and stats_before is not None:

@@ -145,7 +145,7 @@ class AxisRef:
 
     The spec-based counterpart of ``lambda p: p[name]``: templates built
     from :class:`AxisRef` and literals are plain data, so a scenario
-    using them pickles cleanly into process-pool workers.
+    using them pickles cleanly into the launcher's worker processes.
     """
 
     name: str
@@ -197,15 +197,15 @@ class Scenario:
     ``chain_axes`` / ``chain_value_params`` for chain kwargs,
     :class:`AxisRef` templates for RNG keys and variants, a module-level
     ``measure`` with ``measure_params``, and a ``payload`` key — which
-    makes the scenario picklable, so grid points can be shipped to
-    process-pool workers or regrouped by the batched backend.
+    makes the scenario picklable, so grid points can be shipped to the
+    launcher's worker processes or regrouped by the batched executor.
 
     Attributes:
         name: scenario label (also the default RNG key prefix).
         sweep: the parameter grid.
         measure: per-point measurement, called as
-            ``measure(run, **measure_params)``. For process execution it
-            must be a module-level function (picklable by reference).
+            ``measure(run, **measure_params)``. For the launcher it must
+            be a module-level function (picklable by reference).
         prepare: optional setup run once before the grid, receiving the
             sweep generator; returns the shared ``data`` dict (payload
             bits, reference audio, ...). Draws from the generator here
@@ -229,8 +229,8 @@ class Scenario:
             points through the runner's cache (the legacy loops
             resynthesized per point).
         measure_params: extra keyword arguments for ``measure`` (modems,
-            tone frequencies, ...); must be picklable for process
-            execution.
+            tone frequencies, ...); must be picklable for the
+            launcher.
         chain_axes: axis names copied verbatim into the chain kwargs
             (spec-style replacement for the common
             ``lambda p: {"power_dbm": p["power_dbm"], ...}``).
@@ -362,6 +362,6 @@ class Scenario:
                 f"({exc}); replace closures with the declarative spec form — "
                 "chain_axes/chain_value_params for chain kwargs, AxisRef "
                 "templates for rng_keys/ambient_variant, and a module-level "
-                "measure with measure_params — or run with the serial/thread "
-                "backend"
+                "measure with measure_params — or run it in-process with "
+                "SweepRunner"
             ) from None

@@ -56,7 +56,9 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.engine.journal import JobJournal
 from repro.errors import ConfigurationError
-from repro.engine.launcher import LaunchReport, RetryPolicy, launch_sweep
+from repro.engine.launcher import (
+    LaunchReport, RetryPolicy, launch_sweep, require_shippable,
+)
 from repro.engine.scenario import Scenario
 from repro.engine.store import CACHE_DIR_ENV_VAR
 from repro.utils.rand import RngLike, as_generator
@@ -235,14 +237,15 @@ class SweepService:
     async def submit(self, scenario: Scenario, rng: RngLike = None) -> str:
         """Accept a sweep for execution; returns its job id immediately.
 
-        Validates picklability up front (the one scenario property the
-        launcher cannot work without), so a closure-laden scenario fails
-        at the front door with a migration hint instead of inside a
-        worker. With a journal attached, the submission is durable before
-        this returns: the scenario and the *pristine* rng state are
-        journaled, so a crash one instant later loses nothing.
+        Validates up front what the launcher cannot work without — a
+        picklable scenario with no live stateful fading model (see
+        :func:`~repro.engine.launcher.require_shippable`) — so such a
+        scenario fails at the front door with a migration hint instead
+        of inside a worker. With a journal attached, the submission is
+        durable before this returns: the scenario and the *pristine* rng
+        state are journaled, so a crash one instant later loses nothing.
         """
-        scenario.require_picklable()
+        require_shippable(scenario)
         job_id = self._next_job_id(scenario.name)
         # Normalize the seed to a Generator *now* and journal that exact
         # state: replaying the journal then reproduces the very streams

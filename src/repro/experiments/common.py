@@ -16,8 +16,8 @@ fading, noise) and :class:`ReceiveStage` (demod + audio) are picklable
 dataclass configs, each with a pure ``apply(state, rng)`` that advances
 a :class:`ChainState`. :class:`ExperimentChain` is the user-facing bundle
 that derives the three stages and the per-stage child generators; the
-sweep engine's process backend ships stage configs across process
-boundaries, and its batched backend re-groups them (one shared front
+sweep engine's distributed launcher ships stage configs across process
+boundaries, and its batched executor re-groups them (one shared front
 end, vectorized link + receive) without re-deriving any of the physics.
 """
 
@@ -232,7 +232,7 @@ class ExperimentChain:
             which the link resolves per transmission from its own
             generator. Prefer the spec in sweep scenarios: it is
             picklable and order-independent, so fading grids batch on
-            the vectorized backend and stay bit-identical on all four.
+            the vectorized backend and stay bit-identical on every one.
         stereo_decode: receiver attempts stereo decoding (needed for
             stereo-backscatter modes; skipping it avoids the pilot PLL on
             mono-band experiments).

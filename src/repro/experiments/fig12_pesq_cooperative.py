@@ -137,9 +137,8 @@ def simulate_two_phones(
 def measure_coop_pesq(run) -> float:
     """One cooperative two-phone point: simulate, cancel, score PESQ.
 
-    Module-level so the scenario pickles into process-pool workers (the
-    two-phone simulation is exactly the GIL-bound, resampling-heavy kind
-    of measure the process backend exists for).
+    Module-level so the scenario pickles into the distributed launcher's
+    worker processes.
     """
     reference = run.data["reference"]
     recovered, _ = simulate_two_phones(

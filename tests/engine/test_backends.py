@@ -1,13 +1,15 @@
 """Golden-seed equivalence of the sweep backends.
 
 The engine's contract: the per-point streams are pre-derived from the
-sweep generator, so ``serial``, ``thread``, ``process`` and ``batched``
-execution — and ``auto``, which may split one grid across several of
-them — return bit-identical results: on a data-BER scenario (Fig. 8),
-an audio-metric scenario (Fig. 7) and the stereo-decoding scenarios
-(Fig. 10/13, whose pilot PLL the batched backend vectorizes through the
-multi-waveform ``track_batch``) alike.
+sweep generator, so ``serial`` and ``batched`` execution — and ``auto``,
+which may split one grid across both and run the pieces on a thread
+pool of any size — return bit-identical results: on a data-BER scenario
+(Fig. 8), an audio-metric scenario (Fig. 7) and the stereo-decoding
+scenarios (Fig. 10/13, whose pilot PLL the batched backend vectorizes
+through the multi-waveform ``track_batch``) alike.
 """
+
+import re
 
 import numpy as np
 import pytest
@@ -38,7 +40,8 @@ exact_numerics_only = pytest.mark.skipif(
 
 
 SEED = 2017
-BACKENDS = ("serial", "thread", "process", "batched", "auto")
+BACKENDS = ("serial", "auto:2", "auto:4", "batched", "auto")
+"""Rows ``backend[:REPRO_SWEEP_WORKERS]``, serial first."""
 
 FIG08_KWARGS = dict(
     rate="1.6kbps",
@@ -79,18 +82,23 @@ class TestBackendEquivalence:
         }
 
     @staticmethod
-    def _run_with_backend(run, kwargs, backend):
+    def _run_with_backend(run, kwargs, row):
         import os
 
-        before = os.environ.get("REPRO_SWEEP_BACKEND")
-        os.environ["REPRO_SWEEP_BACKEND"] = backend
+        backend, _, workers = row.partition(":")
+        settings = {"REPRO_SWEEP_BACKEND": backend}
+        if workers:
+            settings["REPRO_SWEEP_WORKERS"] = workers
+        before = {name: os.environ.get(name) for name in settings}
+        os.environ.update(settings)
         try:
             return run(**kwargs)
         finally:
-            if before is None:
-                os.environ.pop("REPRO_SWEEP_BACKEND", None)
-            else:
-                os.environ["REPRO_SWEEP_BACKEND"] = before
+            for name, value in before.items():
+                if value is None:
+                    os.environ.pop(name, None)
+                else:
+                    os.environ[name] = value
 
     def test_data_ber_scenario_identical_across_backends(self, fig08_by_backend):
         serial = fig08_by_backend["serial"]
@@ -107,7 +115,7 @@ class TestBackendEquivalence:
 
     def test_stereo_ber_scenario_identical_across_backends(self):
         # Fig. 10 mixes overlay (mono decode) and stereo (pilot PLL)
-        # points in one grid; all four backends must agree bit for bit.
+        # points in one grid; every row must agree bit for bit.
         by_backend = {
             backend: self._run_with_backend(fig10.run, FIG10_KWARGS, backend)
             for backend in BACKENDS
@@ -219,11 +227,6 @@ def _mean_abs(run):
     return float(np.mean(np.abs(run.received.mono)))
 
 
-def _closure_measure_factory():
-    secret = object()
-    return lambda run: secret
-
-
 class TestBackendConfiguration:
     def test_env_backend_validation(self, monkeypatch):
         monkeypatch.setenv("REPRO_SWEEP_BACKEND", "gpu")
@@ -241,15 +244,35 @@ class TestBackendConfiguration:
         with pytest.raises(ConfigurationError):
             SweepRunner(scenario, backend="fiber")
 
-    def test_process_backend_rejects_unpicklable_scenario(self):
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_deleted_backends_rejected(self, backend, monkeypatch):
         scenario = Scenario(
-            name="closures",
-            sweep=SweepSpec.grid(a=(1, 2)),
-            measure=_closure_measure_factory(),
+            name="x", sweep=SweepSpec.grid(a=(1,)), measure=_mean_abs
+        )
+        choices = re.escape("('serial', 'batched', 'auto')")
+        with pytest.raises(ConfigurationError, match=choices):
+            SweepRunner(scenario, backend=backend)
+        monkeypatch.setenv("REPRO_SWEEP_BACKEND", backend)
+        with pytest.raises(ConfigurationError, match=f"REPRO_SWEEP_BACKEND.*{choices}"):
+            SweepRunner(scenario)
+
+    def test_worker_count_sizes_the_auto_pool(self, monkeypatch):
+        # A worker count never selects a setting: it sizes the pool auto
+        # runs on, one unit per measure-driven point here.
+        monkeypatch.delenv("REPRO_SWEEP_BACKEND", raising=False)
+        scenario = Scenario(
+            name="pool",
+            sweep=SweepSpec.grid(a=(1, 2, 3, 4, 5, 6)),
+            measure=lambda run: float(run.rng.random()),
             cache_ambient=False,
         )
-        with pytest.raises(ConfigurationError, match="declarative"):
-            SweepRunner(scenario, backend="process", max_workers=2).run()
+        runner = SweepRunner(scenario, rng=SEED, max_workers=4)
+        assert runner.backend == "auto"
+        result = runner.run()
+        assert result.backend == "auto[serial:6]"
+        assert result.n_workers == 4
+        serial = SweepRunner(scenario, rng=SEED, backend="serial").run()
+        assert result.values == serial.values
 
     def test_single_point_grid_reports_serial_execution(self):
         scenario = Scenario(

@@ -2,9 +2,9 @@
 
 The acceptance bars from the deployment work:
 
-- same seed -> identical per-device frame outcomes on the serial,
-  thread, process and batched backends (the engine's pre-derived-stream
-  contract extended to many-device points);
+- same seed -> identical per-device frame outcomes on the serial and
+  batched backends and on ``auto`` at several pool sizes (the engine's
+  pre-derived-stream contract extended to many-device points);
 - one ambient synthesis per grid, not per device;
 - a warm ``REPRO_CACHE_DIR`` run performs zero ambient syntheses
   regardless of device count.
@@ -34,6 +34,8 @@ exact_numerics_only = pytest.mark.skipif(
 
 
 SEED = 2017
+RUNS = (("serial", None), ("auto", 2), ("auto", 4), ("batched", None))
+"""``(backend, max_workers)`` rows, serial first."""
 
 # Two free channels in reach => three devices already force ALOHA
 # sharing, while frames stay short (tiny payloads) for test speed.
@@ -176,23 +178,24 @@ class TestDeploymentDeterminism:
     def by_backend(self):
         deployment = small_deployment()
         return {
-            backend: SweepRunner(
+            (backend, workers): SweepRunner(
                 deployment.compile(),
                 rng=SEED,
                 cache=AmbientCache(),
                 backend=backend,
+                max_workers=workers,
             ).run()
-            for backend in ("serial", "thread", "process", "batched")
+            for backend, workers in RUNS
         }
 
     @exact_numerics_only
     def test_identical_per_device_outcomes_across_backends(self, by_backend):
-        serial = by_backend["serial"].values
+        serial = by_backend[RUNS[0]].values
         # Outcomes must be non-trivial for the comparison to mean much.
         assert serial[0]["per_device"][0]["delivered"] >= 0
         assert serial[1]["n_devices"] == 3
-        for backend in ("thread", "process", "batched"):
-            assert by_backend[backend].values == serial, backend
+        for run in RUNS[1:]:
+            assert by_backend[run].values == serial, run
 
     def test_repeat_run_reproduces(self):
         deployment = small_deployment()

@@ -8,13 +8,19 @@ not change a single bit of the merged result relative to a
 pre-derived, so retried shards recompute identical bytes.
 """
 
+import ast
+import logging
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.channel.fading import BodyMotionFading
+import repro
 from repro.data.fdm import FdmFskModem
 from repro.engine import Scenario, SweepRunner, SweepSpec, launch_sweep
+from repro.engine import launcher
 from repro.engine.faults import FAULTS_ENV_VAR
 from repro.engine.launcher import (
     SHARD_POINTS_ENV_VAR,
@@ -71,6 +77,15 @@ def fig09_scenario() -> Scenario:
         max_factor=2,
         n_bits=40,
     )
+
+
+def live_fading_scenario() -> Scenario:
+    """Fig. 9's grid with one live stateful fading model on every link."""
+    scenario = fig09_scenario()
+    scenario.base_chain = dict(
+        scenario.base_chain, fading=BodyMotionFading("running", rng=7)
+    )
+    return scenario
 
 
 class TestLaunchMatchesSerial:
@@ -131,6 +146,36 @@ class TestInjectedFailure:
         assert report.failures >= 1
         assert report.result.values == serial.values
 
+    def test_retry_logs_a_warning(self, monkeypatch, caplog):
+        monkeypatch.setenv(FAULTS_ENV_VAR, "kill-shard:0")
+        with caplog.at_level(logging.WARNING, logger="repro.engine.launcher"):
+            report = launch_sweep(rng_scenario(), rng=SEED, n_workers=2, shard_points=3)
+        retries = [r for r in caplog.records if "re-queueing" in r.getMessage()]
+        assert len(retries) == report.retries == 1
+        assert retries[0].name == "repro.engine.launcher"
+        assert retries[0].levelno == logging.WARNING
+        message = retries[0].getMessage()
+        assert "[0:3)" in message
+        assert "retry 1 of 2" in message
+        assert "worker died (exit code 87)" in message
+
+    def test_degradation_logs_the_salvaged_points(self, monkeypatch, caplog):
+        # Point 1 kills every worker that holds it, so its range runs out
+        # of retries and the parent finishes it in-process.
+        monkeypatch.setenv(FAULTS_ENV_VAR, "kill-point:1")
+        serial = SweepRunner(rng_scenario(), rng=SEED, backend="serial").run()
+        with caplog.at_level(logging.WARNING, logger="repro.engine.launcher"):
+            report = launch_sweep(
+                rng_scenario(), rng=SEED, n_workers=2, shard_points=1, max_retries=1
+            )
+        assert report.degraded
+        assert report.result.values == serial.values
+        salvaged = [r for r in caplog.records if "in-process" in r.getMessage()]
+        assert len(salvaged) == 1
+        assert salvaged[0].levelno == logging.WARNING
+        assert "ran points [1]" in salvaged[0].getMessage()
+        assert report.degraded_points == 1
+
     def test_malformed_fault_knob_fails_fast(self, monkeypatch):
         monkeypatch.setenv(FAULTS_ENV_VAR, "drop-table")
         with pytest.raises(ConfigurationError, match=FAULTS_ENV_VAR):
@@ -190,6 +235,16 @@ class TestFailureModes:
         )
         with pytest.raises(ConfigurationError, match="shipped"):
             launch_sweep(closure, rng=SEED)
+
+    def test_live_fading_model_refused_before_fork(self, monkeypatch):
+        # Each worker would draw from its own unpickled copy of the
+        # model, so the merged grid would silently differ from serial.
+        def no_fork():
+            raise AssertionError("the launcher forked")
+
+        monkeypatch.setattr(launcher, "_mp_context", no_fork)
+        with pytest.raises(ConfigurationError, match="BodyMotionFading.*MotionFadingSpec"):
+            launch_sweep(live_fading_scenario(), rng=SEED, n_workers=2, shard_points=1)
 
     def test_bad_parameters_rejected(self):
         for kwargs in (
@@ -325,3 +380,38 @@ class TestDistributedDriver:
         assert ours == reference
         assert telemetry["n_workers"] == 2
         assert telemetry["wall_s"] > 0
+
+
+def _process_pool_imports(path: Path):
+    """Names in ``path`` that import ``multiprocessing`` or a process pool."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [alias.name for alias in node.names]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        else:
+            continue
+        found += [
+            name for name in names
+            if name.split(".")[0] == "multiprocessing" or name == "ProcessPoolExecutor"
+        ]
+    return found
+
+
+class TestOneFanOut:
+    def test_only_the_launcher_starts_worker_processes(self):
+        # The launcher is the package's one multi-process fan-out: its
+        # retries, store warm-up and live-fading guard would all have to
+        # be repeated by any second one.
+        root = Path(repro.__file__).parent
+        launcher_path = root / "engine" / "launcher.py"
+        assert _process_pool_imports(launcher_path)  # the scan sees imports
+        offenders = {
+            str(path.relative_to(root)): names
+            for path in sorted(root.rglob("*.py"))
+            if path != launcher_path and (names := _process_pool_imports(path))
+        }
+        assert offenders == {}

@@ -1,17 +1,16 @@
-"""The shared thread pool behind ``auto`` and ``thread``.
+"""The thread pool behind ``auto``.
 
 ``auto`` runs each serially-routed point (long mono and stereo rows
 alike) as one unit of a thread pool, and all its batched partitions
 together as one more (one batched call, so one partition's stacks are
-live at a time); ``thread`` runs every point as one unit. Values must equal the serial backend's bit for bit at any pool
-size. ``REPRO_SWEEP_WORKERS=2`` forces a two-thread pool, so these tests
-exercise real concurrency on a one-CPU machine too. A live stateful
-fading model draws in grid order across points, so its grid must stay
-one sequential unit, and the process backend, whose workers would each
-draw from their own copy, must refuse it.
+live at a time). Values must equal the serial backend's bit for bit at
+any pool size. ``REPRO_SWEEP_WORKERS=2`` forces a two-thread pool, so
+these tests exercise real concurrency on a one-CPU machine too. A live
+stateful fading model draws in grid order across points, so its grid
+must stay one sequential unit (the launcher, whose workers would each
+draw from their own copy, refuses it; see ``test_launcher.py``).
 """
 
-import os
 import sys
 import tracemalloc
 
@@ -22,11 +21,9 @@ from repro.audio.tones import tone
 from repro.channel.fading import BodyMotionFading
 from repro.constants import AUDIO_RATE_HZ
 from repro.engine import AmbientCache, PayloadSelector, Scenario, SweepRunner, SweepSpec
-from repro.engine import process_backend
 from repro.engine.execution import execute_point
 from repro.engine.planner import plan_sweep
 from repro.engine.runner import WORKERS_ENV_VAR, derive_streams, pool_size
-from repro.errors import ConfigurationError
 from repro.experiments import fig08_ber_overlay as fig08
 from repro.experiments import fig13_pesq_stereo as fig13
 from repro.utils.env import NUMERICS_ENV_VAR
@@ -95,7 +92,8 @@ class TestPoolSize:
 
     def test_more_threads_than_cores_with_fast_switching(self):
         # Every unit writes its own slot of one shared values list; a
-        # lost or misplaced write would break equality with serial.
+        # lost or misplaced write would break equality with serial. The
+        # measure draws per point itself, so auto runs one unit per point.
         scenario = Scenario(
             name="stress",
             sweep=SweepSpec.grid(a=tuple(range(64))),
@@ -106,7 +104,7 @@ class TestPoolSize:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threaded = _run(scenario, "thread", max_workers=8)
+            threaded = _run(scenario, "auto", max_workers=8)
         finally:
             sys.setswitchinterval(interval)
         assert threaded.n_workers == 8
@@ -214,30 +212,12 @@ class TestLiveFadingBackends:
             fading=BodyMotionFading("running", rng=7),
         )
 
-    def test_thread_backend_matches_serial(self):
+    def test_auto_pool_matches_serial(self):
         serial = _run(self._live_scenario(), "serial")
         for _ in range(3):
-            threaded = _run(self._live_scenario(), "thread", max_workers=2)
-            assert threaded.values == serial.values
-
-    def test_process_backend_default_pool_stays_at_most_eight(self, monkeypatch):
-        # Every process worker warms and holds its own caches, so the
-        # process pool keeps its min(8, CPUs) default on many-core hosts.
-        seen = {}
-
-        def fake_process_backend(scenario, data, points, seeds, cache, master, n):
-            seen["n_workers"] = n
-            return [None] * len(points)
-
-        monkeypatch.delenv(WORKERS_ENV_VAR, raising=False)
-        monkeypatch.setattr(process_backend, "run_process_backend", fake_process_backend)
-        monkeypatch.setattr(os, "cpu_count", lambda: 64)
-        result = _run(_scenario(), "process")
-        assert seen["n_workers"] == result.n_workers == 8
-
-    def test_process_backend_refuses_live_model(self):
-        with pytest.raises(ConfigurationError, match="BodyMotionFading.*MotionFadingSpec"):
-            _run(self._live_scenario(), "process", max_workers=2)
+            pooled = _run(self._live_scenario(), "auto", max_workers=2)
+            assert pooled.n_workers == 1
+            assert pooled.values == serial.values
 
 
 class TestPointWorkingSet:

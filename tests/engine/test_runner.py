@@ -99,12 +99,13 @@ class TestSerialParallelLegacyParity:
         assert result.cache_stats is None
 
     def test_serial_and_parallel_identical_uncached(self, payload):
-        # Backends pinned explicitly: this test is about serial-vs-thread
+        # Backends pinned explicitly: this test is about serial-vs-pool
         # parity and must not change meaning when REPRO_SWEEP_BACKEND
         # forces a different backend (CI runs a batched-backend leg).
+        # The measure transmits itself, so auto runs one unit per point.
         scenario = _snr_scenario(payload, cache_ambient=False)
         serial = SweepRunner(scenario, rng=SEED, max_workers=1, backend="serial").run()
-        parallel = SweepRunner(scenario, rng=SEED, max_workers=4, backend="thread").run()
+        parallel = SweepRunner(scenario, rng=SEED, max_workers=4, backend="auto").run()
         assert serial.values == parallel.values
         assert serial.n_workers == 1 and parallel.n_workers == 4
 

@@ -13,6 +13,7 @@ import os
 import numpy as np
 import pytest
 
+from repro.channel.fading import BodyMotionFading
 from repro.data.fdm import FdmFskModem
 from repro.engine import Scenario, SweepRunner, SweepSpec, SweepService
 from repro.engine.service import JOB_STATES
@@ -205,6 +206,22 @@ class TestFailures:
                 await service.close()
 
         with pytest.raises(ConfigurationError, match="shipped"):
+            asyncio.run(drive())
+
+    def test_live_fading_model_rejected_at_the_front_door(self):
+        scenario = fig09_scenario()
+        scenario.base_chain = dict(
+            scenario.base_chain, fading=BodyMotionFading("running", rng=7)
+        )
+
+        async def drive():
+            service = SweepService(n_workers=2, shard_points=1)
+            try:
+                await service.submit(scenario, rng=SEED)
+            finally:
+                await service.close()
+
+        with pytest.raises(ConfigurationError, match="BodyMotionFading.*MotionFadingSpec"):
             asyncio.run(drive())
 
     def test_failed_job_reports_and_reraises(self):

@@ -102,9 +102,9 @@ class TestPointSlice:
             shard.series(along="a", b=10.0)
 
     def test_single_point_shard_executes_serially(self):
-        result = SweepRunner(rng_scenario(), rng=SEED, backend="thread").run(
-            point_slice=(3, 4)
-        )
+        result = SweepRunner(
+            rng_scenario(), rng=SEED, backend="auto", max_workers=4
+        ).run(point_slice=(3, 4))
         assert result.backend == "serial"
         assert len(result) == 1
 

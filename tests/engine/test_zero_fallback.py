@@ -6,7 +6,7 @@ Fig. 9 (MRC receptions), Fig. 10/13 (stereo decode), Fig. 12
 ``REPRO_SWEEP_BACKEND=batched`` takes **zero** per-point fallbacks
 (:attr:`~repro.engine.results.SweepResult.n_fallbacks`), and a fading
 grid — the case that used to fall back 100% — is bit-identical across
-all four backends. CI runs this file as a fast, non-timing gate so a
+every runner setting and pool size. CI runs this file as a fast, non-timing gate so a
 fallback regression is caught without relying on wall-clock numbers.
 """
 
@@ -34,6 +34,8 @@ exact_numerics_only = pytest.mark.skipif(
 
 
 SEED = 2017
+RUNS = (("serial", None), ("auto", 2), ("auto", 4), ("batched", None), ("auto", None))
+"""``(backend, max_workers)`` rows, serial first."""
 
 
 def _run(scenario, backend, **kwargs):
@@ -129,18 +131,18 @@ class TestFadingGridAllBackends:
     def by_backend(self):
         scenario = build_fading_scenario()
         return {
-            backend: _run(scenario, backend)
-            for backend in ("serial", "thread", "process", "batched", "auto")
+            (backend, workers): _run(scenario, backend, max_workers=workers)
+            for backend, workers in RUNS
         }
 
     @exact_numerics_only
     def test_bit_identical_across_all_backends(self, by_backend):
-        serial = by_backend["serial"]
-        for backend in ("thread", "process", "batched", "auto"):
-            assert by_backend[backend].values == serial.values, backend
+        serial = by_backend[RUNS[0]]
+        for run in RUNS[1:]:
+            assert by_backend[run].values == serial.values, run
 
     def test_batched_takes_zero_fading_fallbacks(self, by_backend):
-        batched = by_backend["batched"]
+        batched = by_backend[("batched", None)]
         assert batched.n_fallbacks == 0
         assert batched.backend == "batched[6/6]"
 
@@ -151,7 +153,7 @@ class TestFadingGridAllBackends:
         scenario = build_fading_scenario()
         scenario.base_chain = dict(scenario.base_chain)
         del scenario.base_chain["fading"]
-        assert _run(scenario, "serial").values != by_backend["serial"].values
+        assert _run(scenario, "serial").values != by_backend[RUNS[0]].values
 
 
 class _FixedShapeFading:

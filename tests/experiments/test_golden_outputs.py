@@ -8,7 +8,7 @@ element — against a committed JSON fixture under
 ``tests/experiments/golden/``.
 Any DSP, engine or backend change that drifts a figure's numbers fails
 loudly here, whichever execution backend runs the suite (the engine's
-backends are bit-identical by contract, so one fixture serves all four —
+settings are bit-identical by contract, so one fixture serves all three —
 CI exercises the default and ``REPRO_SWEEP_BACKEND=batched`` legs).
 
 Intentional output changes are recorded by regenerating the fixtures:
