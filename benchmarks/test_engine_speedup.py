@@ -26,7 +26,7 @@ wall-clock bars are enforced only under ``--bench-gate``:
    batched with a warm cache. Before the zero-fallback backend, any
    fading link forced per-point serial fallback, so this grid saw none
    of the batched speedups; now every point rides the vectorized path
-   (``SweepResult.n_fallbacks == 0``, asserted) and the batched-vs-serial
+   (every ``SweepResult.plan`` decision ``batched``, asserted) and the batched-vs-serial
    win is real.
 5. The ``auto`` backend on the two grids with *opposite* best backends:
    the long-row Fig. 8 grid (where batched measurably loses) and the
@@ -324,7 +324,7 @@ FADING_N_BITS = 100
 """Short payloads keep each waveform row small, so the 64 MB chunk cap
 admits wide stacks — the regime the vectorized path is built for (the
 dispatch-amortization win shrinks as rows lengthen and the chunker
-narrows the stack; see ``_chunk_limit``)."""
+narrows the stack; see ``repro.engine.planner.BATCH_MAX_MB``)."""
 
 
 @pytest.mark.engine_bench
@@ -335,8 +335,8 @@ def test_zero_fallback_speedup(no_persistent_cache, bench_artifact, bench_gate):
     The Fig. 9 MRC grid with ``MotionFadingSpec`` fading on every link —
     the shape of the paper's mobility scenarios (smart fabric, moving
     receivers). Before the zero-fallback backend every one of these
-    points dropped to the serial per-point path (``n_fallbacks`` would
-    have equalled the grid size); ``stack_envelopes`` + the vectorized
+    points dropped to the serial per-point path (the whole grid would
+    have run per point); ``stack_envelopes`` + the vectorized
     output-effects path now batch all of them, asserted here along with
     bit-identical results; the measured win is gated by ``--bench-gate``.
     """
@@ -380,7 +380,11 @@ def test_zero_fallback_speedup(no_persistent_cache, bench_artifact, bench_gate):
             # Every point carries a fading link, so the pre-zero-fallback
             # backend ran this grid 100% through the serial path.
             "before_zero_fallback_backend": n_points,
-            "batched_now": results["batched"].n_fallbacks,
+            "batched_now": sum(
+                len(d.point_indices)
+                for d in results["batched"].plan
+                if d.backend != "batched"
+            ),
         },
     }
     bench_artifact("zero_fallback", record)
@@ -390,7 +394,7 @@ def test_zero_fallback_speedup(no_persistent_cache, bench_artifact, bench_gate):
         np.array_equal(b, s)
         for b, s in zip(results["batched"].values, results["serial"].values)
     )
-    assert results["batched"].n_fallbacks == 0
+    assert all(d.backend == "batched" for d in results["batched"].plan)
     assert results["batched"].backend == f"batched[{n_points}/{n_points}]"
     # The acceptance bar is a real measured win (> 1x) on the grid that
     # previously saw none of the batched speedups.
@@ -490,7 +494,8 @@ def test_auto_backend(no_persistent_cache, bench_artifact, bench_gate):
             assert all(d.backend != "batched" for d in auto.plan)
         else:
             assert all(d.backend == "batched" for d in auto.plan)
-            assert auto.n_fallbacks == 0
+            n = scenario.sweep.n_points
+            assert auto.backend == f"auto[batched:{n}]"
         # Timing bar, with headroom over the 1.1x acceptance target for
         # shared-runner noise; the artifact records the exact ratio.
         bench_gate(ratio < 1.35, f"auto {ratio:.2f}x of best backend on {name}")

@@ -6,14 +6,16 @@ separates the *what* from the *how*: a :class:`Scenario` declares the
 grid, the per-point RNG derivation, the transmission payload and the
 measurement — as plain data (:class:`AxisRef` templates, ``chain_axes``,
 module-level measures), so a grid point can be shipped across a process
-boundary; a :class:`SweepRunner` executes it ``serial``, ``batched`` or
-— the default — ``auto``, where the row-length planner picks per
-partition and runs the pieces on one thread pool (decisions are
-recorded on ``SweepResult.plan``; see ``REPRO_SWEEP_BACKEND``), with a
-keyed :class:`AmbientCache` so each ambient program is synthesized and
-FM-modulated exactly once per sweep instead of once per grid point — and
-at most once *ever* per configuration when ``REPRO_CACHE_DIR`` points
-the cache at a persistent :class:`CacheStore`.
+boundary. A :class:`SweepRunner` executes it ``serial``, ``batched`` or
+— the default — ``auto`` (see ``REPRO_SWEEP_BACKEND``). Every setting
+is a plan (:func:`plan_sweep`): the grid's partitions, each sent to the
+batched or the serial executor (``auto`` picks per partition by row
+length) and run on one thread pool, with every decision recorded on
+``SweepResult.plan``. A keyed :class:`AmbientCache` synthesizes and
+FM-modulates each ambient program exactly once per sweep instead of
+once per grid point — and at most once *ever* per configuration when
+``REPRO_CACHE_DIR`` points the cache at a persistent
+:class:`CacheStore`.
 
 Usage (the spec form — plain data plus a module-level measure, so the
 same scenario also runs on the distributed launcher's worker processes)::
@@ -79,11 +81,7 @@ from repro.engine.deployment import (
     ReceiverPlacement,
     make_roster,
 )
-from repro.engine.planner import (
-    PartitionFeatures,
-    PlanDecision,
-    plan_sweep,
-)
+from repro.engine.planner import PlanDecision, plan_sweep
 from repro.engine.results import SweepResult, format_axis_value, power_key
 from repro.engine.runner import (
     AUTO_BACKEND,
@@ -123,7 +121,6 @@ __all__ = [
     "JobStatus",
     "JournaledJob",
     "LaunchReport",
-    "PartitionFeatures",
     "PayloadSelector",
     "PlanDecision",
     "PointRun",

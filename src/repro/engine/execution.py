@@ -2,9 +2,8 @@
 
 :func:`execute_point` is the one place that turns (scenario, grid point,
 pre-derived seed) into a measured value. The runner's serial units call
-it directly; the distributed launcher's workers call it with each
-worker's own cache; the batched executor falls back to it for points it
-cannot vectorize. Keeping the RNG discipline here — build the point
+it directly, and the distributed launcher's workers call it with each
+worker's own cache. Keeping the RNG discipline here — build the point
 generator from the pre-derived seed, attach the cached ambient, let the
 chain consume its station/link/receiver children in order — is what
 makes every setting and the launcher bit-identical.

@@ -1,45 +1,58 @@
-"""Row-length backend planner: per-partition executor selection for ``auto``.
+"""The sweep plan: one partitioner, and the units every setting runs.
 
-No single executor wins everywhere: the batched backend wins on short
-rows (per-point Python dispatch amortizes across the stack) but loses on
-long ones (the ``REPRO_BATCH_MAX_MB`` chunker narrows the stack until
-nothing is left to amortize, while per-point units run on every core).
-``auto`` decides per partition:
+:func:`plan_sweep` is the one place that groups grid points. A
+*partition* is the set of points one vectorized receive can stack: they
+share a front end (front-end key, ambient variant, payload length and
+identity, so one cached composite envelope) and a receive decode
+(receiver kind, mono or stereo). The batched executor
+(:func:`~repro.engine.batch_backend.run_batched_backend`) runs each
+batched partition as one stack, in the plan's chunk rows, so the plan on
+:attr:`~repro.engine.results.SweepResult.plan` is what executed.
 
-1. :func:`extract_features` partitions the compiled scenario exactly as
-   the batched executor would (front-end group x receiver signature),
-   *without synthesizing anything*, and reads each partition's stack
-   width, exact row length in MPX samples and decode mode.
-2. :func:`choose_backend` applies a fixed rule (see
-   :data:`CROSSOVER_SAMPLES`) and :func:`plan_sweep` records every
-   decision with its reason on :attr:`~repro.engine.results.SweepResult.plan`.
-3. The runner hands the plan's *units* to its thread pool
-   (:func:`~repro.engine.runner.run_units`): every point routed to
-   serial is one unit, and all batched partitions together are another
-   (one batched call, so one partition's stacks are live at a time).
-   Each unit runs on the same pre-derived per-point seeds every setting
-   uses, so results stay bit-identical in grid order at any pool size.
+Every setting is a plan. Each partition gets one
+:class:`PlanDecision` — executor, chunk rows and the rule that chose
+them:
 
-A grid with a *live* stateful fading model on any link is not
-splittable (:attr:`SweepPlan.splittable`): such a model consumes its
-random stream in grid order across points. Its partitions must then
-agree — if their choices differ, the whole grid runs ``serial``
-(reason ``"live-fading"``) — and the whole grid is one sequential unit.
-That holds for a uniform grid too, whose reason (``"long-rows"``, say)
-does not mention the fading. Frozen declarative specs
-(:class:`~repro.channel.fading.MotionFadingSpec`) resolve from each
-point's own stream and split freely.
+- ``serial`` runs every point through the per-point chain
+  (reason ``"requested"``), and so does a grid of at most one point
+  (``"single-point"``), where stacking buys nothing.
+- ``batched`` stacks every partition (``"requested"``), unless the grid
+  cannot batch at all: a *measure-driven* grid's measure transmits
+  itself, so there is nothing to stack (``"measure-driven"``), and an
+  *uncached* grid has no shared composite envelope (``"uncached"``).
+  Both are properties of the whole grid, decided here, so the executor
+  never meets a point it cannot stack.
+- ``auto`` applies the same two grid rules, then a row-length rule per
+  partition (:func:`choose_backend`): the batched executor wins on short
+  rows, where per-point Python dispatch amortizes across the stack, but
+  loses on long ones, where the memory-capped chunks narrow the stack
+  until nothing is left to amortize while per-point units run on every
+  core.
+
+The plan's *units* go to the runner's thread pool
+(:func:`~repro.engine.runner.run_units`): all batched partitions
+together are one unit (one batched call, so one partition's stacks are
+live at a time); under ``auto`` each serial point is a unit of its own,
+and under the other settings all serial points are one unit. Each unit
+runs on the same pre-derived per-point seeds, so results stay
+bit-identical in grid order at any pool size.
+
+A grid with a *live* stateful fading model on any link cannot be split
+into concurrent units: such a model consumes its random stream in grid
+order across points. Under ``auto`` its partitions must then agree — if
+their choices differ, the whole grid runs ``serial`` (reason
+``"live-fading"``) — and the whole grid is one sequential unit. Frozen
+declarative specs (:class:`~repro.channel.fading.MotionFadingSpec`)
+resolve from each point's own stream and split freely.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.constants import AUDIO_RATE_HZ, MPX_RATE_HZ
 from repro.engine.cache import AmbientCache
-from repro.engine.runner import Unit
 from repro.engine.scenario import GridPoint, Scenario
 from repro.utils.env import fast_numerics
 
@@ -74,87 +87,77 @@ pooled points cost more CPU, 1.1x the batched unit's at 480,000-sample
 rows and up to 1.8x at 30,000.
 """
 
+BATCH_MAX_MB = 64.0
+"""Cap (in MB) on one stacked transmit/FFT working set; a partition
+larger than the cap vectorizes in row chunks, which changes nothing
+numerically in exact mode. Deliberately cache-sized rather than
+RAM-sized: the vectorized ops are elementwise and memory-bound, so a
+working set near the LLC beats one giant pass through DRAM (measured
+~2.5x on the Fig. 8 grid). The cap bounds each pass, not the per-row
+state that persists across passes (the MPX stack, decimated pilot
+bands, the stereo candidates' MPX spectra, audio-rate rows), which is
+what lets the stereo PLL span a whole partition."""
+
+_TRANSMIT_BYTES_PER_SAMPLE = 48
+"""Per-point bytes one transmit + demodulate chunk holds: the complex rx
+row (16 B/sample), the discriminator's magnitude row and the
+demodulated MPX row (8 each), plus slack for the link's power pass and
+audio tails."""
+
 _MPX_PER_AUDIO = int(round(MPX_RATE_HZ / AUDIO_RATE_HZ))
 
 
 @dataclass(frozen=True)
-class PartitionFeatures:
-    """Per-partition predictors the backend rule reads.
-
-    Attributes:
-        label: partition tag (receiver kind, decode mode, row length).
-        positions: positions into the *run's* point list (after any
-            ``point_slice``), in grid order.
-        n_points: stack width (grid points sharing this partition).
-        n_samples: IQ samples per row — exact by construction, the
-            payload length upsampled to the MPX rate.
-        stereo: partition decodes through the stereo (multi-waveform
-            PLL) batch rather than the mono batch.
-        measure_driven: the measure transmits internally (no
-            runner-performed transmission exists to vectorize).
-        chunk_rows: rows of one vectorized chunk under the current
-            ``REPRO_BATCH_MAX_MB`` budget (capped by the stack width).
-        batchable: the batched executor can take this partition at all.
-    """
-
-    label: str
-    positions: Tuple[int, ...]
-    n_points: int
-    n_samples: int
-    stereo: bool
-    measure_driven: bool
-    chunk_rows: int
-    batchable: bool
-
-    def as_dict(self) -> Dict[str, object]:
-        record = dataclasses.asdict(self)
-        record["positions"] = list(self.positions)
-        return record
-
-
-@dataclass(frozen=True)
 class PlanDecision:
-    """One partition's audited planning outcome, recorded on the result.
+    """One partition of the grid: its points, what runs them, and why.
 
     Attributes:
-        partition: the partition's feature label.
+        partition: the partition's label — receiver kind, decode mode and
+            row length (``smartphone/mono@24000``), or ``measure-driven``.
         point_indices: ``GridPoint.index`` of every member, grid order —
             global indices, so shard plans merge unambiguously.
-        backend: the executor chosen for the partition.
-        chunk_rows: vectorized chunk budget in rows (1 for serial paths).
+        positions: the same members as positions into the *run's* point
+            list (after any ``point_slice``).
+        n_samples: IQ samples per row, the payload length upsampled to
+            the MPX rate (0 for a measure-driven grid).
+        backend: the executor that runs the partition.
+        chunk_rows: rows per vectorized transmit/FFT pass (1 for serial).
         reason: the rule that chose ``backend`` (``"short-rows"``,
-            ``"long-rows"``, ``"live-fading"``, ...).
-        features: the feature vector the decision was made on.
+            ``"long-rows"``, ``"requested"``, ``"uncached"``, ...).
     """
 
     partition: str
     point_indices: Tuple[int, ...]
+    positions: Tuple[int, ...]
+    n_samples: int
     backend: str
     chunk_rows: int
     reason: str
-    features: Mapping[str, object]
+
+
+class Unit(NamedTuple):
+    """One unit of pooled work, run on one thread: ``positions`` one by
+    one through :func:`~repro.engine.execution.execute_point`, and
+    ``partitions`` through one
+    :func:`~repro.engine.batch_backend.run_batched_backend` call."""
+
+    positions: Tuple[int, ...] = ()
+    partitions: Tuple[PlanDecision, ...] = ()
 
 
 @dataclass
 class SweepPlan:
-    """Everything ``auto`` decided for one grid.
+    """Everything decided for one grid.
 
     Attributes:
-        decisions: one audited decision per partition.
-        by_backend: run positions per executor, each list in grid order.
-        label: the result's backend label, e.g. ``auto[serial:40]``.
-        splittable: no live stateful fading model is on any link, so the
-            grid may run as concurrent units.
-        units: the work for :func:`~repro.engine.runner.run_units` —
-            every batched position in one unit and each serial point
-            alone when ``splittable``, else the whole grid as one
-            sequential unit.
+        decisions: one decision per partition, grid order.
+        label: the result's backend label — ``serial``,
+            ``batched[n/N]`` or ``auto[batched:n+serial:m]``.
+        units: the work for :func:`~repro.engine.runner.run_units`.
     """
 
     decisions: List[PlanDecision]
-    by_backend: Dict[str, List[int]]
     label: str
-    splittable: bool
     units: List[Unit]
 
 
@@ -181,137 +184,145 @@ def live_fading_model(
     return None
 
 
-def extract_features(
-    scenario: Scenario,
-    data: Mapping[str, object],
-    points: Sequence[GridPoint],
-    cache: Optional[AmbientCache],
-) -> Tuple[List[PartitionFeatures], bool]:
-    """Partition the grid exactly as the batched executor would and
-    derive each partition's predictors — from chain/stage value objects
-    only, never synthesizing a waveform or a receiver noise stream.
+def partition_points(
+    scenario: Scenario, data: Dict[str, object], points: Sequence[GridPoint]
+) -> List[Tuple[str, int, bool, List[int]]]:
+    """Group a runner-transmitted grid's positions into partitions.
 
-    Returns ``(features, splittable)``: ``splittable`` is False when a
-    live stateful fading model is on any link (see module docstring).
+    The one partition key: front-end key, ambient variant, payload length
+    and identity, receiver kind and decode mode. Built from chain and
+    stage value objects only — never synthesizing a waveform or building
+    a receiver, so no random stream is drawn.
+
+    Returns:
+        ``(label, n_samples, stereo, positions)`` per partition, in
+        first-member grid order. Partitions of different front ends may
+        share a label.
     """
-    splittable = live_fading_model(scenario, points) is None
-    if scenario.measure_driven or not points:
-        features = PartitionFeatures(
-            label="measure-driven", positions=tuple(range(len(points))),
-            n_points=len(points), n_samples=0, stereo=False,
-            measure_driven=True, chunk_rows=1, batchable=False,
-        )
-        return [features], splittable
-
-    from repro.engine.batch_backend import chunk_limit
     from repro.experiments.common import ExperimentChain
 
-    batchable = cache is not None and scenario.cache_ambient
-
-    partitions: "Dict[tuple, List[int]]" = {}
+    groups: Dict[tuple, List[int]] = {}
     for pos, point in enumerate(points):
         chain = ExperimentChain(**scenario.chain_kwargs(point))
         payload = scenario.payload_for(point, data)
-        stage = chain.receive_stage()
-        # Mirrors the executor's two-level grouping: the front-end group
-        # key, then the receiver-homogeneity signature (derived from the
-        # stage rather than a built receiver, so no RNG draw happens).
-        stereo = stage.receiver_kind == "car" or stage.stereo_decode
+        # The car radio always runs its stereo decoder; a phone decodes
+        # stereo when asked to. AGC and the other output effects apply
+        # row by row, so they do not split a stack.
+        stereo = chain.receiver_kind == "car" or chain.stereo_decode
         key = (
             chain.front_end_key(),
             scenario.variant_for(point),
             payload.shape[-1],
             id(payload),
-            stage,
+            chain.receiver_kind,
             stereo,
         )
-        partitions.setdefault(key, []).append(pos)
-
-    features: List[PartitionFeatures] = []
-    for key, positions in partitions.items():
-        stage, stereo = key[4], key[5]
-        n_samples = int(key[2]) * _MPX_PER_AUDIO
+        groups.setdefault(key, []).append(pos)
+    partitions = []
+    for (_, _, n_audio, _, kind, stereo), positions in groups.items():
+        n_samples = int(n_audio) * _MPX_PER_AUDIO
         mode = "stereo" if stereo else "mono"
-        features.append(
-            PartitionFeatures(
-                label=f"{stage.receiver_kind}/{mode}@{n_samples}",
-                positions=tuple(positions),
-                n_points=len(positions),
-                n_samples=n_samples,
-                stereo=bool(stereo),
-                measure_driven=False,
-                chunk_rows=min(len(positions), chunk_limit(n_samples)),
-                batchable=batchable,
-            )
-        )
-    return features, splittable
+        partitions.append((f"{kind}/{mode}@{n_samples}", n_samples, stereo, positions))
+    return partitions
 
 
-def choose_backend(features: PartitionFeatures) -> Tuple[str, str]:
-    """``(backend, reason)`` for one partition: the first rule that matches.
-
-    Measure-driven partitions stay ``serial`` (the engine knows nothing
-    about the inside of their measures), as do uncached ones, which the
-    batched executor cannot take.
-    """
-    if features.measure_driven:
-        return "serial", "measure-driven"
-    if not features.batchable:
-        return "serial", "uncached"
+def choose_backend(n_samples: int, stereo: bool) -> Tuple[str, str]:
+    """``(backend, reason)`` of ``auto``'s row rule for one partition."""
     if fast_numerics():
         return "batched", "fast-numerics"
-    crossover = STEREO_CROSSOVER_SAMPLES if features.stereo else CROSSOVER_SAMPLES
-    if features.n_samples <= crossover:
+    crossover = STEREO_CROSSOVER_SAMPLES if stereo else CROSSOVER_SAMPLES
+    if n_samples <= crossover:
         return "batched", "short-rows"
     return "serial", "long-rows"
 
 
+def _chunk_rows(n_samples: int, n_points: int) -> int:
+    """Rows of one vectorized pass under :data:`BATCH_MAX_MB`, capped by
+    the stack width."""
+    bytes_per_point = max(n_samples * _TRANSMIT_BYTES_PER_SAMPLE, 1)
+    return max(1, min(n_points, int(BATCH_MAX_MB * 1e6 / bytes_per_point)))
+
+
 def plan_sweep(
     scenario: Scenario,
-    data: Mapping[str, object],
+    data: Dict[str, object],
     points: Sequence[GridPoint],
     cache: Optional[AmbientCache],
+    setting: str,
 ) -> SweepPlan:
-    """Choose the executor (and chunk budget) per partition."""
-    features, splittable = extract_features(scenario, data, points, cache)
-    choices = [choose_backend(f) for f in features]
-    if not splittable and len({backend for backend, _ in choices}) > 1:
+    """The plan that runs ``points`` under ``setting``.
+
+    Args:
+        setting: ``"serial"``, ``"batched"`` or ``"auto"``.
+    """
+    if len(points) <= 1:
+        setting, grid_reason = "serial", "single-point"
+    elif setting == "serial":
+        grid_reason = "requested"
+    elif scenario.measure_driven:
+        grid_reason = "measure-driven"
+    elif cache is None or not scenario.cache_ambient:
+        grid_reason = "uncached"
+    else:
+        grid_reason = None
+
+    if not points:
+        partitions = []
+    elif scenario.measure_driven:
+        partitions = [("measure-driven", 0, False, list(range(len(points))))]
+    else:
+        partitions = partition_points(scenario, data, points)
+    if grid_reason is not None:
+        choices = [("serial", grid_reason)] * len(partitions)
+    elif setting == "batched":
+        choices = [("batched", "requested")] * len(partitions)
+    else:
+        choices = [
+            choose_backend(n_samples, stereo) for _, n_samples, stereo, _ in partitions
+        ]
+    splittable = setting == "auto" and live_fading_model(scenario, points) is None
+    if not splittable and len(set(backend for backend, _ in choices)) > 1:
         # A live stateful fading model consumes its stream in grid order
         # across the whole grid: run it all serially, so the consumption
         # order matches a pure single-backend run.
-        choices = [("serial", "live-fading")] * len(features)
+        choices = [("serial", "live-fading")] * len(partitions)
 
-    decisions: List[PlanDecision] = []
-    by_backend: Dict[str, List[int]] = {}
-    for f, (backend, reason) in zip(features, choices):
-        decisions.append(
-            PlanDecision(
-                partition=f.label,
-                point_indices=tuple(points[pos].index for pos in f.positions),
-                backend=backend,
-                chunk_rows=f.chunk_rows if backend == "batched" else 1,
-                reason=reason,
-                features=f.as_dict(),
-            )
+    decisions = [
+        PlanDecision(
+            partition=label,
+            point_indices=tuple(points[pos].index for pos in positions),
+            positions=tuple(positions),
+            n_samples=n_samples,
+            backend=backend,
+            chunk_rows=_chunk_rows(n_samples, len(positions)) if backend == "batched" else 1,
+            reason=reason,
         )
-        by_backend.setdefault(backend, []).extend(f.positions)
-    for positions in by_backend.values():
-        positions.sort()
-    label = "auto[" + "+".join(
-        f"{backend}:{len(by_backend[backend])}" for backend in sorted(by_backend)
-    ) + "]"
-    if splittable:
-        # All batched positions are one unit, one batched call as in a
-        # single-backend run, so one partition's stacks are live at a
-        # time. It is submitted first, as it is usually the longest.
-        units: List[Unit] = []
-        if "batched" in by_backend:
-            units.append(("batched", by_backend["batched"]))
-        units += [("serial", [pos]) for pos in by_backend.get("serial", [])]
-    else:
-        # The partitions agree (see above), so this is one unit.
-        units = list(by_backend.items())
-    return SweepPlan(
-        decisions=decisions, by_backend=by_backend, label=label,
-        splittable=splittable, units=units,
+        for (label, n_samples, _, positions), (backend, reason) in zip(
+            partitions, choices
+        )
+    ]
+    batched = tuple(d for d in decisions if d.backend == "batched")
+    n_batched = sum(len(d.positions) for d in batched)
+    serial = sorted(
+        pos for d in decisions if d.backend == "serial" for pos in d.positions
     )
+
+    # All batched partitions are one unit, one batched call, so one
+    # partition's stacks are live at a time. It is submitted first, as it
+    # is usually the longest.
+    units = [Unit(partitions=batched)] if batched else []
+    if splittable:
+        units += [Unit(positions=(pos,)) for pos in serial]
+    elif serial:
+        units.append(Unit(positions=tuple(serial)))
+
+    if setting == "auto":
+        counts = {"batched": n_batched, "serial": len(serial)}
+        label = "auto[" + "+".join(
+            f"{backend}:{count}" for backend, count in counts.items() if count
+        ) + "]"
+    elif setting == "batched":
+        label = f"batched[{n_batched}/{len(points)}]"
+    else:
+        label = "serial"
+    return SweepPlan(decisions=decisions, label=label, units=units)

@@ -2,10 +2,10 @@
 
 :class:`SweepResult` is what a :class:`~repro.engine.runner.SweepRunner`
 returns: one value per grid point, in row-major grid order, plus
-execution metadata (cache hits, wall time, worker count). The figure
-modules slice it back into the exact dict shapes their ``run()``
-functions have always returned, via :meth:`SweepResult.series` and the
-:func:`power_key` formatter.
+execution metadata (cache hits, wall time, worker count, and the plan
+that ran it). The figure modules slice it back into the exact dict
+shapes their ``run()`` functions have always returned, via
+:meth:`SweepResult.series` and the :func:`power_key` formatter.
 
 :func:`power_key` replaces the ``f"P{int(power)}"`` pattern the legacy
 loops used, which silently collided for fractional powers
@@ -81,30 +81,17 @@ class SweepResult:
         data: the shared dict returned by the scenario's ``prepare``
             (payload bits, reference audio, ...), for post-grid steps
             like MRC combining or BER scoring.
-        backend: which execution backend ran the grid; the batched
-            backend reports how many points it vectorized, e.g.
-            ``"batched[40/40]"``.
-        n_fallbacks: how many *batch-eligible* points (the scenario
-            declares a chain + ``payload``, so the runner performs the
-            transmission) the batched backend executed through the
-            serial per-point fallback instead of a vectorized stack.
-            ``0`` means full vectorized coverage — since the
-            zero-fallback backend landed, every chain feature (fading,
-            stereo, de-emphasis, receiver output effects) batches, so a
-            nonzero count is a regression. Points of measure-driven
-            scenarios (no declared payload; the measure transmits
-            itself, e.g. Fig. 12's two-phone cancellation or the
-            deployment layer) execute per point by construction and are
-            not counted. ``None`` when the ``serial`` setting, which has
-            no fallback concept, ran.
-        plan: the planner's per-partition decisions
-            (:class:`~repro.engine.planner.PlanDecision` records — chosen
-            backend, chunk budget, the rule's reason, feature vector) when
-            the ``auto`` backend ran, else ``None``. Decisions carry
+        backend: the plan's label for how the grid ran — ``serial``,
+            ``batched[n/N]`` (``n`` of the ``N`` points vectorized) or
+            ``auto[batched:n+serial:m]``; merged and launcher results
+            carry their own labels.
+        plan: the plan's per-partition decisions
+            (:class:`~repro.engine.planner.PlanDecision` records — the
+            partition's points, executor, chunk rows and the rule's
+            reason), recorded under every setting. Decisions carry
             *global* grid indices, so :meth:`merge` concatenates shard
-            plans (grid order) whenever every shard has one — shards may
-            have chosen different backends — and drops the plan when any
-            shard ran an explicit backend.
+            plans (grid order) whenever every shard has one, and drops
+            the plan when any shard has none (the launcher's shards).
         scenario_name: name of the scenario that produced the values;
             :meth:`merge` refuses to stitch shards of different
             scenarios (same-axes grids from unrelated experiments would
@@ -122,7 +109,6 @@ class SweepResult:
     data: Dict[str, object] = field(default_factory=dict)
     backend: str = "serial"
     scenario_name: str = ""
-    n_fallbacks: Optional[int] = None
     plan: Optional[List[object]] = None
 
     @classmethod
@@ -191,9 +177,6 @@ class SweepResult:
                         cache_stats[key] = max(cache_stats.get(key, 0), count)
                     else:
                         cache_stats[key] = cache_stats.get(key, 0) + count
-        n_fallbacks: Optional[int] = None
-        if all(r.n_fallbacks is not None for r in results):
-            n_fallbacks = sum(r.n_fallbacks for r in results)
         plan: Optional[List[object]] = None
         if all(r.plan is not None for r in results):
             # Grid order via each decision's first global point index —
@@ -212,7 +195,6 @@ class SweepResult:
             data=results[0].data,
             backend=f"merged[{len(results)}]",
             scenario_name=results[0].scenario_name,
-            n_fallbacks=n_fallbacks,
             plan=plan,
         )
 

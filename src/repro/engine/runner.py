@@ -13,27 +13,25 @@
    therefore fixed before execution starts, so all settings are
    bit-identical to the serial loop and to the hand-rolled loops they
    replaced.
-3. The selected setting builds a list of units and :func:`run_units`
-   executes them:
+3. :func:`~repro.engine.planner.plan_sweep` turns the selected setting
+   into a plan — one :class:`~repro.engine.planner.PlanDecision` per
+   partition (points sharing a front end and a receive decode), recorded
+   on :attr:`~repro.engine.results.SweepResult.plan` — and its units, and
+   :func:`run_units` executes them:
 
    - ``serial`` — one unit running every point in turn (the reference
      semantics).
-   - ``batched`` — one unit that groups points sharing one front end and
-     runs the link + receive math (fading, mono and stereo decode alike
-     — via per-row envelope stacks and the multi-waveform pilot PLL —
-     plus de-emphasis and receiver output effects) vectorized over a
-     ``(points, samples)`` stack. Every runner-transmitted point
-     batches; ``SweepResult.n_fallbacks`` counts batch-eligible points
-     that had to run serially (now structurally zero) while
-     measure-driven scenarios execute per point by construction.
-   - ``auto`` (the default) — the planner (:mod:`repro.engine.planner`)
-     partitions the grid exactly as the batched executor would and
-     sends each partition to ``batched`` or ``serial`` by a measured
-     row-length rule (one crossover for mono rows, one for stereo) —
-     short-row partitions ride the vectorized stack while long rows run
-     per point — recording every decision and its reason on
-     :attr:`~repro.engine.results.SweepResult.plan`. Each serial point
-     is then one unit, and all batched partitions together are one more.
+   - ``batched`` — one unit that runs every partition's link + receive
+     math (fading, mono and stereo decode alike — via per-row envelope
+     stacks and the multi-waveform pilot PLL — plus de-emphasis and
+     receiver output effects) vectorized over a ``(points, samples)``
+     stack; a measure-driven or uncached grid, which has nothing to
+     stack, is one serial unit instead.
+   - ``auto`` (the default) — each partition goes to ``batched`` or
+     ``serial`` by a measured row-length rule (one crossover for mono
+     rows, one for stereo): short-row partitions ride the vectorized
+     stack while long rows run per point. Each serial point is then one
+     unit, and all batched partitions together are one more.
 
 :func:`run_units` is a thread pool with one thread per available CPU,
 capped at the number of units; ``max_workers`` or
@@ -70,6 +68,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.engine.cache import AmbientCache, default_cache, stats_delta
 from repro.engine.execution import execute_point
+from repro.engine.planner import Unit, plan_sweep
 from repro.engine.results import SweepResult
 from repro.engine.scenario import GridPoint, Scenario
 from repro.errors import ConfigurationError
@@ -113,14 +112,6 @@ def pool_size(n_units: int, max_workers: Optional[int] = None) -> int:
     return max(1, min(max_workers, n_units))
 
 
-Unit = Tuple[str, List[int]]
-"""One unit of pooled work, ``(executor, positions)``, run on one thread:
-the executor is ``"serial"`` (each position in turn through
-:func:`~repro.engine.execution.execute_point`) or ``"batched"`` (the
-positions through one :func:`~repro.engine.batch_backend.run_batched_backend`
-call)."""
-
-
 def run_units(
     scenario: Scenario,
     data: Dict[str, object],
@@ -130,7 +121,7 @@ def run_units(
     ambient_master: int,
     units: Sequence[Unit],
     max_workers: Optional[int] = None,
-) -> Tuple[List[object], int, int, int]:
+) -> Tuple[List[object], int]:
     """Execute ``units`` on one thread pool of :func:`pool_size` threads.
 
     Units run concurrently, the points inside one unit in order. Every
@@ -140,44 +131,38 @@ def run_units(
     confined to one unit by the caller.
 
     Returns:
-        ``(values, n_fallbacks, n_batched, n_workers)`` — values in grid
-        order, the batched executor's fallbacks and vectorized points
-        summed over units, and the pool size (1 when run inline).
+        ``(values, n_workers)`` — values in grid order, and the pool size
+        (1 when run inline).
     """
     from repro.engine.batch_backend import run_batched_backend
 
     values: List[object] = [None] * len(points)
 
-    def run(unit: Unit) -> Tuple[int, int]:
-        backend, positions = unit
-        if backend == "batched":
-            sub_values, n_batched, fallbacks = run_batched_backend(
-                scenario, data, [points[pos] for pos in positions],
-                [seeds[pos] for pos in positions], cache, ambient_master,
+    def run(unit: Unit) -> None:
+        if unit.partitions:
+            run_batched_backend(
+                scenario, data, points, seeds, cache, ambient_master,
+                unit.partitions, values,
             )
-            for pos, value in zip(positions, sub_values):
-                values[pos] = value
-            return fallbacks, n_batched
-        for pos in positions:  # serial
+        for pos in unit.positions:
             values[pos] = execute_point(
                 scenario, points[pos], seeds[pos], data, cache, ambient_master
             )
-        return 0, 0
 
     n_workers = pool_size(len(units), max_workers)
     if n_workers == 1:
-        counts = [run(unit) for unit in units]
+        for unit in units:
+            run(unit)
     else:
         pool = ThreadPoolExecutor(max_workers=n_workers)
         try:
             futures = [pool.submit(run, unit) for unit in units]
-            counts = [future.result() for future in futures]
+            for future in futures:
+                future.result()
         finally:
             # On a failure, units not yet started are dropped rather than run.
             pool.shutdown(cancel_futures=True)
-    n_fallbacks = sum(fallbacks for fallbacks, _ in counts)
-    n_batched = sum(batched for _, batched in counts)
-    return values, n_fallbacks, n_batched, n_workers
+    return values, n_workers
 
 
 def default_backend() -> Optional[str]:
@@ -314,29 +299,13 @@ class SweepRunner:
             cache = self.cache if self.cache is not None else default_cache()
         stats_before = cache.stats if cache is not None else None
 
-        # Pools and stacking buy nothing on a <=1-point grid; the label
-        # records what actually executed.
-        backend = "serial" if len(points) <= 1 else self.backend
-        plan = None
         start = time.perf_counter()
-        if backend == AUTO_BACKEND:
-            from repro.engine.planner import plan_sweep
-
-            sweep_plan = plan_sweep(scenario, data, points, cache)
-            plan, units = sweep_plan.decisions, sweep_plan.units
-        else:
-            units = [(backend, list(range(len(points))))]
-        values, n_fallbacks, n_batched, n_workers = run_units(
+        plan = plan_sweep(scenario, data, points, cache, self.backend)
+        values, n_workers = run_units(
             scenario, data, points, seeds, cache, ambient_master,
-            units, self.max_workers,
+            plan.units, self.max_workers,
         )
         elapsed = time.perf_counter() - start
-        if backend == AUTO_BACKEND:
-            backend_label = sweep_plan.label
-        elif backend == "batched":
-            backend_label = f"batched[{n_batched}/{len(points)}]"
-        else:
-            backend_label, n_fallbacks = "serial", None
 
         cache_stats = None
         if cache is not None and stats_before is not None:
@@ -349,10 +318,9 @@ class SweepRunner:
             n_workers=n_workers,
             cache_stats=cache_stats,
             data=data,
-            backend=backend_label,
+            backend=plan.label,
             scenario_name=scenario.name,
-            n_fallbacks=n_fallbacks,
-            plan=plan,
+            plan=plan.decisions,
         )
 
 

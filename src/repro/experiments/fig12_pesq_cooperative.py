@@ -163,9 +163,9 @@ def build_scenario(
     exact grid ``run()`` uses under any backend. Note this scenario is
     *measure-driven*: the two-phone reception + cancellation happens
     inside :func:`measure_coop_pesq`, so there is no runner-performed
-    transmission for the batched backend to vectorize — its points
-    execute per point by construction and are not counted as fallbacks
-    (``SweepResult.n_fallbacks == 0``).
+    transmission for the batched backend to vectorize — the plan runs
+    its points per point by construction, under every setting (one
+    ``serial`` decision, reason ``"measure-driven"``).
     """
     return Scenario(
         name="fig12",

@@ -95,7 +95,9 @@ def test_backends_and_per_point_transmit_agree(scenario):
         backend: SweepRunner(scenario, rng=SEED, cache=CACHE, backend=backend).run()
         for backend in ("serial", "batched", "auto")
     }
-    assert results["batched"].n_fallbacks == 0
+    n = len(results["batched"].points)
+    assert all(d.backend == "batched" for d in results["batched"].plan)
+    assert results["batched"].backend == f"batched[{n}/{n}]"
     serial = results["serial"].values
     for backend in ("batched", "auto"):
         values = results[backend].values

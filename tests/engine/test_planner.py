@@ -1,13 +1,13 @@
-"""Row-length planner: features, the backend rule, auto execution.
+"""The sweep plan: partitions, the backend rule, every setting's plan.
 
 The non-timing acceptance gates for ``REPRO_SWEEP_BACKEND=auto`` live
 here: the planner must route the long-row Fig. 8 and Fig. 13 grids away
 from the batched executor and the short-row fading and stereo grids onto
 it. The rule is fixed arithmetic over row length and decode mode, so CI
-checks the crossovers without trusting wall clocks.
+checks the crossovers without trusting wall clocks. The plan must also
+be what ran: every batched decision is one stack of the executor, in
+the decision's chunk rows.
 """
-
-import dataclasses
 
 import numpy as np
 import pytest
@@ -21,20 +21,23 @@ from repro.engine import (
     Scenario,
     SweepRunner,
     SweepSpec,
-    plan_sweep,
 )
 from repro.data.fdm import FdmFskModem
+from repro.engine import planner
 from repro.engine.planner import (
     CROSSOVER_SAMPLES,
     STEREO_CROSSOVER_SAMPLES,
+    Unit,
     choose_backend,
-    extract_features,
+    partition_points,
+    plan_sweep,
 )
+from repro.experiments import common
 from repro.experiments import fig08_ber_overlay as fig08
 from repro.experiments import fig09_mrc as fig09
 from repro.experiments import fig10_stereo_ber as fig10
 from repro.experiments import fig13_pesq_stereo as fig13
-from repro.utils.env import NUMERICS_ENV_VAR
+from repro.utils.env import NUMERICS_ENV_VAR, fast_numerics
 from repro.utils.rand import as_generator
 
 SEED = 2017
@@ -76,7 +79,7 @@ def _tone_scenario(duration_s=0.05, n_points=4, payload=None, **base_extra):
 class TestFeatureExtraction:
     def test_partitions_match_batched_executor_grouping(self):
         # One front-end group, two receiver partitions (phone mono + car
-        # stereo) — the same split the batched executor performs.
+        # stereo) — two stacks for the batched executor.
         payload = tone(1000.0, 0.1, AUDIO_RATE_HZ, amplitude=0.9)
         scenario = Scenario(
             name="mixed",
@@ -94,27 +97,21 @@ class TestFeatureExtraction:
             measure=_mean_abs,
         )
         data, points = _prepared(scenario)
-        features, splittable = extract_features(
-            scenario, data, points, AmbientCache()
-        )
-        assert splittable
-        assert len(features) == 2
-        by_stereo = {f.stereo: f for f in features}
-        assert by_stereo[False].n_points == 2  # smartphone half
-        assert by_stereo[True].n_points == 2  # car radio always stereo
-        for f in features:
-            # Exact row length: payload upsampled audio->MPX rate (x10).
-            assert f.n_samples == payload.size * 10
-            assert f.batchable
-        covered = sorted(pos for f in features for pos in f.positions)
-        assert covered == list(range(len(points)))
+        # Exact row length: payload upsampled audio->MPX rate (x10); the
+        # car radio always decodes stereo.
+        assert partition_points(scenario, data, points) == [
+            ("smartphone/mono@48000", 48000, False, [0, 1]),
+            ("car/stereo@48000", 48000, True, [2, 3]),
+        ]
+        plan = plan_sweep(scenario, data, points, AmbientCache(), "auto")
+        assert [d.positions for d in plan.decisions] == [(0, 1), (2, 3)]
 
     def test_extraction_never_synthesizes(self):
         scenario = _tone_scenario()
         data, points = _prepared(scenario)
         cache = AmbientCache()
-        features, _ = extract_features(scenario, data, points, cache)
-        assert [f.n_points for f in features] == [len(points)]
+        plan = plan_sweep(scenario, data, points, cache, "auto")
+        assert [len(d.positions) for d in plan.decisions] == [len(points)]
         assert len(cache) == 0
         assert cache.stats["misses"] == 0
 
@@ -125,57 +122,58 @@ class TestFeatureExtraction:
             measure=lambda run: run.point["a"],
             cache_ambient=False,
         )
-        features, splittable = extract_features(scenario, {}, scenario.sweep.points(), None)
-        assert splittable
-        assert len(features) == 1
-        assert features[0].measure_driven
-        assert choose_backend(features[0]) == ("serial", "measure-driven")
+        for setting in ("batched", "auto"):
+            plan = plan_sweep(scenario, {}, scenario.sweep.points(), None, setting)
+            (decision,) = plan.decisions
+            assert decision.partition == "measure-driven"
+            assert (decision.backend, decision.reason) == ("serial", "measure-driven")
+            assert decision.point_indices == (0, 1, 2)
 
 
-def _mono_row_features(n_audio_samples):
-    """Features of a 4-point mono partition with rows of the given length."""
+def _mono_row_decision(n_audio_samples):
+    """``auto``'s decision for a 4-point mono partition of the given rows."""
     scenario = _tone_scenario(payload=np.full(n_audio_samples, 0.1))
     data, points = _prepared(scenario)
-    (features,), _ = extract_features(scenario, data, points, AmbientCache())
-    return features
+    (decision,) = plan_sweep(scenario, data, points, AmbientCache(), "auto").decisions
+    return decision
 
 
 @pytest.mark.usefixtures("exact_env")
 class TestCostModel:
-    """``choose_backend``, one rule at a time."""
+    """``auto``'s rules, one at a time."""
 
     def test_batched_excluded_when_cache_off(self):
         scenario = _tone_scenario()
         scenario.cache_ambient = False
         data, points = _prepared(scenario)
-        features, _ = extract_features(scenario, data, points, None)
-        assert not features[0].batchable
-        assert choose_backend(features[0]) == ("serial", "uncached")
+        for setting in ("batched", "auto"):
+            plan = plan_sweep(scenario, data, points, None, setting)
+            assert [(d.backend, d.reason) for d in plan.decisions] == [
+                ("serial", "uncached")
+            ]
 
     def test_mono_row_at_crossover_goes_batched(self):
-        features = _mono_row_features(CROSSOVER_SAMPLES // 10)
-        assert features.n_samples == CROSSOVER_SAMPLES
-        assert not features.stereo
-        assert choose_backend(features) == ("batched", "short-rows")
+        decision = _mono_row_decision(CROSSOVER_SAMPLES // 10)
+        assert decision.n_samples == CROSSOVER_SAMPLES
+        assert decision.partition == f"smartphone/mono@{CROSSOVER_SAMPLES}"
+        assert (decision.backend, decision.reason) == ("batched", "short-rows")
 
     def test_mono_row_past_crossover_goes_serial(self):
-        at = _mono_row_features(CROSSOVER_SAMPLES // 10)
-        past = dataclasses.replace(at, n_samples=CROSSOVER_SAMPLES + 1)
-        assert choose_backend(past) == ("serial", "long-rows")
+        assert choose_backend(CROSSOVER_SAMPLES + 1, False) == ("serial", "long-rows")
         # The next row an audio-rate payload can produce, end to end.
-        longer = _mono_row_features(CROSSOVER_SAMPLES // 10 + 1)
+        longer = _mono_row_decision(CROSSOVER_SAMPLES // 10 + 1)
         assert longer.n_samples > CROSSOVER_SAMPLES
-        assert choose_backend(longer) == ("serial", "long-rows")
+        assert (longer.backend, longer.reason) == ("serial", "long-rows")
 
     def test_stereo_rows_follow_the_row_length_rule(self):
         # Fig. 13's own 2 s speech clip: 960,000-sample stereo rows.
         scenario = fig13.build_scenario("stereo_station", duration_s=2.0)
         data, points = _prepared(scenario)
-        features, _ = extract_features(scenario, data, points, AmbientCache())
-        assert {f.n_samples for f in features} == {960_000}
-        for f in features:
-            assert f.stereo
-            assert choose_backend(f) == ("serial", "long-rows")
+        plan = plan_sweep(scenario, data, points, AmbientCache(), "auto")
+        assert {d.n_samples for d in plan.decisions} == {960_000}
+        for d in plan.decisions:
+            assert "/stereo@" in d.partition
+            assert (d.backend, d.reason) == ("serial", "long-rows")
         # Fig. 10 at 200 bits: the 3.2 kbps stereo rows are 30,000
         # samples and batch; the 1.6 kbps ones, 60,000, run per point.
         expected = {
@@ -187,26 +185,28 @@ class TestCostModel:
                 label, FdmFskModem(symbol_rate=rate), n_bits=200
             )
             data, points = _prepared(scenario)
-            features, _ = extract_features(scenario, data, points, AmbientCache())
-            (stereo,) = [f for f in features if f.stereo]
+            plan = plan_sweep(scenario, data, points, AmbientCache(), "auto")
+            (stereo,) = [d for d in plan.decisions if "/stereo@" in d.partition]
             n_samples, choice = expected[label]
             assert stereo.n_samples == n_samples
-            assert choose_backend(stereo) == choice
+            assert (stereo.backend, stereo.reason) == choice
 
     def test_stereo_row_at_crossover_goes_batched(self):
-        at = _mono_row_features(STEREO_CROSSOVER_SAMPLES // 10)
-        at = dataclasses.replace(at, stereo=True)
-        assert choose_backend(at) == ("batched", "short-rows")
-        past = dataclasses.replace(at, n_samples=STEREO_CROSSOVER_SAMPLES + 1)
-        assert choose_backend(past) == ("serial", "long-rows")
+        assert choose_backend(STEREO_CROSSOVER_SAMPLES, True) == ("batched", "short-rows")
+        assert choose_backend(STEREO_CROSSOVER_SAMPLES + 1, True) == ("serial", "long-rows")
 
     def test_fast_numerics_batches_long_mono_rows(self, monkeypatch):
-        features = _mono_row_features(CROSSOVER_SAMPLES // 10 + 1)
         monkeypatch.setenv(NUMERICS_ENV_VAR, "fast")
-        assert choose_backend(features) == ("batched", "fast-numerics")
-        # Uncached partitions stay serial even in fast mode.
-        uncached = dataclasses.replace(features, batchable=False)
-        assert choose_backend(uncached) == ("serial", "uncached")
+        decision = _mono_row_decision(CROSSOVER_SAMPLES // 10 + 1)
+        assert (decision.backend, decision.reason) == ("batched", "fast-numerics")
+        # Uncached grids stay serial even in fast mode.
+        scenario = _tone_scenario()
+        scenario.cache_ambient = False
+        data, points = _prepared(scenario)
+        plan = plan_sweep(scenario, data, points, None, "auto")
+        assert [(d.backend, d.reason) for d in plan.decisions] == [
+            ("serial", "uncached")
+        ]
 
 
 class TestDecisionGates:
@@ -220,7 +220,7 @@ class TestDecisionGates:
         # to the batched executor.
         scenario = fig08.build_scenario("100bps", n_bits=40)
         data, points = _prepared(scenario)
-        plan = plan_sweep(scenario, data, points, AmbientCache())
+        plan = plan_sweep(scenario, data, points, AmbientCache(), "auto")
         assert plan.decisions, "a decision per partition is required"
         assert all(d.backend != "batched" for d in plan.decisions)
 
@@ -235,7 +235,7 @@ class TestDecisionGates:
             scenario.base_chain, fading=MotionFadingSpec("running")
         )
         data, points = _prepared(scenario)
-        plan = plan_sweep(scenario, data, points, AmbientCache())
+        plan = plan_sweep(scenario, data, points, AmbientCache(), "auto")
         assert all(d.backend == "batched" for d in plan.decisions)
         covered = sorted(i for d in plan.decisions for i in d.point_indices)
         assert covered == list(range(len(points)))
@@ -247,9 +247,10 @@ class TestDecisionGates:
         scenario = fig08.build_scenario("3.2kbps")
         data, points = _prepared(scenario)
         cache = AmbientCache()
-        plan = plan_sweep(scenario, data, points, cache)
+        plan = plan_sweep(scenario, data, points, cache, "auto")
         assert [d.reason for d in plan.decisions] == ["long-rows"]
-        assert plan.by_backend == {"serial": list(range(40))}
+        assert plan.decisions[0].positions == tuple(range(40))
+        assert plan.label == "auto[serial:40]"
         assert len(cache) == 0  # planned without synthesis
 
     @pytest.mark.usefixtures("exact_env")
@@ -260,10 +261,10 @@ class TestDecisionGates:
         scenario = fig13.build_scenario("stereo_station", duration_s=1.0)
         data, points = _prepared(scenario)
         cache = AmbientCache()
-        plan = plan_sweep(scenario, data, points, cache)
+        plan = plan_sweep(scenario, data, points, cache, "auto")
         assert {d.reason for d in plan.decisions} == {"long-rows"}
-        assert plan.by_backend == {"serial": list(range(18))}
-        assert plan.units == [("serial", [pos]) for pos in range(18)]
+        assert plan.label == "auto[serial:18]"
+        assert plan.units == [Unit(positions=(pos,)) for pos in range(18)]
         assert len(cache) == 0
 
 
@@ -279,10 +280,9 @@ class TestPlanExecution:
         assert decision.backend == "batched"
         assert decision.reason == "short-rows"
         assert decision.point_indices == (0, 1, 2, 3)
-        assert decision.chunk_rows >= 1
-        assert decision.features["n_samples"] == 24_000
+        assert decision.chunk_rows == 4
+        assert decision.n_samples == 24_000
         assert result.backend == "auto[batched:4]"
-        assert result.n_fallbacks == 0
 
     def test_auto_with_cache_off_runs_serial(self):
         scenario = _tone_scenario(n_points=3)
@@ -314,16 +314,16 @@ class TestPlanExecution:
             measure=_mean_abs,
         )
         data, points = _prepared(scenario)
-        features, splittable = extract_features(
-            scenario, data, points, AmbientCache()
-        )
-        assert not splittable
-        assert {choose_backend(f)[0] for f in features} == {"batched", "serial"}
-        plan = plan_sweep(scenario, data, points, AmbientCache())
+        # Alone, the partitions would choose differently.
+        assert choose_backend(200, False)[0] == "batched"
+        assert choose_backend(50_000, False)[0] == "batched"
+        plan = plan_sweep(scenario, data, points, AmbientCache(), "auto")
         assert len(plan.decisions) == 2
         assert {(d.backend, d.reason) for d in plan.decisions} == {
             ("serial", "live-fading")
         }
+        # The whole grid is one sequential unit, in grid order.
+        assert plan.units == [Unit(positions=(0, 1, 2, 3))]
         result = SweepRunner(
             scenario, rng=SEED, cache=AmbientCache(), backend="auto"
         ).run()
@@ -340,15 +340,138 @@ class TestPlanExecution:
             measure=_mean_abs,
         )
         data, points = _prepared(spec_scenario)
-        _, splittable = extract_features(spec_scenario, data, points, AmbientCache())
-        assert splittable
-        plan = plan_sweep(spec_scenario, data, points, AmbientCache())
+        plan = plan_sweep(spec_scenario, data, points, AmbientCache(), "auto")
         assert {d.backend for d in plan.decisions} == {"batched", "serial"}
+        assert len(plan.units) == 3  # the batched partition + 2 long points
 
-    def test_single_point_grid_short_circuits_without_plan(self):
+    def test_single_point_grid_runs_serial_with_plan(self):
         scenario = _tone_scenario(n_points=1)
+        for setting in ("serial", "batched", "auto"):
+            result = SweepRunner(
+                scenario, rng=SEED, cache=AmbientCache(), backend=setting
+            ).run()
+            assert result.backend == "serial"
+            (decision,) = result.plan
+            assert decision.point_indices == (0,)
+            assert (decision.backend, decision.reason) == ("serial", "single-point")
+
+    def test_serial_setting_records_its_plan(self):
+        scenario = _tone_scenario(n_points=3)
         result = SweepRunner(
-            scenario, rng=SEED, cache=AmbientCache(), backend="auto"
+            scenario, rng=SEED, cache=AmbientCache(), backend="serial"
         ).run()
         assert result.backend == "serial"
-        assert result.plan is None
+        assert [
+            (d.partition, d.point_indices, d.backend, d.chunk_rows, d.reason)
+            for d in result.plan
+        ] == [("smartphone/mono@24000", (0, 1, 2), "serial", 1, "requested")]
+
+    def test_empty_shard_records_empty_plan(self):
+        scenario = _tone_scenario(n_points=3)
+        result = SweepRunner(
+            scenario, rng=SEED, cache=AmbientCache(), backend="auto"
+        ).run(point_slice=(1, 1))
+        assert result.plan == []
+        assert result.backend == "serial"
+
+
+def _row_scenario(rows, **base_extra):
+    """A 4-point grid of 0.05 s tone rows: one ``row`` axis whose values
+    set each point's chain, every row at its own distance so a link
+    budget names its point."""
+    payload = tone(1000.0, 0.05, AUDIO_RATE_HZ, amplitude=0.9)
+    return Scenario(
+        name="rows",
+        sweep=SweepSpec.grid(row=tuple(range(len(rows)))),
+        prepare=lambda gen: {"payload": payload},
+        base_chain=dict({"program": "news", "power_dbm": -30.0}, **base_extra),
+        chain_value_params={
+            "row": {i: dict(chain, distance_ft=2.0 + i) for i, chain in enumerate(rows)}
+        },
+        payload="payload",
+        measure=_received,
+    )
+
+
+def _received(run):
+    received = run.received
+    return received.left.copy(), received.right.copy(), received.stereo_locked
+
+
+def _record_stacks(monkeypatch):
+    """Record every receive_over_link call as (row distances, chunk_rows)."""
+    stacks = []
+    real = common.receive_over_link
+
+    def recording(iq, receivers, budgets, link_rngs, envelopes, chunk_rows=None):
+        stacks.append((tuple(b.distance_ft for b in budgets), chunk_rows))
+        return real(iq, receivers, budgets, link_rngs, envelopes, chunk_rows=chunk_rows)
+
+    monkeypatch.setattr(common, "receive_over_link", recording)
+    return stacks
+
+
+AGC_ROWS = [{"agc": agc} for agc in (False, True, False, True)]
+CAR_ROWS = [
+    {"receiver_kind": "car", "stereo_decode": stereo}
+    for stereo in (False, True, False, True)
+]
+
+
+class TestPlanMatchesExecutor:
+    """Every batched decision is exactly one stack the executor ran."""
+
+    @pytest.mark.parametrize("setting", ["batched", "auto"])
+    @pytest.mark.parametrize("rows", [AGC_ROWS, CAR_ROWS], ids=["agc", "car-stereo-decode"])
+    def test_each_batched_decision_is_one_stack(self, monkeypatch, setting, rows):
+        stacks = _record_stacks(monkeypatch)
+        scenario = _row_scenario(rows, stereo_decode=False)
+        result = SweepRunner(
+            scenario, rng=SEED, cache=AmbientCache(), backend=setting
+        ).run()
+        distance = {p.index: 2.0 + p["row"] for p in result.points}
+        batched = [d for d in result.plan if d.backend == "batched"]
+        assert sorted(stacks) == sorted(
+            (tuple(distance[i] for i in d.point_indices), d.chunk_rows)
+            for d in batched
+        )
+        # AGC applies row by row and the car radio always decodes
+        # stereo, so all four rows are one stack and one decision.
+        assert [len(d.point_indices) for d in batched] == [4]
+        assert result.backend in ("batched[4/4]", "auto[batched:4]")
+
+
+@pytest.mark.skipif(
+    fast_numerics(), reason="bit-identity across chunkings is an exact-numerics contract"
+)
+class TestForcedChunking:
+    """A stack split into row chunks equals the unchunked stack."""
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [{"stereo_decode": False}] * 4,
+            [{"stereo_decode": True}] * 4,
+            [{"receiver_kind": "car"}] * 4,
+        ],
+        ids=["phone-mono", "phone-stereo", "car"],
+    )
+    def test_chunked_stack_matches_unchunked(self, monkeypatch, rows):
+        def run():
+            return SweepRunner(
+                _row_scenario(rows), rng=SEED, cache=AmbientCache(), backend="batched"
+            ).run()
+
+        whole = run()
+        assert [d.chunk_rows for d in whole.plan] == [4]
+        row_mb = whole.plan[0].n_samples * planner._TRANSMIT_BYTES_PER_SAMPLE / 1e6
+        stacks = _record_stacks(monkeypatch)
+        for chunk in (1, 2, 3):
+            monkeypatch.setattr(planner, "BATCH_MAX_MB", (chunk + 0.5) * row_mb)
+            chunked = run()
+            assert [d.chunk_rows for d in chunked.plan] == [chunk]
+            assert stacks[-1][1] == chunk
+            for got, want in zip(chunked.values, whole.values):
+                assert np.array_equal(got[0], want[0])
+                assert np.array_equal(got[1], want[1])
+                assert got[2] == want[2]

@@ -22,7 +22,7 @@ from repro.channel.fading import BodyMotionFading
 from repro.constants import AUDIO_RATE_HZ
 from repro.engine import AmbientCache, PayloadSelector, Scenario, SweepRunner, SweepSpec
 from repro.engine.execution import execute_point
-from repro.engine.planner import plan_sweep
+from repro.engine.planner import Unit, plan_sweep
 from repro.engine.runner import WORKERS_ENV_VAR, derive_streams, pool_size
 from repro.experiments import fig08_ber_overlay as fig08
 from repro.experiments import fig13_pesq_stereo as fig13
@@ -120,7 +120,7 @@ class TestThreadedAuto:
         # Three long points run one per unit beside the short partition.
         assert auto.backend == "auto[batched:3+serial:3]"
         assert auto.n_workers == 2
-        assert auto.n_fallbacks == 0
+        assert [d.backend for d in auto.plan] == ["batched", "serial"]
         assert auto.values == serial.values
 
     def test_batched_partitions_share_one_unit(self):
@@ -128,16 +128,18 @@ class TestThreadedAuto:
         # concurrent units would hold both partitions' stacks at once.
         scenario = _scenario(rows=("short", "short2", "long"), distances=(2, 4))
         data, points, _, _ = derive_streams(scenario, as_generator(SEED))
-        plan = plan_sweep(scenario, data, points, AmbientCache())
-        assert [d.backend for d in plan.decisions].count("batched") == 2
-        short = [pos for pos, p in enumerate(points) if p["row"] != "long"]
+        plan = plan_sweep(scenario, data, points, AmbientCache(), "auto")
+        batched = tuple(d for d in plan.decisions if d.backend == "batched")
+        assert len(batched) == 2
         long = [pos for pos, p in enumerate(points) if p["row"] == "long"]
-        assert plan.units == [("batched", short)] + [("serial", [pos]) for pos in long]
+        assert plan.units == [Unit(partitions=batched)] + [
+            Unit(positions=(pos,)) for pos in long
+        ]
 
         serial = _run(scenario, "serial")
         auto = _run(scenario, "auto")
         assert auto.n_workers == 2
-        assert auto.n_fallbacks == 0
+        assert [d.backend for d in auto.plan].count("batched") == 2
         assert auto.values == serial.values
 
     def test_fig08_grid_matches_serial(self):
@@ -160,8 +162,8 @@ class TestThreadedAuto:
             distances_ft=(1, 8, 16), duration_s=0.2,
         )
         data, points, _, _ = derive_streams(scenario, as_generator(SEED))
-        plan = plan_sweep(scenario, data, points, AmbientCache())
-        assert plan.units == [("serial", [pos]) for pos in range(len(points))]
+        plan = plan_sweep(scenario, data, points, AmbientCache(), "auto")
+        assert plan.units == [Unit(positions=(pos,)) for pos in range(len(points))]
 
         serial = _run(scenario, "serial")
         auto = _run(scenario, "auto")

@@ -261,13 +261,13 @@ class TestPlanMerge:
         merged = SweepResult.merge(shards[1], shards[0])
         assert merged.values == whole.values
         assert merged.backend == "merged[2]"
-        # Decisions concatenate in grid order with global indices, and
-        # fallback counts sum (the batched shard took none).
+        # Decisions concatenate in grid order with global indices; the
+        # batch-eligible short rows are all planned onto the stack.
         assert [d.backend for d in merged.plan] == ["batched", "serial"]
+        assert merged.plan[0].point_indices == (0, 1, 2, 3)
         assert sorted(
             i for d in merged.plan for i in d.point_indices
         ) == list(range(8))
-        assert merged.n_fallbacks == 0
 
     def test_whole_grid_auto_plans_both_backends(self):
         result = SweepRunner(
@@ -280,7 +280,7 @@ class TestPlanMerge:
         ).run()
         assert result.values == serial.values
 
-    def test_explicit_backend_shard_drops_merged_plan(self):
+    def test_explicit_backend_shard_merges_plan(self):
         cache = AmbientCache()
         auto_shard = SweepRunner(
             self._two_row_scenario(), rng=SEED, cache=cache, backend="auto"
@@ -288,7 +288,14 @@ class TestPlanMerge:
         serial_shard = SweepRunner(
             self._two_row_scenario(), rng=SEED, cache=cache, backend="serial"
         ).run(point_slice=(4, 8))
-        assert serial_shard.plan is None
+        # Every setting records its plan, so the shards' plans merge.
+        assert [(d.backend, d.reason) for d in serial_shard.plan] == [
+            ("serial", "requested")
+        ]
         merged = SweepResult.merge(auto_shard, serial_shard)
-        assert merged.plan is None
-        assert merged.n_fallbacks is None  # serial shard has no count
+        assert [(d.point_indices, d.backend) for d in merged.plan] == [
+            ((0, 1, 2, 3), "batched"), ((4, 5, 6, 7), "serial")
+        ]
+        # A shard without a plan (the launcher's) drops the merged plan.
+        serial_shard.plan = None
+        assert SweepResult.merge(auto_shard, serial_shard).plan is None

@@ -3,11 +3,13 @@
 The acceptance bar for the vectorized sweep path: on the paper grids —
 Fig. 9 (MRC receptions), Fig. 10/13 (stereo decode), Fig. 12
 (cooperative listening) and the deployment scale-out — running with
-``REPRO_SWEEP_BACKEND=batched`` takes **zero** per-point fallbacks
-(:attr:`~repro.engine.results.SweepResult.n_fallbacks`), and a fading
-grid — the case that used to fall back 100% — is bit-identical across
-every runner setting and pool size. CI runs this file as a fast, non-timing gate so a
-fallback regression is caught without relying on wall-clock numbers.
+``REPRO_SWEEP_BACKEND=batched`` plans **every** point of a batch-eligible
+grid onto the vectorized stack (every
+:attr:`~repro.engine.results.SweepResult.plan` decision is ``batched``
+and the label is ``batched[N/N]``), and a fading grid — the case that
+used to fall back 100% — is bit-identical across every runner setting
+and pool size. CI runs this file as a fast, non-timing gate so a
+coverage regression is caught without relying on wall-clock numbers.
 """
 
 import numpy as np
@@ -42,6 +44,19 @@ def _run(scenario, backend, **kwargs):
     return SweepRunner(
         scenario, rng=SEED, cache=AmbientCache(), backend=backend, **kwargs
     ).run()
+
+
+def _assert_fully_batched(result):
+    """Every decision of a batch-eligible grid runs on the batched stack."""
+    assert result.plan and all(d.backend == "batched" for d in result.plan)
+    n = len(result.points)
+    assert result.backend == f"batched[{n}/{n}]"
+
+
+def _assert_measure_driven(result):
+    """A measure-driven grid has nothing to stack: one serial decision."""
+    assert [(d.backend, d.reason) for d in result.plan] == [("serial", "measure-driven")]
+    assert result.backend == f"batched[0/{len(result.points)}]"
 
 
 def _mean_abs(run):
@@ -81,8 +96,7 @@ class TestZeroFallbackGrids:
         )
         serial = _run(scenario, "serial")
         batched = _run(scenario, "batched")
-        assert batched.n_fallbacks == 0
-        assert batched.backend == "batched[4/4]"
+        _assert_fully_batched(batched)
         assert all(
             np.array_equal(b, s) for b, s in zip(batched.values, serial.values)
         )
@@ -92,20 +106,18 @@ class TestZeroFallbackGrids:
             "1.6k", FdmFskModem(symbol_rate=200), distances_ft=(2, 4), n_bits=48
         )
         batched = _run(scenario, "batched")
-        assert batched.n_fallbacks == 0
-        assert batched.backend == "batched[4/4]"
+        _assert_fully_batched(batched)
 
     def test_fig12_grid_reports_zero_fallbacks(self):
         # Fig. 12 is measure-driven (the two-phone cancellation happens
         # inside the measure), so the batched backend has no declared
-        # transmission to vectorize — and, by the same token, none of
-        # its points count as fallbacks.
+        # transmission to vectorize: the plan says so, not a fallback.
         scenario = fig12.build_scenario(
             powers_dbm=(-30.0,), distances_ft=(4, 8), duration_s=0.3
         )
         serial = _run(scenario, "serial")
         batched = _run(scenario, "batched")
-        assert batched.n_fallbacks == 0
+        _assert_measure_driven(batched)
         assert batched.values == serial.values
 
     def test_fig13_grid_fully_vectorizes(self):
@@ -113,8 +125,7 @@ class TestZeroFallbackGrids:
             "stereo_station", powers_dbm=(-20.0, -40.0), distances_ft=(1, 4), duration_s=0.2
         )
         batched = _run(scenario, "batched")
-        assert batched.n_fallbacks == 0
-        assert batched.backend == "batched[4/4]"
+        _assert_fully_batched(batched)
 
     @exact_numerics_only
     def test_deployment_scale_grid_reports_zero_fallbacks(self):
@@ -122,7 +133,7 @@ class TestZeroFallbackGrids:
         scenario = deployment.compile()
         serial = _run(scenario, "serial")
         batched = _run(scenario, "batched")
-        assert batched.n_fallbacks == 0
+        _assert_measure_driven(batched)
         assert batched.values == serial.values
 
 
@@ -143,7 +154,7 @@ class TestFadingGridAllBackends:
 
     def test_batched_takes_zero_fading_fallbacks(self, by_backend):
         batched = by_backend[("batched", None)]
-        assert batched.n_fallbacks == 0
+        _assert_fully_batched(batched)
         assert batched.backend == "batched[6/6]"
 
     def test_fading_actually_changed_the_link(self, by_backend):

@@ -142,20 +142,6 @@ class TestNumericsMode:
 class TestEngineKnobsAreStrict:
     """The engine's own knobs route through the strict parser."""
 
-    def test_batch_budget_malformed(self, monkeypatch):
-        from repro.engine.batch_backend import BATCH_MEMORY_ENV_VAR, batch_memory_budget_mb
-
-        monkeypatch.setenv(BATCH_MEMORY_ENV_VAR, "64MB")
-        with pytest.raises(ConfigurationError, match=r"REPRO_BATCH_MAX_MB.*'64MB'"):
-            batch_memory_budget_mb()
-
-    def test_batch_budget_must_be_positive(self, monkeypatch):
-        from repro.engine.batch_backend import BATCH_MEMORY_ENV_VAR, batch_memory_budget_mb
-
-        monkeypatch.setenv(BATCH_MEMORY_ENV_VAR, "0")
-        with pytest.raises(ConfigurationError, match="> 0"):
-            batch_memory_budget_mb()
-
     def test_plan_cache_malformed(self, monkeypatch):
         from repro.dsp.plan_cache import PLAN_CACHE_ENV_VAR, plan_cache_capacity
 
