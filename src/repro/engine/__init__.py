@@ -71,7 +71,7 @@ call sites.
 from repro.engine.cache import AmbientCache, CachedAmbient, default_cache, payload_fingerprint
 from repro.engine.faults import Fault, FaultPlan, active_plan, parse_faults
 from repro.engine.journal import JobJournal, JournaledJob
-from repro.engine.launcher import LaunchReport, RetryPolicy, Shard, launch_sweep
+from repro.engine.launcher import LaunchReport, Shard, launch_sweep
 from repro.engine.service import JobStatus, SweepService
 from repro.engine.deployment import (
     ChannelAssignment,
@@ -125,7 +125,6 @@ __all__ = [
     "PlanDecision",
     "PointRun",
     "ReceiverPlacement",
-    "RetryPolicy",
     "Scenario",
     "Shard",
     "SweepResult",

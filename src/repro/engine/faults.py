@@ -32,7 +32,7 @@ Fault classes:
     The worker computes initial shard ``shard`` (first attempt) but
     never reports it — a result lost in transit. The worker looks busy
     forever, so recovery needs ``shard_deadline_s`` speculation or a
-    :class:`~repro.engine.launcher.RetryPolicy` job deadline.
+    ``job_deadline_s``.
 ``corrupt-cache:<ordinal>``
     The ``ordinal``-th successful :meth:`~repro.engine.store.CacheStore.
     save` on a store instance is truncated after its atomic rename — a

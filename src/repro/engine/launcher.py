@@ -12,17 +12,16 @@ job-queue orchestrator that:
   per worker at a time;
 - detects dead workers (a crash, an OOM kill, an injected fault) and
   stragglers (a shard past its per-shard deadline) and *re-slices* the
-  affected range into halves before re-queueing it — after the
-  :class:`RetryPolicy`'s exponential backoff with deterministic jitter —
-  so retried work spreads across the pool without thundering back; each
-  re-queue logs a WARNING under ``repro.engine.launcher``;
+  affected range into halves before re-queueing it, so retried work
+  spreads across the pool; each re-queue logs a WARNING under
+  ``repro.engine.launcher``;
 - discards duplicated completions — determinism makes speculative
   retries free of coordination: two copies of a point compute the same
   bytes, so whichever arrives first wins and the loser is dropped
   unread;
 - **degrades gracefully** instead of discarding work: when a range
-  exhausts its retry budget (or the job blows its
-  :attr:`RetryPolicy.job_deadline_s`), the launcher salvages every
+  exhausts its ``max_retries`` budget (or the job blows its
+  ``job_deadline_s``), the launcher salvages every
   completed shard and finishes the lost range *in-process, serially* —
   the merged grid is still complete and bit-identical, and
   :attr:`LaunchReport.degraded` says the fan-out lost redundancy (and a
@@ -84,13 +83,9 @@ from repro.engine.runner import derive_streams
 from repro.engine.scenario import Scenario
 from repro.engine.store import CACHE_DIR_ENV_VAR, CacheStore
 from repro.errors import ConfigurationError, LauncherError
-from repro.utils.env import env_int
-from repro.utils.rand import RngLike, as_generator, derive_seed
+from repro.utils.rand import RngLike, as_generator
 
 logger = logging.getLogger(__name__)
-
-SHARD_POINTS_ENV_VAR = "REPRO_LAUNCHER_SHARD_POINTS"
-"""Environment override for the points-per-shard slice size."""
 
 _FAULT_EXIT_CODE = 87
 """Exit code of a chaos-killed worker (distinguishable in reports)."""
@@ -100,78 +95,6 @@ _POLL_S = 0.02
 
 _SHUTDOWN_JOIN_S = 5.0
 """Grace period for workers (possibly mid-duplicate-shard) to exit."""
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """How hard (and how politely) the launcher retries failing ranges.
-
-    Attributes:
-        max_retries: re-queues a failing range survives before the
-            launcher stops fanning it out and salvages it in-process
-            (graceful degradation). ``0`` degrades on the first failure.
-        backoff_base_s: base of the exponential re-queue backoff; a
-            retried range is not re-dispatched before
-            ``backoff_base_s * backoff_factor ** attempt`` seconds.
-            ``0.0`` (the default) re-dispatches immediately — right for
-            deterministic in-process failures, while crash-looping
-            infrastructure wants breathing room.
-        backoff_factor: exponential growth per attempt.
-        backoff_max_s: hard cap on any single backoff delay.
-        jitter_frac: ± fraction of the delay applied as *deterministic*
-            jitter — derived from the range and attempt via
-            :func:`~repro.utils.rand.derive_seed`, not a clock or a
-            random draw, so two ranges failing together de-synchronize
-            their retries yet every chaos run reproduces exactly.
-        job_deadline_s: wall-clock budget for the whole launch; when
-            exceeded, the launcher stops waiting on workers, salvages
-            completed shards and finishes every uncovered point
-            in-process (``LaunchReport.degraded``). ``None`` disables.
-    """
-
-    max_retries: int = 2
-    backoff_base_s: float = 0.0
-    backoff_factor: float = 2.0
-    backoff_max_s: float = 30.0
-    jitter_frac: float = 0.1
-    job_deadline_s: Optional[float] = None
-
-    def validate(self) -> None:
-        if self.max_retries < 0:
-            raise ConfigurationError(
-                f"max_retries must be >= 0, got {self.max_retries}"
-            )
-        if self.backoff_base_s < 0:
-            raise ConfigurationError(
-                f"backoff_base_s must be >= 0, got {self.backoff_base_s}"
-            )
-        if self.backoff_factor < 1.0:
-            raise ConfigurationError(
-                f"backoff_factor must be >= 1, got {self.backoff_factor}"
-            )
-        if not 0.0 <= self.jitter_frac < 1.0:
-            raise ConfigurationError(
-                f"jitter_frac must be in [0, 1), got {self.jitter_frac}"
-            )
-        if self.job_deadline_s is not None and self.job_deadline_s <= 0:
-            raise ConfigurationError(
-                f"job_deadline_s must be positive, got {self.job_deadline_s}"
-            )
-
-    def backoff_s(self, start: int, stop: int, attempt: int) -> float:
-        """Re-dispatch delay for a range entering ``attempt`` re-queues.
-
-        Pure function of the range and attempt: the jitter comes from
-        :func:`~repro.utils.rand.derive_seed`, so the schedule is
-        reproducible run to run.
-        """
-        if self.backoff_base_s <= 0:
-            return 0.0
-        delay = min(
-            self.backoff_max_s, self.backoff_base_s * self.backoff_factor ** attempt
-        )
-        unit = (derive_seed(attempt, "backoff", start, stop) % 10_000) / 10_000
-        return delay * (1.0 + self.jitter_frac * (2.0 * unit - 1.0))
 
 
 @dataclass(frozen=True)
@@ -261,15 +184,41 @@ class LaunchReport:
 def default_shard_points(n_points: int, n_workers: int) -> int:
     """Points per shard when the caller expresses no preference.
 
-    Strictly parsed ``REPRO_LAUNCHER_SHARD_POINTS`` wins; otherwise aim
-    for ~4 shards per worker, so stragglers and retries cost a fraction
-    of the grid rather than half of it, without drowning small grids in
-    per-shard dispatch overhead.
+    Aims for ~4 shards per worker, so stragglers and retries cost a
+    fraction of the grid rather than half of it, without drowning small
+    grids in per-shard dispatch overhead.
     """
-    configured = env_int(SHARD_POINTS_ENV_VAR, 0, minimum=1)
-    if configured:
-        return configured
     return max(1, -(-n_points // (4 * n_workers)))
+
+
+def check_launch_settings(
+    n_workers: int,
+    shard_points: Optional[int],
+    shard_deadline_s: Optional[float],
+    max_retries: int,
+    job_deadline_s: Optional[float],
+) -> None:
+    """Reject out-of-range launch settings before anything runs.
+
+    Shared by :func:`launch_sweep` and the service's constructor, so a
+    bad setting fails where it was given, not inside a later job.
+
+    Raises:
+        ConfigurationError: naming the first setting out of range.
+    """
+    for name, value, least in (
+        ("n_workers", n_workers, 1),
+        ("shard_points", shard_points, 1),
+        ("max_retries", max_retries, 0),
+    ):
+        if value is not None and value < least:
+            raise ConfigurationError(f"{name} must be >= {least}, got {value}")
+    for name, value in (
+        ("shard_deadline_s", shard_deadline_s),
+        ("job_deadline_s", job_deadline_s),
+    ):
+        if value is not None and value <= 0:
+            raise ConfigurationError(f"{name} must be positive, got {value}")
 
 
 def require_shippable(scenario: Scenario) -> bytes:
@@ -424,7 +373,7 @@ def launch_sweep(
     max_retries: int = 2,
     cache_dir: Optional[str] = None,
     progress: Optional[Callable[[dict], None]] = None,
-    retry_policy: Optional[RetryPolicy] = None,
+    job_deadline_s: Optional[float] = None,
     resume_values: Optional[Dict[int, object]] = None,
     journal: Optional[JobJournal] = None,
     job_id: Optional[str] = None,
@@ -441,26 +390,29 @@ def launch_sweep(
             serial whole-grid run at this seed.
         n_workers: worker-process pool size.
         shard_points: points per initial shard; defaults to
-            :func:`default_shard_points` (``REPRO_LAUNCHER_SHARD_POINTS``
-            or ~4 shards per worker).
+            :func:`default_shard_points` (~4 shards per worker).
         shard_deadline_s: per-shard straggler deadline. A shard still
             running past it is *speculated*: its uncovered range is
             re-sliced and re-queued while the original keeps running —
             first completion per point wins, the loser is discarded.
             ``None`` disables speculation.
-        max_retries: shorthand for ``RetryPolicy(max_retries=...)``;
-            ignored when ``retry_policy`` is given.
+        max_retries: re-queues a failing range survives (each one
+            immediate) before the launcher stops fanning it out and
+            salvages it in-process (graceful degradation). ``0``
+            degrades on the first failure.
         cache_dir: shared spill directory workers attach to; defaults to
             ``REPRO_CACHE_DIR``, then a run-scoped scratch. Point it (or
             the env var) at a shared filesystem to span machines.
         progress: optional callback receiving event dicts
             (``kind`` in ``dispatch`` / ``shard-done`` / ``requeue`` /
             ``worker-died`` / ``degraded``) from the orchestration
-            thread; the async service uses it for live job status.
-        retry_policy: the full :class:`RetryPolicy` (retry budget,
-            exponential backoff with deterministic jitter, per-job
-            deadline); threaded through
-            :class:`~repro.engine.service.SweepService` too.
+            thread; each also carries ``points_total`` and
+            ``shards_running`` (shards a live worker holds right now).
+            The async service uses it for live job status.
+        job_deadline_s: wall-clock budget for the whole launch; when
+            exceeded, the launcher stops waiting on workers, salvages
+            completed shards and finishes every uncovered point
+            in-process (``LaunchReport.degraded``). ``None`` disables.
         resume_values: ``{global point index: value}`` already computed
             by a previous (journaled) run of the *same scenario at the
             same seed*. Those points are reloaded, never re-executed —
@@ -473,14 +425,9 @@ def launch_sweep(
             record to write (the service does).
         job_id: journal key for this launch; required with ``journal``.
     """
-    if n_workers < 1:
-        raise ConfigurationError(f"n_workers must be >= 1, got {n_workers}")
-    if shard_deadline_s is not None and shard_deadline_s <= 0:
-        raise ConfigurationError(
-            f"shard_deadline_s must be positive, got {shard_deadline_s}"
-        )
-    policy = retry_policy if retry_policy is not None else RetryPolicy(max_retries=max_retries)
-    policy.validate()
+    check_launch_settings(
+        n_workers, shard_points, shard_deadline_s, max_retries, job_deadline_s
+    )
     if journal is not None and job_id is None:
         raise ConfigurationError("journal= requires job_id= to key the records")
     active_plan()  # fail fast on a malformed chaos knob, before any fork
@@ -493,8 +440,6 @@ def launch_sweep(
 
     if shard_points is None:
         shard_points = default_shard_points(n_points, n_workers)
-    elif shard_points < 1:
-        raise ConfigurationError(f"shard_points must be >= 1, got {shard_points}")
     shards = _initial_shards(n_points, shard_points)
 
     # The shared spill directory is what lets workers (local processes
@@ -516,39 +461,94 @@ def launch_sweep(
         warm_store(store, parent_cache, scenario, data, points, ambient_master)
         warm_syntheses = int(parent_cache.stats.get("syntheses", 0))
 
-    def emit(event: dict) -> None:
-        if progress is not None:
-            progress(dict(event, points_total=n_points))
-
     ctx = _mp_context()
     init_args = (blob, data, list(seeds), ambient_master, store_dir)
     next_worker_id = 0
     next_shard_id = len(shards)
     workers: Dict[int, _Worker] = {}
 
+    def emit(event: dict) -> None:
+        if progress is not None:
+            running = sum(w.assignment is not None for w in workers.values())
+            progress(dict(event, points_total=n_points, shards_running=running))
+
     taken = [False] * n_points
     n_covered = 0
     shard_results: List[SweepResult] = []
-    # Pending work is (ready_at, shard): retries sit out their backoff.
-    pending: Deque[Tuple[float, Shard]] = deque((0.0, s) for s in shards)
+    pending: Deque[Shard] = deque(shards)
     retries = failures = stragglers = duplicates = 0
     degraded = False
     degraded_points = 0
     resumed_points = 0
     exit_codes: List[int] = []
 
-    def _zero_stats() -> Optional[Dict[str, int]]:
-        """Counter stub for shards that executed nothing (resume reload)."""
-        if not scenario.cache_ambient:
+    def parent_stats(before: Optional[dict] = None) -> Optional[dict]:
+        """The parent cache's counters, or their change since ``before``."""
+        if parent_cache is None:
             return None
-        return {
-            "hits": 0,
-            "misses": 0,
-            "disk_hits": 0,
-            "syntheses": 0,
-            "corrupt_evictions": 0,
-            "items": 0,
-        }
+        if before is None:
+            return parent_cache.stats
+        return stats_delta(parent_cache.stats, before)
+
+    def cover(
+        task: Optional[Shard],
+        indices: Sequence[int],
+        values: Sequence[object],
+        elapsed: float,
+        stats: Optional[dict],
+        degraded: bool = False,
+    ) -> int:
+        """Record the not-yet-covered ``indices`` as one result slice.
+
+        Every covered point passes through here: a worker's report, the
+        in-process salvage (``degraded``) and, with ``task=None``, the
+        points reloaded from ``resume_values``. A computed slice is
+        journaled and reported as a ``shard-done`` event — a duplicate
+        too, with ``fresh == 0``; reloaded points are in the journal
+        already. Returns how many points were fresh.
+        """
+        nonlocal n_covered
+        fresh = [k for k, index in enumerate(indices) if not taken[index]]
+        fresh_indices = [indices[k] for k in fresh]
+        fresh_values = [values[k] for k in fresh]
+        for index in fresh_indices:
+            taken[index] = True
+        n_covered += len(fresh)
+        if fresh:
+            if task is None:
+                label = f"resumed[{len(fresh)}]"
+            else:
+                kind = "degraded" if degraded else "shard"
+                label = f"{kind}[{task.start}:{task.stop}]"
+            shard_results.append(
+                SweepResult(
+                    spec=scenario.sweep,
+                    points=[points[i] for i in fresh_indices],
+                    values=fresh_values,
+                    elapsed_s=elapsed,
+                    n_workers=1,
+                    cache_stats=stats,
+                    data=data,
+                    backend=label,
+                    scenario_name=scenario.name,
+                )
+            )
+            if task is not None and journal is not None:
+                journal.shard_completed(
+                    job_id, fresh_indices, fresh_values, elapsed, degraded=degraded
+                )
+        if task is not None:
+            emit(
+                {
+                    "kind": "shard-done",
+                    "shard": (task.start, task.stop),
+                    "attempt": task.attempt,
+                    "fresh": len(fresh),
+                    "points_done": n_covered,
+                    "degraded": degraded,
+                }
+            )
+        return len(fresh)
 
     if resume_values:
         bad = [i for i in resume_values if not 0 <= int(i) < n_points]
@@ -558,53 +558,11 @@ def launch_sweep(
                 f"{n_points} points"
             )
         resumed = sorted(int(i) for i in resume_values)
-        for index in resumed:
-            taken[index] = True
-        n_covered = resumed_points = len(resumed)
-        shard_results.append(
-            SweepResult(
-                spec=scenario.sweep,
-                points=[points[i] for i in resumed],
-                values=[resume_values[i] for i in resumed],
-                elapsed_s=0.0,
-                n_workers=1,
-                cache_stats=_zero_stats(),
-                data=data,
-                backend=f"resumed[{len(resumed)}]",
-                scenario_name=scenario.name,
-            )
+        before = parent_stats()
+        resumed_points = cover(
+            None, resumed, [resume_values[i] for i in resumed], 0.0,
+            parent_stats(before),
         )
-
-    def accept(task: Shard, values: List[object], elapsed: float, stats) -> int:
-        """Record a completed shard, keeping only not-yet-covered points."""
-        nonlocal n_covered
-        fresh_indices: List[int] = []
-        fresh_values: List[object] = []
-        for offset, index in enumerate(range(task.start, task.stop)):
-            if taken[index]:
-                continue
-            taken[index] = True
-            n_covered += 1
-            fresh_indices.append(index)
-            fresh_values.append(values[offset])
-        if not fresh_indices:
-            return 0
-        shard_results.append(
-            SweepResult(
-                spec=scenario.sweep,
-                points=[points[i] for i in fresh_indices],
-                values=fresh_values,
-                elapsed_s=elapsed,
-                n_workers=1,
-                cache_stats=stats,
-                data=data,
-                backend=f"shard[{task.start}:{task.stop}]",
-                scenario_name=scenario.name,
-            )
-        )
-        if journal is not None:
-            journal.shard_completed(job_id, fresh_indices, fresh_values, elapsed)
-        return len(fresh_indices)
 
     def reslice(task: Shard) -> List[Shard]:
         """The uncovered remainder of ``task``, split for re-queueing.
@@ -665,7 +623,7 @@ def launch_sweep(
         :class:`~repro.errors.LauncherError` with full provenance plus
         the partial merged result for salvage.
         """
-        nonlocal degraded, degraded_points, n_covered
+        nonlocal degraded, degraded_points
         degraded = True
         emit(
             {
@@ -675,21 +633,21 @@ def launch_sweep(
                 "reason": reason,
             }
         )
-        stats_before = parent_cache.stats if parent_cache is not None else None
+        before = parent_stats()
         started = time.perf_counter()
-        fresh_indices: List[int] = []
-        fresh_values: List[object] = []
-        for index in range(task.start, task.stop):
-            if taken[index]:
-                continue
+        indices = [i for i in range(task.start, task.stop) if not taken[i]]
+        values: List[object] = []
+        for index in indices:
             try:
-                value = execute_point(
-                    scenario,
-                    points[index],
-                    seeds[index],
-                    data,
-                    parent_cache,
-                    ambient_master,
+                values.append(
+                    execute_point(
+                        scenario,
+                        points[index],
+                        seeds[index],
+                        data,
+                        parent_cache,
+                        ambient_master,
+                    )
                 )
             except Exception as exc:
                 partial = (
@@ -711,66 +669,29 @@ def launch_sweep(
                     exit_codes=tuple(exit_codes),
                     partial_result=partial,
                 ) from exc
-            taken[index] = True
-            n_covered += 1
-            degraded_points += 1
-            fresh_indices.append(index)
-            fresh_values.append(value)
-        if not fresh_indices:
-            return
         elapsed = time.perf_counter() - started
         logger.warning(
             "scenario %r: ran points %s of [%d:%d) in-process after %d attempts (%s)",
-            scenario.name, fresh_indices, task.start, task.stop, task.attempt + 1, reason,
+            scenario.name, indices, task.start, task.stop, task.attempt + 1, reason,
         )
-        stats = None
-        if parent_cache is not None and stats_before is not None:
-            stats = stats_delta(parent_cache.stats, stats_before)
-        shard_results.append(
-            SweepResult(
-                spec=scenario.sweep,
-                points=[points[i] for i in fresh_indices],
-                values=fresh_values,
-                elapsed_s=elapsed,
-                n_workers=1,
-                cache_stats=stats,
-                data=data,
-                backend=f"degraded[{task.start}:{task.stop}]",
-                scenario_name=scenario.name,
-            )
-        )
-        if journal is not None:
-            journal.shard_completed(
-                job_id, fresh_indices, fresh_values, elapsed, degraded=True
-            )
-        emit(
-            {
-                "kind": "shard-done",
-                "shard": (task.start, task.stop),
-                "attempt": task.attempt,
-                "fresh": len(fresh_indices),
-                "points_done": n_covered,
-                "degraded": True,
-            }
+        degraded_points += cover(
+            task, indices, values, elapsed, parent_stats(before), degraded=True
         )
 
     def requeue(task: Shard, reason: str) -> None:
         nonlocal retries
         if all(taken[i] for i in range(task.start, task.stop)):
             return  # a speculative copy already covered the whole range
-        if task.attempt >= policy.max_retries:
+        if task.attempt >= max_retries:
             degrade(task, f"retry budget exhausted: {reason}")
             return
         retries += 1
         logger.warning(
             "scenario %r: re-queueing points [%d:%d), retry %d of %d: %s",
             scenario.name, task.start, task.stop, task.attempt + 1,
-            policy.max_retries, reason,
+            max_retries, reason,
         )
-        ready_at = time.perf_counter() + policy.backoff_s(
-            task.start, task.stop, task.attempt
-        )
-        pending.extend((ready_at, piece) for piece in reslice(task))
+        pending.extend(reslice(task))
         if journal is not None:
             journal.shard_retried(job_id, task.start, task.stop, task.attempt, reason)
         emit(
@@ -782,14 +703,10 @@ def launch_sweep(
             }
         )
 
-    def pop_ready() -> Optional[Shard]:
-        """Next pending shard that is past its backoff and still needed."""
-        now = time.perf_counter()
-        for _ in range(len(pending)):
-            ready_at, candidate = pending.popleft()
-            if ready_at > now:
-                pending.append((ready_at, candidate))
-                continue
+    def pop_needed() -> Optional[Shard]:
+        """Next pending shard with a point still uncovered."""
+        while pending:
+            candidate = pending.popleft()
             if any(not taken[i] for i in range(candidate.start, candidate.stop)):
                 return candidate
         return None
@@ -799,24 +716,13 @@ def launch_sweep(
         nonlocal duplicates
         kind, worker_id, task = message[0], message[1], message[2]
         worker = workers.get(worker_id)
-        if worker is not None and worker.assignment is not None and (
-            worker.assignment.shard_id == task.shard_id
-        ):
+        if worker is not None and worker.assignment == task:
             worker.assignment = None
         if kind == "done":
             _, _, _, values, elapsed, stats = message
-            fresh = accept(task, values, elapsed, stats)
-            if fresh == 0:
+            indices = range(task.start, task.stop)
+            if cover(task, indices, values, elapsed, stats) == 0:
                 duplicates += 1
-            emit(
-                {
-                    "kind": "shard-done",
-                    "shard": (task.start, task.stop),
-                    "attempt": task.attempt,
-                    "fresh": fresh,
-                    "points_done": n_covered,
-                }
-            )
         else:  # "error": the measure raised inside the worker
             tb = message[3]
             requeue(task, f"measure raised:\n{tb}")
@@ -829,11 +735,11 @@ def launch_sweep(
         while n_covered < n_points:
             # 0) Job deadline: stop waiting on the pool, salvage in-process.
             if (
-                policy.job_deadline_s is not None
-                and time.perf_counter() - wall_start > policy.job_deadline_s
+                job_deadline_s is not None
+                and time.perf_counter() - wall_start > job_deadline_s
             ):
                 probe = Shard(
-                    shard_id=-1, start=0, stop=n_points, attempt=policy.max_retries
+                    shard_id=-1, start=0, stop=n_points, attempt=max_retries
                 )
                 degrade(probe, "job deadline exceeded")
                 break
@@ -884,7 +790,7 @@ def launch_sweep(
                         task is not None
                         and not worker.speculated
                         and now - worker.assigned_at > shard_deadline_s
-                        and task.attempt < policy.max_retries
+                        and task.attempt < max_retries
                     ):
                         worker.speculated = True
                         stragglers += 1
@@ -895,7 +801,7 @@ def launch_sweep(
             for worker in workers.values():
                 if worker.assignment is not None:
                     continue
-                task = pop_ready()
+                task = pop_needed()
                 if task is None:
                     break
                 worker.assign(task)
@@ -923,7 +829,7 @@ def launch_sweep(
                     shard_id=next_shard_id, start=0, stop=n_points, attempt=0
                 )
                 next_shard_id += 1
-                pending.extend((0.0, piece) for piece in reslice(probe))
+                pending.extend(reslice(probe))
     finally:
         _shutdown(workers)
         if scratch is not None:

@@ -52,12 +52,12 @@ import shutil
 import tempfile
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional
 
 from repro.engine.journal import JobJournal
 from repro.errors import ConfigurationError
 from repro.engine.launcher import (
-    LaunchReport, RetryPolicy, launch_sweep, require_shippable,
+    LaunchReport, check_launch_settings, launch_sweep, require_shippable,
 )
 from repro.engine.scenario import Scenario
 from repro.engine.store import CACHE_DIR_ENV_VAR
@@ -105,7 +105,11 @@ class JobStatus:
 class _Job:
     """Mutable job record; counters are fed by the launcher's progress
     callback from the launch thread (single writer, so plain attributes
-    under the GIL are race-free enough for a status snapshot)."""
+    under the GIL are race-free enough for a status snapshot).
+
+    ``shards_running`` is the launcher's own count, carried on every
+    event: a straggler's speculative ``requeue`` leaves the original
+    running, which the events' shard ranges alone cannot tell."""
 
     def __init__(self, job_id: str, scenario_name: str, points_total: int) -> None:
         self.job_id = job_id
@@ -117,7 +121,7 @@ class _Job:
         self.retries = 0
         self.degraded = False
         self.resumed_points = 0
-        self.inflight: Set[Tuple[int, int, int]] = set()
+        self.shards_running = 0
         self.started_at: Optional[float] = None
         self.finished_at: Optional[float] = None
         self.report: Optional[LaunchReport] = None
@@ -126,19 +130,14 @@ class _Job:
 
     def on_progress(self, event: dict) -> None:
         kind = event.get("kind")
-        shard = event.get("shard")
-        attempt = event.get("attempt", 0)
-        if kind == "dispatch":
-            self.inflight.add((*shard, attempt))
-        elif kind == "shard-done":
-            self.inflight.discard((*shard, attempt))
+        self.shards_running = event.get("shards_running", self.shards_running)
+        if kind == "shard-done":
             self.points_done = event.get("points_done", self.points_done)
-            self.shards_done += 1
+            if event.get("fresh"):  # a discarded duplicate is not accepted
+                self.shards_done += 1
         elif kind == "requeue":
-            self.inflight.discard((*shard, attempt))
             self.retries += 1
         elif kind == "degraded":
-            self.inflight.discard((*shard, attempt))
             self.degraded = True
 
     def snapshot(self) -> JobStatus:
@@ -153,7 +152,7 @@ class _Job:
             points_total=self.points_total,
             points_done=self.points_done,
             shards_done=self.shards_done,
-            shards_running=len(self.inflight),
+            shards_running=self.shards_running,
             retries=self.retries,
             wall_s=wall,
             error=None if self.error is None else str(self.error),
@@ -167,10 +166,9 @@ class SweepService:
 
     Args:
         n_workers: worker-process pool size *per job*.
-        shard_points: forwarded to :func:`launch_sweep`.
-        shard_deadline_s: forwarded to :func:`launch_sweep`.
-        max_retries: shorthand for ``retry_policy``; ignored when
-            ``retry_policy`` is given.
+        shard_points, shard_deadline_s, max_retries, job_deadline_s:
+            forwarded to every :func:`~repro.engine.launcher.launch_sweep`
+            and validated here, so a bad value fails at construction.
         cache_dir: the spill directory every job shares; defaults to
             ``REPRO_CACHE_DIR``, then a service-scoped scratch directory
             removed by :meth:`close`.
@@ -178,9 +176,6 @@ class SweepService:
             later submissions queue (state ``"queued"``) until a slot
             frees. Bounds the total worker-process count at
             ``max_parallel_jobs * n_workers``.
-        retry_policy: full :class:`~repro.engine.launcher.RetryPolicy`
-            (retry budget, backoff, per-job deadline) threaded into
-            every launch.
         journal_dir: directory of per-job crash-safe journals; ``None``
             (the default) keeps the pre-journal in-memory behavior.
             Point it at a *persistent* path — pair it with a persistent
@@ -195,16 +190,18 @@ class SweepService:
         max_retries: int = 2,
         cache_dir: Optional[str] = None,
         max_parallel_jobs: int = 2,
-        retry_policy: Optional[RetryPolicy] = None,
+        job_deadline_s: Optional[float] = None,
         journal_dir: Optional[str] = None,
     ) -> None:
-        self.n_workers = n_workers
-        self.shard_points = shard_points
-        self.shard_deadline_s = shard_deadline_s
-        self.retry_policy = (
-            retry_policy if retry_policy is not None else RetryPolicy(max_retries=max_retries)
+        # Every job's launch settings, forwarded to launch_sweep as given.
+        self._launch = dict(
+            n_workers=n_workers,
+            shard_points=shard_points,
+            shard_deadline_s=shard_deadline_s,
+            max_retries=max_retries,
+            job_deadline_s=job_deadline_s,
         )
-        self.retry_policy.validate()
+        check_launch_settings(**self._launch)
         self._scratch: Optional[str] = None
         explicit = cache_dir or os.environ.get(CACHE_DIR_ENV_VAR, "").strip() or None
         if explicit is None:
@@ -324,15 +321,12 @@ class SweepService:
                     lambda: launch_sweep(
                         scenario,
                         rng=rng,
-                        n_workers=self.n_workers,
-                        shard_points=self.shard_points,
-                        shard_deadline_s=self.shard_deadline_s,
                         cache_dir=self.cache_dir,
                         progress=job.on_progress,
-                        retry_policy=self.retry_policy,
                         resume_values=resume_values,
                         journal=self.journal,
                         job_id=job.job_id if self.journal is not None else None,
+                        **self._launch,
                     ),
                 )
                 job.state = "done"
@@ -355,7 +349,7 @@ class SweepService:
                     self.journal.job_failed(job.job_id, str(exc))
             finally:
                 job.finished_at = time.perf_counter()
-                job.inflight.clear()
+                job.shards_running = 0
                 job.done_event.set()
 
     def _require(self, job_id: str) -> _Job:

@@ -20,7 +20,6 @@ from repro.data.ber import bit_error_rate
 from repro.data.fdm import FdmFskModem
 from repro.data.mrc import mrc_combine
 from repro.engine import launch_sweep
-from repro.engine.launcher import RetryPolicy
 from repro.experiments import fig09_mrc as fig09
 from repro.utils.rand import RngLike
 
@@ -37,13 +36,14 @@ def run(
     n_bits: int = 400,
     back_amplitude: float = fig09.DEFAULT_BACK_AMPLITUDE,
     n_workers: int = DEFAULT_N_WORKERS,
-    shard_points: Optional[int] = None,
-    shard_deadline_s: Optional[float] = None,
     cache_dir: Optional[str] = None,
-    retry_policy: Optional[RetryPolicy] = None,
     rng: RngLike = None,
 ) -> Dict[str, object]:
     """Fig. 9 BER-vs-distance per MRC factor, executed across workers.
+
+    Shards, deadlines and retries take :func:`~repro.engine.launcher.
+    launch_sweep`'s defaults; ``cache_dir`` is the shared spill directory
+    (see the README's multi-machine recipe).
 
     Returns:
         the ``fig09.run`` dict (``distances_ft`` + one ``mrc<k>`` list
@@ -66,10 +66,7 @@ def run(
         scenario,
         rng=rng,
         n_workers=n_workers,
-        shard_points=shard_points,
-        shard_deadline_s=shard_deadline_s,
         cache_dir=cache_dir,
-        retry_policy=retry_policy,
     )
     result = report.result
     bits = result.data["bits"]

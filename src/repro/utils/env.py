@@ -12,8 +12,6 @@ from __future__ import annotations
 import os
 from typing import Optional, Sequence
 
-import numpy as np
-
 from repro.errors import ConfigurationError
 
 NUMERICS_ENV_VAR = "REPRO_NUMERICS"
@@ -115,36 +113,4 @@ def env_int(
         raise ConfigurationError(
             f"{name} must be >= {minimum}, got {raw!r}"
         )
-    return value
-
-
-def env_float(
-    name: str,
-    default: float,
-    minimum: Optional[float] = None,
-    minimum_exclusive: bool = False,
-) -> float:
-    """Read a float knob, strictly (finite; optional lower bound)."""
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ConfigurationError(
-            f"{name} must be a number, got {raw!r}"
-        ) from None
-    if not np.isfinite(value):
-        raise ConfigurationError(
-            f"{name} must be finite, got {raw!r}"
-        )
-    if minimum is not None:
-        if minimum_exclusive and value <= minimum:
-            raise ConfigurationError(
-                f"{name} must be > {minimum}, got {raw!r}"
-            )
-        if not minimum_exclusive and value < minimum:
-            raise ConfigurationError(
-                f"{name} must be >= {minimum}, got {raw!r}"
-            )
     return value

@@ -22,7 +22,7 @@ from repro.engine.faults import (
     active_plan,
     parse_faults,
 )
-from repro.engine.launcher import RetryPolicy, Shard
+from repro.engine.launcher import Shard
 from repro.errors import ConfigurationError
 from repro.experiments import fig09_mrc as fig09
 
@@ -144,7 +144,7 @@ class TestChaosMatrix:
             ("kill-shard:1", {}),
             # A persistently dying range: retries exhaust, the parent
             # salvages the point in-process (degradation, not data loss).
-            ("kill-point:2", {"retry_policy": RetryPolicy(max_retries=1)}),
+            ("kill-point:2", {"max_retries": 1}),
             # A forced straggler: deadline speculation re-queues it.
             ("delay-shard:0:0.6", {"shard_deadline_s": 0.05}),
             # A result lost in transit: the worker looks busy forever, so
@@ -187,7 +187,7 @@ class TestChaosMatrix:
             rng=SEED,
             n_workers=2,
             shard_points=1,
-            retry_policy=RetryPolicy(max_retries=1),
+            max_retries=1,
         )
         assert report.degraded
         assert report.degraded_points >= 1

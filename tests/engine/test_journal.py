@@ -215,6 +215,15 @@ class TestLauncherJournaling:
         assert report.failures == 0
         assert report.exit_codes == ()
 
+    def test_resumed_launch_reports_the_same_cache_counters(self):
+        fresh = launch_sweep(fig09_scenario(), rng=SEED, n_workers=2, shard_points=1)
+        resumed = launch_sweep(
+            fig09_scenario(), rng=SEED, n_workers=2, shard_points=1,
+            resume_values={0: fresh.result.values[0]},
+        )
+        assert resumed.resumed_points == 1
+        assert set(resumed.result.cache_stats) == set(fresh.result.cache_stats)
+
     def test_resume_rejects_out_of_grid_indices(self):
         with pytest.raises(ConfigurationError, match="outside the grid"):
             launch_sweep(rng_scenario(), rng=SEED, resume_values={99: "x"})

@@ -22,12 +22,7 @@ from repro.data.fdm import FdmFskModem
 from repro.engine import Scenario, SweepRunner, SweepSpec, launch_sweep
 from repro.engine import launcher
 from repro.engine.faults import FAULTS_ENV_VAR
-from repro.engine.launcher import (
-    SHARD_POINTS_ENV_VAR,
-    RetryPolicy,
-    Shard,
-    default_shard_points,
-)
+from repro.engine.launcher import Shard, default_shard_points
 from repro.errors import ConfigurationError, LauncherError
 from repro.experiments import fig09_mrc as fig09
 from repro.utils.env import fast_numerics
@@ -258,17 +253,9 @@ class TestFailureModes:
 
 
 class TestSharding:
-    def test_default_shard_points_targets_four_per_worker(self, monkeypatch):
-        monkeypatch.delenv(SHARD_POINTS_ENV_VAR, raising=False)
+    def test_default_shard_points_targets_four_per_worker(self):
         assert default_shard_points(n_points=64, n_workers=2) == 8
         assert default_shard_points(n_points=3, n_workers=8) == 1
-
-    def test_env_override_wins(self, monkeypatch):
-        monkeypatch.setenv(SHARD_POINTS_ENV_VAR, "5")
-        assert default_shard_points(n_points=64, n_workers=2) == 5
-        monkeypatch.setenv(SHARD_POINTS_ENV_VAR, "0")
-        with pytest.raises(ConfigurationError):
-            default_shard_points(n_points=64, n_workers=2)
 
     def test_shard_geometry(self):
         shard = Shard(shard_id=0, start=2, stop=5)
@@ -297,48 +284,17 @@ class TestSharedStore:
 
 
 class TestRetryPolicy:
-    def test_defaults_match_the_legacy_knob(self):
-        assert RetryPolicy().max_retries == 2
-        assert RetryPolicy().backoff_base_s == 0.0  # immediate re-dispatch
-        assert RetryPolicy(max_retries=7).backoff_s(0, 4, 3) == 0.0
-
-    def test_backoff_is_exponential_capped_and_deterministic(self):
-        policy = RetryPolicy(
-            backoff_base_s=0.1, backoff_factor=2.0, backoff_max_s=0.3,
-            jitter_frac=0.0,
-        )
-        assert policy.backoff_s(0, 4, 0) == pytest.approx(0.1)
-        assert policy.backoff_s(0, 4, 1) == pytest.approx(0.2)
-        assert policy.backoff_s(0, 4, 5) == pytest.approx(0.3)  # capped
-        jittered = RetryPolicy(backoff_base_s=0.1, jitter_frac=0.5)
-        # Deterministic jitter: same range + attempt -> same delay,
-        # different ranges de-synchronize.
-        assert jittered.backoff_s(0, 4, 1) == jittered.backoff_s(0, 4, 1)
-        assert jittered.backoff_s(0, 4, 1) != jittered.backoff_s(4, 8, 1)
-
     def test_validation_rejects_nonsense(self):
-        for bad in (
-            RetryPolicy(max_retries=-1),
-            RetryPolicy(backoff_base_s=-0.1),
-            RetryPolicy(backoff_factor=0.5),
-            RetryPolicy(jitter_frac=1.5),
-            RetryPolicy(job_deadline_s=0.0),
+        # The retry budget is two plain launch settings now; each one
+        # out of range fails at the call, before any worker starts.
+        for kwargs in (
+            dict(max_retries=-1),
+            dict(max_retries=-2),
+            dict(job_deadline_s=0.0),
+            dict(job_deadline_s=-1.0),
         ):
             with pytest.raises(ConfigurationError):
-                bad.validate()
-        with pytest.raises(ConfigurationError):
-            launch_sweep(
-                rng_scenario(), rng=SEED,
-                retry_policy=RetryPolicy(max_retries=-2),
-            )
-
-    def test_backoff_delays_the_retry_but_not_the_bits(self):
-        serial = SweepRunner(rng_scenario(), rng=SEED, backend="serial").run()
-        report = launch_sweep(
-            rng_scenario(), rng=SEED, n_workers=2, shard_points=3,
-            retry_policy=RetryPolicy(max_retries=2, backoff_base_s=0.05),
-        )
-        assert report.result.values == serial.values
+                launch_sweep(rng_scenario(), rng=SEED, **kwargs)
 
 
 class TestDegradation:
@@ -353,7 +309,7 @@ class TestDegradation:
         report = launch_sweep(
             rng_scenario(measure=_slow_draw, slow_a=1, sleep_s=0.8),
             rng=SEED, n_workers=2, shard_points=2,
-            retry_policy=RetryPolicy(job_deadline_s=0.2),
+            job_deadline_s=0.2,
         )
         assert report.degraded
         assert report.degraded_points >= 1

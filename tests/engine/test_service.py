@@ -9,14 +9,15 @@ job after the first performs zero syntheses.
 
 import asyncio
 import os
+import time
 
 import numpy as np
 import pytest
 
 from repro.channel.fading import BodyMotionFading
 from repro.data.fdm import FdmFskModem
-from repro.engine import Scenario, SweepRunner, SweepSpec, SweepService
-from repro.engine.service import JOB_STATES
+from repro.engine import Scenario, SweepRunner, SweepSpec, SweepService, launch_sweep
+from repro.engine.service import JOB_STATES, _Job
 from repro.errors import ConfigurationError
 from repro.experiments import fig09_mrc as fig09
 
@@ -29,6 +30,13 @@ def _draw(run):
 
 def _explode(run):
     raise ValueError("measure always fails")
+
+
+def _slow_draw(run, slow_a, sleep_s):
+    """Like ``_draw`` but one grid row stalls — a synthetic straggler."""
+    if run.point["a"] == slow_a:
+        time.sleep(sleep_s)
+    return _draw(run)
 
 
 def rng_scenario(measure=_draw) -> Scenario:
@@ -241,3 +249,48 @@ class TestFailures:
         assert status.state == "failed"
         assert "measure always fails" in status.error
         assert exc is not None and "measure always fails" in str(exc)
+
+    def test_bad_launch_settings_rejected_at_construction(self):
+        for kwargs in (dict(max_retries=-1), dict(job_deadline_s=0)):
+            with pytest.raises(ConfigurationError):
+                SweepService(**kwargs)
+
+
+class TestJobStatusCounts:
+    def test_speculation_keeps_the_original_running(self):
+        # Row a=1 (points 0-1, one shard) stalls past the deadline. Its
+        # speculative requeue re-dispatches the halves while the original
+        # keeps running, so the requeue must not end the original's
+        # count. Without deaths or errors, every dispatch ends in exactly
+        # one shard-done, which gives the real in-flight count.
+        scenario = Scenario(
+            name="svc",
+            sweep=SweepSpec.grid(a=(1, 2, 3), b=(10.0, 20.0)),
+            measure=_slow_draw,
+            measure_params=dict(slow_a=1, sleep_s=0.4),
+            cache_ambient=False,
+        )
+        events = []
+        launch_sweep(
+            scenario, rng=SEED, n_workers=2, shard_points=2,
+            shard_deadline_s=0.05, progress=events.append,
+        )
+        assert any(event["kind"] == "requeue" for event in events)
+        job = _Job("svc-0001", "svc", 6)
+        running = 0
+        for event in events:
+            job.on_progress(event)
+            running += {"dispatch": 1, "shard-done": -1}.get(event["kind"], 0)
+            assert job.snapshot().shards_running == running, event
+        accepted = [e for e in events if e["kind"] == "shard-done" and e["fresh"]]
+        assert job.snapshot().shards_done == len(accepted)
+
+    def test_duplicate_completion_is_not_an_accepted_shard(self):
+        job = _Job("svc-0001", "svc", 6)
+        done = dict(kind="shard-done", attempt=0, points_done=2, points_total=6)
+        job.on_progress(dict(done, shard=(0, 2), fresh=2, shards_running=1))
+        job.on_progress(dict(done, shard=(0, 1), attempt=1, fresh=0, shards_running=0))
+        status = job.snapshot()
+        assert status.shards_done == 1
+        assert status.points_done == 2
+        assert status.shards_running == 0

@@ -12,7 +12,6 @@ from repro.errors import ConfigurationError
 from repro.utils.env import (
     NUMERICS_ENV_VAR,
     env_choice,
-    env_float,
     env_int,
     fast_numerics,
     numerics_mode,
@@ -52,36 +51,6 @@ class TestEnvInt:
     def test_minimum_is_inclusive(self, monkeypatch):
         monkeypatch.setenv(VAR, "1")
         assert env_int(VAR, 7, minimum=1) == 1
-
-
-class TestEnvFloat:
-    def test_unset_returns_default(self, monkeypatch):
-        monkeypatch.delenv(VAR, raising=False)
-        assert env_float(VAR, 64.0) == 64.0
-
-    def test_parses_value(self, monkeypatch):
-        monkeypatch.setenv(VAR, "0.5")
-        assert env_float(VAR, 64.0) == 0.5
-
-    def test_malformed_names_variable_and_value(self, monkeypatch):
-        monkeypatch.setenv(VAR, "lots")
-        with pytest.raises(ConfigurationError, match=rf"{VAR}.*'lots'"):
-            env_float(VAR, 64.0)
-
-    def test_non_finite_rejected(self, monkeypatch):
-        for raw in ("inf", "nan", "-inf"):
-            monkeypatch.setenv(VAR, raw)
-            with pytest.raises(ConfigurationError, match="finite"):
-                env_float(VAR, 64.0)
-
-    def test_exclusive_minimum_rejects_boundary(self, monkeypatch):
-        monkeypatch.setenv(VAR, "0")
-        with pytest.raises(ConfigurationError, match="> 0"):
-            env_float(VAR, 64.0, minimum=0.0, minimum_exclusive=True)
-
-    def test_inclusive_minimum_accepts_boundary(self, monkeypatch):
-        monkeypatch.setenv(VAR, "0")
-        assert env_float(VAR, 64.0, minimum=0.0) == 0.0
 
 
 class TestEnvChoice:
