@@ -16,7 +16,6 @@ other grid points (important once points run concurrently).
 
 from __future__ import annotations
 
-import os
 import threading
 import zlib
 from collections import OrderedDict
@@ -25,7 +24,7 @@ from typing import Callable, Dict, Optional, Tuple
 import numpy as np
 
 from repro.constants import AUDIO_RATE_HZ, MPX_RATE_HZ
-from repro.engine.store import CACHE_DIR_ENV_VAR, CacheStore
+from repro.engine.store import CacheStore, env_cache_dir
 from repro.fm.modulator import fm_modulate
 from repro.fm.station import FMStation, StationConfig
 from repro.utils.rand import derive_seed
@@ -169,7 +168,7 @@ def default_cache() -> AmbientCache:
     """
     global _DEFAULT_CACHE, _DEFAULT_CACHE_DIR
     with _DEFAULT_CACHE_LOCK:
-        directory = os.environ.get(CACHE_DIR_ENV_VAR, "").strip() or None
+        directory = env_cache_dir()
         if _DEFAULT_CACHE is None or directory != _DEFAULT_CACHE_DIR:
             store = CacheStore(directory) if directory else None
             _DEFAULT_CACHE = AmbientCache(store=store)

@@ -1,12 +1,13 @@
 """Single-point execution shared by every sweep setting.
 
 :func:`execute_point` is the one place that turns (scenario, grid point,
-pre-derived seed) into a measured value. The runner's serial units call
-it directly, and the distributed launcher's workers call it with each
-worker's own cache. Keeping the RNG discipline here — build the point
-generator from the pre-derived seed, attach the cached ambient, let the
-chain consume its station/link/receiver children in order — is what
-makes every setting and the launcher bit-identical.
+pre-derived seed) into a measured value, and
+:func:`~repro.engine.runner.run_units` is its one caller: every serial
+unit of every plan, in-process or in a launcher worker, runs through it.
+Keeping the RNG discipline here — build the point generator from the
+pre-derived seed, attach the cached ambient, let the chain consume its
+station/link/receiver children in order — is what makes every setting
+and the launcher bit-identical.
 """
 
 from __future__ import annotations

@@ -9,7 +9,11 @@ job-queue orchestrator that:
 
 - slices a compiled :class:`~repro.engine.scenario.Scenario` grid into
   shards and dispatches them to a pool of worker processes, one shard
-  per worker at a time;
+  per worker at a time. A worker runs its shard as one
+  :func:`~repro.engine.runner.run_points` call on one thread — planned
+  under the setting the parent resolved, like any in-process sweep — so
+  every shard's :class:`~repro.engine.planner.PlanDecision` records come
+  back with its values;
 - detects dead workers (a crash, an OOM kill, an injected fault) and
   stragglers (a shard past its per-shard deadline) and *re-slices* the
   affected range into halves before re-queueing it, so retried work
@@ -22,8 +26,9 @@ job-queue orchestrator that:
 - **degrades gracefully** instead of discarding work: when a range
   exhausts its ``max_retries`` budget (or the job blows its
   ``job_deadline_s``), the launcher salvages every
-  completed shard and finishes the lost range *in-process, serially* —
-  the merged grid is still complete and bit-identical, and
+  completed shard and finishes the lost range *in-process*, through the
+  same :func:`~repro.engine.runner.run_points` call on one thread — the
+  merged grid is still complete and bit-identical, and
   :attr:`LaunchReport.degraded` says the fan-out lost redundancy (and a
   WARNING under ``repro.engine.launcher`` names the salvaged points).
   :class:`~repro.errors.LauncherError` (now carrying shard id, point
@@ -37,7 +42,10 @@ job-queue orchestrator that:
 - merges accepted shard results into one whole-grid
   :class:`~repro.engine.results.SweepResult` (merge-aware cache
   counters; ``elapsed_s`` sums per-shard compute time while
-  :attr:`LaunchReport.wall_s` reports wall-clock).
+  :attr:`LaunchReport.wall_s` reports wall-clock). Its ``plan`` names
+  every computed point exactly once: a partly duplicated shard's
+  decisions are trimmed to the points it covered first, and resumed
+  points carry none.
 
 Cross-machine runs fall out of the shared on-disk
 :class:`~repro.engine.store.CacheStore`: point ``REPRO_CACHE_DIR`` (or
@@ -69,20 +77,21 @@ import tempfile
 import time
 import traceback
 from collections import deque
+from itertools import groupby
 from multiprocessing import connection as mp_connection
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.engine.cache import AmbientCache, stats_delta
-from repro.engine.execution import execute_point
 from repro.engine.faults import active_plan
 from repro.engine.journal import JobJournal
 from repro.engine.planner import live_fading_model
 from repro.engine.results import SweepResult
-from repro.engine.runner import derive_streams
+from repro.engine.runner import AUTO_BACKEND, default_backend, derive_streams, run_points
 from repro.engine.scenario import Scenario
-from repro.engine.store import CACHE_DIR_ENV_VAR, CacheStore
+from repro.engine.store import CacheStore, env_cache_dir
 from repro.errors import ConfigurationError, LauncherError
+from repro.utils.env import fast_numerics
 from repro.utils.rand import RngLike, as_generator
 
 logger = logging.getLogger(__name__)
@@ -240,6 +249,24 @@ def require_shippable(scenario: Scenario) -> bytes:
     return scenario.require_picklable()
 
 
+def _keep(result: SweepResult, positions: Sequence[int]) -> SweepResult:
+    """``result`` cut down to the points at ``positions``, plan included."""
+    kept = {result.points[k].index for k in positions}
+    plan = []
+    for decision in result.plan:
+        pairs = zip(decision.point_indices, decision.positions)
+        members = [pair for pair in pairs if pair[0] in kept]
+        if members:
+            indices, where = zip(*members)
+            plan.append(replace(decision, point_indices=indices, positions=where))
+    return replace(
+        result,
+        points=[result.points[k] for k in positions],
+        values=[result.values[k] for k in positions],
+        plan=plan,
+    )
+
+
 def _initial_shards(n_points: int, shard_points: int) -> List[Shard]:
     return [
         Shard(shard_id=i, start=start, stop=min(start + shard_points, n_points))
@@ -254,17 +281,21 @@ def _worker_main(
     seeds: Sequence[int],
     ambient_master: int,
     store_dir: Optional[str],
+    setting: str,
     task_q,
     result_conn,
 ) -> None:
-    """Worker loop: pull shards, execute their points, push values back.
+    """Worker loop: pull shards, run each through :func:`run_points`, report.
 
-    Each worker owns a private :class:`AmbientCache` attached to the
-    shared store directory, so the first worker to need a composite loads
-    (or synthesizes and spills) it and everyone else reads bytes.
-    Messages out: ``("done", worker_id, shard, values, elapsed, stats)``
-    or ``("error", worker_id, shard, traceback_text)``, sent over this
-    worker's *private* result pipe — never a shared queue. A shared
+    A shard is one :func:`~repro.engine.runner.run_points` call on its
+    slice of the pre-derived seeds, planned under ``setting`` and run on
+    one thread (the pool is the processes). Each worker owns a private
+    :class:`AmbientCache` attached to the shared store directory, so the
+    first worker to need a composite loads (or synthesizes and spills) it
+    and everyone else reads bytes. Messages out carry only what the
+    parent lacks, ``("done", worker_id, shard, values, elapsed, stats,
+    plan)`` or ``("error", worker_id, shard, traceback_text)``, and go
+    over this worker's *private* result pipe — never a shared queue. A shared
     ``multiprocessing.Queue`` serializes writers through one cross-process
     lock held by a background feeder thread, so a worker hard-killed just
     after reporting (exactly what ``kill-shard`` injects, and what a real
@@ -278,8 +309,8 @@ def _worker_main(
     real fault could strike: init, task pickup (kill), execution start
     (delay) and reporting (drop).
     """
-    plan = active_plan()
-    if plan.init_fail(worker_id):
+    faults = active_plan()
+    if faults.init_fail(worker_id):
         # Chaos injection: die before becoming useful — a worker whose
         # environment (imports, mounts, GPU) was broken at spawn.
         os._exit(_FAULT_EXIT_CODE)
@@ -292,39 +323,35 @@ def _worker_main(
         task = task_q.get()
         if task is None:
             return
-        if plan.kill(task):
+        if faults.kill(task):
             # Chaos injection: die the way a crashed/OOM-killed worker
             # does — no goodbye message, no cleanup.
             os._exit(_FAULT_EXIT_CODE)
-        delay = plan.delay_s(task)
+        delay = faults.delay_s(task)
         if delay > 0:
             time.sleep(delay)  # chaos injection: a forced straggler
-        started = time.perf_counter()
-        stats_before = cache.stats if cache is not None else None
         try:
-            values = [
-                execute_point(
-                    scenario, points[i], seeds[i], data, cache, ambient_master
-                )
-                for i in range(task.start, task.stop)
-            ]
+            result = run_points(
+                scenario, data, points[task.start:task.stop],
+                seeds[task.start:task.stop], cache, ambient_master, setting,
+                max_workers=1,
+            )
         except Exception:
             try:
                 result_conn.send(("error", worker_id, task, traceback.format_exc()))
             except (BrokenPipeError, OSError):
                 return  # parent is gone; nothing left to report to
             continue
-        elapsed = time.perf_counter() - started
-        stats = None
-        if cache is not None and stats_before is not None:
-            stats = stats_delta(cache.stats, stats_before)
-        if plan.drop_result(task):
+        if faults.drop_result(task):
             # Chaos injection: the work happened, the report vanished —
             # a lost message. Only deadline speculation (or the job
             # deadline) can recover the range.
             continue
         try:
-            result_conn.send(("done", worker_id, task, values, elapsed, stats))
+            result_conn.send((
+                "done", worker_id, task, result.values, result.elapsed_s,
+                result.cache_stats, result.plan,
+            ))
         except (BrokenPipeError, OSError):
             return  # parent is gone; nothing left to report to
 
@@ -432,6 +459,13 @@ def launch_sweep(
         raise ConfigurationError("journal= requires job_id= to key the records")
     active_plan()  # fail fast on a malformed chaos knob, before any fork
     blob = require_shippable(scenario)
+    # Resolved once, here, so a malformed REPRO_SWEEP_BACKEND fails before
+    # any fork. Fast numerics plans serial: its bits depend on the width
+    # of a batched stack, so re-sliced retries would make a launch's bits
+    # depend on timing.
+    setting = default_backend() or AUTO_BACKEND
+    if fast_numerics():
+        setting = "serial"
 
     wall_start = time.perf_counter()
     gen = as_generator(rng)
@@ -450,7 +484,7 @@ def launch_sweep(
     warm_syntheses = 0
     parent_cache: Optional[AmbientCache] = None
     if scenario.cache_ambient:
-        store_dir = cache_dir or os.environ.get(CACHE_DIR_ENV_VAR, "").strip() or None
+        store_dir = cache_dir or env_cache_dir()
         if store_dir is None:
             scratch = tempfile.mkdtemp(prefix="repro-launcher-spill-")
             store_dir = scratch
@@ -462,15 +496,19 @@ def launch_sweep(
         warm_syntheses = int(parent_cache.stats.get("syntheses", 0))
 
     ctx = _mp_context()
-    init_args = (blob, data, list(seeds), ambient_master, store_dir)
+    init_args = (blob, data, list(seeds), ambient_master, store_dir, setting)
     next_worker_id = 0
     next_shard_id = len(shards)
     workers: Dict[int, _Worker] = {}
 
-    def emit(event: dict) -> None:
+    def emit(kind: str, task: Optional[Shard] = None, **event) -> None:
+        """Report one event to ``progress``, with ``task``'s range and attempt."""
         if progress is not None:
+            if task is not None:
+                event.update(shard=(task.start, task.stop), attempt=task.attempt)
             running = sum(w.assignment is not None for w in workers.values())
-            progress(dict(event, points_total=n_points, shards_running=running))
+            event.update(kind=kind, points_total=n_points, shards_running=running)
+            progress(event)
 
     taken = [False] * n_points
     n_covered = 0
@@ -482,73 +520,50 @@ def launch_sweep(
     resumed_points = 0
     exit_codes: List[int] = []
 
-    def parent_stats(before: Optional[dict] = None) -> Optional[dict]:
-        """The parent cache's counters, or their change since ``before``."""
-        if parent_cache is None:
-            return None
-        if before is None:
-            return parent_cache.stats
-        return stats_delta(parent_cache.stats, before)
-
-    def cover(
-        task: Optional[Shard],
-        indices: Sequence[int],
-        values: Sequence[object],
-        elapsed: float,
-        stats: Optional[dict],
-        degraded: bool = False,
-    ) -> int:
-        """Record the not-yet-covered ``indices`` as one result slice.
+    def cover(task: Optional[Shard], result: SweepResult, degraded=False) -> int:
+        """Record the not-yet-covered points of the slice ``result``.
 
         Every covered point passes through here: a worker's report, the
         in-process salvage (``degraded``) and, with ``task=None``, the
-        points reloaded from ``resume_values``. A computed slice is
-        journaled and reported as a ``shard-done`` event — a duplicate
-        too, with ``fresh == 0``; reloaded points are in the journal
-        already. Returns how many points were fresh.
+        points reloaded from ``resume_values``. The slice keeps only its
+        fresh points and their plan decisions, so the merged plan names
+        each computed point once. A computed slice is journaled and
+        reported as a ``shard-done`` event — a duplicate too, with
+        ``fresh == 0``; reloaded points are in the journal already.
+        Returns how many points were fresh.
         """
         nonlocal n_covered
-        fresh = [k for k, index in enumerate(indices) if not taken[index]]
-        fresh_indices = [indices[k] for k in fresh]
-        fresh_values = [values[k] for k in fresh]
-        for index in fresh_indices:
-            taken[index] = True
+        fresh = [k for k, point in enumerate(result.points) if not taken[point.index]]
         n_covered += len(fresh)
         if fresh:
-            if task is None:
-                label = f"resumed[{len(fresh)}]"
-            else:
-                kind = "degraded" if degraded else "shard"
-                label = f"{kind}[{task.start}:{task.stop}]"
-            shard_results.append(
-                SweepResult(
-                    spec=scenario.sweep,
-                    points=[points[i] for i in fresh_indices],
-                    values=fresh_values,
-                    elapsed_s=elapsed,
-                    n_workers=1,
-                    cache_stats=stats,
-                    data=data,
-                    backend=label,
-                    scenario_name=scenario.name,
-                )
-            )
+            result = _keep(result, fresh)
+            indices = [point.index for point in result.points]
+            for index in indices:
+                taken[index] = True
+            shard_results.append(result)
             if task is not None and journal is not None:
                 journal.shard_completed(
-                    job_id, fresh_indices, fresh_values, elapsed, degraded=degraded
+                    job_id, indices, result.values, result.elapsed_s, degraded=degraded
                 )
         if task is not None:
             emit(
-                {
-                    "kind": "shard-done",
-                    "shard": (task.start, task.stop),
-                    "attempt": task.attempt,
-                    "fresh": len(fresh),
-                    "points_done": n_covered,
-                    "degraded": degraded,
-                }
+                "shard-done", task,
+                fresh=len(fresh), points_done=n_covered, degraded=degraded,
             )
         return len(fresh)
+
+    def slice_result(indices: Sequence[int], values, elapsed=0.0, stats=None, plan=()):
+        """The points at ``indices`` as a :class:`SweepResult` slice."""
+        return SweepResult(
+            spec=scenario.sweep,
+            points=[points[i] for i in indices],
+            values=list(values),
+            elapsed_s=elapsed,
+            cache_stats=stats,
+            data=data,
+            scenario_name=scenario.name,
+            plan=list(plan),
+        )
 
     if resume_values:
         bad = [i for i in resume_values if not 0 <= int(i) < n_points]
@@ -558,11 +573,13 @@ def launch_sweep(
                 f"{n_points} points"
             )
         resumed = sorted(int(i) for i in resume_values)
-        before = parent_stats()
-        resumed_points = cover(
-            None, resumed, [resume_values[i] for i in resumed], 0.0,
-            parent_stats(before),
-        )
+        stats = None
+        if parent_cache is not None:
+            # Zero counters, not none: merge keeps cache stats only when
+            # every slice has them.
+            stats = stats_delta(parent_cache.stats, parent_cache.stats)
+        values = [resume_values[i] for i in resumed]
+        resumed_points = cover(None, slice_result(resumed, values, stats=stats))
 
     def reslice(task: Shard) -> List[Shard]:
         """The uncovered remainder of ``task``, split for re-queueing.
@@ -573,35 +590,17 @@ def launch_sweep(
         landing back on a single worker.
         """
         nonlocal next_shard_id
-        runs: List[Tuple[int, int]] = []
-        cursor = None
-        for index in range(task.start, task.stop):
-            if taken[index]:
-                if cursor is not None:
-                    runs.append((cursor, index))
-                    cursor = None
-            elif cursor is None:
-                cursor = index
-        if cursor is not None:
-            runs.append((cursor, task.stop))
-        halves: List[Tuple[int, int]] = []
-        for start, stop in runs:
-            mid = (start + stop) // 2
-            if mid > start:
-                halves.extend([(start, mid), (mid, stop)])
-            else:
-                halves.append((start, stop))
         sliced = []
-        for start, stop in halves:
-            sliced.append(
-                Shard(
-                    shard_id=next_shard_id,
-                    start=start,
-                    stop=stop,
-                    attempt=task.attempt + 1,
-                )
-            )
-            next_shard_id += 1
+        for covered, run in groupby(range(task.start, task.stop), taken.__getitem__):
+            if covered:
+                continue
+            run = list(run)
+            start, stop = run[0], run[-1] + 1
+            mid = (start + stop) // 2
+            halves = [(start, mid), (mid, stop)] if mid > start else [(start, stop)]
+            for lo, hi in halves:
+                sliced.append(Shard(next_shard_id, lo, hi, attempt=task.attempt + 1))
+                next_shard_id += 1
         return sliced
 
     def spawn_worker() -> None:
@@ -616,7 +615,8 @@ def launch_sweep(
         The fan-out failed this range ``max_retries + 1`` times (or the
         job deadline passed); rather than throwing away every completed
         shard via an exception, the parent — whose cache is the warm
-        store itself — executes the remaining points serially. The grid
+        store itself — runs the remaining points as one
+        :func:`~repro.engine.runner.run_points` call on one thread. The grid
         stays complete and bit-identical; only parallelism was lost,
         reported on ``LaunchReport.degraded``. A failure *here* is a
         deterministic bug in the measure and raises
@@ -625,58 +625,39 @@ def launch_sweep(
         """
         nonlocal degraded, degraded_points
         degraded = True
-        emit(
-            {
-                "kind": "degraded",
-                "shard": (task.start, task.stop),
-                "attempt": task.attempt,
-                "reason": reason,
-            }
-        )
-        before = parent_stats()
-        started = time.perf_counter()
+        emit("degraded", task, reason=reason)
         indices = [i for i in range(task.start, task.stop) if not taken[i]]
-        values: List[object] = []
-        for index in indices:
-            try:
-                values.append(
-                    execute_point(
-                        scenario,
-                        points[index],
-                        seeds[index],
-                        data,
-                        parent_cache,
-                        ambient_master,
-                    )
-                )
-            except Exception as exc:
-                partial = (
-                    SweepResult.merge(*shard_results, partial=True)
-                    if shard_results
-                    else None
-                )
-                raise LauncherError(
-                    f"shard [{task.start}:{task.stop}) of scenario "
-                    f"{scenario.name!r} gave up after {task.attempt + 1} "
-                    f"attempts ({reason}) and the in-process salvage failed "
-                    f"at point {index} too; the engine's determinism means "
-                    "the retried work was bit-identical each time — this is "
-                    "a reproducible bug, not transient bad luck",
-                    scenario=scenario.name,
-                    shard_id=task.shard_id,
-                    point_range=(task.start, task.stop),
-                    attempts=task.attempt + 1,
-                    exit_codes=tuple(exit_codes),
-                    partial_result=partial,
-                ) from exc
-        elapsed = time.perf_counter() - started
+        try:
+            result = run_points(
+                scenario, data, [points[i] for i in indices],
+                [seeds[i] for i in indices], parent_cache, ambient_master, setting,
+                max_workers=1,
+            )
+        except Exception as exc:
+            partial = (
+                SweepResult.merge(*shard_results, partial=True)
+                if shard_results
+                else None
+            )
+            raise LauncherError(
+                f"shard [{task.start}:{task.stop}) of scenario "
+                f"{scenario.name!r} gave up after {task.attempt + 1} "
+                f"attempts ({reason}) and the in-process salvage of points "
+                f"{indices} failed too; the engine's determinism means "
+                "the retried work was bit-identical each time — this is "
+                "a reproducible bug, not transient bad luck",
+                scenario=scenario.name,
+                shard_id=task.shard_id,
+                point_range=(task.start, task.stop),
+                attempts=task.attempt + 1,
+                exit_codes=tuple(exit_codes),
+                partial_result=partial,
+            ) from exc
         logger.warning(
             "scenario %r: ran points %s of [%d:%d) in-process after %d attempts (%s)",
             scenario.name, indices, task.start, task.stop, task.attempt + 1, reason,
         )
-        degraded_points += cover(
-            task, indices, values, elapsed, parent_stats(before), degraded=True
-        )
+        degraded_points += cover(task, result, degraded=True)
 
     def requeue(task: Shard, reason: str) -> None:
         nonlocal retries
@@ -694,14 +675,7 @@ def launch_sweep(
         pending.extend(reslice(task))
         if journal is not None:
             journal.shard_retried(job_id, task.start, task.stop, task.attempt, reason)
-        emit(
-            {
-                "kind": "requeue",
-                "shard": (task.start, task.stop),
-                "attempt": task.attempt,
-                "reason": reason,
-            }
-        )
+        emit("requeue", task, reason=reason)
 
     def pop_needed() -> Optional[Shard]:
         """Next pending shard with a point still uncovered."""
@@ -719,9 +693,9 @@ def launch_sweep(
         if worker is not None and worker.assignment == task:
             worker.assignment = None
         if kind == "done":
-            _, _, _, values, elapsed, stats = message
-            indices = range(task.start, task.stop)
-            if cover(task, indices, values, elapsed, stats) == 0:
+            _, _, _, values, elapsed, stats, plan = message
+            span = range(task.start, task.stop)
+            if cover(task, slice_result(span, values, elapsed, stats, plan)) == 0:
                 duplicates += 1
         else:  # "error": the measure raised inside the worker
             tb = message[3]
@@ -775,7 +749,7 @@ def launch_sweep(
                 exit_code = worker.process.exitcode
                 exit_codes.append(exit_code if exit_code is not None else -1)
                 failures += 1
-                emit({"kind": "worker-died", "worker": worker.worker_id})
+                emit("worker-died", worker=worker.worker_id)
                 spawn_worker()
                 if lost is not None:
                     requeue(lost, f"worker died (exit code {exit_code})")
@@ -809,14 +783,7 @@ def launch_sweep(
                     journal.shard_dispatched(
                         job_id, task.start, task.stop, task.attempt, worker.worker_id
                     )
-                emit(
-                    {
-                        "kind": "dispatch",
-                        "shard": (task.start, task.stop),
-                        "attempt": task.attempt,
-                        "worker": worker.worker_id,
-                    }
-                )
+                emit("dispatch", task, worker=worker.worker_id)
 
             # 5) Self-heal any lost-task race: nothing queued, nothing
             #    in flight, yet points uncovered -> requeue the gaps.

@@ -68,9 +68,11 @@ the *ratio* of row lengths), the two meet at
 ``24000 * 8 ** ((251.9 - 201.5) / (257.0 - 201.5))`` = 158,490 samples.
 
 Stereo rows have their own crossover, :data:`STEREO_CROSSOVER_SAMPLES`.
-``REPRO_NUMERICS=fast`` batches every cached
-partition (its fused kernels cut the batched cost to 0.75x, and
-0.75 x 257.0 ns < 251.9 ns at any row length).
+``REPRO_NUMERICS=fast`` batches every cached partition. That keeps long
+rows off the pool (a warm fig08 sweep on a 2-CPU host: 2.43-2.59 s fast
+against 1.48-1.61 s exact), but under the row rule the per-point fast
+path puts the report's -50 dBm tone SNR 1.85 dB from the exact fixture,
+outside the tolerance goldens' 1.5 dB window.
 """
 
 STEREO_CROSSOVER_SAMPLES = 48_000

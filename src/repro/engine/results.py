@@ -88,10 +88,11 @@ class SweepResult:
         plan: the plan's per-partition decisions
             (:class:`~repro.engine.planner.PlanDecision` records — the
             partition's points, executor, chunk rows and the rule's
-            reason), recorded under every setting. Decisions carry
-            *global* grid indices, so :meth:`merge` concatenates shard
-            plans (grid order) whenever every shard has one, and drops
-            the plan when any shard has none (the launcher's shards).
+            reason), recorded under every setting, launcher shards
+            included. Decisions carry *global* grid indices, so
+            :meth:`merge` concatenates shard plans (grid order) whenever
+            every shard has one, and drops the plan when any shard has
+            none (a result built by hand).
         scenario_name: name of the scenario that produced the values;
             :meth:`merge` refuses to stitch shards of different
             scenarios (same-axes grids from unrelated experiments would

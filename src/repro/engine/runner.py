@@ -165,6 +165,46 @@ def run_units(
     return values, n_workers
 
 
+def run_points(
+    scenario: Scenario,
+    data: Dict[str, object],
+    points: Sequence[GridPoint],
+    seeds: Sequence[int],
+    cache: Optional[AmbientCache],
+    ambient_master: int,
+    setting: str,
+    max_workers: Optional[int] = None,
+) -> SweepResult:
+    """Plan ``points`` under ``setting``, run the plan, and report it.
+
+    The one path from pre-derived streams to a :class:`SweepResult`:
+    :meth:`SweepRunner.run`, the launcher's workers and its in-process
+    salvage all call it, so every sweep is planned and runs through
+    :func:`run_units`. ``cache`` is ``None`` when ambient caching is off;
+    otherwise its counters' change over the run lands on
+    ``cache_stats``.
+    """
+    stats_before = cache.stats if cache is not None else None
+    start = time.perf_counter()
+    plan = plan_sweep(scenario, data, points, cache, setting)
+    values, n_workers = run_units(
+        scenario, data, points, seeds, cache, ambient_master, plan.units, max_workers
+    )
+    elapsed = time.perf_counter() - start
+    return SweepResult(
+        spec=scenario.sweep,
+        points=list(points),
+        values=values,
+        elapsed_s=elapsed,
+        n_workers=n_workers,
+        cache_stats=None if cache is None else stats_delta(cache.stats, stats_before),
+        data=data,
+        backend=plan.label,
+        scenario_name=scenario.name,
+        plan=plan.decisions,
+    )
+
+
 def default_backend() -> Optional[str]:
     """Backend named by ``REPRO_SWEEP_BACKEND`` (``None`` when unset).
 
@@ -262,7 +302,10 @@ class SweepRunner:
                 master) are always derived for the *whole* grid first, so
                 a shard's per-point streams are bit-identical to the same
                 points of a whole-grid run — shards executed anywhere can
-                be stitched back with :meth:`SweepResult.merge`.
+                be stitched back with :meth:`SweepResult.merge`. The
+                stitched values are bit-identical to a whole-grid run in
+                exact mode only: under ``REPRO_NUMERICS=fast`` a batched
+                point's bits depend on the width of its stack.
                 ``start == stop`` is a valid *empty* shard (the natural
                 remainder of the launcher's work re-slicing): it executes
                 nothing and merges as a no-op.
@@ -297,30 +340,9 @@ class SweepRunner:
         cache: Optional[AmbientCache] = None
         if scenario.cache_ambient:
             cache = self.cache if self.cache is not None else default_cache()
-        stats_before = cache.stats if cache is not None else None
-
-        start = time.perf_counter()
-        plan = plan_sweep(scenario, data, points, cache, self.backend)
-        values, n_workers = run_units(
+        return run_points(
             scenario, data, points, seeds, cache, ambient_master,
-            plan.units, self.max_workers,
-        )
-        elapsed = time.perf_counter() - start
-
-        cache_stats = None
-        if cache is not None and stats_before is not None:
-            cache_stats = stats_delta(cache.stats, stats_before)
-        return SweepResult(
-            spec=scenario.sweep,
-            points=points,
-            values=values,
-            elapsed_s=elapsed,
-            n_workers=n_workers,
-            cache_stats=cache_stats,
-            data=data,
-            backend=plan.label,
-            scenario_name=scenario.name,
-            plan=plan.decisions,
+            self.backend, self.max_workers,
         )
 
 

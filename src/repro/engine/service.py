@@ -46,12 +46,11 @@ from __future__ import annotations
 
 import asyncio
 import itertools
-import os
 import pickle
 import shutil
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional
 
 from repro.engine.journal import JobJournal
@@ -60,7 +59,7 @@ from repro.engine.launcher import (
     LaunchReport, check_launch_settings, launch_sweep, require_shippable,
 )
 from repro.engine.scenario import Scenario
-from repro.engine.store import CACHE_DIR_ENV_VAR
+from repro.engine.store import env_cache_dir
 from repro.utils.rand import RngLike, as_generator
 
 JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
@@ -103,25 +102,17 @@ class JobStatus:
 
 
 class _Job:
-    """Mutable job record; counters are fed by the launcher's progress
-    callback from the launch thread (single writer, so plain attributes
-    under the GIL are race-free enough for a status snapshot).
+    """Mutable job record around one :class:`JobStatus`; its counters are
+    fed by the launcher's progress callback from the launch thread
+    (single writer, so plain attributes under the GIL are race-free
+    enough for a status snapshot).
 
     ``shards_running`` is the launcher's own count, carried on every
     event: a straggler's speculative ``requeue`` leaves the original
     running, which the events' shard ranges alone cannot tell."""
 
     def __init__(self, job_id: str, scenario_name: str, points_total: int) -> None:
-        self.job_id = job_id
-        self.scenario_name = scenario_name
-        self.points_total = points_total
-        self.state = "queued"
-        self.points_done = 0
-        self.shards_done = 0
-        self.retries = 0
-        self.degraded = False
-        self.resumed_points = 0
-        self.shards_running = 0
+        self.status = JobStatus(job_id, scenario_name, "queued", points_total)
         self.started_at: Optional[float] = None
         self.finished_at: Optional[float] = None
         self.report: Optional[LaunchReport] = None
@@ -129,36 +120,23 @@ class _Job:
         self.done_event = asyncio.Event()
 
     def on_progress(self, event: dict) -> None:
+        status = self.status
         kind = event.get("kind")
-        self.shards_running = event.get("shards_running", self.shards_running)
+        status.shards_running = event.get("shards_running", status.shards_running)
         if kind == "shard-done":
-            self.points_done = event.get("points_done", self.points_done)
+            status.points_done = event.get("points_done", status.points_done)
             if event.get("fresh"):  # a discarded duplicate is not accepted
-                self.shards_done += 1
+                status.shards_done += 1
         elif kind == "requeue":
-            self.retries += 1
+            status.retries += 1
         elif kind == "degraded":
-            self.degraded = True
+            status.degraded = True
 
     def snapshot(self) -> JobStatus:
-        now = time.perf_counter()
         wall = 0.0
         if self.started_at is not None:
-            wall = (self.finished_at or now) - self.started_at
-        return JobStatus(
-            job_id=self.job_id,
-            scenario=self.scenario_name,
-            state=self.state,
-            points_total=self.points_total,
-            points_done=self.points_done,
-            shards_done=self.shards_done,
-            shards_running=self.shards_running,
-            retries=self.retries,
-            wall_s=wall,
-            error=None if self.error is None else str(self.error),
-            degraded=self.degraded,
-            resumed_points=self.resumed_points,
-        )
+            wall = (self.finished_at or time.perf_counter()) - self.started_at
+        return replace(self.status, wall_s=wall)
 
 
 class SweepService:
@@ -203,7 +181,7 @@ class SweepService:
         )
         check_launch_settings(**self._launch)
         self._scratch: Optional[str] = None
-        explicit = cache_dir or os.environ.get(CACHE_DIR_ENV_VAR, "").strip() or None
+        explicit = cache_dir or env_cache_dir()
         if explicit is None:
             self._scratch = tempfile.mkdtemp(prefix="repro-sweep-service-")
         self.cache_dir = explicit or self._scratch
@@ -293,9 +271,9 @@ class SweepService:
             scenario = record.scenario()
             rng = record.rng()
             job = _Job(job_id, record.scenario_name, record.n_points)
-            job.points_done = len(record.values)
-            job.resumed_points = len(record.values)
-            job.degraded = record.degraded
+            job.status.points_done = len(record.values)
+            job.status.resumed_points = len(record.values)
+            job.status.degraded = record.degraded
             self._jobs[job_id] = job
             self._tasks[job_id] = asyncio.create_task(
                 self._execute(job, scenario, rng, resume_values=dict(record.values)),
@@ -311,12 +289,13 @@ class SweepService:
         rng: RngLike,
         resume_values: Optional[Dict[int, object]] = None,
     ) -> None:
+        status, job_id = job.status, job.status.job_id
         async with self._slots:
-            job.state = "running"
+            status.state = "running"
             job.started_at = time.perf_counter()
             loop = asyncio.get_running_loop()
             try:
-                job.report = await loop.run_in_executor(
+                report = job.report = await loop.run_in_executor(
                     None,
                     lambda: launch_sweep(
                         scenario,
@@ -325,31 +304,31 @@ class SweepService:
                         progress=job.on_progress,
                         resume_values=resume_values,
                         journal=self.journal,
-                        job_id=job.job_id if self.journal is not None else None,
+                        job_id=job_id if self.journal is not None else None,
                         **self._launch,
                     ),
                 )
-                job.state = "done"
-                job.points_done = job.report.n_points
-                job.retries = job.report.retries
-                job.degraded = job.report.degraded
-                job.resumed_points = job.report.resumed_points
+                status.state = "done"
+                status.points_done = report.n_points
+                status.retries = report.retries
+                status.degraded = report.degraded
+                status.resumed_points = report.resumed_points
                 if self.journal is not None:
-                    self.journal.job_done(job.job_id)
+                    self.journal.job_done(job_id)
             except BaseException as exc:
-                if isinstance(exc, asyncio.CancelledError):
-                    job.state = "cancelled"
-                    job.error = exc
-                    if self.journal is not None:
-                        self.journal.job_cancelled(job.job_id)
-                    raise
-                job.state = "failed"
                 job.error = exc
+                status.error = str(exc)
+                if isinstance(exc, asyncio.CancelledError):
+                    status.state = "cancelled"
+                    if self.journal is not None:
+                        self.journal.job_cancelled(job_id)
+                    raise
+                status.state = "failed"
                 if self.journal is not None:
-                    self.journal.job_failed(job.job_id, str(exc))
+                    self.journal.job_failed(job_id, str(exc))
             finally:
                 job.finished_at = time.perf_counter()
-                job.shards_running = 0
+                status.shards_running = 0
                 job.done_event.set()
 
     def _require(self, job_id: str) -> _Job:

@@ -44,6 +44,11 @@ far to the safe side — a leaked orphan costs only disk until the next
 store open."""
 
 
+def env_cache_dir() -> Optional[str]:
+    """The spill directory ``REPRO_CACHE_DIR`` names, or ``None`` when unset."""
+    return os.environ.get(CACHE_DIR_ENV_VAR, "").strip() or None
+
+
 def _is_temp(path: Path) -> bool:
     """Whether ``path`` is an in-flight (or orphaned) write, not an entry."""
     return ".tmp." in path.name

@@ -7,6 +7,8 @@ decoding, the phone's AGC, body-motion fading, power and distance — and
 asserts the one contract all of them rest on: the ``serial``,
 ``batched`` and ``auto`` backends return bit-identical values, and each
 batched row is exactly the point's own :meth:`ExperimentChain.transmit`.
+The distributed launcher is held to the same contract: two workers under
+each setting, and once with a worker killed mid-grid.
 Payloads are at most 0.05 s, so a whole run stays in tier-1's budget.
 """
 
@@ -19,9 +21,10 @@ from repro.audio.tones import tone
 from repro.backscatter.device import BackscatterMode
 from repro.channel.fading import MOTION_PROFILES, MotionFadingSpec
 from repro.constants import AUDIO_RATE_HZ
-from repro.engine import AmbientCache, Scenario, SweepRunner, SweepSpec
+from repro.engine import AmbientCache, Scenario, SweepRunner, SweepSpec, launch_sweep
 from repro.engine.execution import make_ambient
-from repro.engine.runner import derive_streams
+from repro.engine.faults import FAULTS_ENV_VAR
+from repro.engine.runner import BACKEND_ENV_VAR, derive_streams
 from repro.experiments.common import ExperimentChain
 from repro.utils.env import fast_numerics
 
@@ -113,3 +116,26 @@ def test_backends_and_per_point_transmit_agree(scenario):
         chain.ambient_source = make_ambient(scenario, point, CACHE, ambient_master)
         received = chain.transmit(data["payload"], np.random.default_rng(seeds[i]))
         assert _same(results["batched"].values[i], _reception(received)), i
+
+
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(scenario=scenarios())
+def test_launcher_agrees_with_serial(scenario):
+    # Four-point shards, so a killed shard's re-sliced halves still stack.
+    serial = SweepRunner(scenario, rng=SEED, cache=CACHE, backend="serial").run()
+    runs = [
+        {BACKEND_ENV_VAR: "serial"},
+        {BACKEND_ENV_VAR: "batched"},
+        {BACKEND_ENV_VAR: "auto"},
+        {BACKEND_ENV_VAR: "batched", FAULTS_ENV_VAR: "kill-shard:0"},
+    ]
+    for env in runs:
+        with pytest.MonkeyPatch.context() as patch:
+            for name, value in env.items():
+                patch.setenv(name, value)
+            report = launch_sweep(scenario, rng=SEED, n_workers=2, shard_points=4)
+        assert report.failures == (1 if FAULTS_ENV_VAR in env else 0), env
+        values = report.result.values
+        assert len(values) == len(serial.values)
+        for i, (got, want) in enumerate(zip(values, serial.values)):
+            assert _same(got, want), (env, i)

@@ -203,6 +203,9 @@ class TestLauncherJournaling:
         assert values[3] == "sentinel-3"
         for index in (1, 2, 4, 5):
             assert values[index] == serial.values[index]
+        # The plan covers only the recomputed points, each once.
+        planned = sorted(i for d in report.result.plan for i in d.point_indices)
+        assert planned == [1, 2, 4, 5]
 
     def test_full_resume_forks_no_workers(self):
         serial = SweepRunner(rng_scenario(), rng=SEED, backend="serial").run()

@@ -23,9 +23,10 @@ from repro.engine import Scenario, SweepRunner, SweepSpec, launch_sweep
 from repro.engine import launcher
 from repro.engine.faults import FAULTS_ENV_VAR
 from repro.engine.launcher import Shard, default_shard_points
+from repro.engine.runner import BACKEND_ENV_VAR
 from repro.errors import ConfigurationError, LauncherError
 from repro.experiments import fig09_mrc as fig09
-from repro.utils.env import fast_numerics
+from repro.utils.env import NUMERICS_ENV_VAR, fast_numerics
 
 exact_numerics_only = pytest.mark.skipif(
     fast_numerics(),
@@ -53,6 +54,17 @@ def _explode(run, bad_a):
     if run.point["a"] == bad_a:
         raise ValueError(f"measure refuses a={bad_a}")
     return run.point["a"]
+
+
+def planned(result):
+    """Grid indices the result's plan names, sorted, repeats kept."""
+    return sorted(i for decision in result.plan for i in decision.point_indices)
+
+
+def assert_same_values(ours, reference):
+    assert len(ours.values) == len(reference.values)
+    for got, want in zip(ours.values, reference.values):
+        assert np.array_equal(got, want)
 
 
 def rng_scenario(measure=_draw, **measure_params) -> Scenario:
@@ -93,6 +105,7 @@ class TestLaunchMatchesSerial:
         assert report.n_shards == 3
         assert report.failures == 0
         assert report.result.backend.startswith("launcher[")
+        assert planned(report.result) == list(range(6))
 
     def test_single_worker_single_shard(self):
         serial = SweepRunner(rng_scenario(), rng=SEED, backend="serial").run()
@@ -108,6 +121,42 @@ class TestLaunchMatchesSerial:
             assert np.array_equal(ours, reference)
         # The parent pre-derived + re-ran prepare, so merged data matches.
         assert np.array_equal(report.result.data["bits"], serial.data["bits"])
+
+    @exact_numerics_only
+    @pytest.mark.parametrize(
+        "shard_points, decisions",
+        [
+            (1, {("serial", "single-point")}),
+            (3, {("batched", "requested"), ("serial", "single-point")}),
+            (4, {("batched", "requested")}),
+        ],
+    )
+    def test_batched_shards_bit_identical_to_serial(
+        self, monkeypatch, shard_points, decisions
+    ):
+        # Each shard is planned under the parent's setting: multi-point
+        # fig09 shards stack, a one-point shard has nothing to stack.
+        serial = SweepRunner(fig09_scenario(), rng=SEED, backend="serial").run()
+        monkeypatch.setenv(BACKEND_ENV_VAR, "batched")
+        report = launch_sweep(
+            fig09_scenario(), rng=SEED, n_workers=2, shard_points=shard_points
+        )
+        assert_same_values(report.result, serial)
+        assert planned(report.result) == list(range(4))
+        assert {(d.backend, d.reason) for d in report.result.plan} == decisions
+
+    def test_fast_numerics_shards_plan_serial(self, monkeypatch):
+        # Fast bits depend on the width of a batched stack, so a launch
+        # plans serial whatever the setting, and any shard split agrees.
+        monkeypatch.setenv(NUMERICS_ENV_VAR, "fast")
+        monkeypatch.setenv(BACKEND_ENV_VAR, "batched")
+        serial = SweepRunner(fig09_scenario(), rng=SEED, backend="serial").run()
+        for shard_points in (1, 4):
+            report = launch_sweep(
+                fig09_scenario(), rng=SEED, n_workers=2, shard_points=shard_points
+            )
+            assert_same_values(report.result, serial)
+            assert {d.backend for d in report.result.plan} == {"serial"}
 
     def test_progress_events_cover_the_grid(self):
         events = []
@@ -133,6 +182,19 @@ class TestInjectedFailure:
         assert report.retries >= 1
         for ours, reference in zip(report.result.values, serial.values):
             assert np.array_equal(ours, reference)
+
+    @exact_numerics_only
+    def test_killed_batched_shard_is_resliced_bit_identical(self, monkeypatch):
+        # The whole grid is one batched shard; its worker dies, and the
+        # two re-sliced halves run batched on the survivors.
+        monkeypatch.setenv(FAULTS_ENV_VAR, "kill-shard:0")
+        monkeypatch.setenv(BACKEND_ENV_VAR, "batched")
+        serial = SweepRunner(fig09_scenario(), rng=SEED, backend="serial").run()
+        report = launch_sweep(fig09_scenario(), rng=SEED, n_workers=2, shard_points=4)
+        assert report.failures >= 1
+        assert_same_values(report.result, serial)
+        assert planned(report.result) == list(range(4))
+        assert {d.backend for d in report.result.plan} == {"batched"}
 
     def test_killed_worker_on_rng_grid(self, monkeypatch):
         monkeypatch.setenv(FAULTS_ENV_VAR, "kill-shard:0")
@@ -165,6 +227,7 @@ class TestInjectedFailure:
             )
         assert report.degraded
         assert report.result.values == serial.values
+        assert planned(report.result) == list(range(6))
         salvaged = [r for r in caplog.records if "in-process" in r.getMessage()]
         assert len(salvaged) == 1
         assert salvaged[0].levelno == logging.WARNING
@@ -193,6 +256,19 @@ class TestStragglers:
         )
         assert report.stragglers >= 1
         assert report.result.values == serial.values
+        assert planned(report.result) == list(range(6))
+
+    def test_partly_duplicated_shard_plans_only_its_fresh_points(self):
+        # Shard [3:6) stalls on its row a=3 (points 4 and 5). Speculation
+        # re-queues [3:4) and [4:6); the idle worker covers point 3 at
+        # once, so when the original lands, only its stalled row is
+        # fresh, and its plan must be trimmed to that row.
+        scenario = rng_scenario(measure=_slow_draw, slow_a=3, sleep_s=0.4)
+        report = launch_sweep(
+            scenario, rng=SEED, n_workers=2, shard_points=3, shard_deadline_s=0.05
+        )
+        assert report.stragglers >= 1
+        assert planned(report.result) == list(range(6))
 
 
 class TestFailureModes:
@@ -230,6 +306,15 @@ class TestFailureModes:
         )
         with pytest.raises(ConfigurationError, match="shipped"):
             launch_sweep(closure, rng=SEED)
+
+    def test_malformed_backend_fails_before_fork(self, monkeypatch):
+        def no_fork():
+            raise AssertionError("the launcher forked")
+
+        monkeypatch.setattr(launcher, "_mp_context", no_fork)
+        monkeypatch.setenv(BACKEND_ENV_VAR, "thread")
+        with pytest.raises(ConfigurationError, match=BACKEND_ENV_VAR):
+            launch_sweep(rng_scenario(), rng=SEED, n_workers=2)
 
     def test_live_fading_model_refused_before_fork(self, monkeypatch):
         # Each worker would draw from its own unpickled copy of the

@@ -296,6 +296,6 @@ class TestPlanMerge:
         assert [(d.point_indices, d.backend) for d in merged.plan] == [
             ((0, 1, 2, 3), "batched"), ((4, 5, 6, 7), "serial")
         ]
-        # A shard without a plan (the launcher's) drops the merged plan.
+        # A shard without a plan (one built by hand) drops the merged plan.
         serial_shard.plan = None
         assert SweepResult.merge(auto_shard, serial_shard).plan is None
