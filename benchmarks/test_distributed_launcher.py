@@ -81,8 +81,8 @@ def test_distributed_launcher_speedup(tmp_path, bench_artifact):
     bench_artifact("distributed_launcher", record)
     print(f"\n=== distributed launcher ===\n{json.dumps(record, indent=2)}")
 
-    # Contract asserts (exact in every numerics mode: both sides run the
-    # same serial per-point path, so bit-identity is like-for-like).
+    # Contract asserts: the cold and warm launches are bit-identical to
+    # serial.
     for report in (cold, warm):
         assert len(report.result.values) == n_points
         for ours, reference in zip(report.result.values, serial.values):

@@ -60,16 +60,8 @@ from repro.engine import (
 from repro.experiments import fig08_ber_overlay as fig08
 from repro.experiments import fig09_mrc as fig09
 from repro.experiments import fig10_stereo_ber as fig10
-from repro.experiments import fig13_pesq_stereo as fig13
 from repro.experiments.common import ExperimentChain, measure_data_ber
-from repro.utils.env import NUMERICS_ENV_VAR, fast_numerics
 from repro.utils.rand import as_generator, child_generator
-
-exact_numerics_only = pytest.mark.skipif(
-    fast_numerics(),
-    reason="benchmark asserts bit-identity across backends, an exact-numerics "
-    "contract; REPRO_NUMERICS=fast is gated by the tolerance golden tier",
-)
 
 RATE = "100bps"
 N_BITS = 40
@@ -155,7 +147,6 @@ def test_engine_cached_sweep_speedup(no_persistent_cache, bench_artifact, bench_
 
 
 @pytest.mark.engine_bench
-@exact_numerics_only
 def test_engine_backend_matrix_timings(no_persistent_cache, bench_artifact):
     """Time the Fig. 8 sweep under every backend; record to the artifact.
 
@@ -210,7 +201,6 @@ PLL_BENCH_REPEATS = 3
 
 
 @pytest.mark.engine_bench
-@exact_numerics_only
 def test_stereo_batched_speedup(
     no_persistent_cache, bench_artifact, bench_gate, monkeypatch
 ):
@@ -328,7 +318,6 @@ narrows the stack; see ``repro.engine.planner.BATCH_MAX_MB``)."""
 
 
 @pytest.mark.engine_bench
-@exact_numerics_only
 def test_zero_fallback_speedup(no_persistent_cache, bench_artifact, bench_gate):
     """Fading grid, serial vs batched: the lane that used to be closed.
 
@@ -435,7 +424,6 @@ def _best_of(scenario, cache, backend: str, repeats: int = 2):
 
 
 @pytest.mark.engine_bench
-@exact_numerics_only
 def test_auto_backend(no_persistent_cache, bench_artifact, bench_gate):
     """``auto`` vs the best hand-picked backend, on opposed grids.
 
@@ -502,78 +490,3 @@ def test_auto_backend(no_persistent_cache, bench_artifact, bench_gate):
 
     bench_artifact("auto_backend", record)
     print(f"\n=== auto backend ===\n{json.dumps(record, indent=2)}")
-
-
-FAST_FIG13_POWERS = (-20.0, -40.0)
-FAST_FIG13_DISTANCES = (1, 2, 4, 8)
-FAST_FIG13_DURATION_S = 0.3
-
-
-@pytest.mark.engine_bench
-def test_numerics_fast(no_persistent_cache, bench_artifact, bench_gate):
-    """``REPRO_NUMERICS=fast`` vs exact on the batched backend.
-
-    Two grids where the fused 2-D kernels have the most to fuse: the
-    Fig. 9 fading grid (stacked envelope interpolation + batched noise
-    draws across a 32-row stack — the acceptance grid, target >= 1.3x
-    end to end) and the Fig. 13 stereo-PESQ grid (fused discriminator +
-    single-precision receive chain feeding the stereo decoder). Both
-    modes run the same warm-cache batched sweep, so the ratio isolates
-    what fast mode buys; the tolerance golden tier separately bounds
-    what it costs in accuracy.
-    """
-    fading = fig09.build_scenario(
-        FdmFskModem(symbol_rate=200),
-        distances_ft=FADING_DISTANCES,
-        max_factor=FADING_REPS,
-        n_bits=FADING_N_BITS,
-    )
-    fading.base_chain = dict(fading.base_chain, fading=MotionFadingSpec("running"))
-    stereo = fig13.build_scenario(
-        "stereo_station",
-        powers_dbm=FAST_FIG13_POWERS,
-        distances_ft=FAST_FIG13_DISTANCES,
-        duration_s=FAST_FIG13_DURATION_S,
-    )
-    grids = {"fig09_fading": fading, "fig13_stereo_pesq": stereo}
-
-    record = {"benchmark": "numerics_fast_vs_exact_batched"}
-    before = os.environ.get(NUMERICS_ENV_VAR)
-    try:
-        for name, scenario in grids.items():
-            cache = AmbientCache()
-            os.environ[NUMERICS_ENV_VAR] = "exact"
-            SweepRunner(scenario, rng=SEED, cache=cache, backend="serial").run()
-            timings = {}
-            for mode in ("exact", "fast"):
-                os.environ[NUMERICS_ENV_VAR] = mode
-                _, timings[mode] = _best_of(scenario, cache, "batched", repeats=3)
-            speedup = round(timings["exact"] / timings["fast"], 3)
-            record[name] = {
-                "n_points": scenario.sweep.n_points,
-                "mode_s": {k: round(v, 4) for k, v in timings.items()},
-                "speedup": speedup,
-            }
-    finally:
-        if before is None:
-            os.environ.pop(NUMERICS_ENV_VAR, None)
-        else:
-            os.environ[NUMERICS_ENV_VAR] = before
-
-    bench_artifact("numerics_fast", record)
-    print(f"\n=== numerics fast ===\n{json.dumps(record, indent=2)}")
-
-    # Acceptance target on the fading grid is 1.3x (locally ~1.4x);
-    # gated with headroom for shared-runner noise. The stereo grid is
-    # Amdahl-bounded by the PLL and PESQ scoring, so it gets a
-    # no-regression guard only — the artifact records the measured win.
-    bench_gate(
-        record["fig09_fading"]["speedup"] > 1.15,
-        f"fast numerics only {record['fig09_fading']['speedup']:.2f}x on the "
-        "fading grid",
-    )
-    bench_gate(
-        record["fig13_stereo_pesq"]["speedup"] > 0.9,
-        f"fast numerics regressed the stereo grid to "
-        f"{record['fig13_stereo_pesq']['speedup']:.2f}x",
-    )

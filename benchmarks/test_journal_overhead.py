@@ -77,8 +77,8 @@ def test_journal_overhead(tmp_path, bench_artifact):
     bench_artifact("journal_overhead", record)
     print(f"\n=== journal overhead ===\n{json.dumps(record, indent=2)}")
 
-    # Contract asserts (exact in every numerics mode: all three runs walk
-    # the same serial per-point path, so bit-identity is like-for-like).
+    # Contract asserts: the journaled and resumed runs are bit-identical
+    # to the bare one.
     for report in (journaled, resumed):
         assert len(report.result.values) == n_points
         for ours, reference in zip(report.result.values, bare.result.values):

@@ -21,20 +21,6 @@ def pytest_addoption(parser):
             "output-changing DSP or backend change, and commit the diff."
         ),
     )
-
-
-    parser.addoption(
-        "--regen-golden-tol",
-        action="store_true",
-        default=False,
-        help=(
-            "Rewrite the tolerance-tier fixtures under "
-            "tests/experiments/golden_tol/ (the reference that gates "
-            "REPRO_NUMERICS=fast) from the current code. Must run under "
-            "exact numerics (REPRO_NUMERICS unset or 'exact'); commit "
-            "the diff alongside any --regen-golden regen."
-        ),
-    )
     parser.addoption(
         "--bench-record",
         action="store_true",
@@ -62,9 +48,3 @@ def pytest_addoption(parser):
 def regen_golden(request) -> bool:
     """Whether this run should regenerate golden fixtures."""
     return bool(request.config.getoption("--regen-golden"))
-
-
-@pytest.fixture
-def regen_golden_tol(request) -> bool:
-    """Whether this run should regenerate tolerance-tier fixtures."""
-    return bool(request.config.getoption("--regen-golden-tol"))

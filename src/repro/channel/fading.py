@@ -35,7 +35,6 @@ import numpy as np
 
 from repro.dsp.filters import design_lowpass_fir, filter_signal
 from repro.errors import ConfigurationError, LinkBudgetError
-from repro.utils.env import fast_numerics
 from repro.utils.rand import RngLike, as_generator
 from repro.utils.validation import ensure_positive
 
@@ -119,48 +118,15 @@ def _shape_envelopes(
 
     fading = np.abs(specular + scattered)
     n_internal = raws.shape[-1]
-    if fast_numerics():
-        # Single-precision envelopes: the downstream fast transmit path
-        # multiplies them onto complex64 rows, and the interpolation's
-        # gathers and blend move half the bytes. The shaping above stays
-        # float64 — it runs at the tiny internal rate.
-        env = _interp_rows_fused(fading.astype(np.float32), n_samples)
-    else:
-        x_internal = np.linspace(0.0, 1.0, n_internal)
-        x_out = np.linspace(0.0, 1.0, n_samples)
-        env = np.empty((raws.shape[0], n_samples))
-        for row in range(raws.shape[0]):
-            # np.interp is 1-D only; the per-row loop keeps every row on
-            # its exact C routine — the bit-identity contract of exact
-            # mode.
-            env[row] = np.interp(x_out, x_internal, fading[row])
+    x_internal = np.linspace(0.0, 1.0, n_internal)
+    x_out = np.linspace(0.0, 1.0, n_samples)
+    env = np.empty((raws.shape[0], n_samples))
+    for row in range(raws.shape[0]):
+        # np.interp is 1-D only; the per-row loop keeps every row on its
+        # exact C routine, so a row matches its one-row envelope bit for
+        # bit.
+        env[row] = np.interp(x_out, x_internal, fading[row])
     return env / np.sqrt(np.mean(env**2, axis=-1, keepdims=True) + 1e-12)
-
-
-def _interp_rows_fused(fading: np.ndarray, n_samples: int) -> np.ndarray:
-    """All-rows linear interpolation onto ``n_samples`` uniform points.
-
-    The ``REPRO_NUMERICS=fast`` replacement for the per-row ``np.interp``
-    loop: because the internal grid is uniform, the sample positions
-    reduce to one shared index/weight pair and the whole ``(rows,
-    n_samples)`` stack is two gathers and a fused multiply-add. Working
-    in index space instead of ``np.interp``'s x-space changes the
-    floating-point association, so rows agree with the exact path only
-    to ULP-level — which is why exact mode keeps the loop.
-    """
-    n_internal = fading.shape[-1]
-    # _internal_grid guarantees n_internal >= 64, so a segment always
-    # exists to the right of every clipped index.
-    t = np.linspace(0.0, float(n_internal - 1), n_samples)
-    idx = np.minimum(t.astype(np.intp), n_internal - 2)
-    w = t - idx
-    lo = np.take(fading, idx, axis=-1)
-    hi = np.take(fading, idx + 1, axis=-1)
-    # In-place blend: lo + (hi - lo) * w with no further temporaries.
-    hi -= lo
-    hi *= w
-    lo += hi
-    return lo
 
 
 class BodyMotionFading:
@@ -259,11 +225,7 @@ def stack_envelopes(
         raise ConfigurationError("n_samples must be >= 1")
     sample_rate = ensure_positive(sample_rate, "sample_rate")
     rows = len(models)
-    # Fast mode carries single-precision envelopes end to end (matching
-    # _shape_envelopes' fast output); exact mode stays float64.
-    out = np.empty(
-        (rows, n_samples), dtype=np.float32 if fast_numerics() else np.float64
-    )
+    out = np.empty((rows, n_samples))
     # Pass 1, strictly in list order: every model's stochastic draws.
     # groups: profile -> (internal_rate, raw rows, positions); MotionProfile
     # is a frozen dataclass, so equal parameter sets share one stack.

@@ -30,7 +30,6 @@ from repro.channel.antenna import Antenna, DIPOLE_POSTER, HEADPHONE_WIRE
 from repro.channel.fading import checked_envelope
 from repro.channel.pathloss import free_space_path_loss_db
 from repro.errors import LinkBudgetError
-from repro.utils.env import fast_numerics
 from repro.utils.rand import RngLike, as_generator, child_generator
 from repro.utils.units import feet_to_meters
 from repro.utils.validation import ensure_1d
@@ -233,11 +232,7 @@ def transmit_batch(
     ``(rows, samples)`` stack. The Gaussian draws come from each point's
     own generator — two ``standard_normal`` fills per row, real part
     then imaginary part — into one row-length scratch, so a row depends
-    only on its own budget, envelope and generator. Under
-    ``REPRO_NUMERICS=fast`` the per-row draws are replaced by one batched
-    ``standard_normal`` from the first row's generator (statistically
-    identical, not bit-identical — gated by the tolerance-tier goldens
-    instead).
+    only on its own budget, envelope and generator.
 
     Args:
         iq: shared unit-amplitude complex envelope, 1-D.
@@ -264,14 +259,7 @@ def transmit_batch(
             f"got {n_rows} budgets but {len(envelopes)} fading envelopes"
         )
     snr_db = batched_rf_snr_db(budgets)
-    # Fast mode runs the whole stack in single precision (complex64
-    # rows, float32 fading envelopes and noise): the channel's own noise
-    # dwarfs the ~1e-7 relative rounding, every downstream pass moves
-    # half the bytes, and the FFT filters in the receive chain run their
-    # cheaper float32 transforms. Exact mode keeps complex128 end to
-    # end.
-    fast = fast_numerics()
-    out = np.empty((n_rows, iq.size), dtype=np.complex64 if fast else complex)
+    out = np.empty((n_rows, iq.size), dtype=complex)
     if envelopes is None or all(env is None for env in envelopes):
         # One shared clean row: the power term is one scalar, reused
         # for every row.
@@ -284,43 +272,13 @@ def transmit_batch(
             else:
                 env = checked_envelope(env, iq.size, f"fading envelope for row {row}")
                 np.multiply(iq, env, out=out[row], dtype=out.dtype)
-        if fast:
-            # mean(|z|^2) without the hypot-then-square detour: the real
-            # view interleaves re/im, so twice the mean of its squares is
-            # the mean squared magnitude (float64 accumulation keeps the
-            # power estimate accurate).
-            power = 2.0 * np.mean(
-                out.view(np.float32) ** 2, axis=-1, dtype=np.float64
-            )
-        else:
-            power = np.mean(np.abs(out) ** 2, axis=-1)
+        power = np.mean(np.abs(out) ** 2, axis=-1)
 
     # 10^(SNR/10) through the scalar pow, one row at a time: NumPy's
     # SIMD array power can round an ULP away from it on some hosts, and
     # then a row's noise would depend on how many rows share its call.
     snr_linear = np.array([10.0 ** x for x in (snr_db / 10.0).tolist()])
     scales = np.sqrt(power / snr_linear / 2.0)
-
-    if fast and n_rows:
-        # REPRO_NUMERICS=fast: one batched float32 standard_normal for
-        # the whole stack instead of two float64 fills per row. The fill
-        # runs on an SFC64 generator seeded from the first row's stream
-        # (the fastest bit generator numpy ships; the per-row generators
-        # other than the first stay untouched), lands interleaved and is
-        # viewed as complex — so the noise is scaled and added in place.
-        # The draws are iid standard normal either way; only the stream
-        # consumption (and hence the realization) differs, which is
-        # exactly what fast mode trades away and the tolerance-tier
-        # goldens bound.
-        scratch = np.empty((n_rows, 2 * iq.size), dtype=np.float32)
-        fill = np.random.Generator(
-            np.random.SFC64(int(as_generator(rngs[0]).integers(0, 2 ** 63)))
-        )
-        fill.standard_normal(out=scratch, dtype=np.float32)
-        noise = scratch.view(np.complex64)
-        noise *= np.asarray(scales, dtype=np.float32).reshape(n_rows, 1)
-        out += noise
-        return out
 
     # Per-row draws into one row-length scratch, real part then
     # imaginary part, each scaled in place and added straight onto its

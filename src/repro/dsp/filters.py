@@ -164,8 +164,7 @@ def filter_signal(
         # Single-precision signals stay single precision (and the FFT
         # convolution runs the cheaper float32 transforms) instead of
         # being silently promoted through float64 taps. Double-precision
-        # inputs — everything the exact numerics mode produces — are
-        # untouched.
+        # inputs — everything the receive chain produces — are untouched.
         taps = taps.astype(np.float32)
     n = signal.shape[-1]
     delay = (taps.size - 1) // 2

@@ -91,7 +91,6 @@ from repro.engine.runner import AUTO_BACKEND, default_backend, derive_streams, r
 from repro.engine.scenario import Scenario
 from repro.engine.store import CacheStore, env_cache_dir
 from repro.errors import ConfigurationError, LauncherError
-from repro.utils.env import fast_numerics
 from repro.utils.rand import RngLike, as_generator
 
 logger = logging.getLogger(__name__)
@@ -460,12 +459,8 @@ def launch_sweep(
     active_plan()  # fail fast on a malformed chaos knob, before any fork
     blob = require_shippable(scenario)
     # Resolved once, here, so a malformed REPRO_SWEEP_BACKEND fails before
-    # any fork. Fast numerics plans serial: its bits depend on the width
-    # of a batched stack, so re-sliced retries would make a launch's bits
-    # depend on timing.
+    # any fork.
     setting = default_backend() or AUTO_BACKEND
-    if fast_numerics():
-        setting = "serial"
 
     wall_start = time.perf_counter()
     gen = as_generator(rng)

@@ -54,7 +54,6 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 from repro.constants import AUDIO_RATE_HZ, MPX_RATE_HZ
 from repro.engine.cache import AmbientCache
 from repro.engine.scenario import GridPoint, Scenario
-from repro.utils.env import fast_numerics
 
 CROSSOVER_SAMPLES = 158_490
 """Longest mono row (MPX samples, ~0.33 s of audio) that runs batched.
@@ -68,11 +67,6 @@ the *ratio* of row lengths), the two meet at
 ``24000 * 8 ** ((251.9 - 201.5) / (257.0 - 201.5))`` = 158,490 samples.
 
 Stereo rows have their own crossover, :data:`STEREO_CROSSOVER_SAMPLES`.
-``REPRO_NUMERICS=fast`` batches every cached partition. That keeps long
-rows off the pool (a warm fig08 sweep on a 2-CPU host: 2.43-2.59 s fast
-against 1.48-1.61 s exact), but under the row rule the per-point fast
-path puts the report's -50 dBm tone SNR 1.85 dB from the exact fixture,
-outside the tolerance goldens' 1.5 dB window.
 """
 
 STEREO_CROSSOVER_SAMPLES = 48_000
@@ -92,7 +86,7 @@ rows and up to 1.8x at 30,000.
 BATCH_MAX_MB = 64.0
 """Cap (in MB) on one stacked transmit/FFT working set; a partition
 larger than the cap vectorizes in row chunks, which changes nothing
-numerically in exact mode. Deliberately cache-sized rather than
+numerically. Deliberately cache-sized rather than
 RAM-sized: the vectorized ops are elementwise and memory-bound, so a
 working set near the LLC beats one giant pass through DRAM (measured
 ~2.5x on the Fig. 8 grid). The cap bounds each pass, not the per-row
@@ -230,8 +224,6 @@ def partition_points(
 
 def choose_backend(n_samples: int, stereo: bool) -> Tuple[str, str]:
     """``(backend, reason)`` of ``auto``'s row rule for one partition."""
-    if fast_numerics():
-        return "batched", "fast-numerics"
     crossover = STEREO_CROSSOVER_SAMPLES if stereo else CROSSOVER_SAMPLES
     if n_samples <= crossover:
         return "batched", "short-rows"

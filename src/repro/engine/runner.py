@@ -302,10 +302,8 @@ class SweepRunner:
                 master) are always derived for the *whole* grid first, so
                 a shard's per-point streams are bit-identical to the same
                 points of a whole-grid run — shards executed anywhere can
-                be stitched back with :meth:`SweepResult.merge`. The
-                stitched values are bit-identical to a whole-grid run in
-                exact mode only: under ``REPRO_NUMERICS=fast`` a batched
-                point's bits depend on the width of its stack.
+                be stitched back with :meth:`SweepResult.merge`, and the
+                stitched values are bit-identical to a whole-grid run.
                 ``start == stop`` is a valid *empty* shard (the natural
                 remainder of the launcher's work re-slicing): it executes
                 nothing and merges as a no-op.

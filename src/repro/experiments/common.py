@@ -432,8 +432,8 @@ def receive_over_link(
     DSP configuration. The link and the discriminator run ``chunk_rows``
     rows at a time (all rows when ``None``), and each chunk's complex
     stack is freed once it is demodulated: only the real MPX rows reach
-    the decode, which caps its FFT passes at the same row count. In exact
-    numerics, results are bit-identical at any ``chunk_rows``.
+    the decode, which caps its FFT passes at the same row count. Results
+    are bit-identical at any ``chunk_rows``.
     """
     n_rows = len(receivers)
     limit = n_rows if chunk_rows is None else chunk_rows

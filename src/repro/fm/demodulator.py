@@ -14,7 +14,6 @@ import numpy as np
 
 from repro.constants import FM_MAX_DEVIATION_HZ, MPX_RATE_HZ
 from repro.errors import SignalError
-from repro.utils.env import fast_numerics
 from repro.utils.validation import ensure_positive, ensure_signal
 
 _LAG_BLOCK = 65_536
@@ -52,31 +51,6 @@ def fm_demodulate(
         raise SignalError("iq must be a complex envelope")
     sample_rate = ensure_positive(sample_rate, "sample_rate")
     deviation_hz = ensure_positive(deviation_hz, "deviation_hz")
-    if fast_numerics():
-        # REPRO_NUMERICS=fast: one fused lag product over the whole
-        # stack. This gives up the exact-mode contract twice over — the
-        # 2-D buffered iterator perturbs the complex multiply by an ULP
-        # for some lengths, and the below-floor limiter substitution is
-        # skipped entirely (an exactly-zero sample contributes a zero
-        # phase increment instead of holding the previous sample), which
-        # also skips the magnitude/floor passes over the stack. The
-        # no-carrier guard stays, on the cheaper complex compare.
-        if not np.all(np.any(iq != 0, axis=-1)):
-            raise SignalError("iq contains no signal (all zeros)")
-        increments = np.angle(iq[..., 1:] * np.conj(iq[..., :-1]))
-        if increments.shape[-1] == 0:
-            return np.zeros(iq.shape[:-1] + (1,))
-        # Single fused scaling written straight into the output (the
-        # exact path's three in-place scaling passes collapse into one
-        # multiply, which rounds differently). The dtype follows
-        # the input: a complex64 stack from the fast transmit path keeps
-        # the MPX in float32 for the receive chain's filters.
-        out = np.empty(iq.shape, dtype=increments.dtype)
-        np.multiply(
-            increments, sample_rate / (2.0 * np.pi * deviation_hz), out=out[..., 1:]
-        )
-        out[..., 0] = out[..., 1]
-        return out
     magnitude = np.abs(iq)
     if not np.all(np.any(magnitude > 0, axis=-1)):
         raise SignalError("iq contains no signal (all zeros)")
@@ -99,8 +73,7 @@ def fm_demodulate(
     # Per-row evaluation: a single 2-D pass over the lag-product views
     # routes through numpy's buffered iterator, whose chunk boundaries
     # perturb the complex multiply by an ULP for some lengths. Each row
-    # is still vectorized C calls; only the cross-row fusion is given up
-    # (that is what REPRO_NUMERICS=fast buys back).
+    # is still vectorized C calls; only the cross-row fusion is given up.
     for row, out_row in zip(safe.reshape(-1, safe.shape[-1]), out.reshape(-1, out.shape[-1])):
         _phase_increments(row, out_row[1:])
     # The scalings of inst_freq = angle * rate / (2 pi) / deviation, in

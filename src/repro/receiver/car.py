@@ -16,7 +16,6 @@ import numpy as np
 from repro.constants import AUDIO_RATE_HZ, MPX_RATE_HZ
 from repro.dsp.filters import bandpass_fir, design_lowpass_fir, filter_signal
 from repro.receiver.fm_receiver import FMReceiver, ReceivedAudio
-from repro.utils.env import fast_numerics
 from repro.utils.rand import RngLike, as_generator
 
 CAR_AUDIO_CUTOFF_HZ = 15_000.0
@@ -88,32 +87,22 @@ class CarReceiver(FMReceiver):
         signal_power = np.mean(shaped**2, axis=-1)
 
         # Draws per row: left d1, d2 then right d1, d2 from that row's
-        # generator; silent channels draw nothing. Under
-        # REPRO_NUMERICS=fast the enumeration of active channels is the
-        # same but every pair comes from one stacked draw on the first
-        # active row's generator (iid either way; bit-identity with the
-        # exact path is given up).
+        # generator; silent channels draw nothing.
         active: List[Tuple[int, int]] = []  # (row, channel-major index)
         n_samples = shaped.shape[-1]
-        fast = fast_numerics()
         draw_list: List[np.ndarray] = []
         for i, rx in enumerate(receivers):
             for stacked in (i, n_rows + i):  # left before right
                 if signal_power[stacked] <= 0:
                     continue
                 active.append((i, stacked))
-                if not fast:
-                    pair = np.empty((2, n_samples))
-                    rx._rng.standard_normal(out=pair[0])
-                    rx._rng.standard_normal(out=pair[1])
-                    draw_list.append(pair)
+                pair = np.empty((2, n_samples))
+                rx._rng.standard_normal(out=pair[0])
+                rx._rng.standard_normal(out=pair[1])
+                draw_list.append(pair)
 
         if active:
-            if fast:
-                draws = np.empty((len(active), 2, n_samples))
-                receivers[active[0][0]]._rng.standard_normal(out=draws)
-            else:
-                draws = np.stack(draw_list)
+            draws = np.stack(draw_list)
             noise = filter_signal(
                 design_lowpass_fir(400.0, ref.audio_rate, 129), draws[:, 0]
             )

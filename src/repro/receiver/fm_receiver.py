@@ -113,11 +113,7 @@ class FMReceiver:
         alone: row ``i`` must equal the one-row call on
         ``(receivers[i], received[i])``, so stochastic effects draw per
         row from each receiver's own generator (left before right) while
-        the deterministic shaping runs as stacked array ops. Under
-        ``REPRO_NUMERICS=fast`` the overrides collapse the per-row draws
-        into one batched ``standard_normal`` per partition —
-        statistically identical, not bit-identical, and gated by the
-        tolerance-tier goldens.
+        the deterministic shaping runs as stacked array ops.
         """
         return list(received)
 

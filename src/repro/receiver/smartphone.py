@@ -17,7 +17,6 @@ import numpy as np
 from repro.constants import AUDIO_RATE_HZ, MPX_RATE_HZ
 from repro.dsp.agc import AutomaticGainControl
 from repro.receiver.fm_receiver import FMReceiver, ReceivedAudio
-from repro.utils.env import fast_numerics
 from repro.utils.rand import RngLike, as_generator
 
 SMARTPHONE_AUDIO_CUTOFF_HZ = 13_000.0
@@ -102,20 +101,11 @@ class SmartphoneReceiver(FMReceiver):
         if noisy_rows:
             draws = np.empty((len(noisy_rows), 2, n_samples))
             noise_rms = np.empty((len(noisy_rows), 1))
-            if fast_numerics():
-                # REPRO_NUMERICS=fast: one stacked draw for the whole
-                # partition from the first noisy receiver's generator
-                # (iid either way; the per-row streams — and hence
-                # bit-identity with the exact path — are given up).
-                receivers[noisy_rows[0]]._rng.standard_normal(out=draws)
-                for k, i in enumerate(noisy_rows):
-                    noise_rms[k, 0] = 10.0 ** (receivers[i].codec_noise_db / 20.0)
-            else:
-                for k, i in enumerate(noisy_rows):
-                    rx = receivers[i]
-                    rx._rng.standard_normal(out=draws[k, 0])
-                    rx._rng.standard_normal(out=draws[k, 1])
-                    noise_rms[k, 0] = 10.0 ** (rx.codec_noise_db / 20.0)
+            for k, i in enumerate(noisy_rows):
+                rx = receivers[i]
+                rx._rng.standard_normal(out=draws[k, 0])
+                rx._rng.standard_normal(out=draws[k, 1])
+                noise_rms[k, 0] = 10.0 ** (rx.codec_noise_db / 20.0)
             out["left"][noisy_rows] += noise_rms * draws[:, 0]
             out["right"][noisy_rows] += noise_rms * draws[:, 1]
 

@@ -1,10 +1,13 @@
 """Strict parsing of the library's environment knobs.
 
-Every ``REPRO_*`` tuning variable funnels through these helpers so a
-malformed value fails *at the knob* — a :class:`~repro.errors.
-ConfigurationError` naming the variable and the offending string —
-instead of crashing deep inside numpy arithmetic or, worse, being
-silently clamped to a default the operator never asked for.
+The ``REPRO_*`` tuning variables — the sweep backend and worker count,
+the DSP plan-cache size and the chaos fault list — funnel through these
+helpers, so a malformed value fails *at the knob* — a
+:class:`~repro.errors.ConfigurationError` naming the variable and the
+offending string — instead of crashing deep inside numpy arithmetic or,
+worse, being silently clamped to a default the operator never asked for.
+None of them changes a result's bits: outputs depend only on the sweep
+seed.
 """
 
 from __future__ import annotations
@@ -13,12 +16,6 @@ import os
 from typing import Optional, Sequence
 
 from repro.errors import ConfigurationError
-
-NUMERICS_ENV_VAR = "REPRO_NUMERICS"
-"""Environment knob selecting the numerics mode (``exact`` / ``fast``)."""
-
-NUMERICS_CHOICES = ("exact", "fast")
-"""Accepted :data:`NUMERICS_ENV_VAR` values."""
 
 
 def env_choice(
@@ -49,28 +46,6 @@ def env_choice(
             f"{name} must be one of {tuple(choices)}, got {raw!r}"
         )
     return value
-
-
-def numerics_mode() -> str:
-    """The active numerics mode: ``"exact"`` (default) or ``"fast"``.
-
-    ``exact`` keeps every kernel bit-identical to the seed figures (the
-    per-row loops in fading interpolation, the FM discriminator and the
-    receiver output-effect draws exist purely for that contract).
-    ``fast`` fuses those loops into single 2-D kernels and batches the
-    noise draws — faster, statistically equivalent, but *not*
-    bit-identical; it is gated by the tolerance-tier golden suite
-    instead of the exact-tier fixtures. Read from the environment at
-    call time so tests can monkeypatch :data:`NUMERICS_ENV_VAR`.
-    """
-    value = env_choice(NUMERICS_ENV_VAR, "exact", NUMERICS_CHOICES)
-    assert value is not None  # default is a member of NUMERICS_CHOICES
-    return value
-
-
-def fast_numerics() -> bool:
-    """True when :func:`numerics_mode` is ``"fast"``."""
-    return numerics_mode() == "fast"
 
 
 def env_list(name: str) -> tuple:

@@ -90,7 +90,7 @@ class TestAlignment:
 
 
 class TestMosLqo:
-    """The [1.0, 4.5] -> [0, 1] scale mapping used by the tolerance tier."""
+    """The [1.0, 4.5] -> [0, 1] MOS-LQO scale mapping."""
 
     def test_scale_floor_maps_to_zero(self):
         assert mos_lqo(1.0) == 0.0

@@ -30,14 +30,6 @@ from repro.experiments import fig07_snr_distance as fig07
 from repro.experiments import fig08_ber_overlay as fig08
 from repro.experiments import fig10_stereo_ber as fig10
 from repro.experiments import fig13_pesq_stereo as fig13
-from repro.utils.env import fast_numerics
-
-exact_numerics_only = pytest.mark.skipif(
-    fast_numerics(),
-    reason="bit-identity is an exact-numerics contract; REPRO_NUMERICS=fast "
-    "is gated by the tolerance golden tier",
-)
-
 
 SEED = 2017
 BACKENDS = ("serial", "auto:2", "auto:4", "batched", "auto")
@@ -65,7 +57,6 @@ FIG13_KWARGS = dict(
 )
 
 
-@exact_numerics_only
 class TestBackendEquivalence:
     @pytest.fixture(scope="class")
     def fig08_by_backend(self):

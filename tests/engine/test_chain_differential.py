@@ -26,13 +26,6 @@ from repro.engine.execution import make_ambient
 from repro.engine.faults import FAULTS_ENV_VAR
 from repro.engine.runner import BACKEND_ENV_VAR, derive_streams
 from repro.experiments.common import ExperimentChain
-from repro.utils.env import fast_numerics
-
-pytestmark = pytest.mark.skipif(
-    fast_numerics(),
-    reason="bit-identity is an exact-numerics contract; REPRO_NUMERICS=fast "
-    "is gated by the tolerance golden tier",
-)
 
 SEED = 2017
 CACHE = AmbientCache()

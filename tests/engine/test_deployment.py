@@ -24,14 +24,6 @@ from repro.engine import (
 )
 from repro.data.mac import SlottedAlohaSimulator
 from repro.errors import ConfigurationError
-from repro.utils.env import fast_numerics
-
-exact_numerics_only = pytest.mark.skipif(
-    fast_numerics(),
-    reason="bit-identity is an exact-numerics contract; REPRO_NUMERICS=fast "
-    "is gated by the tolerance golden tier",
-)
-
 
 SEED = 2017
 RUNS = (("serial", None), ("auto", 2), ("auto", 4), ("batched", None))
@@ -188,7 +180,6 @@ class TestDeploymentDeterminism:
             for backend, workers in RUNS
         }
 
-    @exact_numerics_only
     def test_identical_per_device_outcomes_across_backends(self, by_backend):
         serial = by_backend[RUNS[0]].values
         # Outcomes must be non-trivial for the comparison to mean much.

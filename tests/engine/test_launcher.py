@@ -26,13 +26,6 @@ from repro.engine.launcher import Shard, default_shard_points
 from repro.engine.runner import BACKEND_ENV_VAR
 from repro.errors import ConfigurationError, LauncherError
 from repro.experiments import fig09_mrc as fig09
-from repro.utils.env import NUMERICS_ENV_VAR, fast_numerics
-
-exact_numerics_only = pytest.mark.skipif(
-    fast_numerics(),
-    reason="cross-backend bit-identity is an exact-numerics contract; the "
-    "launcher-vs-serial tests below compare like against like and stay on",
-)
 
 SEED = 2017
 
@@ -122,7 +115,6 @@ class TestLaunchMatchesSerial:
         # The parent pre-derived + re-ran prepare, so merged data matches.
         assert np.array_equal(report.result.data["bits"], serial.data["bits"])
 
-    @exact_numerics_only
     @pytest.mark.parametrize(
         "shard_points, decisions",
         [
@@ -144,19 +136,6 @@ class TestLaunchMatchesSerial:
         assert_same_values(report.result, serial)
         assert planned(report.result) == list(range(4))
         assert {(d.backend, d.reason) for d in report.result.plan} == decisions
-
-    def test_fast_numerics_shards_plan_serial(self, monkeypatch):
-        # Fast bits depend on the width of a batched stack, so a launch
-        # plans serial whatever the setting, and any shard split agrees.
-        monkeypatch.setenv(NUMERICS_ENV_VAR, "fast")
-        monkeypatch.setenv(BACKEND_ENV_VAR, "batched")
-        serial = SweepRunner(fig09_scenario(), rng=SEED, backend="serial").run()
-        for shard_points in (1, 4):
-            report = launch_sweep(
-                fig09_scenario(), rng=SEED, n_workers=2, shard_points=shard_points
-            )
-            assert_same_values(report.result, serial)
-            assert {d.backend for d in report.result.plan} == {"serial"}
 
     def test_progress_events_cover_the_grid(self):
         events = []
@@ -183,7 +162,6 @@ class TestInjectedFailure:
         for ours, reference in zip(report.result.values, serial.values):
             assert np.array_equal(ours, reference)
 
-    @exact_numerics_only
     def test_killed_batched_shard_is_resliced_bit_identical(self, monkeypatch):
         # The whole grid is one batched shard; its worker dies, and the
         # two re-sliced halves run batched on the survivors.
@@ -368,7 +346,7 @@ class TestSharedStore:
             assert np.array_equal(ours, reference)
 
 
-class TestRetryPolicy:
+class TestLaunchSettings:
     def test_validation_rejects_nonsense(self):
         # The retry budget is two plain launch settings now; each one
         # out of range fails at the call, before any worker starts.
@@ -408,7 +386,6 @@ class TestDegradation:
 
 
 class TestDistributedDriver:
-    @exact_numerics_only
     def test_driver_matches_fig09_run(self):
         kwargs = dict(
             distances_ft=(2, 4), mrc_factors=(1, 2), n_bits=40, rng=SEED

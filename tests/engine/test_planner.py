@@ -37,16 +37,9 @@ from repro.experiments import fig08_ber_overlay as fig08
 from repro.experiments import fig09_mrc as fig09
 from repro.experiments import fig10_stereo_ber as fig10
 from repro.experiments import fig13_pesq_stereo as fig13
-from repro.utils.env import NUMERICS_ENV_VAR, fast_numerics
 from repro.utils.rand import as_generator
 
 SEED = 2017
-
-
-@pytest.fixture
-def exact_env(monkeypatch):
-    """Pin exact numerics: fast mode batches every cached partition."""
-    monkeypatch.setenv(NUMERICS_ENV_VAR, "exact")
 
 
 def _mean_abs(run):
@@ -138,7 +131,6 @@ def _mono_row_decision(n_audio_samples):
     return decision
 
 
-@pytest.mark.usefixtures("exact_env")
 class TestCostModel:
     """``auto``'s rules, one at a time."""
 
@@ -195,24 +187,10 @@ class TestCostModel:
         assert choose_backend(STEREO_CROSSOVER_SAMPLES, True) == ("batched", "short-rows")
         assert choose_backend(STEREO_CROSSOVER_SAMPLES + 1, True) == ("serial", "long-rows")
 
-    def test_fast_numerics_batches_long_mono_rows(self, monkeypatch):
-        monkeypatch.setenv(NUMERICS_ENV_VAR, "fast")
-        decision = _mono_row_decision(CROSSOVER_SAMPLES // 10 + 1)
-        assert (decision.backend, decision.reason) == ("batched", "fast-numerics")
-        # Uncached grids stay serial even in fast mode.
-        scenario = _tone_scenario()
-        scenario.cache_ambient = False
-        data, points = _prepared(scenario)
-        plan = plan_sweep(scenario, data, points, None, "auto")
-        assert [(d.backend, d.reason) for d in plan.decisions] == [
-            ("serial", "uncached")
-        ]
-
 
 class TestDecisionGates:
     """The crossover gates CI runs without trusting wall clocks."""
 
-    @pytest.mark.usefixtures("exact_env")
     def test_never_batched_on_fig08_long_row_grid(self):
         # The grid the backend-matrix benchmark measures regressing ~2x
         # under batched: 100 bps payload -> 0.4 s waveform -> 192k-sample
@@ -240,7 +218,6 @@ class TestDecisionGates:
         covered = sorted(i for d in plan.decisions for i in d.point_indices)
         assert covered == list(range(len(points)))
 
-    @pytest.mark.usefixtures("exact_env")
     def test_fig08_3k2_benchmark_grid_all_serial(self):
         # The fig08_ber_3k2 benchmark workload's grid: 1 s FDM payload,
         # 480,000-sample mono rows, 5 powers x 8 distances.
@@ -253,7 +230,6 @@ class TestDecisionGates:
         assert plan.label == "auto[serial:40]"
         assert len(cache) == 0  # planned without synthesis
 
-    @pytest.mark.usefixtures("exact_env")
     def test_fig13_benchmark_grid_all_serial(self):
         # The fig13_stereo_pesq benchmark workload's grid: the stereo
         # station with 1 s speech clips (480,000-sample rows), 3 powers
@@ -268,7 +244,6 @@ class TestDecisionGates:
         assert len(cache) == 0
 
 
-@pytest.mark.usefixtures("exact_env")
 class TestPlanExecution:
     def test_auto_records_decision_per_partition(self):
         scenario = _tone_scenario(duration_s=0.05, n_points=4)
@@ -441,9 +416,6 @@ class TestPlanMatchesExecutor:
         assert result.backend in ("batched[4/4]", "auto[batched:4]")
 
 
-@pytest.mark.skipif(
-    fast_numerics(), reason="bit-identity across chunkings is an exact-numerics contract"
-)
 class TestForcedChunking:
     """A stack split into row chunks equals the unchunked stack."""
 

@@ -26,16 +26,9 @@ from repro.engine.planner import Unit, plan_sweep
 from repro.engine.runner import WORKERS_ENV_VAR, derive_streams, pool_size
 from repro.experiments import fig08_ber_overlay as fig08
 from repro.experiments import fig13_pesq_stereo as fig13
-from repro.utils.env import NUMERICS_ENV_VAR
 from repro.utils.rand import as_generator
 
 SEED = 2017
-
-
-@pytest.fixture(autouse=True)
-def exact_env(monkeypatch):
-    """Bit-identity is the exact-numerics contract."""
-    monkeypatch.setenv(NUMERICS_ENV_VAR, "exact")
 
 
 @pytest.fixture

@@ -19,14 +19,6 @@ from repro.engine import (
     SweepSpec,
 )
 from repro.errors import ConfigurationError
-from repro.utils.env import fast_numerics
-
-exact_numerics_only = pytest.mark.skipif(
-    fast_numerics(),
-    reason="bit-identity is an exact-numerics contract; REPRO_NUMERICS=fast "
-    "is gated by the tolerance golden tier",
-)
-
 
 SEED = 2017
 
@@ -133,7 +125,6 @@ class TestMerge:
         assert merged.elapsed_s == pytest.approx(sum(s.elapsed_s for s in shards))
         assert merged.cache_stats is None  # caching was off in every shard
 
-    @exact_numerics_only
     def test_merge_with_chain_scenario_and_shared_cache(self):
         from repro.experiments import fig08_ber_overlay as fig08
 
@@ -219,7 +210,6 @@ def _mean_abs(run):
     return float(np.mean(np.abs(run.received.mono)))
 
 
-@exact_numerics_only
 class TestPlanMerge:
     """``SweepResult.plan`` propagation across shards under ``auto``."""
 

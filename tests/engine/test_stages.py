@@ -18,14 +18,6 @@ from repro.experiments.common import (
 )
 from repro.receiver.fm_receiver import receive_mono_batch
 from repro.utils.rand import as_generator, child_generator
-from repro.utils.env import fast_numerics
-
-exact_numerics_only = pytest.mark.skipif(
-    fast_numerics(),
-    reason="bit-identity is an exact-numerics contract; REPRO_NUMERICS=fast "
-    "is gated by the tolerance golden tier",
-)
-
 
 SEED = 2017
 
@@ -115,7 +107,6 @@ class TestBatchedLink:
         scalar = np.array([b.rf_snr_db() for b in budgets])
         assert np.array_equal(batched, scalar)
 
-    @exact_numerics_only
     def test_transmit_batch_bit_identical_to_serial_link(self, payload):
         from repro.channel.link import BackscatterLink
         from repro.constants import MPX_RATE_HZ
@@ -138,7 +129,6 @@ class TestBatchedLink:
 
 
 class TestBatchedReceive:
-    @exact_numerics_only
     def test_mono_batch_bit_identical_to_serial_receive(self, payload):
         chain = _chain()
         iq = chain.front_end().apply(

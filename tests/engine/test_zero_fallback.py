@@ -26,14 +26,6 @@ from repro.experiments import fig09_mrc as fig09
 from repro.experiments import fig10_stereo_ber as fig10
 from repro.experiments import fig12_pesq_cooperative as fig12
 from repro.experiments import fig13_pesq_stereo as fig13
-from repro.utils.env import fast_numerics
-
-exact_numerics_only = pytest.mark.skipif(
-    fast_numerics(),
-    reason="bit-identity is an exact-numerics contract; REPRO_NUMERICS=fast "
-    "is gated by the tolerance golden tier",
-)
-
 
 SEED = 2017
 RUNS = (("serial", None), ("auto", 2), ("auto", 4), ("batched", None), ("auto", None))
@@ -89,7 +81,6 @@ def build_fading_scenario(name: str = "fade09") -> Scenario:
 
 
 class TestZeroFallbackGrids:
-    @exact_numerics_only
     def test_fig09_grid_fully_vectorizes(self):
         scenario = fig09.build_scenario(
             FdmFskModem(symbol_rate=200), distances_ft=(4, 8), max_factor=2, n_bits=48
@@ -127,7 +118,6 @@ class TestZeroFallbackGrids:
         batched = _run(scenario, "batched")
         _assert_fully_batched(batched)
 
-    @exact_numerics_only
     def test_deployment_scale_grid_reports_zero_fallbacks(self):
         deployment = deployment_scale.build_deployment(device_counts=(1, 2))
         scenario = deployment.compile()
@@ -146,16 +136,24 @@ class TestFadingGridAllBackends:
             for backend, workers in RUNS
         }
 
-    @exact_numerics_only
     def test_bit_identical_across_all_backends(self, by_backend):
         serial = by_backend[RUNS[0]]
         for run in RUNS[1:]:
             assert by_backend[run].values == serial.values, run
 
-    def test_batched_takes_zero_fading_fallbacks(self, by_backend):
+    def test_batched_plans_every_fading_point(self, by_backend):
         batched = by_backend[("batched", None)]
         _assert_fully_batched(batched)
         assert batched.backend == "batched[6/6]"
+
+    def test_old_numerics_variable_changes_no_bit(self, by_backend, monkeypatch):
+        # REPRO_NUMERICS once selected a second numerics tier whose
+        # fading, link and discriminator kernels were not bit-identical;
+        # it is no longer read, so setting it changes nothing.
+        monkeypatch.setenv("REPRO_NUMERICS", "fast")
+        auto = _run(build_fading_scenario(), "auto")
+        assert auto.values == by_backend[RUNS[0]].values
+        assert all(d.reason != "fast-numerics" for d in auto.plan)
 
     def test_fading_actually_changed_the_link(self, by_backend):
         # Guard against a silently-ignored fading spec: the same grid

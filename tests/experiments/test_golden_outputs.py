@@ -28,7 +28,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.utils.env import fast_numerics
 from repro.experiments import (
     deployment_scale,
     fig02_survey,
@@ -155,11 +154,6 @@ def assert_matches(actual, expected, path=""):
 @pytest.mark.golden
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_output(name, regen_golden):
-    if fast_numerics():
-        pytest.skip(
-            "exact-tier fixtures pin bit-identity; REPRO_NUMERICS=fast is "
-            "gated by test_golden_tolerance.py instead"
-        )
     fixture = GOLDEN_DIR / f"{name}.json"
     result = canonicalize(CASES[name]())
     if regen_golden:

@@ -108,10 +108,6 @@ class TestExactDiscriminator:
     def _noise(rng, shape):
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
-    @pytest.fixture(autouse=True)
-    def _exact_numerics(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NUMERICS", "exact")
-
     @pytest.mark.parametrize("n", LENGTHS)
     def test_rows_match_reference(self, n):
         rng = np.random.default_rng(n)

@@ -15,13 +15,6 @@ from repro.dsp.filters import bandpass_fir, design_lowpass_fir, filter_signal
 from repro.receiver.car import CarReceiver
 from repro.receiver.fm_receiver import ReceivedAudio
 from repro.receiver.smartphone import SmartphoneReceiver
-from repro.utils.env import fast_numerics
-
-pytestmark = pytest.mark.skipif(
-    fast_numerics(),
-    reason="bit-identity is an exact-numerics contract; REPRO_NUMERICS=fast "
-    "is gated by the tolerance golden tier",
-)
 
 N_SAMPLES = 4800
 

@@ -9,13 +9,7 @@ silently clamped.
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.utils.env import (
-    NUMERICS_ENV_VAR,
-    env_choice,
-    env_int,
-    fast_numerics,
-    numerics_mode,
-)
+from repro.utils.env import env_choice, env_int
 
 VAR = "REPRO_TEST_KNOB"
 
@@ -73,39 +67,6 @@ class TestEnvChoice:
         monkeypatch.setenv(VAR, "gpu")
         with pytest.raises(ConfigurationError, match=rf"{VAR}.*serial.*'gpu'"):
             env_choice(VAR, None, self.CHOICES)
-
-
-class TestNumericsMode:
-    """``REPRO_NUMERICS`` parses strictly through ``env_choice``."""
-
-    def test_unset_defaults_to_exact(self, monkeypatch):
-        monkeypatch.delenv(NUMERICS_ENV_VAR, raising=False)
-        assert numerics_mode() == "exact"
-        assert not fast_numerics()
-
-    def test_fast_selects_fast(self, monkeypatch):
-        monkeypatch.setenv(NUMERICS_ENV_VAR, "fast")
-        assert numerics_mode() == "fast"
-        assert fast_numerics()
-
-    def test_normalizes_case_and_whitespace(self, monkeypatch):
-        monkeypatch.setenv(NUMERICS_ENV_VAR, "  Fast ")
-        assert fast_numerics()
-
-    def test_explicit_exact_accepted(self, monkeypatch):
-        monkeypatch.setenv(NUMERICS_ENV_VAR, "exact")
-        assert numerics_mode() == "exact"
-
-    def test_typo_names_variable_and_choices(self, monkeypatch):
-        monkeypatch.setenv(NUMERICS_ENV_VAR, "quick")
-        with pytest.raises(
-            ConfigurationError, match=r"REPRO_NUMERICS.*exact.*fast.*'quick'"
-        ):
-            numerics_mode()
-
-    def test_blank_defaults_to_exact(self, monkeypatch):
-        monkeypatch.setenv(NUMERICS_ENV_VAR, "   ")
-        assert numerics_mode() == "exact"
 
 
 class TestEngineKnobsAreStrict:
