@@ -128,31 +128,6 @@ def _bark_loudness(frames: np.ndarray, sample_rate: float) -> np.ndarray:
     return np.maximum(((bands + p0) / p0) ** 0.23 - 1.0, 0.0)
 
 
-def mos_lqo(score) -> np.ndarray | float:
-    """Map a PESQ-scale score onto the normalized MOS-LQO axis [0, 1].
-
-    The raw :func:`pesq_like` scale spans [1.0, 4.5]; tolerance
-    comparisons (and the paper's cross-figure quality deltas) are easier
-    to reason about on a unit scale where 0 is the floor and 1 is a
-    perfect score. Values outside the PESQ range — which can only come
-    from a corrupted fixture, never from :func:`pesq_like` itself — are
-    clipped rather than rejected so the mapping is total.
-
-    Args:
-        score: scalar or array of scores on the [1.0, 4.5] PESQ scale.
-
-    Returns:
-        ``(score - 1.0) / 3.5`` clipped to [0, 1]; a float for scalar
-        input, an ndarray otherwise.
-    """
-    scaled = np.clip(
-        (np.asarray(score, dtype=float) - _SCORE_MIN) / (_SCORE_MAX - _SCORE_MIN),
-        0.0,
-        1.0,
-    )
-    return float(scaled) if np.isscalar(score) or np.ndim(score) == 0 else scaled
-
-
 def pesq_like(
     reference: np.ndarray,
     degraded: np.ndarray,

@@ -5,6 +5,9 @@ receiver undoes it (de-emphasis, 75 us in North America). Both are
 first-order shelving networks; they are represented here with the same
 :class:`Biquad` machinery used elsewhere so the whole receive chain is a
 couple of composable filter objects.
+
+``scipy.signal`` is imported inside the functions that call it: it costs
+about a second per process, which figures that never call them skip.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal as sp_signal
 
 from repro.constants import DEEMPHASIS_US_SECONDS
 from repro.errors import ConfigurationError
@@ -46,13 +48,17 @@ class Biquad:
         what lets the sweep engine's batched backend keep de-emphasizing
         receivers on the vectorized path instead of falling back.
         """
+        from scipy.signal import lfilter
+
         signal = ensure_real_signal(signal, "signal")
-        return sp_signal.lfilter(self.b, self.a, signal, axis=-1)
+        return lfilter(self.b, self.a, signal, axis=-1)
 
     def frequency_response(self, freqs_hz: np.ndarray, sample_rate: float) -> np.ndarray:
         """Complex response at the given frequencies."""
+        from scipy.signal import freqz
+
         w = 2.0 * np.pi * np.asarray(freqs_hz, dtype=float) / sample_rate
-        _, h = sp_signal.freqz(self.b, self.a, worN=w)
+        _, h = freqz(self.b, self.a, worN=w)
         return h
 
 

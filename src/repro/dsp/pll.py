@@ -12,10 +12,11 @@ runs the time loop once per waveform. Three loops perform the same
 operations in the same order, so they give bit-identical tracks; the
 first whose precondition holds runs (:func:`active_loop`):
 
-1. ``"compiled"`` — a C copy of the float loop, built with ``gcc`` on
-   first use into the per-user cache directory and loaded through
-   :mod:`ctypes`, which releases the GIL for the call, so pool threads
-   track their pilots concurrently. It runs only where
+1. ``"compiled"`` — a C copy of the float loop, built, loaded and
+   probed by :mod:`repro.dsp.ckernel` (the harness the resampler's
+   kernel uses too): ``gcc`` builds it on first use into the per-user
+   cache directory, and :mod:`ctypes` releases the GIL for each call, so
+   pool threads track their pilots concurrently. It runs only where
    :data:`FLOAT_SIN_IS_NUMPY_SIN` holds and its tracks equal the float
    loop's on a fixed probe; any failure (no compiler, a build error, an
    unwritable or foreign cache directory, a probe mismatch) logs one
@@ -31,20 +32,14 @@ first whose precondition holds runs (:func:`active_loop`):
 from __future__ import annotations
 
 import ctypes
-import hashlib
 import logging
 import math
-import os
-import platform
-import stat
-import subprocess
-import tempfile
-import threading
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
+from repro.dsp.ckernel import CompiledKernel
 from repro.errors import ConfigurationError, SignalError
 from repro.utils.validation import ensure_positive, ensure_real
 
@@ -94,87 +89,14 @@ void pll_track(const double *x, long n, double scale, double ki, double kp,
 }
 """
 
-_COMPILER = "gcc"
-_CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
-"""``-ffp-contract=off`` keeps gcc from fusing a multiply and an add
-into one FMA, which rounds once where the float loop rounds twice."""
 
-
-def _cache_dir() -> str:
-    """The per-user directory that holds the built loop.
-
-    ``$XDG_CACHE_HOME/repro`` when that variable is an absolute path,
-    else ``~/.cache/repro``; created with mode 0700. A directory this
-    user does not own, or one others may write to, is refused: the
-    library loaded from it runs as this user.
-    """
-    base = os.environ.get("XDG_CACHE_HOME", "")
-    if not os.path.isabs(base):
-        base = os.path.join(os.path.expanduser("~"), ".cache")
-    path = os.path.join(base, "repro")
-    os.makedirs(path, mode=0o700, exist_ok=True)
-    info = os.lstat(path)
-    if (
-        not stat.S_ISDIR(info.st_mode)
-        or info.st_uid != os.getuid()
-        or info.st_mode & (stat.S_IWGRP | stat.S_IWOTH)
-    ):
-        raise OSError(f"{path} is not a directory private to this user")
-    return path
-
-
-def _compile(source: str, library: str) -> None:
-    """Compile the C file ``source`` into the shared library ``library``."""
-    result = subprocess.run(
-        [_COMPILER, *_CFLAGS, "-o", library, source, "-lm"],
-        capture_output=True, text=True, timeout=120,
-    )
-    if result.returncode:
-        raise OSError(f"{_COMPILER} failed: {result.stderr.strip()[-500:]}")
-
-
-def _build() -> str:
-    """Path of the built loop library, compiling it if the cache lacks it.
-
-    The file name hashes everything the machine code depends on: the
-    source, the flags, the compiler version and the machine.
-    """
-    version = subprocess.run(
-        [_COMPILER, "-dumpfullversion"],
-        capture_output=True, text=True, timeout=60, check=True,
-    ).stdout.strip()
-    key = "\0".join((_C_SOURCE, *_CFLAGS, version, platform.machine()))
-    directory = _cache_dir()
-    library = os.path.join(
-        directory, f"pll-{hashlib.sha256(key.encode()).hexdigest()[:24]}.so"
-    )
-    if not os.path.exists(library):
-        # Built under a temporary name and renamed into place, so no
-        # process ever loads a half-written library.
-        with tempfile.TemporaryDirectory(dir=directory) as scratch:
-            source = os.path.join(scratch, "pll.c")
-            with open(source, "w") as handle:
-                handle.write(_C_SOURCE)
-            built = os.path.join(scratch, "pll.so")
-            _compile(source, built)
-            os.replace(built, library)
-    return library
-
-
-def _load_checked() -> Callable:
-    """Build and load ``pll_track``, then check it against the float loop.
+def _probe(func: Callable) -> None:
+    """Check the loaded ``pll_track`` against the float loop.
 
     The probe is a noisy 19 kHz pilot at 96 kHz, one second long, so
     the phase unwraps past 1e5 rad; the compiled phase and step arrays
     must equal the float loop's exactly.
     """
-    func = ctypes.CDLL(_build()).pll_track
-    func.restype = None
-    func.argtypes = (
-        (ctypes.c_void_p, ctypes.c_long)
-        + (ctypes.c_double,) * 4
-        + (ctypes.c_void_p,) * 2
-    )
     rate = 96_000.0
     t = np.arange(int(rate)) / rate
     probe = 0.1 * np.cos(2.0 * np.pi * 19_000.0 * t + 0.3)
@@ -187,40 +109,13 @@ def _load_checked() -> Callable:
         np.array_equal(phase[0], float_phase) and np.array_equal(steps[0], float_steps)
     ):
         raise ArithmeticError("its probe track differs from the float loop's")
-    return func
 
 
-class _CompiledLoop:
-    """The compiled loop, built, loaded and probed once per process."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._ready = False
-        self._func: Optional[Callable] = None
-
-    def get(self) -> Optional[Callable]:
-        """The checked ``pll_track`` function, or None to fall back."""
-        if not self._ready:
-            # Pool threads arriving together wait here and build once.
-            with self._lock:
-                if not self._ready:
-                    try:
-                        self._func = _load_checked()
-                    except (
-                        OSError,  # no compiler, unusable cache, load failure
-                        subprocess.SubprocessError,
-                        AttributeError,  # no pll_track symbol
-                        ArithmeticError,  # probe mismatch
-                    ) as exc:
-                        logger.warning(
-                            "compiled pilot PLL unavailable, running the "
-                            "float loop instead: %s", exc,
-                        )
-                    self._ready = True
-        return self._func
-
-
-_COMPILED_LOOP = _CompiledLoop()
+_KERNEL = CompiledKernel(
+    "pll", _C_SOURCE, "pll_track",
+    (ctypes.c_void_p, ctypes.c_long) + (ctypes.c_double,) * 4 + (ctypes.c_void_p,) * 2,
+    _probe, logger, "the float loop",
+)
 
 
 def active_loop() -> str:
@@ -229,7 +124,7 @@ def active_loop() -> str:
     docstring). The first call builds and probes the compiled loop."""
     if not FLOAT_SIN_IS_NUMPY_SIN:
         return "vector"
-    return "compiled" if _COMPILED_LOOP.get() is not None else "float"
+    return "compiled" if _KERNEL.get() is not None else "float"
 
 
 @dataclass
@@ -397,7 +292,7 @@ class PhaseLockedLoop:
         scale = np.ones(n_waveforms)
         nonzero = rms > 0
         scale[nonzero] = 1.0 / rms[nonzero]
-        compiled = _COMPILED_LOOP.get() if FLOAT_SIN_IS_NUMPY_SIN else None
+        compiled = _KERNEL.get() if FLOAT_SIN_IS_NUMPY_SIN else None
         if compiled is not None:
             phase, freq = self._compiled_loop(compiled, signals, scale)
         elif FLOAT_SIN_IS_NUMPY_SIN:

@@ -3,6 +3,9 @@
 Figure 6 of the paper computes SNR as the power at the transmitted tone
 frequency divided by the summed power at all other audio frequencies;
 :func:`tone_snr_db` reproduces exactly that estimator.
+
+``scipy.signal`` is imported inside the functions that call it: it costs
+about a second per process, which figures that never call them skip.
 """
 
 from __future__ import annotations
@@ -10,7 +13,6 @@ from __future__ import annotations
 from typing import List, Sequence, Tuple
 
 import numpy as np
-from scipy import signal as sp_signal
 
 from repro.dsp.plan_cache import cached_plan
 from repro.errors import ConfigurationError, SignalError
@@ -25,9 +27,11 @@ def _welch_window(nperseg: int) -> np.ndarray:
     that per-call synthesis while producing bit-identical spectra (the
     array is exactly ``get_window("hann", nperseg)``).
     """
+    from scipy.signal import get_window
+
     return cached_plan(
         ("welch_window", "hann", int(nperseg)),
-        lambda: sp_signal.get_window("hann", int(nperseg)),
+        lambda: get_window("hann", int(nperseg)),
     )
 
 
@@ -48,10 +52,12 @@ def power_spectrum(
         ``(freqs_hz, psd)`` arrays; ``psd`` carries the batch axis when
         the input does.
     """
+    from scipy.signal import welch
+
     signal = ensure_real_signal(signal, "signal")
     sample_rate = ensure_positive(sample_rate, "sample_rate")
     nperseg = int(min(nperseg, signal.shape[-1]))
-    freqs, psd = sp_signal.welch(
+    freqs, psd = welch(
         signal,
         fs=sample_rate,
         window=_welch_window(nperseg),

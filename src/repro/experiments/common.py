@@ -35,7 +35,6 @@ from repro.backscatter.modulator import composite_mpx
 from repro.channel.antenna import Antenna, CAR_WHIP, DIPOLE_POSTER, HEADPHONE_WIRE
 from repro.channel.link import (
     BackscatterLink,
-    FadingModel,
     LinkBudget,
     fading_envelope,
     transmit_batch,

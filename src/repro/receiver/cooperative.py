@@ -12,6 +12,9 @@ implemented here:
 2. The device transmits a low-power 13 kHz pilot as a preamble and keeps
    it running during the payload; the ratio of pilot amplitudes between
    the two segments calibrates the gain change.
+
+``scipy.signal`` is imported inside the functions that call it: it costs
+about a second per process, which figures that never call them skip.
 """
 
 from __future__ import annotations
@@ -21,8 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.constants import AUDIO_RATE_HZ, COOP_PILOT_FREQ_HZ
-from scipy import signal as sp_signal
-
 from repro.dsp.filters import bandpass_fir, filter_signal
 from repro.dsp.goertzel import goertzel_power
 from repro.dsp.resample import resample_poly_exact
@@ -87,6 +88,8 @@ class CooperativeReceiver:
         ``up2[0:]``). Sub-original-sample resolution is the point of the
         paper's 10x resampling: it is what makes the subtraction cancel
         deeply."""
+        from scipy.signal import fftconvolve
+
         max_lag_up = int(self.max_lag_seconds * self.audio_rate) * RESAMPLE_FACTOR
         n = min(up1.size, up2.size)
         a = up1[:n] - np.mean(up1[:n])
@@ -94,7 +97,7 @@ class CooperativeReceiver:
         # FFT-based correlation: corr[k] = sum_n a[n + lag_k] * b[n] with
         # lags from -(n-1) to (n-1). np.correlate's direct algorithm is
         # quadratic and unusable at these lengths.
-        corr = sp_signal.fftconvolve(a, b[::-1], mode="full")
+        corr = fftconvolve(a, b[::-1], mode="full")
         lags = np.arange(-n + 1, n)
         window = np.abs(lags) <= max_lag_up
         if not np.any(window):

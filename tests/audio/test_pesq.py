@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.audio.pesq import _align, mos_lqo, pesq_like
+from repro.audio.pesq import _align, pesq_like
 from repro.audio.speech import speech_like
 from repro.errors import SignalError
 
@@ -87,32 +87,6 @@ class TestAlignment:
         aligned, lag = _align(speech, shifted, int(0.5 * FS))
         assert lag == 2400
         assert np.array_equal(aligned[:-2400], speech[:-2400])
-
-
-class TestMosLqo:
-    """The [1.0, 4.5] -> [0, 1] MOS-LQO scale mapping."""
-
-    def test_scale_floor_maps_to_zero(self):
-        assert mos_lqo(1.0) == 0.0
-
-    def test_scale_ceiling_maps_to_one(self):
-        assert mos_lqo(4.5) == 1.0
-
-    def test_midscale_is_linear(self):
-        assert mos_lqo(2.75) == pytest.approx(0.5)
-
-    def test_out_of_range_clips(self):
-        assert mos_lqo(0.5) == 0.0
-        assert mos_lqo(5.0) == 1.0
-
-    def test_scalar_in_scalar_out(self):
-        assert isinstance(mos_lqo(3.0), float)
-
-    def test_array_in_array_out(self):
-        scores = np.array([1.0, 2.75, 4.5, 9.0])
-        out = mos_lqo(scores)
-        assert isinstance(out, np.ndarray)
-        np.testing.assert_allclose(out, [0.0, 0.5, 1.0, 1.0])
 
 
 class TestValidation:

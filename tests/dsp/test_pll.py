@@ -13,6 +13,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro.dsp import ckernel
 from repro.dsp import pll as pll_module
 from repro.dsp.pll import PhaseLockedLoop, PLLBatchResult
 from repro.errors import ConfigurationError, SignalError
@@ -23,19 +24,19 @@ FS = 96_000.0
 
 def _disable_compiled_loop(monkeypatch):
     """Make ``track_batch`` run the float loop, as on a host without gcc."""
-    disabled = pll_module._CompiledLoop()
-    disabled._ready = True
-    monkeypatch.setattr(pll_module, "_COMPILED_LOOP", disabled)
+    monkeypatch.setattr(pll_module._KERNEL, "_ready", True)
+    monkeypatch.setattr(pll_module._KERNEL, "_func", None)
 
 
 def _fresh_compiled_loop(monkeypatch, cache_home):
     """An unbuilt compiled loop whose cache lives under ``cache_home``."""
     monkeypatch.setenv("XDG_CACHE_HOME", str(cache_home))
-    monkeypatch.setattr(pll_module, "_COMPILED_LOOP", pll_module._CompiledLoop())
+    monkeypatch.setattr(pll_module._KERNEL, "_ready", False)
+    monkeypatch.setattr(pll_module._KERNEL, "_func", None)
 
 
 requires_compiled_loop = pytest.mark.skipif(
-    not pll_module.FLOAT_SIN_IS_NUMPY_SIN or shutil.which(pll_module._COMPILER) is None,
+    not pll_module.FLOAT_SIN_IS_NUMPY_SIN or shutil.which(ckernel._COMPILER) is None,
     reason="the compiled loop needs a C compiler and math.sin == np.sin",
 )
 
@@ -334,7 +335,7 @@ class TestCompiledLoopFallback:
 
     def test_compiler_missing(self, stack, caplog, monkeypatch, tmp_path):
         _fresh_compiled_loop(monkeypatch, tmp_path)
-        monkeypatch.setattr(pll_module, "_COMPILER", "repro-no-such-compiler")
+        monkeypatch.setattr(ckernel, "_COMPILER", "repro-no-such-compiler")
         self._assert_falls_back(stack, caplog)
 
     def test_probe_mismatch(self, stack, caplog, monkeypatch, tmp_path):
@@ -342,7 +343,7 @@ class TestCompiledLoopFallback:
         # runs, but its probe track cannot equal the float loop's.
         _fresh_compiled_loop(monkeypatch, tmp_path)
         monkeypatch.setattr(
-            pll_module, "_C_SOURCE",
+            pll_module._KERNEL, "source",
             pll_module._C_SOURCE.replace("sin(theta)", "sinf((float)theta)"),
         )
         message = self._assert_falls_back(stack, caplog)
@@ -381,13 +382,13 @@ class TestCompiledLoopFallback:
 def test_concurrent_first_calls_build_once(rng, monkeypatch, tmp_path):
     _fresh_compiled_loop(monkeypatch, tmp_path)
     builds = []
-    compile_ = pll_module._compile
+    compile_ = ckernel._compile
 
     def counting_compile(source, library):
         builds.append(library)
         compile_(source, library)
 
-    monkeypatch.setattr(pll_module, "_compile", counting_compile)
+    monkeypatch.setattr(ckernel, "_compile", counting_compile)
     stack = _pilot_rows(12_345, rng)
     pll = PhaseLockedLoop(19_000, FS)
     barrier = threading.Barrier(8)
@@ -411,7 +412,7 @@ def test_concurrent_first_calls_build_once(rng, monkeypatch, tmp_path):
     assert len(builds) == 1
     assert pll_module.active_loop() == "compiled"
     assert [p.name for p in (tmp_path / "repro").iterdir()] == [
-        os.path.basename(pll_module._build())
+        os.path.basename(pll_module._KERNEL.build())
     ]
     for result in results[1:]:
         _assert_same_tracks(result, results[0])

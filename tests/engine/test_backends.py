@@ -19,7 +19,6 @@ from repro.constants import AUDIO_RATE_HZ
 from repro.data.fdm import FdmFskModem
 from repro.engine import (
     AmbientCache,
-    AxisRef,
     Scenario,
     SweepRunner,
     SweepSpec,

@@ -12,8 +12,6 @@ from repro.errors import ConfigurationError
 from repro.experiments.common import (
     ChainState,
     ExperimentChain,
-    FrontEndStage,
-    LinkStage,
     ReceiveStage,
 )
 from repro.receiver.fm_receiver import receive_mono_batch
