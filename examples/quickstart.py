@@ -82,10 +82,7 @@ def sweep(fast=False) -> None:
         name="quickstart",
         sweep=SweepSpec.grid(power_dbm=(-25.0, -35.0), distance_ft=(2, 8, 16)),
         base_chain={"program": "silence", "receiver_kind": "smartphone", "stereo_decode": False},
-        chain_params=lambda p: {
-            "power_dbm": p["power_dbm"],
-            "distance_ft": p["distance_ft"],
-        },
+        chain_axes=("power_dbm", "distance_ft"),
         measure=measure,
     )
     result = run_scenario(scenario, rng=1)

@@ -12,8 +12,6 @@ import struct
 from dataclasses import dataclass, field
 from typing import Optional
 
-import numpy as np
-
 from repro.backscatter.device import BackscatterMode
 from repro.channel.antenna import MEANDER_SHIRT, Antenna
 from repro.channel.fading import BodyMotionFading

@@ -14,8 +14,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.backscatter.device import BackscatterMode
-from repro.channel.antenna import Antenna, BOWTIE_POSTER, DIPOLE_POSTER
-from repro.constants import AUDIO_RATE_HZ
+from repro.channel.antenna import Antenna, DIPOLE_POSTER
 from repro.data.framing import FrameCodec
 from repro.data.fsk import BinaryFskModem
 from repro.errors import ConfigurationError

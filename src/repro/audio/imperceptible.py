@@ -19,8 +19,6 @@ that margin; this module implements the simple level-tracking variant.
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
 from repro.errors import ConfigurationError, SignalError

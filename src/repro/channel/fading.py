@@ -14,10 +14,10 @@ Two usage shapes:
   stream.
 - :class:`MotionFadingSpec` — a frozen, picklable *declaration* of the
   same fading, resolved per transmission from the link's own generator
-  (``build``). Scenarios that put a spec (rather than a live model) in
-  their chain kwargs stay order-independent across sweep backends, which
-  is what lets the batched backend vectorize fading grids with zero
-  per-point fallbacks.
+  (``build``). A sweep scenario's chain kwargs take only a spec (a live
+  model there raises): resolved per point, it stays order-independent
+  across sweep backends, which is what lets the batched backend
+  vectorize fading grids with zero per-point fallbacks.
 
 :func:`stack_envelopes` is the one envelope synthesis: it draws every
 model's Gaussian innovations in caller order (preserving each model's

@@ -240,10 +240,8 @@ def transmit_batch(
         rngs: one seed/Generator per output row.
         envelopes: optional per-row fading envelopes (``None`` entries —
             or ``None`` for the whole argument — mean an unfaded row).
-            Pre-draw these with
-            :func:`repro.channel.fading.stack_envelopes` in serial grid
-            order so stateful fading models consume their streams
-            exactly as a serial sweep would.
+            Build these with
+            :func:`repro.channel.fading.stack_envelopes`.
 
     Returns:
         Faded, noise-corrupted envelopes, shape ``(len(budgets), iq.size)``.

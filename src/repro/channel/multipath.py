@@ -10,7 +10,7 @@ implemented for wideband validation tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 

@@ -10,7 +10,7 @@ estimation and making the design resilient to channel changes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 

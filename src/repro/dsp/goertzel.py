@@ -8,7 +8,7 @@ an FFT, matching the paper's emphasis on computational simplicity.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 

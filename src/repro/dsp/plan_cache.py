@@ -14,13 +14,10 @@ Cached arrays are returned **non-writable** (and every hit returns the
 same object), so an accidental in-place mutation by a caller raises
 instead of silently poisoning every later user of that plan.
 
-The capacity knob is ``REPRO_DSP_PLAN_CACHE`` (entries; ``0`` disables
-caching entirely); malformed values raise
-:class:`~repro.errors.ConfigurationError` naming the offending string.
-Whatever the entry count, the cache also evicts least-recently-used plans
-once they total more than :data:`PLAN_CACHE_MAX_BYTES`: a FIR kernel
-spectrum at a long signal's FFT length is megabytes, not the kilobytes of
-a design.
+The cache evicts least-recently-used plans past
+:data:`PLAN_CACHE_MAX_ENTRIES` entries or once they total more than
+:data:`PLAN_CACHE_MAX_BYTES`: a FIR kernel spectrum at a long signal's
+FFT length is megabytes, not the kilobytes of a design.
 """
 
 from __future__ import annotations
@@ -31,15 +28,11 @@ from typing import Callable, Dict, Tuple
 
 import numpy as np
 
-from repro.utils.env import env_int
-
-PLAN_CACHE_ENV_VAR = "REPRO_DSP_PLAN_CACHE"
-"""Maximum number of cached DSP plans (FIR designs, FIR kernel spectra,
-Welch windows, resampler filters); ``0`` disables the cache."""
-
-DEFAULT_PLAN_CACHE_ENTRIES = 128
-"""Default capacity — generous for the library's filter vocabulary (a
-few dozen distinct designs) while bounding memory for exotic sweeps."""
+PLAN_CACHE_MAX_ENTRIES = 128
+"""Entry bound on cached plans (FIR designs, FIR kernel spectra, Welch
+windows, resampler filters) — generous for the library's filter
+vocabulary (a few dozen distinct designs) while bounding memory for
+exotic sweeps."""
 
 PLAN_CACHE_MAX_BYTES = 32 * 2**20
 """Byte bound on all cached plans together. The largest figure working
@@ -60,11 +53,6 @@ eviction). Builders run outside the lock — a racing miss just builds
 the same deterministic plan twice."""
 
 
-def plan_cache_capacity() -> int:
-    """The configured capacity (strictly parsed from the environment)."""
-    return env_int(PLAN_CACHE_ENV_VAR, DEFAULT_PLAN_CACHE_ENTRIES, minimum=0)
-
-
 def cached_plan(key: Tuple[object, ...], build: Callable[[], np.ndarray]) -> np.ndarray:
     """Return the plan for ``key``, building (and caching) it on a miss.
 
@@ -74,31 +62,25 @@ def cached_plan(key: Tuple[object, ...], build: Callable[[], np.ndarray]) -> np.
         build: zero-argument builder invoked on a miss.
 
     Returns:
-        The plan array, marked non-writable. With caching disabled the
-        builder's fresh output is returned (still non-writable, so code
-        behaves identically either way).
+        The plan array, marked non-writable.
     """
-    capacity = plan_cache_capacity()
-    if capacity > 0:
-        with _lock:
-            hit = _cache.get(key)
-            if hit is not None:
-                _cache.move_to_end(key)
-                _stats["hits"] += 1
-                return hit
     with _lock:
+        hit = _cache.get(key)
+        if hit is not None:
+            _cache.move_to_end(key)
+            _stats["hits"] += 1
+            return hit
         _stats["misses"] += 1
     plan = np.asarray(build())
     plan.setflags(write=False)
-    if capacity > 0:
-        with _lock:
-            previous = _cache.pop(key, None)
-            if previous is not None:
-                _stats["bytes"] -= previous.nbytes
-            _cache[key] = plan
-            _stats["bytes"] += plan.nbytes
-            while len(_cache) > capacity or _stats["bytes"] > PLAN_CACHE_MAX_BYTES:
-                _stats["bytes"] -= _cache.popitem(last=False)[1].nbytes
+    with _lock:
+        previous = _cache.pop(key, None)
+        if previous is not None:
+            _stats["bytes"] -= previous.nbytes
+        _cache[key] = plan
+        _stats["bytes"] += plan.nbytes
+        while len(_cache) > PLAN_CACHE_MAX_ENTRIES or _stats["bytes"] > PLAN_CACHE_MAX_BYTES:
+            _stats["bytes"] -= _cache.popitem(last=False)[1].nbytes
     return plan
 
 
@@ -111,7 +93,7 @@ def plan_cache_stats() -> Dict[str, int]:
             "misses": _stats["misses"],
             "items": len(_cache),
             "bytes": _stats["bytes"],
-            "capacity": plan_cache_capacity(),
+            "capacity": PLAN_CACHE_MAX_ENTRIES,
         }
 
 

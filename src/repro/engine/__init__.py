@@ -17,8 +17,8 @@ once per grid point — and at most once *ever* per configuration when
 ``REPRO_CACHE_DIR`` points the cache at a persistent
 :class:`CacheStore`.
 
-Usage (the spec form — plain data plus a module-level measure, so the
-same scenario also runs on the distributed launcher's worker processes)::
+Usage (plain data plus a module-level measure, so the same scenario
+also runs on the distributed launcher's worker processes)::
 
     from repro.engine import AxisRef, Scenario, SweepSpec, SweepRunner
 
@@ -41,9 +41,11 @@ same scenario also runs on the distributed launcher's worker processes)::
     result = SweepRunner(scenario, rng=2017, backend="batched").run()
     series = result.series(along="distance_ft", power_dbm=-40.0)
 
-The callable style (``chain_params`` / ``rng_keys`` lambdas) still works
-for every :class:`SweepRunner` setting; only the launcher requires the
-picklable spec form.
+Fading on a scenario's chain is a declarative spec
+(:class:`~repro.channel.fading.MotionFadingSpec`), which each point
+resolves from its own stream; ``Scenario.chain_kwargs`` refuses a live
+stateful model. ``prepare`` may be a closure (it runs in the parent
+only); the launcher needs a module-level ``measure``.
 
 Many-device deployments (:mod:`repro.engine.deployment`) build on the
 same machinery: a :class:`DeploymentScenario` (device roster +

@@ -13,12 +13,12 @@ over the stack, in memory-capped row chunks
 Coverage is total over the runner-transmitted scenario space — no chain
 feature forces a per-point fallback:
 
-- **Fading links** batch: per-point envelopes are pre-drawn *in serial
-  grid order* through :func:`repro.channel.fading.stack_envelopes`
-  (stateful models consume their streams exactly as the serial loop
-  would; declarative :class:`~repro.channel.fading.MotionFadingSpec`
-  links resolve from each point's own pre-derived stream) and applied
-  row-wise inside ``transmit_batch``.
+- **Fading links** batch: each point's declarative
+  :class:`~repro.channel.fading.MotionFadingSpec` builds its model on
+  the point's own ``"fade"`` stream, so one
+  :func:`repro.channel.fading.stack_envelopes` call per partition draws
+  the members' envelopes, in any order, and ``transmit_batch`` applies
+  them row-wise.
 - **Stereo-capable receivers** (phone stereo *and* the car radio) batch
   through the multi-waveform pilot PLL
   (:meth:`repro.dsp.pll.PhaseLockedLoop.track_batch`). The PLL runs on
@@ -78,93 +78,54 @@ def run_batched_backend(
     """
     from repro.experiments.common import ExperimentChain, receive_over_link
 
-    # Partition envelopes first (one cached synthesis per front end),
-    # because the fading pre-pass below needs every point's sample count.
-    ambients = []
-    iqs = []
-    chains: Dict[int, ExperimentChain] = {}
-    iq_size: Dict[int, int] = {}
     for partition in partitions:
-        first = partition.positions[0]
-        for pos in partition.positions:
-            chains[pos] = ExperimentChain(**scenario.chain_kwargs(points[pos]))
-        ambient = make_ambient(scenario, points[first], cache, ambient_master)
-        iq = ambient.modulated_composite(
-            chains[first].front_end(), scenario.payload_for(points[first], data)
-        )
-        ambients.append(ambient)
-        iqs.append(iq)
-        iq_size.update((pos, iq.size) for pos in partition.positions)
-
-    # Per-point streams, in grid order, from the same chain method
-    # transmit uses; the link child's own "fade" child resolves a
-    # declarative fading spec, as inside the link.
-    order = sorted(chains)
-    gens: Dict[int, np.random.Generator] = {}
-    link_rngs: Dict[int, np.random.Generator] = {}
-    fadings: Dict[int, object] = {}
-    receivers: Dict[int, object] = {}
-    for pos in order:
-        gens[pos] = np.random.default_rng(seeds[pos])
-        _, link_rngs[pos], receivers[pos] = chains[pos].stage_streams(gens[pos])
-        fading = resolve_fading(chains[pos].fading, link_rngs[pos])
-        if fading is not None:
-            fadings[pos] = fading
-
-    # Fading pre-pass, strictly in grid order across every partition: a
-    # stateful model shared across points consumes its stream exactly as
-    # the serial loop would. Runs of consecutive fading points with one
-    # sample count stack into a single vectorized envelope synthesis.
-    envelopes: Dict[int, np.ndarray] = {}
-    fading_run: List[int] = []
-    for pos in order:
-        if pos not in fadings:
-            continue
-        if fading_run and iq_size[fading_run[-1]] != iq_size[pos]:
-            _flush_envelope_run(fading_run, fadings, iq_size, envelopes)
-            fading_run = []
-        fading_run.append(pos)
-    _flush_envelope_run(fading_run, fadings, iq_size, envelopes)
-
-    # Within a partition the link and the discriminator run in
-    # chunk_rows-row passes, and only the real MPX rows outlive a pass
-    # (see receive_over_link).
-    for partition, ambient, iq in zip(partitions, ambients, iqs):
         members = partition.positions
+        chains = [ExperimentChain(**scenario.chain_kwargs(points[pos])) for pos in members]
+        # The partition key pins the front end, the variant and the
+        # payload, so the first member's ambient and composite envelope
+        # are every member's.
+        first = points[members[0]]
+        ambient = make_ambient(scenario, first, cache, ambient_master)
+        iq = ambient.modulated_composite(
+            chains[0].front_end(), scenario.payload_for(first, data)
+        )
+
+        # Per-point streams from the same chain method transmit uses; the
+        # link child's own "fade" child resolves a fading spec, as inside
+        # the link.
+        gens, link_rngs, receivers, fadings = [], [], [], []
+        for pos, chain in zip(members, chains):
+            gen = np.random.default_rng(seeds[pos])
+            _, link_rng, receiver = chain.stage_streams(gen)
+            fadings.append(resolve_fading(chain.fading, link_rng))
+            gens.append(gen)
+            link_rngs.append(link_rng)
+            receivers.append(receiver)
+        envelopes: List[Optional[np.ndarray]] = [None] * len(members)
+        faded = [k for k, fading in enumerate(fadings) if fading is not None]
+        if faded:
+            stack = stack_envelopes([fadings[k] for k in faded], iq.size, MPX_RATE_HZ)
+            for k, envelope in zip(faded, stack):
+                envelopes[k] = envelope
+
+        # The link and the discriminator run in chunk_rows-row passes,
+        # and only the real MPX rows outlive a pass (see receive_over_link).
         received_rows = receive_over_link(
             iq,
-            [receivers[pos] for pos in members],
-            [chains[pos].link_budget() for pos in members],
-            [link_rngs[pos] for pos in members],
-            [envelopes.get(pos) for pos in members],
+            receivers,
+            [chain.link_budget() for chain in chains],
+            link_rngs,
+            envelopes,
             chunk_rows=partition.chunk_rows,
         )
-        for pos, received in zip(members, received_rows):
-            # The partition key pins the variant, so the partition's
-            # ambient is every member point's ambient.
-            chains[pos].ambient_source = ambient
+        for pos, chain, gen, received in zip(members, chains, gens, received_rows):
+            chain.ambient_source = ambient
             run = PointRun(
                 point=points[pos],
-                rng=gens[pos],
+                rng=gen,
                 data=data,
                 ambient=ambient,
-                chain=chains[pos],
+                chain=chain,
                 received=received,
             )
             values[pos] = scenario.measure(run, **scenario.measure_params)
-
-
-def _flush_envelope_run(
-    run_indices: List[int],
-    fadings: Dict[int, object],
-    iq_size: Dict[int, int],
-    envelopes: Dict[int, np.ndarray],
-) -> None:
-    """Draw one grid-order run of fading envelopes as a stacked synthesis."""
-    if not run_indices:
-        return
-    stack = stack_envelopes(
-        [fadings[i] for i in run_indices], iq_size[run_indices[0]], MPX_RATE_HZ
-    )
-    for k, i in enumerate(run_indices):
-        envelopes[i] = stack[k]

@@ -258,9 +258,10 @@ class CachedAmbient:
     def composite_key(self, front_end, payload_audio: np.ndarray) -> tuple:
         """The deterministic cache key of a (front end, payload) composite.
 
-        Exposed so sweep backends can warm a persistent
-        :class:`~repro.engine.store.CacheStore` with exactly the entries
-        their workers will ask for.
+        The one place the key is derived: :meth:`modulated_composite` and
+        the launcher's store warm-up
+        (:func:`~repro.engine.process_backend.warm_store`) both call it,
+        so the warm-up fills exactly the entries the workers will ask for.
         """
         duration_s = payload_audio.size / self.audio_rate
         return (
@@ -272,22 +273,20 @@ class CachedAmbient:
             payload_fingerprint(payload_audio),
         )
 
-    def modulated_composite(self, chain, payload_audio: np.ndarray) -> np.ndarray:
-        """FM-modulated composite carrier for (chain front end, payload).
+    def modulated_composite(self, front_end, payload_audio: np.ndarray) -> np.ndarray:
+        """FM-modulated composite carrier for (front end, payload).
 
-        The front end — ambient program, device baseband, composite MPX,
-        FM modulation — depends only on the chain's program/mode/amplitude
-        configuration and the payload, *not* on power, distance, fading or
-        receiver, so a whole link-budget grid shares one synthesis.
-        ``chain`` may be a full :class:`~repro.experiments.common.ExperimentChain`
-        or just its :class:`~repro.experiments.common.FrontEndStage` —
-        both expose the same front-end surface.
+        The front end (a :class:`~repro.experiments.common.FrontEndStage`:
+        ambient program, device baseband, composite MPX, FM modulation)
+        depends only on the chain's program/mode/amplitude configuration
+        and the payload, *not* on power, distance, fading or receiver, so
+        a whole link-budget grid shares one synthesis.
         """
         duration_s = payload_audio.size / self.audio_rate
-        key = self.composite_key(chain, payload_audio)
+        key = self.composite_key(front_end, payload_audio)
 
         def factory() -> np.ndarray:
-            ambient = self.mpx(chain.program, chain.station_stereo, duration_s)
-            return chain.modulate_with_ambient(ambient, payload_audio)
+            ambient = self.mpx(front_end.program, front_end.station_stereo, duration_s)
+            return front_end.modulate_with_ambient(ambient, payload_audio)
 
         return self.cache.get(key, factory)

@@ -334,8 +334,8 @@ class DeploymentScenario:
     """N devices + a channel plan + a receiver, as a sweepable scenario.
 
     :meth:`compile` lowers the deployment onto the ordinary
-    :class:`~repro.engine.scenario.Scenario` machinery, in the picklable
-    spec form (module-level measure, plain-data ``measure_params``,
+    :class:`~repro.engine.scenario.Scenario` machinery, picklable
+    (module-level measure, plain-data ``measure_params``,
     :class:`AxisRef` RNG template), so the compiled sweep runs under
     every runner setting and on the launcher's worker processes, and
     every grid point shares one cached ambient synthesis.

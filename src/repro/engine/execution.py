@@ -36,28 +36,6 @@ def make_ambient(
     return ambient
 
 
-def composite_entry(
-    scenario: Scenario,
-    point: GridPoint,
-    payload: np.ndarray,
-    cache: Optional[AmbientCache],
-    ambient_master: int,
-):
-    """The point's (ambient view, front end, composite cache key) triple.
-
-    One place derives the deterministic key a point's front-end composite
-    lives under, so the launcher's store warm-up can never
-    disagree with execution about which entry a point will request.
-    Builds only cheap value objects — no synthesis happens here.
-    """
-    from repro.experiments.common import ExperimentChain
-
-    front_end = ExperimentChain(**scenario.chain_kwargs(point)).front_end()
-    ambient = make_ambient(scenario, point, cache, ambient_master)
-    key = ambient.composite_key(front_end, payload)
-    return ambient, front_end, key
-
-
 def execute_point(
     scenario: Scenario,
     point: GridPoint,

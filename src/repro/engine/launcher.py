@@ -55,9 +55,10 @@ front end, via :func:`~repro.engine.process_backend.warm_store`);
 workers anywhere then load bytes instead of synthesizing, and a warm
 re-run performs zero syntheses.
 
-It is the engine's one multi-process fan-out; :func:`require_shippable`
-refuses a live stateful fading model before any fork (each worker would
-draw from its own copy), here and at the service's ``submit``.
+It is the engine's one multi-process fan-out;
+:meth:`~repro.engine.scenario.Scenario.require_picklable` refuses an
+unpicklable scenario or a live stateful fading model before any fork,
+here and at the service's ``submit``.
 
 Chaos: ``REPRO_FAULTS`` (:mod:`repro.engine.faults`) injects worker
 kills, forced stragglers, dropped results, torn cache writes and
@@ -85,7 +86,6 @@ from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 from repro.engine.cache import AmbientCache, stats_delta
 from repro.engine.faults import active_plan
 from repro.engine.journal import JobJournal
-from repro.engine.planner import live_fading_model
 from repro.engine.results import SweepResult
 from repro.engine.runner import AUTO_BACKEND, default_backend, derive_streams, run_points
 from repro.engine.scenario import Scenario
@@ -227,25 +227,6 @@ def check_launch_settings(
     ):
         if value is not None and value <= 0:
             raise ConfigurationError(f"{name} must be positive, got {value}")
-
-
-def require_shippable(scenario: Scenario) -> bytes:
-    """The pickle workers rebuild ``scenario`` from, once it is safe to ship.
-
-    Raises:
-        ConfigurationError: if a live stateful fading model is on any
-            link — each worker would unpickle its own copy and draw from
-            it out of grid order — or the scenario is not picklable.
-    """
-    model = live_fading_model(scenario, scenario.sweep.points())
-    if model is not None:
-        raise ConfigurationError(
-            f"the launcher cannot reproduce the grid-order draws of the live fading "
-            f"model {type(model).__name__} in scenario {scenario.name!r}: each worker "
-            "would draw from its own copy; declare the fading as a MotionFadingSpec "
-            "(repro.channel.fading), which resolves per point, or use SweepRunner"
-        )
-    return scenario.require_picklable()
 
 
 def _keep(result: SweepResult, positions: Sequence[int]) -> SweepResult:
@@ -407,9 +388,9 @@ def launch_sweep(
     """Execute one scenario's grid across worker processes, shard by shard.
 
     Args:
-        scenario: the declarative sweep; must be in the picklable spec
-            form, with no live stateful fading model on any link
-            (validated up front via :func:`require_shippable`).
+        scenario: the declarative sweep; must be picklable, with no live
+            stateful fading model on any link (validated up front via
+            :meth:`~repro.engine.scenario.Scenario.require_picklable`).
         rng: sweep-level seed or Generator — the same argument a
             :class:`~repro.engine.runner.SweepRunner` takes, producing
             the same streams: the merged result is bit-identical to a
@@ -457,7 +438,7 @@ def launch_sweep(
     if journal is not None and job_id is None:
         raise ConfigurationError("journal= requires job_id= to key the records")
     active_plan()  # fail fast on a malformed chaos knob, before any fork
-    blob = require_shippable(scenario)
+    blob = scenario.require_picklable()
     # Resolved once, here, so a malformed REPRO_SWEEP_BACKEND fails before
     # any fork.
     setting = default_backend() or AUTO_BACKEND

@@ -34,16 +34,10 @@ The plan's *units* go to the runner's thread pool
 together are one unit (one batched call, so one partition's stacks are
 live at a time); under ``auto`` each serial point is a unit of its own,
 and under the other settings all serial points are one unit. Each unit
-runs on the same pre-derived per-point seeds, so results stay
-bit-identical in grid order at any pool size.
-
-A grid with a *live* stateful fading model on any link cannot be split
-into concurrent units: such a model consumes its random stream in grid
-order across points. Under ``auto`` its partitions must then agree — if
-their choices differ, the whole grid runs ``serial`` (reason
-``"live-fading"``) — and the whole grid is one sequential unit. Frozen
-declarative specs (:class:`~repro.channel.fading.MotionFadingSpec`)
-resolve from each point's own stream and split freely.
+runs on the same pre-derived per-point seeds (fading included: a
+scenario's chain carries only declarative fading specs, which each point
+resolves from its own stream), so results stay bit-identical in grid
+order at any pool size.
 """
 
 from __future__ import annotations
@@ -157,29 +151,6 @@ class SweepPlan:
     units: List[Unit]
 
 
-def _is_live_fading(fading: object) -> bool:
-    """A stateful model instance (vs a frozen per-point-resolved spec)."""
-    return fading is not None and hasattr(fading, "envelope")
-
-
-def live_fading_model(
-    scenario: Scenario, points: Sequence[GridPoint]
-) -> Optional[object]:
-    """The first live stateful fading model on any point's link, if any.
-
-    Such a model draws its random stream in grid order across points, so
-    a grid carrying one cannot be split into concurrent units or shipped
-    to worker processes without changing its values.
-    """
-    if not scenario.uses_chain:
-        return None
-    for point in points:
-        fading = scenario.chain_kwargs(point).get("fading")
-        if _is_live_fading(fading):
-            return fading
-    return None
-
-
 def partition_points(
     scenario: Scenario, data: Dict[str, object], points: Sequence[GridPoint]
 ) -> List[Tuple[str, int, bool, List[int]]]:
@@ -187,7 +158,7 @@ def partition_points(
 
     The one partition key: front-end key, ambient variant, payload length
     and identity, receiver kind and decode mode. Built from chain and
-    stage value objects only — never synthesizing a waveform or building
+    front-end value objects only — never synthesizing a waveform or building
     a receiver, so no random stream is drawn.
 
     Returns:
@@ -206,7 +177,7 @@ def partition_points(
         # row by row, so they do not split a stack.
         stereo = chain.receiver_kind == "car" or chain.stereo_decode
         key = (
-            chain.front_end_key(),
+            chain.front_end(),
             scenario.variant_for(point),
             payload.shape[-1],
             id(payload),
@@ -274,13 +245,6 @@ def plan_sweep(
         choices = [
             choose_backend(n_samples, stereo) for _, n_samples, stereo, _ in partitions
         ]
-    splittable = setting == "auto" and live_fading_model(scenario, points) is None
-    if not splittable and len(set(backend for backend, _ in choices)) > 1:
-        # A live stateful fading model consumes its stream in grid order
-        # across the whole grid: run it all serially, so the consumption
-        # order matches a pure single-backend run.
-        choices = [("serial", "live-fading")] * len(partitions)
-
     decisions = [
         PlanDecision(
             partition=label,
@@ -305,7 +269,7 @@ def plan_sweep(
     # partition's stacks are live at a time. It is submitted first, as it
     # is usually the longest.
     units = [Unit(partitions=batched)] if batched else []
-    if splittable:
+    if setting == "auto":
         units += [Unit(positions=(pos,)) for pos in serial]
     elif serial:
         units.append(Unit(positions=tuple(serial)))

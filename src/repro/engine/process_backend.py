@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Dict, Sequence
 
 from repro.engine.cache import AmbientCache
-from repro.engine.execution import composite_entry
+from repro.engine.execution import make_ambient
 from repro.engine.scenario import GridPoint, Scenario
 from repro.engine.store import CacheStore
 
@@ -38,6 +38,8 @@ def warm_store(
     transmit internally warm the store lazily from whichever worker
     synthesizes first. Returns the number of entries ensured.
     """
+    from repro.experiments.common import ExperimentChain
+
     ensured = 0
     seen = set()
     if not scenario.cache_ambient or scenario.measure_driven:
@@ -45,9 +47,9 @@ def warm_store(
 
     for point in points:
         payload = scenario.payload_for(point, data)
-        ambient, front_end, key = composite_entry(
-            scenario, point, payload, cache, ambient_master
-        )
+        front_end = ExperimentChain(**scenario.chain_kwargs(point)).front_end()
+        ambient = make_ambient(scenario, point, cache, ambient_master)
+        key = ambient.composite_key(front_end, payload)
         if key in seen:
             continue
         seen.add(key)

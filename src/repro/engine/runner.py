@@ -36,12 +36,10 @@
 :func:`run_units` is a thread pool with one thread per available CPU,
 capped at the number of units; ``max_workers`` or
 ``REPRO_SWEEP_WORKERS`` sets the count instead, and a pool of one (as
-for the single unit of ``serial`` and ``batched``) runs inline. A grid
-with a live stateful fading model on any link is one sequential unit,
-because such a model draws its stream in grid order across points and
-concurrent units would reorder the draws. Everything else may run
-concurrently: each point's stream is derived before execution, and the
-ambient cache and the DSP plan cache lock. Multi-process execution is
+for the single unit of ``serial`` and ``batched``) runs inline. Units
+may run concurrently: each point's stream is derived before execution
+(a fading spec on the chain resolves from it too), and the ambient
+cache and the DSP plan cache lock. Multi-process execution is
 the distributed launcher's job (:mod:`repro.engine.launcher`).
 
 Select with the ``backend`` argument or the ``REPRO_SWEEP_BACKEND``
@@ -60,6 +58,7 @@ survive the process.
 
 from __future__ import annotations
 
+import numbers
 import operator
 import os
 import time
@@ -126,9 +125,7 @@ def run_units(
 
     Units run concurrently, the points inside one unit in order. Every
     point's stream is pre-derived, so values are bit-identical to a
-    serial run whatever the pool size, as long as nothing shared draws
-    random numbers across units: a live stateful fading model must be
-    confined to one unit by the caller.
+    serial run whatever the pool size.
 
     Returns:
         ``(values, n_workers)`` — values in grid order, and the pool size
@@ -259,10 +256,11 @@ class SweepRunner:
         cache: ambient cache to share; defaults to the process-wide one,
             so repeated runs with the same seed hit instead of refill.
         max_workers: size of the thread pool :func:`run_units` runs
-            ``auto``'s units on; ``None`` reads ``REPRO_SWEEP_WORKERS``,
-            and when that is unset too, the pool sizes itself to the
-            CPUs (see :func:`pool_size`). Results are identical at any
-            count.
+            ``auto``'s units on, a positive int (anything else raises
+            :class:`~repro.errors.ConfigurationError`); ``None`` reads
+            ``REPRO_SWEEP_WORKERS``, and when that is unset too, the pool
+            sizes itself to the CPUs (see :func:`pool_size`). Results are
+            identical at any count.
         backend: one of :data:`BACKEND_CHOICES`; ``None`` reads
             ``REPRO_SWEEP_BACKEND`` and finally falls back to ``auto`` —
             the planner picks per partition, and its decisions land on
@@ -282,9 +280,13 @@ class SweepRunner:
         self.cache = cache
         if max_workers is None and os.environ.get(WORKERS_ENV_VAR, "").strip():
             max_workers = default_max_workers()
-        self.max_workers: Optional[int] = (
-            None if max_workers is None else max(1, int(max_workers))
-        )
+        if max_workers is not None and (
+            not isinstance(max_workers, numbers.Integral) or max_workers < 1
+        ):
+            raise ConfigurationError(
+                f"max_workers must be a positive int, got {max_workers!r}"
+            )
+        self.max_workers = max_workers
         if backend is not None and backend not in BACKEND_CHOICES:
             raise ConfigurationError(
                 f"backend must be one of {BACKEND_CHOICES}, got {backend!r}"

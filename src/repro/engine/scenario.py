@@ -124,7 +124,7 @@ class PointRun:
             attach it or derive per-transmission variants via
             ``ambient.with_variant(...)``.
         chain: the pre-built :class:`~repro.experiments.common.ExperimentChain`
-            for scenarios that declare ``chain_params`` (``None`` otherwise).
+            for scenarios that declare a chain (``None`` otherwise).
         received: the chain's decoded output for scenarios that declare a
             ``payload`` — the runner performs the transmission itself (so
             backends can batch or ship it) and the measure only scores.
@@ -143,9 +143,9 @@ class PointRun:
 class AxisRef:
     """Declarative reference to an axis value, resolved per grid point.
 
-    The spec-based counterpart of ``lambda p: p[name]``: templates built
-    from :class:`AxisRef` and literals are plain data, so a scenario
-    using them pickles cleanly into the launcher's worker processes.
+    Templates built from :class:`AxisRef` and literals are plain data, so
+    a scenario using them pickles cleanly into the launcher's worker
+    processes.
     """
 
     name: str
@@ -182,23 +182,18 @@ class PayloadSelector:
             ) from None
 
 
-def _default_rng_keys(scenario: "Scenario", point: GridPoint) -> Tuple[object, ...]:
-    return (scenario.name,) + point.values
-
-
 @dataclass
 class Scenario:
     """Declarative description of one experiment sweep.
 
-    Two styles coexist. The original *callable* style (``chain_params`` /
-    ``rng_keys`` / ``ambient_variant`` as lambdas) is concise but closes
-    over local state, so such scenarios can only run in-process. The
-    *spec* style expresses the same per-point wiring as plain data —
-    ``chain_axes`` / ``chain_value_params`` for chain kwargs,
-    :class:`AxisRef` templates for RNG keys and variants, a module-level
-    ``measure`` with ``measure_params``, and a ``payload`` key — which
-    makes the scenario picklable, so grid points can be shipped to the
-    launcher's worker processes or regrouped by the batched executor.
+    Everything but ``prepare`` and ``measure`` is plain data: chain
+    kwargs come from ``base_chain``, ``chain_axes`` and
+    ``chain_value_params``, RNG keys and ambient variants from
+    :class:`AxisRef` templates, and fading on the chain is a declarative
+    spec (:class:`~repro.channel.fading.MotionFadingSpec`). With a
+    module-level ``measure`` and its ``measure_params``, the scenario is
+    picklable, so grid points can be shipped to the launcher's worker
+    processes or regrouped by the batched executor.
 
     Attributes:
         name: scenario label (also the default RNG key prefix).
@@ -214,16 +209,13 @@ class Scenario:
             process; it may be (and usually is) a closure.
         base_chain: common :class:`ExperimentChain` kwargs; ``None`` means
             the scenario does not use runner-built chains.
-        chain_params: per-point chain kwargs merged over ``base_chain``
-            (callable style).
         rng_keys: per-point key tuple fed to
             :func:`repro.utils.rand.child_generator`; defaults to
-            ``(name, *point.values)``. Either a callable or an
-            :class:`AxisRef` template tuple. Figure modules set this to
-            reproduce their legacy derivations.
+            ``(name, *point.values)``. An :class:`AxisRef` template tuple.
+            Figure modules set this to reproduce their legacy derivations.
         ambient_variant: optional per-point cache-key variant so selected
             points (e.g. MRC repetitions) get independent ambient program
-            audio instead of sharing one synthesis. A callable, a single
+            audio instead of sharing one synthesis. A single
             :class:`AxisRef`, or a template tuple.
         cache_ambient: share ambient MPX / modulated carriers across grid
             points through the runner's cache (the legacy loops
@@ -231,9 +223,7 @@ class Scenario:
         measure_params: extra keyword arguments for ``measure`` (modems,
             tone frequencies, ...); must be picklable for the
             launcher.
-        chain_axes: axis names copied verbatim into the chain kwargs
-            (spec-style replacement for the common
-            ``lambda p: {"power_dbm": p["power_dbm"], ...}``).
+        chain_axes: axis names copied verbatim into the chain kwargs.
         chain_value_params: ``{axis: {value: {kwarg: value}}}`` — chain
             kwargs switched by an axis value (receiver band, backscatter
             mode, panel program, ...), merged after ``chain_axes``.
@@ -250,13 +240,8 @@ class Scenario:
     measure: Callable[..., object]
     prepare: Optional[Callable[[np.random.Generator], Dict[str, object]]] = None
     base_chain: Optional[Dict[str, object]] = None
-    chain_params: Optional[Callable[[GridPoint], Dict[str, object]]] = None
-    rng_keys: Optional[
-        Union[Callable[[GridPoint], Tuple[object, ...]], Tuple[object, ...]]
-    ] = None
-    ambient_variant: Optional[
-        Union[Callable[[GridPoint], object], AxisRef, Tuple[object, ...]]
-    ] = None
+    rng_keys: Optional[Tuple[object, ...]] = None
+    ambient_variant: Optional[Union[AxisRef, Tuple[object, ...]]] = None
     cache_ambient: bool = True
     measure_params: Dict[str, object] = field(default_factory=dict)
     chain_axes: Tuple[str, ...] = ()
@@ -265,20 +250,24 @@ class Scenario:
     )
     payload: Optional[Union[str, PayloadSelector]] = None
 
+    def __post_init__(self) -> None:
+        for name in ("rng_keys", "ambient_variant"):
+            if callable(getattr(self, name)):
+                raise ConfigurationError(
+                    f"scenario {self.name!r}: {name} must be an AxisRef template, "
+                    "not a callable"
+                )
+
     def point_rng_keys(self, point: GridPoint) -> Tuple[object, ...]:
-        if callable(self.rng_keys):
-            return tuple(self.rng_keys(point))
         if self.rng_keys is not None:
             return resolve_template(self.rng_keys, point)
-        return _default_rng_keys(self, point)
+        return (self.name,) + point.values
 
     def variant_for(self, point: GridPoint) -> object:
         """The point's ambient-variant value (``ambient_variant`` resolved)."""
         spec = self.ambient_variant
         if isinstance(spec, AxisRef):
             return point[spec.name]
-        if callable(spec):
-            return spec(point)
         if spec is not None:
             return resolve_template(spec, point)
         return None
@@ -300,12 +289,18 @@ class Scenario:
     def uses_chain(self) -> bool:
         return (
             self.base_chain is not None
-            or self.chain_params is not None
             or bool(self.chain_axes)
             or bool(self.chain_value_params)
         )
 
     def chain_kwargs(self, point: GridPoint) -> Dict[str, object]:
+        """The point's :class:`ExperimentChain` kwargs.
+
+        Raises:
+            ConfigurationError: if the chain's ``fading`` is a live model
+                (anything with ``envelope``): it would draw its stream in
+                execution order across points.
+        """
         kwargs: Dict[str, object] = dict(self.base_chain or {})
         for axis in self.chain_axes:
             kwargs[axis] = point[axis]
@@ -317,8 +312,15 @@ class Scenario:
                 raise ConfigurationError(
                     f"chain_value_params[{axis!r}] has no entry for {value!r}"
                 ) from None
-        if self.chain_params is not None:
-            kwargs.update(self.chain_params(point))
+        fading = kwargs.get("fading")
+        if hasattr(fading, "envelope"):
+            raise ConfigurationError(
+                f"scenario {self.name!r} puts the live fading model "
+                f"{type(fading).__name__} on its chain, which would draw its "
+                "stream in execution order across points; declare the fading "
+                "as a MotionFadingSpec (repro.channel.fading), which each point "
+                "resolves from its own stream"
+            )
         return kwargs
 
     def payload_for(
@@ -351,17 +353,19 @@ class Scenario:
     def require_picklable(self) -> bytes:
         """Pickle the shippable form, or explain what to migrate.
 
+        Resolves every point's chain kwargs first, so a live fading model
+        is refused (:meth:`chain_kwargs`) before any worker is started.
         Returns the pickle so callers dispatching to worker processes can
         ship exactly what was validated.
         """
+        if self.uses_chain:
+            for point in self.sweep.points():
+                self.chain_kwargs(point)
         try:
             return pickle.dumps(self.shippable())
         except Exception as exc:
             raise ConfigurationError(
                 f"scenario {self.name!r} cannot be shipped to worker processes "
-                f"({exc}); replace closures with the declarative spec form — "
-                "chain_axes/chain_value_params for chain kwargs, AxisRef "
-                "templates for rng_keys/ambient_variant, and a module-level "
-                "measure with measure_params — or run it in-process with "
-                "SweepRunner"
+                f"({exc}); use a module-level measure with measure_params, "
+                "or run it in-process with SweepRunner"
             ) from None

@@ -55,9 +55,7 @@ from typing import Dict, List, Optional
 
 from repro.engine.journal import JobJournal
 from repro.errors import ConfigurationError
-from repro.engine.launcher import (
-    LaunchReport, check_launch_settings, launch_sweep, require_shippable,
-)
+from repro.engine.launcher import LaunchReport, check_launch_settings, launch_sweep
 from repro.engine.scenario import Scenario
 from repro.engine.store import env_cache_dir
 from repro.utils.rand import RngLike, as_generator
@@ -214,13 +212,13 @@ class SweepService:
 
         Validates up front what the launcher cannot work without — a
         picklable scenario with no live stateful fading model (see
-        :func:`~repro.engine.launcher.require_shippable`) — so such a
+        :meth:`~repro.engine.scenario.Scenario.require_picklable`) — so such a
         scenario fails at the front door with a migration hint instead
         of inside a worker. With a journal attached, the submission is
         durable before this returns: the scenario and the *pristine* rng
         state are journaled, so a crash one instant later loses nothing.
         """
-        require_shippable(scenario)
+        scenario.require_picklable()
         job_id = self._next_job_id(scenario.name)
         # Normalize the seed to a Generator *now* and journal that exact
         # state: replaying the journal then reproduces the very streams

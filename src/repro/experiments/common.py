@@ -10,21 +10,19 @@ wave mixing in the test suite) lets the chain build the composite MPX
 directly: the receiver tuned to ``fc + fback`` demodulates
 ``FMaudio + FMback`` plus RF noise set by the link budget.
 
-The chain is a *staged link pipeline*: :class:`FrontEndStage` (station
-MPX + device baseband + FM composite), :class:`LinkStage` (budget,
-fading, noise) and :class:`ReceiveStage` (demod + audio) are picklable
-dataclass configs, each with a pure ``apply(state, rng)`` that advances
-a :class:`ChainState`. :class:`ExperimentChain` is the user-facing bundle
-that derives the three stages and the per-stage child generators; the
-sweep engine's distributed launcher ships stage configs across process
-boundaries, and its batched executor re-groups them (one shared front
-end, vectorized link + receive) without re-deriving any of the physics.
+The front end (:class:`FrontEndStage`: station MPX + device baseband +
+FM composite) is a picklable value object, shared by every grid point
+whose power, distance, fading or receiver differ. The link and the
+receiver run through :func:`receive_over_link`, whose one-row call is
+:meth:`ExperimentChain.transmit` and whose many-row call is the sweep
+engine's batched executor, on the per-transmission streams of
+:meth:`ExperimentChain.stage_streams`.
 """
 
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
@@ -33,12 +31,7 @@ from repro.backscatter.dco import CapacitorBankDco
 from repro.backscatter.device import BackscatterDevice, BackscatterMode
 from repro.backscatter.modulator import composite_mpx
 from repro.channel.antenna import Antenna, CAR_WHIP, DIPOLE_POSTER, HEADPHONE_WIRE
-from repro.channel.link import (
-    BackscatterLink,
-    LinkBudget,
-    fading_envelope,
-    transmit_batch,
-)
+from repro.channel.link import LinkBudget, fading_envelope, transmit_batch
 from repro.constants import AUDIO_RATE_HZ, MPX_RATE_HZ
 from repro.data.ber import bit_error_rate
 from repro.errors import ConfigurationError
@@ -54,11 +47,8 @@ from repro.utils.rand import RngLike, as_generator, child_generator
 class AmbientSource(Protocol):
     """Provider of pre-synthesized ambient-station material.
 
-    Implemented by :class:`repro.engine.cache.CachedAmbient`. The front
-    end hands it either itself (a :class:`FrontEndStage`) or a full
-    :class:`ExperimentChain` — both expose the same front-end surface
-    (``program`` / ``station_stereo`` / ``front_end_key()`` /
-    ``modulate_with_ambient``).
+    Implemented by :class:`repro.engine.cache.CachedAmbient`; the front
+    end hands it itself.
     """
 
     def modulated_composite(
@@ -66,29 +56,6 @@ class AmbientSource(Protocol):
     ) -> np.ndarray:
         """FM-modulated composite carrier for (front end, payload)."""
         ...
-
-
-@dataclass(frozen=True)
-class ChainState:
-    """The value threaded through the staged link pipeline.
-
-    Each stage's ``apply`` consumes the fields filled by the previous
-    stage and returns a new state with its own output attached, so a
-    partially-applied pipeline (e.g. the batched backend replacing the
-    link + receive stages with vectorized equivalents) is just a state
-    with the remaining fields still ``None``.
-
-    Attributes:
-        payload_audio: the device payload at the audio rate (input).
-        iq: FM-modulated composite envelope (after the front end).
-        rx_iq: faded / noise-corrupted envelope (after the link).
-        received: decoded receiver output (after the receive stage).
-    """
-
-    payload_audio: np.ndarray
-    iq: Optional[np.ndarray] = None
-    rx_iq: Optional[np.ndarray] = None
-    received: Optional[ReceivedAudio] = None
 
 
 @dataclass(frozen=True)
@@ -134,14 +101,14 @@ class FrontEndStage:
 
     def apply(
         self,
-        state: ChainState,
+        payload_audio: np.ndarray,
         rng: RngLike = None,
         ambient: Optional[AmbientSource] = None,
-    ) -> ChainState:
-        """Synthesize (or fetch) the composite envelope for the payload.
+    ) -> np.ndarray:
+        """The composite envelope for ``payload_audio``, synthesized or fetched.
 
         Args:
-            state: pipeline state carrying ``payload_audio``.
+            payload_audio: the device payload at the audio rate.
             rng: the station child generator (used only when synthesizing;
                 a cached ambient source replaces the synthesis entirely,
                 and the caller derives the child either way so downstream
@@ -150,65 +117,14 @@ class FrontEndStage:
                 composite comes from its cache — synthesized once per
                 sweep — instead of being rebuilt per call.
         """
-        payload = state.payload_audio
         if ambient is not None:
-            iq = ambient.modulated_composite(self, payload)
-        else:
-            duration_s = payload.size / AUDIO_RATE_HZ
-            station = FMStation(
-                StationConfig(program=self.program, stereo=self.station_stereo),
-                rng=rng,
-            )
-            iq = self.modulate_with_ambient(station.mpx(duration_s), payload)
-        return replace(state, iq=iq)
-
-
-@dataclass(frozen=True)
-class LinkStage:
-    """Link budget + optional fading + AWGN at the budget's RF SNR.
-
-    ``fading`` may be a live :class:`FadingModel` or a declarative
-    :class:`~repro.channel.fading.MotionFadingSpec`; the link resolves a
-    spec per transmission from the stage generator, so spec-carrying
-    stages are picklable and order-independent across backends.
-    """
-
-    budget: LinkBudget
-    fading: Optional[object] = None
-
-    def apply(self, state: ChainState, rng: RngLike = None) -> ChainState:
-        """Pass the composite envelope through the physical channel."""
-        link = BackscatterLink(self.budget, fading=self.fading)
-        rx_iq = link.transmit(state.iq, MPX_RATE_HZ, rng=rng)
-        return replace(state, rx_iq=rx_iq)
-
-
-@dataclass(frozen=True)
-class ReceiveStage:
-    """Receiver selection + demodulation + audio decoding."""
-
-    receiver_kind: str = "smartphone"
-    stereo_decode: bool = True
-    agc: bool = False
-
-    def build_receiver(self, rng: RngLike = None) -> FMReceiver:
-        """Construct the configured receiver with its child generator.
-
-        Consumes one draw from ``rng`` (the chain generator) to derive
-        the receiver's noise stream — the same draw the monolithic chain
-        always made, which keeps stage-wise and end-to-end runs
-        bit-identical.
-        """
-        if self.receiver_kind == "car":
-            return CarReceiver(rng=child_generator(rng, "car"))
-        rx = SmartphoneReceiver(agc_enabled=self.agc, rng=child_generator(rng, "phone"))
-        rx.stereo_capable = self.stereo_decode
-        return rx
-
-    def apply(self, state: ChainState, rng: RngLike = None) -> ChainState:
-        """Demodulate and decode the received envelope into audio."""
-        receiver = self.build_receiver(rng)
-        return replace(state, received=receiver.receive(state.rx_iq))
+            return ambient.modulated_composite(self, payload_audio)
+        duration_s = payload_audio.size / AUDIO_RATE_HZ
+        station = FMStation(
+            StationConfig(program=self.program, stereo=self.station_stereo),
+            rng=rng,
+        )
+        return self.modulate_with_ambient(station.mpx(duration_s), payload_audio)
 
 
 @dataclass
@@ -229,9 +145,10 @@ class ExperimentChain:
             :class:`~repro.channel.link.FadingModel` (stateful RNG) or a
             declarative :class:`~repro.channel.fading.MotionFadingSpec`,
             which the link resolves per transmission from its own
-            generator. Prefer the spec in sweep scenarios: it is
-            picklable and order-independent, so fading grids batch on
-            the vectorized backend and stay bit-identical on every one.
+            generator. A sweep scenario's chain takes only the spec
+            (:meth:`~repro.engine.scenario.Scenario.chain_kwargs`): each
+            point resolves it from its own stream, so fading grids batch
+            and stay bit-identical on every setting.
         stereo_decode: receiver attempts stereo decoding (needed for
             stereo-backscatter modes; skipping it avoids the pilot PLL on
             mono-band experiments).
@@ -244,7 +161,7 @@ class ExperimentChain:
             :class:`~repro.engine.cache.CachedAmbient`). When set,
             :meth:`transmit` takes its FM-modulated composite from the
             source — synthesized once per sweep — instead of rebuilding
-            the whole front end per call. The link and receiver stages
+            the whole front end per call. The link and the receiver
             still draw from the per-call ``rng`` exactly as before.
     """
 
@@ -280,10 +197,10 @@ class ExperimentChain:
                 f"distance_ft must be positive, got {self.distance_ft!r}"
             )
 
-    # -- stage derivation --------------------------------------------------
+    # -- configuration -----------------------------------------------------
 
     def front_end(self) -> FrontEndStage:
-        """The picklable front-end stage this chain configures."""
+        """The picklable front end this chain configures."""
         return FrontEndStage(
             program=self.program,
             station_stereo=self.station_stereo,
@@ -312,43 +229,21 @@ class ExperimentChain:
             receiver_antenna=HEADPHONE_WIRE,
         )
 
-    def link_stage(self) -> LinkStage:
-        """The picklable link stage this chain configures."""
-        return LinkStage(budget=self.link_budget(), fading=self.fading)
+    def build_receiver(self, rng: RngLike = None) -> FMReceiver:
+        """Construct the configured receiver with its child generator.
 
-    def receive_stage(self) -> ReceiveStage:
-        """The picklable receive stage this chain configures."""
-        return ReceiveStage(
-            receiver_kind=self.receiver_kind,
-            stereo_decode=self.stereo_decode,
-            agc=self.agc,
-        )
-
-    # -- front-end conveniences (delegate to the stage) --------------------
+        Consumes one draw from ``rng`` (the chain generator) to derive
+        the receiver's noise stream.
+        """
+        if self.receiver_kind == "car":
+            return CarReceiver(rng=child_generator(rng, "car"))
+        rx = SmartphoneReceiver(agc_enabled=self.agc, rng=child_generator(rng, "phone"))
+        rx.stereo_capable = self.stereo_decode
+        return rx
 
     def rf_snr_db(self) -> float:
         """RF SNR of the backscattered channel (link-budget output)."""
         return self.link_budget().rf_snr_db()
-
-    def front_end_key(self) -> Tuple[object, ...]:
-        """Cache key of everything the transmit front end depends on.
-
-        The ambient program, device baseband, composite MPX and FM
-        modulation are functions of these fields plus the payload — not
-        of power, distance, fading or receiver — so a whole link-budget
-        grid can share one front-end synthesis.
-        """
-        return self.front_end().front_end_key()
-
-    def device_baseband(self, payload_audio: np.ndarray) -> np.ndarray:
-        """Render the device-side baseband ``FMback`` for one payload."""
-        return self.front_end().device_baseband(payload_audio)
-
-    def modulate_with_ambient(
-        self, ambient_mpx: np.ndarray, payload_audio: np.ndarray
-    ) -> np.ndarray:
-        """FM-modulated composite of an ambient MPX plus the payload."""
-        return self.front_end().modulate_with_ambient(ambient_mpx, payload_audio)
 
     # -- end-to-end execution ----------------------------------------------
 
@@ -359,7 +254,7 @@ class ExperimentChain:
 
         Draws from ``rng``, in this order: the station child, the link
         child, then the receiver's own child (inside
-        :meth:`ReceiveStage.build_receiver`). :meth:`transmit` and the
+        :meth:`build_receiver`). :meth:`transmit` and the
         sweep engine's batched backend both call this, so the order
         lives here alone and a batched row draws exactly what the
         point's own :meth:`transmit` would. The station child is derived
@@ -372,14 +267,14 @@ class ExperimentChain:
         gen = as_generator(rng)
         station_rng = child_generator(gen, "station")
         link_rng = child_generator(gen, "link")
-        return station_rng, link_rng, self.receive_stage().build_receiver(gen)
+        return station_rng, link_rng, self.build_receiver(gen)
 
     def transmit(
         self, payload_audio: np.ndarray, rng: RngLike = None
     ) -> ReceivedAudio:
         """Run one end-to-end transmission and return the received audio.
 
-        Applies the front-end stage, then the link and the receiver as
+        Applies the front end, then the link and the receiver as
         the one-row call of :func:`receive_over_link`, on the streams of
         :meth:`stage_streams`, so results are invariant to whether an
         ambient source served the front end.
@@ -390,11 +285,7 @@ class ExperimentChain:
             rng: seed or Generator for the stochastic stages.
         """
         station_rng, link_rng, receiver = self.stage_streams(rng)
-        iq = self.front_end().apply(
-            ChainState(payload_audio=payload_audio),
-            station_rng,
-            ambient=self.ambient_source,
-        ).iq
+        iq = self.front_end().apply(payload_audio, station_rng, self.ambient_source)
         envelope = fading_envelope(self.fading, link_rng, iq.size, MPX_RATE_HZ)
         return receive_over_link(
             iq, [receiver], [self.link_budget()], [link_rng], [envelope]

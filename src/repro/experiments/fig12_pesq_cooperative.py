@@ -97,7 +97,7 @@ def simulate_two_phones(
     # phone draws below stay aligned with the legacy loop.
     station_rng = child_generator(gen, "st")
     if ambient is not None:
-        iq1 = ambient.modulated_composite(chain, payload)
+        iq1 = ambient.modulated_composite(chain.front_end(), payload)
         iq2_clean = ambient.modulated(program, False, duration_s)
     else:
         station = FMStation(

@@ -46,9 +46,9 @@ def measure_fabric_leg(
     Every leg sees fresh fading and its own ambient program (the MRC
     repetitions in particular must not share interference); both streams
     derive from the point generator. Module-level (configuration via
-    ``measure_params``) so the scenario pickles into process workers —
-    the fading chain cannot use the batched backend, but it can fan out
-    across processes.
+    ``measure_params``) so the scenario pickles into the launcher's
+    worker processes; the measure transmits itself, so the grid runs per
+    point on every setting.
     """
     motion = run.point["motion"]
     leg = run.point["leg"]

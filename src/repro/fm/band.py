@@ -16,8 +16,8 @@ rate. It backs three things the narrowband path cannot:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Sequence
 
 import numpy as np
 

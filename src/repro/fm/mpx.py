@@ -14,7 +14,7 @@ respected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 import numpy as np
@@ -29,7 +29,7 @@ from repro.constants import (
 )
 from repro.dsp.filters import bandpass_fir, design_lowpass_fir, filter_signal
 from repro.dsp.resample import resample_by_ratio
-from repro.errors import ConfigurationError, SignalError
+from repro.errors import ConfigurationError
 from repro.utils.validation import ensure_equal_length, ensure_real
 
 

@@ -9,7 +9,7 @@ synchronization for free.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.errors import ConfigurationError
 

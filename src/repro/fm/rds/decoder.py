@@ -8,7 +8,7 @@ block synchronizer driven by the CRC syndromes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
-from repro.fm.rds.crc import append_checkword, block_information
+from repro.fm.rds.crc import append_checkword
 
 PS_NAME_LENGTH = 8
 RADIOTEXT_LENGTH = 64

@@ -11,9 +11,7 @@ band activity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import List, Optional, Sequence, Tuple
 
 from repro.constants import FM_CHANNEL_SPACING_HZ, FM_NUM_CHANNELS
 from repro.errors import ConfigurationError

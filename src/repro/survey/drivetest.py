@@ -10,8 +10,8 @@ per grid cell.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 

@@ -8,7 +8,7 @@ worst case stays under 800 kHz.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 import numpy as np
 

@@ -11,7 +11,7 @@ empty channels for backscatter.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict
 
 import numpy as np
 

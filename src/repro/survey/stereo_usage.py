@@ -10,8 +10,6 @@ band-power ratio over many snapshots.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
-
 import numpy as np
 
 from repro.audio.music import PROGRAM_TYPES, program_material

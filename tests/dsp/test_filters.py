@@ -12,7 +12,7 @@ from repro.dsp.filters import (
     filter_signal,
     highpass_fir,
 )
-from repro.dsp.plan_cache import PLAN_CACHE_ENV_VAR, clear_plan_cache, plan_cache_stats
+from repro.dsp.plan_cache import clear_plan_cache, plan_cache_stats
 from repro.errors import ConfigurationError
 
 FS = 48_000.0
@@ -181,12 +181,16 @@ class TestFftPath:
             assert np.array_equal(out, fftconvolve_reference(taps, x))
         assert list(spectra) == [486_000]
 
-    def test_plan_cache_disabled(self, monkeypatch):
-        monkeypatch.setenv(PLAN_CACHE_ENV_VAR, "0")
+    def test_plan_cache_disabled(self):
+        # A cold cache (cleared before the call) gives the cached result.
         rng = np.random.default_rng(3)
         taps, x = rng.standard_normal(129), rng.standard_normal((2, 3000))
-        assert np.array_equal(filter_signal(taps, x), fftconvolve_reference(taps, x))
-        assert plan_cache_stats()["items"] == 0
+        warm = filter_signal(taps, x)
+        clear_plan_cache()
+        cold = filter_signal(taps, x)
+        assert plan_cache_stats()["hits"] == 0
+        assert np.array_equal(cold, warm)
+        assert np.array_equal(cold, fftconvolve_reference(taps, x))
 
     def test_cached_spectra_are_non_writable_and_reused(self):
         rng = np.random.default_rng(4)

@@ -5,12 +5,7 @@ import pytest
 
 from repro.dsp import plan_cache
 from repro.dsp.filters import bandpass_fir, design_lowpass_fir
-from repro.dsp.plan_cache import (
-    PLAN_CACHE_ENV_VAR,
-    cached_plan,
-    clear_plan_cache,
-    plan_cache_stats,
-)
+from repro.dsp.plan_cache import cached_plan, clear_plan_cache, plan_cache_stats
 from repro.dsp.spectrum import power_spectrum
 
 FS = 48_000.0
@@ -49,7 +44,7 @@ class TestCachedPlan:
             plan[0] = 99.0
 
     def test_lru_evicts_oldest(self, monkeypatch):
-        monkeypatch.setenv(PLAN_CACHE_ENV_VAR, "2")
+        monkeypatch.setattr(plan_cache, "PLAN_CACHE_MAX_ENTRIES", 2)
         cached_plan(("a",), lambda: np.zeros(1))
         cached_plan(("b",), lambda: np.zeros(1))
         cached_plan(("a",), lambda: np.zeros(1))  # refresh a
@@ -72,15 +67,6 @@ class TestCachedPlan:
         assert big.shape == (400,) and not big.flags.writeable
         stats = plan_cache_stats()
         assert stats["items"] == 0 and stats["bytes"] == 0
-
-    def test_zero_capacity_disables_caching(self, monkeypatch):
-        monkeypatch.setenv(PLAN_CACHE_ENV_VAR, "0")
-        calls = []
-        for _ in range(2):
-            plan = cached_plan(("off",), lambda: calls.append(1) or np.arange(2.0))
-            assert not plan.flags.writeable  # identical contract either way
-        assert len(calls) == 2
-        assert plan_cache_stats()["items"] == 0
 
 
 class TestDesignHookup:

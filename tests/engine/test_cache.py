@@ -162,17 +162,17 @@ class TestCachedAmbient:
         ambient = CachedAmbient(AmbientCache(), master_seed=7)
         near = ExperimentChain(power_dbm=-20.0, distance_ft=1, stereo_decode=False)
         far = ExperimentChain(power_dbm=-60.0, distance_ft=20, stereo_decode=False)
-        assert near.front_end_key() == far.front_end_key()
-        a = ambient.modulated_composite(near, short_speech)
-        b = ambient.modulated_composite(far, short_speech)
+        assert near.front_end().front_end_key() == far.front_end().front_end_key()
+        a = ambient.modulated_composite(near.front_end(), short_speech)
+        b = ambient.modulated_composite(far.front_end(), short_speech)
         assert a is b
 
     def test_modulated_composite_distinct_per_front_end(self, short_speech):
         ambient = CachedAmbient(AmbientCache(), master_seed=7)
         full = ExperimentChain(stereo_decode=False)
         damped = ExperimentChain(stereo_decode=False, back_amplitude=0.25)
-        assert full.front_end_key() != damped.front_end_key()
-        ambient.modulated_composite(full, short_speech)
-        ambient.modulated_composite(damped, short_speech)
+        assert full.front_end().front_end_key() != damped.front_end().front_end_key()
+        ambient.modulated_composite(full.front_end(), short_speech)
+        ambient.modulated_composite(damped.front_end(), short_speech)
         # Two composites, one shared ambient MPX between them.
         assert ambient.cache.stats["misses"] == 3

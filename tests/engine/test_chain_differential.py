@@ -8,7 +8,9 @@ asserts the one contract all of them rest on: the ``serial``,
 ``batched`` and ``auto`` backends return bit-identical values, and each
 batched row is exactly the point's own :meth:`ExperimentChain.transmit`.
 The distributed launcher is held to the same contract: two workers under
-each setting, and once with a worker killed mid-grid.
+each setting, and once with a worker killed mid-grid. A fixed grid with
+fading on two partitions checks that each partition's own envelope
+stack reproduces every point's transmission.
 Payloads are at most 0.05 s, so a whole run stays in tier-1's budget.
 """
 
@@ -21,7 +23,9 @@ from repro.audio.tones import tone
 from repro.backscatter.device import BackscatterMode
 from repro.channel.fading import MOTION_PROFILES, MotionFadingSpec
 from repro.constants import AUDIO_RATE_HZ
-from repro.engine import AmbientCache, Scenario, SweepRunner, SweepSpec, launch_sweep
+from repro.engine import (
+    AmbientCache, PayloadSelector, Scenario, SweepRunner, SweepSpec, launch_sweep,
+)
 from repro.engine.execution import make_ambient
 from repro.engine.faults import FAULTS_ENV_VAR
 from repro.engine.runner import BACKEND_ENV_VAR, derive_streams
@@ -109,6 +113,53 @@ def test_backends_and_per_point_transmit_agree(scenario):
         chain.ambient_source = make_ambient(scenario, point, CACHE, ambient_master)
         received = chain.transmit(data["payload"], np.random.default_rng(seeds[i]))
         assert _same(results["batched"].values[i], _reception(received)), i
+
+
+def test_spec_fading_over_two_partitions_agrees():
+    # Two payload lengths interleave in grid order, so the fading points
+    # of the two partitions alternate; each partition draws its members'
+    # envelopes in one stack_envelopes call.
+    payloads = {
+        "short": tone(1000.0, 0.02, AUDIO_RATE_HZ, amplitude=0.9),
+        "long": tone(3000.0, 0.05, AUDIO_RATE_HZ, amplitude=0.9),
+    }
+    fadings = {
+        "none": {"fading": None},
+        **{name: {"fading": MotionFadingSpec(name)} for name in ("walking", "running")},
+    }
+    scenario = Scenario(
+        name="two-partition-fading",
+        sweep=SweepSpec.grid(
+            distance_ft=(2.0, 8.0), row=("short", "long"), motion=tuple(fadings)
+        ),
+        prepare=lambda gen: dict(payloads),
+        base_chain={"program": "silence", "stereo_decode": False, "power_dbm": -40.0},
+        chain_axes=("distance_ft",),
+        chain_value_params={"motion": fadings},
+        payload=PayloadSelector("row", {"short": "short", "long": "long"}),
+        measure=_capture,
+    )
+    results = {
+        backend: SweepRunner(scenario, rng=SEED, cache=CACHE, backend=backend).run()
+        for backend in ("serial", "batched", "auto")
+    }
+    for backend in ("batched", "auto"):
+        assert [d.backend for d in results[backend].plan] == ["batched", "batched"]
+    serial = results["serial"].values
+    for backend in ("batched", "auto"):
+        for i, (got, want) in enumerate(zip(results[backend].values, serial)):
+            assert _same(got, want), (backend, i)
+
+    data, points, seeds, ambient_master = derive_streams(
+        scenario, np.random.default_rng(SEED)
+    )
+    for i, point in enumerate(points):
+        chain = ExperimentChain(**scenario.chain_kwargs(point))
+        chain.ambient_source = make_ambient(scenario, point, CACHE, ambient_master)
+        received = chain.transmit(
+            scenario.payload_for(point, data), np.random.default_rng(seeds[i])
+        )
+        assert _same(serial[i], _reception(received)), i
 
 
 @settings(max_examples=8, deadline=None, derandomize=True, database=None)

@@ -422,8 +422,8 @@ def _process_pool_imports(path: Path):
 class TestOneFanOut:
     def test_only_the_launcher_starts_worker_processes(self):
         # The launcher is the package's one multi-process fan-out: its
-        # retries, store warm-up and live-fading guard would all have to
-        # be repeated by any second one.
+        # retries and store warm-up would both have to be repeated by any
+        # second one.
         root = Path(repro.__file__).parent
         launcher_path = root / "engine" / "launcher.py"
         assert _process_pool_imports(launcher_path)  # the scan sees imports

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.audio.tones import tone
-from repro.channel.fading import BodyMotionFading, MotionFadingSpec
+from repro.channel.fading import MotionFadingSpec
 from repro.constants import AUDIO_RATE_HZ
 from repro.engine import (
     AmbientCache,
@@ -267,55 +267,27 @@ class TestPlanExecution:
         serial = SweepRunner(scenario, rng=SEED, backend="serial").run()
         assert result.values == serial.values
 
-    def test_live_fading_model_forces_uniform_backend(self):
-        # A shared stateful fading model consumes its stream in grid
-        # order across points; a heterogeneous split would reorder the
-        # draws. The planner must run the whole grid serially when the
-        # partitions' individual choices differ (short + long rows here).
-        live = BodyMotionFading("running", rng=7)
+    def test_spec_fading_grid_splits_across_backends(self):
+        # Fading specs resolve from each point's own stream, so a grid
+        # whose partitions choose differently (short + long rows) splits
+        # into a batched unit and one unit per long point.
         short = tone(1000.0, 0.02, AUDIO_RATE_HZ, amplitude=0.9)
         long_ = tone(1000.0, 0.5, AUDIO_RATE_HZ, amplitude=0.9)
         scenario = Scenario(
-            name="live",
+            name="spec-fading",
             sweep=SweepSpec.grid(row=("short", "long"), distance_ft=(2, 4)),
             prepare=lambda gen: {"short": short, "long": long_},
             base_chain={
                 "program": "silence",
                 "stereo_decode": False,
-                "fading": live,
+                "fading": MotionFadingSpec("running"),
             },
             chain_axes=("distance_ft",),
             payload=PayloadSelector("row", {"short": "short", "long": "long"}),
             measure=_mean_abs,
         )
         data, points = _prepared(scenario)
-        # Alone, the partitions would choose differently.
-        assert choose_backend(200, False)[0] == "batched"
-        assert choose_backend(50_000, False)[0] == "batched"
         plan = plan_sweep(scenario, data, points, AmbientCache(), "auto")
-        assert len(plan.decisions) == 2
-        assert {(d.backend, d.reason) for d in plan.decisions} == {
-            ("serial", "live-fading")
-        }
-        # The whole grid is one sequential unit, in grid order.
-        assert plan.units == [Unit(positions=(0, 1, 2, 3))]
-        result = SweepRunner(
-            scenario, rng=SEED, cache=AmbientCache(), backend="auto"
-        ).run()
-        assert result.backend == "auto[serial:4]"
-
-        # The declarative-spec twin of the same grid IS splittable.
-        spec_scenario = Scenario(
-            name="live",
-            sweep=scenario.sweep,
-            prepare=scenario.prepare,
-            base_chain=dict(scenario.base_chain, fading=MotionFadingSpec("running")),
-            chain_axes=("distance_ft",),
-            payload=scenario.payload,
-            measure=_mean_abs,
-        )
-        data, points = _prepared(spec_scenario)
-        plan = plan_sweep(spec_scenario, data, points, AmbientCache(), "auto")
         assert {d.backend for d in plan.decisions} == {"batched", "serial"}
         assert len(plan.units) == 3  # the batched partition + 2 long points
 

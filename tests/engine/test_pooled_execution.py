@@ -6,9 +6,8 @@ together as one more (one batched call, so one partition's stacks are
 live at a time). Values must equal the serial backend's bit for bit at
 any pool size. ``REPRO_SWEEP_WORKERS=2`` forces a two-thread pool, so
 these tests exercise real concurrency on a one-CPU machine too. A live
-stateful fading model draws in grid order across points, so its grid
-must stay one sequential unit (the launcher, whose workers would each
-draw from their own copy, refuses it; see ``test_launcher.py``).
+stateful fading model on a scenario's chain is refused under every
+setting, as it is by the launcher (see ``test_launcher.py``).
 """
 
 import sys
@@ -18,12 +17,13 @@ import numpy as np
 import pytest
 
 from repro.audio.tones import tone
-from repro.channel.fading import BodyMotionFading
+from repro.channel.fading import BodyMotionFading, MotionFadingSpec
 from repro.constants import AUDIO_RATE_HZ
 from repro.engine import AmbientCache, PayloadSelector, Scenario, SweepRunner, SweepSpec
 from repro.engine.execution import execute_point
 from repro.engine.planner import Unit, plan_sweep
 from repro.engine.runner import WORKERS_ENV_VAR, derive_streams, pool_size
+from repro.errors import ConfigurationError
 from repro.experiments import fig08_ber_overlay as fig08
 from repro.experiments import fig13_pesq_stereo as fig13
 from repro.utils.rand import as_generator
@@ -164,40 +164,6 @@ class TestThreadedAuto:
         assert auto.n_workers == 2
         assert auto.values == serial.values
 
-    def test_stereo_live_fading_grid_is_one_unit(self):
-        def scenario():
-            scenario = fig13.build_scenario(
-                "stereo_station", powers_dbm=(-20.0,),
-                distances_ft=(1, 4, 8), duration_s=0.2,
-            )
-            scenario.base_chain = dict(
-                scenario.base_chain, fading=BodyMotionFading("running", rng=7)
-            )
-            return scenario
-
-        serial = _run(scenario(), "serial")
-        auto = _run(scenario(), "auto")
-        assert {d.reason for d in auto.plan} == {"long-rows"}
-        assert auto.n_workers == 1
-        assert auto.values == serial.values
-
-    def test_uniform_live_fading_grid_is_one_unit(self):
-        # Every partition chooses serial ("long-rows"), so the plan's
-        # reasons never mention the fading; the grid must still run as
-        # one sequential unit, or the shared model's draws reorder.
-        def scenario():
-            return _scenario(
-                rows=("long",), distances=(2, 4, 6, 8),
-                fading=BodyMotionFading("running", rng=7),
-            )
-
-        serial = _run(scenario(), "serial")
-        auto = _run(scenario(), "auto")
-        assert auto.backend == "auto[serial:4]"
-        assert {d.reason for d in auto.plan} == {"long-rows"}
-        assert auto.n_workers == 1
-        assert auto.values == serial.values
-
 
 class TestLiveFadingBackends:
     @staticmethod
@@ -207,11 +173,27 @@ class TestLiveFadingBackends:
             fading=BodyMotionFading("running", rng=7),
         )
 
+    @pytest.mark.parametrize("backend", ["serial", "batched", "auto"])
+    def test_live_model_in_chain_kwargs_raises(self, backend):
+        # A shared stateful model would draw its stream in execution
+        # order across points; every setting refuses it before running.
+        scenario = _scenario(fading=BodyMotionFading("running", rng=7))
+        with pytest.raises(ConfigurationError, match="BodyMotionFading.*MotionFadingSpec"):
+            _run(scenario, backend)
+
     def test_auto_pool_matches_serial(self):
-        serial = _run(self._live_scenario(), "serial")
+        # A pool of two refuses the live model as one thread does; its
+        # declarative twin resolves per point, so any pool equals serial.
+        with pytest.raises(ConfigurationError, match="BodyMotionFading.*MotionFadingSpec"):
+            _run(self._live_scenario(), "auto", max_workers=2)
+        spec = _scenario(
+            rows=("short", "long"), distances=(2, 3, 4),
+            fading=MotionFadingSpec("running"),
+        )
+        serial = _run(spec, "serial")
         for _ in range(3):
-            pooled = _run(self._live_scenario(), "auto", max_workers=2)
-            assert pooled.n_workers == 1
+            pooled = _run(spec, "auto", max_workers=2)
+            assert pooled.n_workers == 2
             assert pooled.values == serial.values
 
 

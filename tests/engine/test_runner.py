@@ -12,7 +12,9 @@ import pytest
 from repro.audio.tones import tone
 from repro.constants import AUDIO_RATE_HZ
 from repro.dsp.spectrum import tone_snr_db
-from repro.engine import AmbientCache, Scenario, SweepRunner, SweepSpec, default_max_workers
+from repro.engine import (
+    AmbientCache, AxisRef, Scenario, SweepRunner, SweepSpec, default_max_workers,
+)
 from repro.errors import ConfigurationError
 from repro.experiments import fig08_ber_overlay as fig08
 from repro.experiments.common import ExperimentChain
@@ -39,11 +41,8 @@ def _snr_scenario(payload, cache_ambient):
         name="fig7",
         sweep=SweepSpec.grid(power_dbm=POWERS, distance_ft=DISTANCES),
         base_chain={"program": "silence", "stereo_decode": False},
-        chain_params=lambda p: {
-            "power_dbm": p["power_dbm"],
-            "distance_ft": p["distance_ft"],
-        },
-        rng_keys=lambda p: ("fig7", p["power_dbm"], p["distance_ft"]),
+        chain_axes=("power_dbm", "distance_ft"),
+        rng_keys=("fig7", AxisRef("power_dbm"), AxisRef("distance_ft")),
         measure=measure,
         cache_ambient=cache_ambient,
     )
@@ -164,3 +163,13 @@ class TestWorkerConfiguration:
         monkeypatch.setenv("REPRO_SWEEP_WORKERS", "many")
         with pytest.raises(ConfigurationError):
             default_max_workers()
+
+    @pytest.mark.parametrize("count", [0, -3, 2.7, "2"])
+    def test_argument_rejects_anything_but_a_positive_int(self, count):
+        # The argument is as strict as the environment variable: no
+        # silent clamp to one worker, no truncation of 2.7 to 2.
+        scenario = Scenario(
+            name="w", sweep=SweepSpec.grid(a=(1,)), measure=lambda run: 0.0
+        )
+        with pytest.raises(ConfigurationError, match=repr(count).replace(".", r"\.")):
+            SweepRunner(scenario, max_workers=count)

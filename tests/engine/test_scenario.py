@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.engine import Axis, GridPoint, Scenario, SweepSpec
+from repro.engine import Axis, AxisRef, GridPoint, Scenario, SweepSpec
 from repro.errors import ConfigurationError
 
 
@@ -70,14 +70,19 @@ class TestScenario:
         assert scenario.point_rng_keys(point) == ("demo", -40.0)
 
     def test_rng_keys_override(self):
-        scenario = self._scenario(rng_keys=lambda p: ("fig7", p["power_dbm"]))
+        scenario = self._scenario(rng_keys=("fig7", AxisRef("power_dbm")))
         point = scenario.sweep.points()[0]
         assert scenario.point_rng_keys(point) == ("fig7", -20.0)
+
+    @pytest.mark.parametrize("field", ["rng_keys", "ambient_variant"])
+    def test_callable_templates_rejected(self, field):
+        with pytest.raises(ConfigurationError, match=rf"{field} must be an AxisRef"):
+            self._scenario(**{field: lambda p: ("fig7", p["power_dbm"])})
 
     def test_chain_kwargs_merge_per_point_over_base(self):
         scenario = self._scenario(
             base_chain={"program": "news", "power_dbm": 0.0},
-            chain_params=lambda p: {"power_dbm": p["power_dbm"]},
+            chain_axes=("power_dbm",),
         )
         point = scenario.sweep.points()[1]
         assert scenario.chain_kwargs(point) == {"program": "news", "power_dbm": -40.0}

@@ -1,4 +1,4 @@
-"""Tests for the staged link pipeline (front end / link / receive)."""
+"""Tests for the chain's front end, link and receiver pieces."""
 
 import pickle
 
@@ -9,11 +9,7 @@ from repro.audio.tones import tone
 from repro.channel.link import batched_rf_snr_db, transmit_batch
 from repro.constants import AUDIO_RATE_HZ
 from repro.errors import ConfigurationError
-from repro.experiments.common import (
-    ChainState,
-    ExperimentChain,
-    ReceiveStage,
-)
+from repro.experiments.common import ExperimentChain, FrontEndStage
 from repro.receiver.fm_receiver import receive_mono_batch
 from repro.utils.rand import as_generator, child_generator
 
@@ -55,15 +51,23 @@ class TestChainValidation:
 
 
 class TestStageDerivation:
-    def test_stages_are_picklable(self, payload):
-        chain = _chain(receiver_kind="car")
-        for stage in (chain.front_end(), chain.link_stage(), chain.receive_stage()):
-            clone = pickle.loads(pickle.dumps(stage))
-            assert clone == stage
+    def test_stages_are_picklable(self):
+        chain = _chain(receiver_kind="car", dco_bits=4)
+        front_end = chain.front_end()
+        assert pickle.loads(pickle.dumps(front_end)) == front_end
+        assert pickle.loads(pickle.dumps(chain)) == chain
 
     def test_front_end_key_matches_chain(self):
         chain = _chain(back_amplitude=0.5, dco_bits=4)
-        assert chain.front_end().front_end_key() == chain.front_end_key()
+        expected = FrontEndStage(
+            program=chain.program,
+            station_stereo=chain.station_stereo,
+            mode=chain.mode,
+            back_amplitude=0.5,
+            dco_bits=4,
+        ).front_end_key()
+        assert chain.front_end().front_end_key() == expected
+        assert _chain().front_end().front_end_key() != expected
 
     def test_front_end_key_ignores_link_and_receiver(self):
         near = _chain(power_dbm=-20.0, distance_ft=1)
@@ -71,26 +75,27 @@ class TestStageDerivation:
         assert near.front_end() == far.front_end()
 
     def test_stagewise_apply_equals_transmit(self, payload):
+        # Front end, link and receiver applied in turn, on the streams
+        # transmit derives (station child, link child, receiver child).
         chain = _chain()
         received = chain.transmit(payload, SEED)
 
         gen = as_generator(SEED)
-        state = ChainState(payload_audio=payload)
-        state = chain.front_end().apply(state, child_generator(gen, "station"))
-        state = chain.link_stage().apply(state, child_generator(gen, "link"))
-        state = chain.receive_stage().apply(state, gen)
-        assert np.array_equal(state.received.mono, received.mono)
-        assert np.array_equal(state.received.mpx, received.mpx)
+        iq = chain.front_end().apply(payload, child_generator(gen, "station"))
+        rx_iq = transmit_batch(iq, [chain.link_budget()], [child_generator(gen, "link")])
+        stagewise = chain.build_receiver(gen).receive(rx_iq[0])
+        assert np.array_equal(stagewise.mono, received.mono)
+        assert np.array_equal(stagewise.mpx, received.mpx)
 
     def test_receive_stage_builds_configured_receiver(self):
-        stage = ReceiveStage(receiver_kind="smartphone", stereo_decode=False, agc=True)
-        receiver = stage.build_receiver(as_generator(SEED))
+        chain = _chain(receiver_kind="smartphone", stereo_decode=False, agc=True)
+        receiver = chain.build_receiver(as_generator(SEED))
         assert receiver.agc_enabled and not receiver.stereo_capable
 
-    def test_state_is_immutable(self, payload):
-        state = ChainState(payload_audio=payload)
+    def test_state_is_immutable(self):
+        front_end = _chain().front_end()
         with pytest.raises(AttributeError):
-            state.iq = payload
+            front_end.dco_bits = 4
 
 
 class TestBatchedLink:
@@ -110,9 +115,7 @@ class TestBatchedLink:
         from repro.constants import MPX_RATE_HZ
 
         chain = _chain()
-        iq = chain.front_end().apply(
-            ChainState(payload_audio=payload), child_generator(as_generator(1), "station")
-        ).iq
+        iq = chain.front_end().apply(payload, child_generator(as_generator(1), "station"))
         budgets = [
             _chain(power_dbm=p, distance_ft=d).link_budget()
             for p, d in ((-20.0, 2), (-50.0, 8))
@@ -129,20 +132,17 @@ class TestBatchedLink:
 class TestBatchedReceive:
     def test_mono_batch_bit_identical_to_serial_receive(self, payload):
         chain = _chain()
-        iq = chain.front_end().apply(
-            ChainState(payload_audio=payload), child_generator(as_generator(1), "station")
-        ).iq
+        iq = chain.front_end().apply(payload, child_generator(as_generator(1), "station"))
         budgets = [
             _chain(power_dbm=p, distance_ft=d).link_budget()
             for p, d in ((-20.0, 2), (-40.0, 8), (-60.0, 16))
         ]
         rx_iq = transmit_batch(iq, budgets, [np.random.default_rng(s) for s in (1, 2, 3)])
 
-        stage = ReceiveStage(receiver_kind="smartphone", stereo_decode=False)
-        batch_receivers = [stage.build_receiver(np.random.default_rng(s)) for s in (5, 6, 7)]
+        batch_receivers = [chain.build_receiver(np.random.default_rng(s)) for s in (5, 6, 7)]
         batched = receive_mono_batch(batch_receivers, rx_iq)
 
-        serial_receivers = [stage.build_receiver(np.random.default_rng(s)) for s in (5, 6, 7)]
+        serial_receivers = [chain.build_receiver(np.random.default_rng(s)) for s in (5, 6, 7)]
         for row, receiver in enumerate(serial_receivers):
             serial = receiver.receive(rx_iq[row])
             assert np.array_equal(batched[row].left, serial.left)
@@ -151,13 +151,11 @@ class TestBatchedReceive:
             assert batched[row].stereo_locked == serial.stereo_locked
 
     def test_stereo_receivers_rejected(self):
-        stage = ReceiveStage(receiver_kind="smartphone", stereo_decode=True)
-        receiver = stage.build_receiver(as_generator(SEED))
+        receiver = _chain(stereo_decode=True).build_receiver(as_generator(SEED))
         with pytest.raises(ConfigurationError):
             receive_mono_batch([receiver], np.zeros((1, 16), dtype=complex))
 
     def test_shape_mismatch_rejected(self):
-        stage = ReceiveStage(stereo_decode=False)
-        receiver = stage.build_receiver(as_generator(SEED))
+        receiver = _chain().build_receiver(as_generator(SEED))
         with pytest.raises(ConfigurationError):
             receive_mono_batch([receiver], np.zeros((2, 16), dtype=complex))

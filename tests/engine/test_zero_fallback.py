@@ -12,6 +12,8 @@ and pool size. CI runs this file as a fast, non-timing gate so a
 coverage regression is caught without relying on wall-clock numbers.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -175,6 +177,16 @@ class _FixedShapeFading:
         return np.full(self.shape, 0.5)
 
 
+@dataclass(frozen=True)
+class _FixedShapeFadingSpec:
+    """A custom fading spec whose model has the wrong envelope shape."""
+
+    shape: tuple
+
+    def build(self, rng=None):
+        return _FixedShapeFading(self.shape)
+
+
 class TestWrongShapeFading:
     @pytest.mark.parametrize("shape", [(1,), (3,)])
     @pytest.mark.parametrize("backend", ["serial", "batched"])
@@ -182,6 +194,8 @@ class TestWrongShapeFading:
         # A length-1 envelope used to broadcast over the whole row on
         # both paths and scale it without error.
         scenario = build_fading_scenario("fade_wrong_shape")
-        scenario.base_chain = dict(scenario.base_chain, fading=_FixedShapeFading(shape))
+        scenario.base_chain = dict(
+            scenario.base_chain, fading=_FixedShapeFadingSpec(shape)
+        )
         with pytest.raises(LinkBudgetError, match=rf"shape \({shape[0]},\), expected"):
             _run(scenario, backend)

@@ -72,13 +72,6 @@ class TestEnvChoice:
 class TestEngineKnobsAreStrict:
     """The engine's own knobs route through the strict parser."""
 
-    def test_plan_cache_malformed(self, monkeypatch):
-        from repro.dsp.plan_cache import PLAN_CACHE_ENV_VAR, plan_cache_capacity
-
-        monkeypatch.setenv(PLAN_CACHE_ENV_VAR, "big")
-        with pytest.raises(ConfigurationError, match=r"REPRO_DSP_PLAN_CACHE.*'big'"):
-            plan_cache_capacity()
-
     def test_workers_malformed(self, monkeypatch):
         from repro.engine.runner import WORKERS_ENV_VAR, default_max_workers
 
