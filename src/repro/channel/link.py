@@ -70,8 +70,9 @@ def resolve_fading(
     A live :class:`FadingModel` (anything with ``envelope``) passes
     through untouched. A :class:`FadingSpec` is built on the dedicated
     ``"fade"`` child of ``rng`` — consuming one draw from ``rng``, which
-    every caller (serial link and batched backend alike) must mirror so
-    the subsequent noise draws stay aligned.
+    every caller (:meth:`BackscatterLink.transmit` and the sweep's
+    ``transmit_stack`` alike) must mirror so the subsequent noise draws
+    stay aligned.
     """
     if fading is None or hasattr(fading, "envelope"):
         return fading

@@ -8,9 +8,10 @@ measurement — as plain data (:class:`AxisRef` templates, ``chain_axes``,
 module-level measures), so a grid point can be shipped across a process
 boundary. A :class:`SweepRunner` executes it ``serial``, ``batched`` or
 — the default — ``auto`` (see ``REPRO_SWEEP_BACKEND``). Every setting
-is a plan (:func:`plan_sweep`): the grid's partitions, each sent to the
-batched or the serial executor (``auto`` picks per partition by row
-length) and run on one thread pool, with every decision recorded on
+is a plan (:func:`plan_sweep`): the grid's partitions, each run as one
+vectorized stack (``batched``) or as a stack of one per point
+(``serial``; ``auto`` picks per partition by row length), all through
+one executor on one thread pool, with every decision recorded on
 ``SweepResult.plan``. A keyed :class:`AmbientCache` synthesizes and
 FM-modulates each ambient program exactly once per sweep instead of
 once per grid point — and at most once *ever* per configuration when

@@ -1,24 +1,25 @@
-"""Single-point execution shared by every sweep setting.
+"""Stack execution shared by every sweep setting.
 
-:func:`execute_point` is the one place that turns (scenario, grid point,
-pre-derived seed) into a measured value, and
-:func:`~repro.engine.runner.run_units` is its one caller: every serial
-unit of every plan, in-process or in a launcher worker, runs through it.
-Keeping the RNG discipline here — build the point generator from the
-pre-derived seed, attach the cached ambient, let the chain consume its
-station/link/receiver children in order — is what makes every setting
-and the launcher bit-identical.
+:func:`run_stack` is the one place that turns (scenario, grid points,
+pre-derived seeds) into measured values, and
+:func:`~repro.engine.runner.run_units` is its one caller: every stack of
+every plan, in-process or in a launcher worker, runs through it. A
+batched decision is one stack of its members at its chunk rows; a serial
+point is a stack of one. Keeping the RNG discipline here — build each
+point's generator from its pre-derived seed, attach the cached ambient,
+and transmit through :func:`~repro.experiments.common.transmit_stack`,
+which draws each row's station/link/receiver children in one order — is
+what makes every setting and the launcher bit-identical.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.engine.cache import AmbientCache, CachedAmbient
 from repro.engine.scenario import GridPoint, PointRun, Scenario
-from repro.errors import ConfigurationError
 
 
 def make_ambient(
@@ -36,50 +37,62 @@ def make_ambient(
     return ambient
 
 
-def execute_point(
+def run_stack(
     scenario: Scenario,
-    point: GridPoint,
-    seed: int,
     data: Dict[str, object],
+    points: Sequence[GridPoint],
+    seeds: Sequence[int],
     cache: Optional[AmbientCache],
     ambient_master: int,
-) -> object:
-    """Run one grid point to its measured value.
+    positions: Sequence[int],
+    chunk_rows: int,
+    values: List[object],
+) -> None:
+    """Run the points at ``positions`` as one stack, measuring each.
+
+    The stack shares the first member's ambient source and payload: the
+    plan only stacks points whose front end, ambient variant and payload
+    agree (:func:`~repro.engine.planner.partition_points`), and every
+    other stack is one row. A measure-driven scenario declares no payload,
+    so only its measure runs; an uncached point has no ambient source, so
+    its one-row stack synthesizes the composite from its own station
+    stream.
 
     Args:
         scenario: the sweep being executed.
-        point: the grid cell.
-        seed: the point's pre-derived stream seed (already mixed from the
-            sweep master and the scenario's per-point keys).
         data: the shared dict from ``scenario.prepare``.
+        points: the run's grid points.
+        seeds: each point's pre-derived stream seed (already mixed from
+            the sweep master and the scenario's per-point keys).
         cache: ambient cache for this process (``None`` disables caching).
         ambient_master: sweep-level ambient seed.
+        positions: the stack's members, as positions into ``points``.
+        chunk_rows: rows per vectorized link + discriminator pass.
+        values: the run's values, written at each member's position.
     """
-    point_rng = np.random.default_rng(seed)
-    ambient = make_ambient(scenario, point, cache, ambient_master)
-    chain = None
-    received = None
+    first = points[positions[0]]
+    ambient = make_ambient(scenario, first, cache, ambient_master)
+    gens = [np.random.default_rng(seeds[pos]) for pos in positions]
+    chains: List[Optional[object]] = [None] * len(positions)
+    received: List[Optional[object]] = [None] * len(positions)
     if scenario.uses_chain:
         # Imported here: repro.experiments.common is a consumer of the
         # engine package in every other respect.
-        from repro.experiments.common import ExperimentChain
+        from repro.experiments.common import ExperimentChain, transmit_stack
 
-        chain = ExperimentChain(**scenario.chain_kwargs(point))
-        chain.ambient_source = ambient
-    payload = scenario.payload_for(point, data)
-    if payload is not None:
-        if chain is None:
-            raise ConfigurationError(
-                f"scenario {scenario.name!r} declares a payload but no chain "
-                "(set base_chain / chain_axes / chain_value_params)"
-            )
-        received = chain.transmit(payload, point_rng)
-    run = PointRun(
-        point=point,
-        rng=point_rng,
-        data=data,
-        ambient=ambient,
-        chain=chain,
-        received=received,
-    )
-    return scenario.measure(run, **scenario.measure_params)
+        chains = [ExperimentChain(**scenario.chain_kwargs(points[pos])) for pos in positions]
+        for chain in chains:
+            chain.ambient_source = ambient
+        if not scenario.measure_driven:
+            payload = scenario.payload_for(first, data)
+            received = transmit_stack(chains, payload, gens, chunk_rows)
+    for pos, gen, chain, row in zip(positions, gens, chains, received):
+        run = PointRun(
+            point=points[pos],
+            rng=gen,
+            data=data,
+            ambient=ambient,
+            chain=chain,
+            received=row,
+        )
+        values[pos] = scenario.measure(run, **scenario.measure_params)

@@ -1,37 +1,38 @@
-"""The sweep plan: one partitioner, and the units every setting runs.
+"""The sweep plan: one partitioner, and the stacks every setting runs.
 
 :func:`plan_sweep` is the one place that groups grid points. A
 *partition* is the set of points one vectorized receive can stack: they
 share a front end (front-end key, ambient variant, payload length and
 identity, so one cached composite envelope) and a receive decode
-(receiver kind, mono or stereo). The batched executor
-(:func:`~repro.engine.batch_backend.run_batched_backend`) runs each
-batched partition as one stack, in the plan's chunk rows, so the plan on
+(receiver kind, mono or stereo). There is one executor,
+:func:`~repro.engine.execution.run_stack`: a batched partition runs as
+one stack of its members in the plan's chunk rows, and a serial point as
+a stack of one, so the plan on
 :attr:`~repro.engine.results.SweepResult.plan` is what executed.
 
 Every setting is a plan. Each partition gets one
-:class:`PlanDecision` — executor, chunk rows and the rule that chose
+:class:`PlanDecision` — backend, chunk rows and the rule that chose
 them:
 
-- ``serial`` runs every point through the per-point chain
-  (reason ``"requested"``), and so does a grid of at most one point
+- ``serial`` runs every point as a stack of one (reason
+  ``"requested"``), and so does a grid of at most one point
   (``"single-point"``), where stacking buys nothing.
 - ``batched`` stacks every partition (``"requested"``), unless the grid
   cannot batch at all: a *measure-driven* grid's measure transmits
   itself, so there is nothing to stack (``"measure-driven"``), and an
-  *uncached* grid has no shared composite envelope (``"uncached"``).
-  Both are properties of the whole grid, decided here, so the executor
-  never meets a point it cannot stack.
+  *uncached* grid has no shared composite envelope (``"uncached"``),
+  so each point synthesizes its own. Both are properties of the whole
+  grid, decided here, so no stack of more than one row ever lacks a
+  shared composite.
 - ``auto`` applies the same two grid rules, then a row-length rule per
-  partition (:func:`choose_backend`): the batched executor wins on short
-  rows, where per-point Python dispatch amortizes across the stack, but
-  loses on long ones, where the memory-capped chunks narrow the stack
-  until nothing is left to amortize while per-point units run on every
-  core.
+  partition (:func:`choose_backend`): stacking wins on short rows, where
+  per-point Python dispatch amortizes across the stack, but loses on
+  long ones, where the memory-capped chunks narrow the stack until
+  nothing is left to amortize while one-row stacks run on every core.
 
-The plan's *units* go to the runner's thread pool
-(:func:`~repro.engine.runner.run_units`): all batched partitions
-together are one unit (one batched call, so one partition's stacks are
+The plan's *units*, each a tuple of :class:`Stack` run in turn, go to
+the runner's thread pool (:func:`~repro.engine.runner.run_units`): all
+batched partitions together are one unit (so one partition's stacks are
 live at a time); under ``auto`` each serial point is a unit of its own,
 and under the other settings all serial points are one unit. Each unit
 runs on the same pre-derived per-point seeds (fading included: a
@@ -110,7 +111,8 @@ class PlanDecision:
             list (after any ``point_slice``).
         n_samples: IQ samples per row, the payload length upsampled to
             the MPX rate (0 for a measure-driven grid).
-        backend: the executor that runs the partition.
+        backend: ``batched`` (the partition is one stack) or ``serial``
+            (a stack of one per member).
         chunk_rows: rows per vectorized transmit/FFT pass (1 for serial).
         reason: the rule that chose ``backend`` (``"short-rows"``,
             ``"long-rows"``, ``"requested"``, ``"uncached"``, ...).
@@ -125,14 +127,16 @@ class PlanDecision:
     reason: str
 
 
-class Unit(NamedTuple):
-    """One unit of pooled work, run on one thread: ``positions`` one by
-    one through :func:`~repro.engine.execution.execute_point`, and
-    ``partitions`` through one
-    :func:`~repro.engine.batch_backend.run_batched_backend` call."""
+class Stack(NamedTuple):
+    """One :func:`~repro.engine.execution.run_stack` call: the members'
+    positions, stacked ``chunk_rows`` rows per vectorized pass."""
 
-    positions: Tuple[int, ...] = ()
-    partitions: Tuple[PlanDecision, ...] = ()
+    positions: Tuple[int, ...]
+    chunk_rows: int
+
+
+Unit = Tuple[Stack, ...]
+"""One unit of pooled work: stacks run in turn on one thread."""
 
 
 @dataclass
@@ -265,14 +269,16 @@ def plan_sweep(
         pos for d in decisions if d.backend == "serial" for pos in d.positions
     )
 
-    # All batched partitions are one unit, one batched call, so one
-    # partition's stacks are live at a time. It is submitted first, as it
-    # is usually the longest.
-    units = [Unit(partitions=batched)] if batched else []
+    # All batched partitions are one unit, so one partition's stacks are
+    # live at a time. It is submitted first, as it is usually the longest.
+    # A serial point is a stack of one.
+    units: List[Unit] = []
+    if batched:
+        units.append(tuple(Stack(d.positions, d.chunk_rows) for d in batched))
     if setting == "auto":
-        units += [Unit(positions=(pos,)) for pos in serial]
+        units += [(Stack((pos,), 1),) for pos in serial]
     elif serial:
-        units.append(Unit(positions=tuple(serial)))
+        units.append(tuple(Stack((pos,), 1) for pos in serial))
 
     if setting == "auto":
         counts = {"batched": n_batched, "serial": len(serial)}

@@ -16,17 +16,18 @@
 3. :func:`~repro.engine.planner.plan_sweep` turns the selected setting
    into a plan — one :class:`~repro.engine.planner.PlanDecision` per
    partition (points sharing a front end and a receive decode), recorded
-   on :attr:`~repro.engine.results.SweepResult.plan` — and its units, and
-   :func:`run_units` executes them:
+   on :attr:`~repro.engine.results.SweepResult.plan` — and its units,
+   each a tuple of stacks, and :func:`run_units` runs every stack
+   through the one executor, :func:`~repro.engine.execution.run_stack`:
 
-   - ``serial`` — one unit running every point in turn (the reference
-     semantics).
-   - ``batched`` — one unit that runs every partition's link + receive
-     math (fading, mono and stereo decode alike — via per-row envelope
-     stacks and the multi-waveform pilot PLL — plus de-emphasis and
-     receiver output effects) vectorized over a ``(points, samples)``
-     stack; a measure-driven or uncached grid, which has nothing to
-     stack, is one serial unit instead.
+   - ``serial`` — one unit of one-row stacks, every point in turn (the
+     reference semantics).
+   - ``batched`` — one unit with one stack per partition, whose link +
+     receive math (fading, mono and stereo decode alike — via per-row
+     envelope stacks and the multi-waveform pilot PLL — plus de-emphasis
+     and receiver output effects) runs vectorized over a
+     ``(points, samples)`` stack; a measure-driven or uncached grid,
+     which has nothing to stack, is one unit of one-row stacks instead.
    - ``auto`` (the default) — each partition goes to ``batched`` or
      ``serial`` by a measured row-length rule (one crossover for mono
      rows, one for stereo): short-row partitions ride the vectorized
@@ -66,7 +67,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.engine.cache import AmbientCache, default_cache, stats_delta
-from repro.engine.execution import execute_point
+from repro.engine.execution import run_stack
 from repro.engine.planner import Unit, plan_sweep
 from repro.engine.results import SweepResult
 from repro.engine.scenario import GridPoint, Scenario
@@ -123,27 +124,22 @@ def run_units(
 ) -> Tuple[List[object], int]:
     """Execute ``units`` on one thread pool of :func:`pool_size` threads.
 
-    Units run concurrently, the points inside one unit in order. Every
-    point's stream is pre-derived, so values are bit-identical to a
-    serial run whatever the pool size.
+    Units run concurrently, the stacks inside one unit in order, each
+    through :func:`~repro.engine.execution.run_stack`. Every point's
+    stream is pre-derived, so values are bit-identical to a serial run
+    whatever the pool size.
 
     Returns:
         ``(values, n_workers)`` — values in grid order, and the pool size
         (1 when run inline).
     """
-    from repro.engine.batch_backend import run_batched_backend
-
     values: List[object] = [None] * len(points)
 
     def run(unit: Unit) -> None:
-        if unit.partitions:
-            run_batched_backend(
+        for positions, chunk_rows in unit:
+            run_stack(
                 scenario, data, points, seeds, cache, ambient_master,
-                unit.partitions, values,
-            )
-        for pos in unit.positions:
-            values[pos] = execute_point(
-                scenario, points[pos], seeds[pos], data, cache, ambient_master
+                positions, chunk_rows, values,
             )
 
     n_workers = pool_size(len(units), max_workers)

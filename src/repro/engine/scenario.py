@@ -193,7 +193,7 @@ class Scenario:
     spec (:class:`~repro.channel.fading.MotionFadingSpec`). With a
     module-level ``measure`` and its ``measure_params``, the scenario is
     picklable, so grid points can be shipped to the launcher's worker
-    processes or regrouped by the batched executor.
+    processes or regrouped into stacks by the planner.
 
     Attributes:
         name: scenario label (also the default RNG key prefix).
@@ -231,8 +231,10 @@ class Scenario:
             a ``data`` key (or per-point :class:`PayloadSelector`) naming
             the waveform to send through the point's chain. The decoded
             output arrives as ``run.received``. Declaring it is what lets
-            the batched backend stack points sharing a front end into one
-            vectorized link + receive pass.
+            the planner stack points sharing a front end into one
+            vectorized link + receive pass. It needs a chain: a payload
+            without one raises :class:`~repro.errors.ConfigurationError`
+            when the scenario is built.
     """
 
     name: str
@@ -257,6 +259,11 @@ class Scenario:
                     f"scenario {self.name!r}: {name} must be an AxisRef template, "
                     "not a callable"
                 )
+        if self.payload is not None and not self.uses_chain:
+            raise ConfigurationError(
+                f"scenario {self.name!r} declares a payload but no chain "
+                "(set base_chain / chain_axes / chain_value_params)"
+            )
 
     def point_rng_keys(self, point: GridPoint) -> Tuple[object, ...]:
         if self.rng_keys is not None:
@@ -279,11 +286,10 @@ class Scenario:
         Measure-driven points (Fig. 12's two-phone cancellation, the
         deployment layer's MAC-gated frames, the survey figures) execute
         per point by construction: there is no runner-performed
-        transmission for a backend to vectorize, ship or predict, so the
-        batched backend runs them serially without counting fallbacks and
-        the planner routes them straight to the serial executor.
+        transmission to stack, so the planner makes each point a stack of
+        one that runs only the measure, without counting fallbacks.
         """
-        return self.payload is None or not self.uses_chain
+        return self.payload is None
 
     @property
     def uses_chain(self) -> bool:

@@ -12,11 +12,10 @@ directly: the receiver tuned to ``fc + fback`` demodulates
 
 The front end (:class:`FrontEndStage`: station MPX + device baseband +
 FM composite) is a picklable value object, shared by every grid point
-whose power, distance, fading or receiver differ. The link and the
-receiver run through :func:`receive_over_link`, whose one-row call is
-:meth:`ExperimentChain.transmit` and whose many-row call is the sweep
-engine's batched executor, on the per-transmission streams of
-:meth:`ExperimentChain.stage_streams`.
+whose power, distance, fading or receiver differ. Every transmission
+runs through :func:`transmit_stack`, whose one-row call is
+:meth:`ExperimentChain.transmit` and which the sweep engine calls with
+one row per grid point of a stack.
 """
 
 from __future__ import annotations
@@ -31,7 +30,8 @@ from repro.backscatter.dco import CapacitorBankDco
 from repro.backscatter.device import BackscatterDevice, BackscatterMode
 from repro.backscatter.modulator import composite_mpx
 from repro.channel.antenna import Antenna, CAR_WHIP, DIPOLE_POSTER, HEADPHONE_WIRE
-from repro.channel.link import LinkBudget, fading_envelope, transmit_batch
+from repro.channel.fading import stack_envelopes
+from repro.channel.link import LinkBudget, resolve_fading, transmit_batch
 from repro.constants import AUDIO_RATE_HZ, MPX_RATE_HZ
 from repro.data.ber import bit_error_rate
 from repro.errors import ConfigurationError
@@ -247,49 +247,20 @@ class ExperimentChain:
 
     # -- end-to-end execution ----------------------------------------------
 
-    def stage_streams(
-        self, rng: RngLike = None
-    ) -> Tuple[np.random.Generator, np.random.Generator, FMReceiver]:
-        """The per-transmission streams, derived in the chain's one order.
-
-        Draws from ``rng``, in this order: the station child, the link
-        child, then the receiver's own child (inside
-        :meth:`build_receiver`). :meth:`transmit` and the
-        sweep engine's batched backend both call this, so the order
-        lives here alone and a batched row draws exactly what the
-        point's own :meth:`transmit` would. The station child is derived
-        even when an ambient source serves the front end, which keeps the
-        link and receiver draws identical with and without one.
-
-        Returns:
-            ``(station_rng, link_rng, receiver)``.
-        """
-        gen = as_generator(rng)
-        station_rng = child_generator(gen, "station")
-        link_rng = child_generator(gen, "link")
-        return station_rng, link_rng, self.build_receiver(gen)
-
     def transmit(
         self, payload_audio: np.ndarray, rng: RngLike = None
     ) -> ReceivedAudio:
         """Run one end-to-end transmission and return the received audio.
 
-        Applies the front end, then the link and the receiver as
-        the one-row call of :func:`receive_over_link`, on the streams of
-        :meth:`stage_streams`, so results are invariant to whether an
-        ambient source served the front end.
+        The one-row call of :func:`transmit_stack`, so results are
+        invariant to whether an ambient source served the front end.
 
         Args:
             payload_audio: the device payload (audio or data waveform) at
                 the audio rate; its duration sets the simulation length.
             rng: seed or Generator for the stochastic stages.
         """
-        station_rng, link_rng, receiver = self.stage_streams(rng)
-        iq = self.front_end().apply(payload_audio, station_rng, self.ambient_source)
-        envelope = fading_envelope(self.fading, link_rng, iq.size, MPX_RATE_HZ)
-        return receive_over_link(
-            iq, [receiver], [self.link_budget()], [link_rng], [envelope]
-        )[0]
+        return transmit_stack([self], payload_audio, [rng])[0]
 
     def payload_channel(self, received: ReceivedAudio) -> np.ndarray:
         """The audio stream carrying the payload for this chain's mode.
@@ -303,29 +274,56 @@ class ExperimentChain:
         return received.difference
 
 
-def receive_over_link(
-    iq: np.ndarray,
-    receivers: Sequence[FMReceiver],
-    budgets: Sequence[LinkBudget],
-    link_rngs: Sequence[np.random.Generator],
-    envelopes: Sequence[Optional[np.ndarray]],
+def transmit_stack(
+    chains: Sequence[ExperimentChain],
+    payload_audio: np.ndarray,
+    rngs: Sequence[RngLike],
     chunk_rows: Optional[int] = None,
 ) -> List[ReceivedAudio]:
-    """Link, discriminator, decode and output effects for rows sharing ``iq``.
+    """Transmit one payload through a stack of chains sharing a front end.
 
-    The one transmit -> demodulate -> decode path:
-    :meth:`ExperimentChain.transmit` is its one-row call and the sweep
-    engine's batched backend calls it per partition. Row ``i`` passes the
-    shared composite envelope ``iq`` through ``budgets[i]``, fading
-    ``envelopes[i]`` (``None`` for none) and noise from ``link_rngs[i]``,
-    and ``receivers[i]`` decodes it; the receivers share one type and
-    DSP configuration. The link and the discriminator run ``chunk_rows``
-    rows at a time (all rows when ``None``), and each chunk's complex
-    stack is freed once it is demodulated: only the real MPX rows reach
-    the decode, which caps its FFT passes at the same row count. Results
-    are bit-identical at any ``chunk_rows``.
+    The one transmit path: :meth:`ExperimentChain.transmit` is its
+    one-row call, and the sweep engine runs every grid point through it
+    (:func:`repro.engine.execution.run_stack`). The chains share one
+    front end, receiver type and DSP configuration, so the composite
+    envelope comes once from ``chains[0]``: its ``ambient_source`` when
+    set, else a synthesis on the first row's station stream (so a stack
+    without an ambient source is one row). Row ``i`` then passes that
+    envelope through ``chains[i]``'s link budget and fading, and
+    ``chains[i]``'s receiver decodes it.
+
+    Each row's generator ``rngs[i]`` is drawn in one order, here alone:
+    the station child, the link child, the receiver's own child (inside
+    :meth:`ExperimentChain.build_receiver`), then the link child's
+    ``"fade"`` child when the chain declares a fading spec. The station
+    child is derived even when an ambient source serves the front end,
+    which keeps the later draws identical with and without one, and
+    every row draws exactly what its own one-row call would.
+
+    The link and the discriminator run ``chunk_rows`` rows at a time (all
+    rows when ``None``), and each chunk's complex stack is freed once it
+    is demodulated: only the real MPX rows reach the decode, which caps
+    its FFT passes at the same row count. Results are bit-identical at
+    any ``chunk_rows`` and any stack height.
     """
-    n_rows = len(receivers)
+    station_rngs, link_rngs, receivers, fadings = [], [], [], []
+    for chain, rng in zip(chains, rngs):
+        gen = as_generator(rng)
+        station_rngs.append(child_generator(gen, "station"))
+        link_rngs.append(child_generator(gen, "link"))
+        receivers.append(chain.build_receiver(gen))
+        fadings.append(resolve_fading(chain.fading, link_rngs[-1]))
+    first = chains[0]
+    iq = first.front_end().apply(payload_audio, station_rngs[0], first.ambient_source)
+    envelopes: List[Optional[np.ndarray]] = [None] * len(chains)
+    faded = [k for k, fading in enumerate(fadings) if fading is not None]
+    if faded:
+        stack = stack_envelopes([fadings[k] for k in faded], iq.size, MPX_RATE_HZ)
+        for k, envelope in zip(faded, stack):
+            envelopes[k] = envelope
+
+    budgets = [chain.link_budget() for chain in chains]
+    n_rows = len(chains)
     limit = n_rows if chunk_rows is None else chunk_rows
     ref = receivers[0]
     mpx = None

@@ -10,7 +10,8 @@ batched row is exactly the point's own :meth:`ExperimentChain.transmit`.
 The distributed launcher is held to the same contract: two workers under
 each setting, and once with a worker killed mid-grid. A fixed grid with
 fading on two partitions checks that each partition's own envelope
-stack reproduces every point's transmission.
+stack reproduces every point's transmission, and a fixed uncached grid
+checks the one-row stacks that synthesize their own composite.
 Payloads are at most 0.05 s, so a whole run stays in tier-1's budget.
 """
 
@@ -160,6 +161,48 @@ def test_spec_fading_over_two_partitions_agrees():
             scenario.payload_for(point, data), np.random.default_rng(seeds[i])
         )
         assert _same(serial[i], _reception(received)), i
+
+
+def test_uncached_one_row_stacks_agree():
+    # With ambient caching off there is no shared composite: every point
+    # is planned serial ("uncached") and its one-row stack synthesizes
+    # the composite from its own station stream, fading and both
+    # receiver kinds included.
+    scenario = Scenario(
+        name="uncached",
+        sweep=SweepSpec.grid(
+            receiver_kind=("smartphone", "car"), distance_ft=(2.0, 8.0),
+            motion=("none", "running"),
+        ),
+        prepare=lambda gen: {"payload": tone(1000.0, 0.02, AUDIO_RATE_HZ, amplitude=0.9)},
+        base_chain={"power_dbm": -40.0, "stereo_decode": True},
+        chain_axes=("receiver_kind", "distance_ft"),
+        chain_value_params={
+            "motion": {
+                "none": {"fading": None},
+                "running": {"fading": MotionFadingSpec("running")},
+            }
+        },
+        payload="payload",
+        measure=_capture,
+        cache_ambient=False,
+    )
+    results = {
+        backend: SweepRunner(scenario, rng=SEED, backend=backend).run()
+        for backend in ("serial", "batched", "auto")
+    }
+    for backend, result in results.items():
+        reason = "requested" if backend == "serial" else "uncached"
+        assert result.plan, backend
+        assert {(d.backend, d.reason) for d in result.plan} == {("serial", reason)}
+        for i, (got, want) in enumerate(zip(result.values, results["serial"].values)):
+            assert _same(got, want), (backend, i)
+
+    data, points, seeds, _ = derive_streams(scenario, np.random.default_rng(SEED))
+    for i, point in enumerate(points):
+        chain = ExperimentChain(**scenario.chain_kwargs(point))
+        received = chain.transmit(data["payload"], np.random.default_rng(seeds[i]))
+        assert _same(results["serial"].values[i], _reception(received)), i
 
 
 @settings(max_examples=8, deadline=None, derandomize=True, database=None)

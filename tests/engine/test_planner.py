@@ -27,7 +27,6 @@ from repro.engine import planner
 from repro.engine.planner import (
     CROSSOVER_SAMPLES,
     STEREO_CROSSOVER_SAMPLES,
-    Unit,
     choose_backend,
     partition_points,
     plan_sweep,
@@ -240,7 +239,7 @@ class TestDecisionGates:
         plan = plan_sweep(scenario, data, points, cache, "auto")
         assert {d.reason for d in plan.decisions} == {"long-rows"}
         assert plan.label == "auto[serial:18]"
-        assert plan.units == [Unit(positions=(pos,)) for pos in range(18)]
+        assert plan.units == [(((pos,), 1),) for pos in range(18)]
         assert len(cache) == 0
 
 
@@ -346,16 +345,30 @@ def _received(run):
 
 
 def _record_stacks(monkeypatch):
-    """Record every receive_over_link call as (row distances, chunk_rows)."""
+    """Record every transmit_stack call as (row distances, chunk_rows)."""
     stacks = []
-    real = common.receive_over_link
+    real = common.transmit_stack
 
-    def recording(iq, receivers, budgets, link_rngs, envelopes, chunk_rows=None):
-        stacks.append((tuple(b.distance_ft for b in budgets), chunk_rows))
-        return real(iq, receivers, budgets, link_rngs, envelopes, chunk_rows=chunk_rows)
+    def recording(chains, payload_audio, rngs, chunk_rows=None):
+        stacks.append((tuple(c.distance_ft for c in chains), chunk_rows))
+        return real(chains, payload_audio, rngs, chunk_rows=chunk_rows)
 
-    monkeypatch.setattr(common, "receive_over_link", recording)
+    monkeypatch.setattr(common, "transmit_stack", recording)
     return stacks
+
+
+def _planned_stacks(result, distance):
+    """The stacks ``result.plan`` names, as (row distances, chunk_rows):
+    one per batched decision at its chunk rows, and one 1-row stack per
+    member of a serial decision. ``distance`` maps a grid index to its
+    point's distance."""
+    stacks = []
+    for d in result.plan:
+        if d.backend == "batched":
+            stacks.append((tuple(distance[i] for i in d.point_indices), d.chunk_rows))
+        else:
+            stacks += [((distance[i],), 1) for i in d.point_indices]
+    return sorted(stacks)
 
 
 AGC_ROWS = [{"agc": agc} for agc in (False, True, False, True)]
@@ -366,7 +379,9 @@ CAR_ROWS = [
 
 
 class TestPlanMatchesExecutor:
-    """Every batched decision is exactly one stack the executor ran."""
+    """The plan is what ran: each batched decision is exactly one stack
+    at its chunk rows, and each serial decision one 1-row stack per
+    member."""
 
     @pytest.mark.parametrize("setting", ["batched", "auto"])
     @pytest.mark.parametrize("rows", [AGC_ROWS, CAR_ROWS], ids=["agc", "car-stereo-decode"])
@@ -377,15 +392,40 @@ class TestPlanMatchesExecutor:
             scenario, rng=SEED, cache=AmbientCache(), backend=setting
         ).run()
         distance = {p.index: 2.0 + p["row"] for p in result.points}
-        batched = [d for d in result.plan if d.backend == "batched"]
-        assert sorted(stacks) == sorted(
-            (tuple(distance[i] for i in d.point_indices), d.chunk_rows)
-            for d in batched
-        )
+        assert sorted(stacks) == _planned_stacks(result, distance)
         # AGC applies row by row and the car radio always decodes
         # stereo, so all four rows are one stack and one decision.
+        batched = [d for d in result.plan if d.backend == "batched"]
         assert [len(d.point_indices) for d in batched] == [4]
         assert result.backend in ("batched[4/4]", "auto[batched:4]")
+
+    @pytest.mark.parametrize("setting", ["serial", "batched", "auto"])
+    def test_split_grid_runs_its_plan(self, monkeypatch, setting):
+        # auto stacks the short rows and runs each long row as a stack of
+        # one; the other settings run every partition their one way.
+        stacks = _record_stacks(monkeypatch)
+        short = tone(1000.0, 0.02, AUDIO_RATE_HZ, amplitude=0.9)
+        long_ = tone(1000.0, 0.5, AUDIO_RATE_HZ, amplitude=0.9)
+        scenario = Scenario(
+            name="split",
+            sweep=SweepSpec.grid(row=("short", "long"), distance_ft=(2.0, 3.0, 4.0)),
+            prepare=lambda gen: {"short": short, "long": long_},
+            base_chain={"program": "silence", "stereo_decode": False},
+            chain_axes=("distance_ft",),
+            payload=PayloadSelector("row", {"short": "short", "long": "long"}),
+            measure=_mean_abs,
+        )
+        result = SweepRunner(
+            scenario, rng=SEED, cache=AmbientCache(), backend=setting
+        ).run()
+        distance = {p.index: p["distance_ft"] for p in result.points}
+        assert sorted(stacks) == _planned_stacks(result, distance)
+        expected = {
+            "serial": ["serial", "serial"],
+            "batched": ["batched", "batched"],
+            "auto": ["batched", "serial"],
+        }
+        assert [d.backend for d in result.plan] == expected[setting]
 
 
 class TestForcedChunking:

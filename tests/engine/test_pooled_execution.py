@@ -2,8 +2,8 @@
 
 ``auto`` runs each serially-routed point (long mono and stereo rows
 alike) as one unit of a thread pool, and all its batched partitions
-together as one more (one batched call, so one partition's stacks are
-live at a time). Values must equal the serial backend's bit for bit at
+together as one more (its stacks run in turn, so one partition's
+stacks are live at a time). Values must equal the serial backend's bit for bit at
 any pool size. ``REPRO_SWEEP_WORKERS=2`` forces a two-thread pool, so
 these tests exercise real concurrency on a one-CPU machine too. A live
 stateful fading model on a scenario's chain is refused under every
@@ -20,8 +20,8 @@ from repro.audio.tones import tone
 from repro.channel.fading import BodyMotionFading, MotionFadingSpec
 from repro.constants import AUDIO_RATE_HZ
 from repro.engine import AmbientCache, PayloadSelector, Scenario, SweepRunner, SweepSpec
-from repro.engine.execution import execute_point
-from repro.engine.planner import Unit, plan_sweep
+from repro.engine.execution import run_stack
+from repro.engine.planner import plan_sweep
 from repro.engine.runner import WORKERS_ENV_VAR, derive_streams, pool_size
 from repro.errors import ConfigurationError
 from repro.experiments import fig08_ber_overlay as fig08
@@ -125,9 +125,9 @@ class TestThreadedAuto:
         batched = tuple(d for d in plan.decisions if d.backend == "batched")
         assert len(batched) == 2
         long = [pos for pos, p in enumerate(points) if p["row"] == "long"]
-        assert plan.units == [Unit(partitions=batched)] + [
-            Unit(positions=(pos,)) for pos in long
-        ]
+        assert plan.units == [
+            tuple((d.positions, d.chunk_rows) for d in batched)
+        ] + [(((pos,), 1),) for pos in long]
 
         serial = _run(scenario, "serial")
         auto = _run(scenario, "auto")
@@ -156,7 +156,7 @@ class TestThreadedAuto:
         )
         data, points, _, _ = derive_streams(scenario, as_generator(SEED))
         plan = plan_sweep(scenario, data, points, AmbientCache(), "auto")
-        assert plan.units == [Unit(positions=(pos,)) for pos in range(len(points))]
+        assert plan.units == [(((pos,), 1),) for pos in range(len(points))]
 
         serial = _run(scenario, "serial")
         auto = _run(scenario, "auto")
@@ -206,12 +206,19 @@ class TestPointWorkingSet:
         # once it is demodulated.
         scenario = fig08.build_scenario("3.2kbps", powers_dbm=(-40.0,), distances_ft=(4,))
         data = scenario.prepare(as_generator(SEED))
-        point = scenario.sweep.points()[0]
+        points = scenario.sweep.points()
         cache = AmbientCache()
-        warm = execute_point(scenario, point, 123, data, cache, 7)
+
+        def run_point():
+            # One point as the plan runs it: a stack of one.
+            values = [None]
+            run_stack(scenario, data, points, [123], cache, 7, (0,), 1, values)
+            return values[0]
+
+        warm = run_point()
         tracemalloc.start()
         try:
-            value = execute_point(scenario, point, 123, data, cache, 7)
+            value = run_point()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -79,6 +79,16 @@ class TestScenario:
         with pytest.raises(ConfigurationError, match=rf"{field} must be an AxisRef"):
             self._scenario(**{field: lambda p: ("fig7", p["power_dbm"])})
 
+    def test_payload_without_chain_rejected_when_built(self):
+        # A payload names a transmission through the point's chain; with
+        # no chain declared there is nothing to transmit through, so the
+        # scenario is refused before any sweep starts.
+        with pytest.raises(ConfigurationError, match="'demo' declares a payload but no chain"):
+            self._scenario(payload="waveform")
+        scenario = self._scenario(payload="waveform", chain_axes=("power_dbm",))
+        assert not scenario.measure_driven
+        assert self._scenario().measure_driven
+
     def test_chain_kwargs_merge_per_point_over_base(self):
         scenario = self._scenario(
             base_chain={"program": "news", "power_dbm": 0.0},
