@@ -1,6 +1,6 @@
 """Repo-level pytest configuration.
 
-Lives at the repository root so its command-line options are registered
+Lives at the repository root so its command-line option is registered
 no matter which test directory an invocation targets (pytest only loads
 *initial* conftests — those on the path from the rootdir to the given
 test paths — before parsing options).
@@ -19,27 +19,6 @@ def pytest_addoption(parser):
             "tests/experiments/golden/ from the current code instead of "
             "comparing against them. Use after an *intentional* "
             "output-changing DSP or backend change, and commit the diff."
-        ),
-    )
-    parser.addoption(
-        "--bench-record",
-        action="store_true",
-        default=False,
-        help=(
-            "Write the engine benchmarks' measurements to the tracked "
-            "benchmarks/BENCH_engine.json. Off by default so a test run "
-            "never dirties the tree; commit the diff when re-recording."
-        ),
-    )
-    parser.addoption(
-        "--bench-gate",
-        action="store_true",
-        default=False,
-        help=(
-            "Enforce the engine benchmarks' wall-clock speedup bars. Off "
-            "by default: timings are recorded, not asserted, so a loaded "
-            "machine cannot fail the suite. Bit-identity and structural "
-            "checks always run."
         ),
     )
 

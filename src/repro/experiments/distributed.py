@@ -9,7 +9,7 @@ at the same seed, because every point's stream is pre-derived before any
 shard runs. On top of the figure series, the result carries the
 launcher's telemetry (shards, retries, wall-clock vs aggregate compute
 time, cache counters), which is what the README's multi-machine recipe
-and the ``distributed_launcher`` benchmark read.
+reads.
 """
 
 from __future__ import annotations

@@ -9,20 +9,16 @@ the backscattered channel itself drops below the FM threshold.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
 from repro.audio.pesq import pesq_like
 from repro.audio.speech import speech_like
-from repro.backscatter.device import BackscatterDevice, BackscatterMode
-from repro.backscatter.modulator import composite_mpx
 from repro.channel.noise import complex_awgn
-from repro.constants import AUDIO_RATE_HZ, COOP_PILOT_FREQ_HZ, MPX_RATE_HZ
+from repro.constants import AUDIO_RATE_HZ, COOP_PILOT_FREQ_HZ
 from repro.engine import AxisRef, CachedAmbient, Scenario, SweepSpec, power_key, run_scenario
 from repro.experiments.common import ExperimentChain
-from repro.fm.modulator import fm_modulate
-from repro.fm.station import FMStation, StationConfig
 from repro.receiver.cooperative import CooperativeReceiver
 from repro.receiver.smartphone import SmartphoneReceiver
 from repro.utils.rand import RngLike, as_generator, child_generator
@@ -65,14 +61,15 @@ def simulate_two_phones(
     program: str = "news",
     phone_offset_seconds: float = 0.08,
     rng: RngLike = None,
-    ambient: Optional[CachedAmbient] = None,
+    *,
+    ambient: CachedAmbient,
 ):
     """Run the two-phone reception and cooperative cancellation.
 
     Args:
-        ambient: optional cache-backed ambient source (the sweep engine
-            passes one); when set, the station MPX and both FM-modulated
-            carriers are synthesized once per sweep instead of per point.
+        ambient: the sweep's cache-backed ambient source (``run.ambient``);
+            the station MPX and both FM-modulated carriers are
+            synthesized once per sweep instead of per point.
 
     Returns:
         ``(recovered_audio, CooperativeResult)`` — the recovered
@@ -93,21 +90,11 @@ def simulate_two_phones(
     )
 
     # Shared ambient program: both phones hear the same station. The
-    # station child is derived even on the cached path so the noise and
-    # phone draws below stay aligned with the legacy loop.
-    station_rng = child_generator(gen, "st")
-    if ambient is not None:
-        iq1 = ambient.modulated_composite(chain.front_end(), payload)
-        iq2_clean = ambient.modulated(program, False, duration_s)
-    else:
-        station = FMStation(
-            StationConfig(program=program, stereo=False), rng=station_rng
-        )
-        ambient_mpx = station.mpx(duration_s)
-        device = BackscatterDevice(mode=BackscatterMode.OVERLAY)
-        comp = composite_mpx(ambient_mpx, device.baseband(payload))
-        iq1 = fm_modulate(comp, MPX_RATE_HZ)
-        iq2_clean = fm_modulate(ambient_mpx, MPX_RATE_HZ)
+    # station child is still drawn, though the cache synthesizes the
+    # station, so the noise and phone streams below keep their seeds.
+    child_generator(gen, "st")
+    iq1 = ambient.modulated_composite(chain.front_end(), payload)
+    iq2_clean = ambient.modulated(program, False, duration_s)
 
     # Phone 1: the backscattered channel at fc + fback.
     iq1 = complex_awgn(iq1, chain.rf_snr_db(), child_generator(gen, "n1"))

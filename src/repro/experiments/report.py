@@ -155,7 +155,11 @@ def collect_aggregates(fast: bool = True, rng: int = REPORT_SEED) -> Dict[str, D
 
 def generate_report(fast: bool = True) -> str:
     """Run the experiment suite and return a markdown report."""
-    agg = collect_aggregates(fast=fast)
+    return render_report(collect_aggregates(fast=fast), fast=fast)
+
+
+def render_report(agg: Dict[str, Dict], fast: bool = True) -> str:
+    """Render :func:`collect_aggregates`' output as the markdown report."""
     lines: List[str] = [
         "# FM Backscatter reproduction report",
         "",

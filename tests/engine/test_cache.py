@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.engine import AmbientCache, CachedAmbient, default_cache, payload_fingerprint
+from repro.engine import (
+    AmbientCache, CachedAmbient, SweepRunner, default_cache, payload_fingerprint,
+)
 from repro.experiments.common import ExperimentChain
 
 
@@ -176,3 +178,24 @@ class TestCachedAmbient:
         ambient.modulated_composite(damped.front_end(), short_speech)
         # Two composites, one shared ambient MPX between them.
         assert ambient.cache.stats["misses"] == 3
+
+    @pytest.mark.parametrize("backend, hits", [("serial", 3), ("auto", 3), ("batched", 0)])
+    def test_fig08_grid_synthesizes_once_on_a_cold_default_cache(
+        self, monkeypatch, backend, hits
+    ):
+        # A whole grid synthesizes one ambient MPX plus one modulated
+        # composite, not one front end per point. Every later stack reads
+        # the composite back: 0.4 s rows are past the mono crossover, so
+        # auto, like serial, runs each point as its own stack, while
+        # batched runs the grid as one.
+        import repro.engine.cache as cache_mod
+        from repro.experiments import fig08_ber_overlay as fig08
+
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        monkeypatch.setattr(cache_mod, "_DEFAULT_CACHE", None)
+        scenario = fig08.build_scenario(
+            "100bps", powers_dbm=(-20.0, -60.0), distances_ft=(2, 8), n_bits=40
+        )
+        result = SweepRunner(scenario, rng=2017, backend=backend).run()
+        assert default_cache().stats["items"] == 2
+        assert result.cache_stats == {"hits": hits, "misses": 2, "items": 2}

@@ -333,6 +333,7 @@ class TestSharedStore:
             cache_dir=str(tmp_path),
         )
         assert cold.warm_syntheses > 0
+        assert cold.result.cache_stats["syntheses"] == 0  # workers only load
         assert cold.store_dir == str(tmp_path)
 
         warm = launch_sweep(

@@ -191,10 +191,10 @@ class TestDecisionGates:
     """The crossover gates CI runs without trusting wall clocks."""
 
     def test_never_batched_on_fig08_long_row_grid(self):
-        # The grid the backend-matrix benchmark measures regressing ~2x
-        # under batched: 100 bps payload -> 0.4 s waveform -> 192k-sample
-        # rows that starve the chunker. The planner must never send it
-        # to the batched executor.
+        # 100 bps payload -> 0.4 s waveform -> 192k-sample rows, past
+        # the mono crossover (CROSSOVER_SAMPLES) and long enough to
+        # starve the chunker. The planner must never send this grid to
+        # the batched executor.
         scenario = fig08.build_scenario("100bps", n_bits=40)
         data, points = _prepared(scenario)
         plan = plan_sweep(scenario, data, points, AmbientCache(), "auto")

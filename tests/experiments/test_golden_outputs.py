@@ -43,7 +43,6 @@ from repro.experiments import (
     fig13_pesq_stereo,
     fig14_car,
     fig17_fabric,
-    report,
 )
 
 GOLDEN_DIR = Path(__file__).with_name("golden")
@@ -94,11 +93,12 @@ CASES = {
     # Beyond the figures: the deployment scale-out sweep (8 devices
     # overflow the dedicated channels, so the fixture pins both the
     # dedicated and the shared-ALOHA regimes) and the numeric aggregates
-    # behind every report.py section.
+    # behind every report.py section (the session-scoped fixture of
+    # that name, which test_report.py renders too).
     "deployment_scale": lambda: deployment_scale.run(
         device_counts=(1, 2, 4, 8), rng=SEED
     ),
-    "report_aggregates": lambda: report.collect_aggregates(fast=True, rng=SEED),
+    "report_aggregates": None,
 }
 
 REL_TOL = 1e-9
@@ -153,9 +153,10 @@ def assert_matches(actual, expected, path=""):
 
 @pytest.mark.golden
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_golden_output(name, regen_golden):
+def test_golden_output(name, regen_golden, request):
     fixture = GOLDEN_DIR / f"{name}.json"
-    result = canonicalize(CASES[name]())
+    case = CASES[name]
+    result = canonicalize(case() if case else request.getfixturevalue(name))
     if regen_golden:
         GOLDEN_DIR.mkdir(exist_ok=True)
         fixture.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")

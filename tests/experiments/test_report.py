@@ -1,7 +1,8 @@
 """Report-generator tests.
 
-The full fast-grid report costs ~40 s, so the structure check runs it
-once behind a module-scoped fixture and the CLI test stubs the generator.
+The fast report grids run once per session (the ``report_aggregates``
+fixture, shared with the golden fixture), the structure checks render
+them, and the CLI tests stub the generator.
 """
 
 import pytest
@@ -10,8 +11,8 @@ from repro.experiments import report
 
 
 @pytest.fixture(scope="module")
-def generated():
-    return report.generate_report(fast=True)
+def generated(report_aggregates):
+    return report.render_report(report_aggregates, fast=True)
 
 
 class TestReport:
