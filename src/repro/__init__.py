@@ -2,8 +2,10 @@
 
 Transforms everyday objects into FM radio stations: backscatter ambient
 FM broadcasts so that any unmodified FM receiver (smartphone, car radio)
-decodes the overlaid audio or data. See DESIGN.md for the system map and
-EXPERIMENTS.md for the paper-figure reproductions.
+decodes the overlaid audio or data. The README maps the package, and
+``python -m repro.experiments.report`` reruns the paper-figure
+reproductions and prints them as markdown
+(:func:`repro.experiments.report.render_report`).
 """
 
 from repro._version import __version__

@@ -6,8 +6,8 @@ hundred numpy ops) and rebuild the same Welch window. Those objects are
 pure functions of their design parameters, so this module gives the DSP
 layer one process-wide plan cache: :mod:`repro.dsp.filters` keys FIR
 designs by (kind, band edges, sample rate, taps) and the taps' spectra by
-(taps, FFT length, dtype), :mod:`repro.dsp.spectrum` keys Welch
-windows by segment length, and :mod:`repro.dsp.resample` keys its
+(taps, FFT length, dtype), :mod:`repro.dsp.spectrum` keys its
+PSD-scaled Welch windows by segment length and sample rate, and :mod:`repro.dsp.resample` keys its
 polyphase filters by the reduced up/down factors.
 
 Cached arrays are returned **non-writable** (and every hit returns the

@@ -4,8 +4,9 @@ One module per evaluation figure; each exposes a ``run(...)`` function
 that sweeps the figure's parameters through the full simulation chain and
 returns the same series the paper plots. The benchmark suite under
 ``benchmarks/`` calls these with reduced grids and checks the paper's
-qualitative shape (who wins, where cliffs fall); EXPERIMENTS.md records
-paper-vs-measured values.
+qualitative shape (who wins, where cliffs fall);
+:func:`repro.experiments.report.render_report` prints paper-vs-measured
+values from live runs.
 """
 
 from repro.experiments.common import (

@@ -1,8 +1,9 @@
 """One-shot reproduction report: run every experiment, emit markdown.
 
-``python -m repro.experiments.report [output.md]`` regenerates a compact
-version of EXPERIMENTS.md from live runs — the artifact a downstream user
-checks first when validating their installation. The ``fast`` grids keep
+``python -m repro.experiments.report [output.md]`` runs the figures and
+writes their paper-vs-measured numbers as markdown
+(:func:`render_report`) — the artifact a downstream user checks first
+when validating their installation. The ``fast`` grids keep
 the full sweep under a few minutes; pass ``fast=False`` for the
 paper-sized grids.
 """

@@ -97,6 +97,8 @@ class TestDesignHookup:
         x = rng.standard_normal(8192)
         clear_plan_cache()
         f1, p1 = power_spectrum(x, FS)
+        # The PSD-scaled window, keyed by segment length and sample rate.
+        assert ("welch_window", 4096, FS) in plan_cache._cache
         misses_after_first = plan_cache_stats()["misses"]
         f2, p2 = power_spectrum(x, FS)
         assert plan_cache_stats()["misses"] == misses_after_first

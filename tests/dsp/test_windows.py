@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.dsp.windows import hann_window, raised_cosine_edges
+from repro.dsp.windows import hann_window, periodic_hann_window, raised_cosine_edges
 from repro.errors import ConfigurationError
 
 
@@ -27,6 +27,24 @@ class TestHann:
 
     def test_matches_numpy(self):
         assert np.allclose(hann_window(128), np.hanning(128))
+
+
+class TestPeriodicHann:
+    @given(st.integers(min_value=1, max_value=10_000))
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    def test_bit_identical_to_scipy_get_window(self, length):
+        from scipy.signal import get_window
+
+        assert np.array_equal(periodic_hann_window(length), get_window("hann", length))
+
+    def test_welch_default_length(self):
+        from scipy.signal import get_window
+
+        assert np.array_equal(periodic_hann_window(4096), get_window("hann", 4096))
+
+    def test_rejects_zero_length(self):
+        with pytest.raises(ConfigurationError):
+            periodic_hann_window(0)
 
 
 class TestRaisedCosineEdges:
