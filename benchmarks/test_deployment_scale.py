@@ -3,7 +3,7 @@
 Structural bars for the deployment layer:
 
 - the device-count sweep returns bit-identical results under every
-  ``REPRO_SWEEP_BACKEND`` setting (serial, batched and auto);
+  ``REPRO_SWEEP_BACKEND`` setting (serial and auto);
 - with a warm persistent cache (``REPRO_CACHE_DIR``), a repeat run
   performs **zero** ambient syntheses regardless of device count — the
   grid shares one ambient synthesis instead of one per device.

@@ -8,8 +8,8 @@ allow it, ALOHA-style sharing otherwise. Both policies now live in the
 deployment layer (`repro.engine.deployment`), so this example is a thin
 driver: declare the signs, let the `ChannelPlan` scan the band and hand
 out channels, and run the whole intersection as one engine sweep (cached
-ambient synthesis; `REPRO_SWEEP_BACKEND` may be `serial`, `batched` or
-the default `auto`, with identical results).
+ambient synthesis; `REPRO_SWEEP_BACKEND` may be `serial` or the
+default `auto`, with identical results).
 
 Run:
     python examples/connected_intersection.py

@@ -76,13 +76,3 @@ def embed_imperceptible(
         raise SignalError("data waveform is silent")
     gain_track = local_rms * 10.0 ** (embed_db / 20.0) / data_rms
     return program_audio + gain_track * data_waveform
-
-
-def embedding_level_track(
-    composite: np.ndarray, program_audio: np.ndarray
-) -> np.ndarray:
-    """The residual (data) component of a composite, for diagnostics."""
-    composite = ensure_real(composite, "composite")
-    program_audio = ensure_real(program_audio, "program_audio")
-    n = min(composite.size, program_audio.size)
-    return composite[:n] - program_audio[:n]

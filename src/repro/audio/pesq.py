@@ -1,13 +1,12 @@
 """Perceptual speech-quality metric on the PESQ 1-4.5 scale.
 
 The paper scores backscattered audio with ITU-T P.862 PESQ (section 5.3).
-Full P.862 conformance is out of scope for this reproduction (DESIGN.md
-section 2); this module implements the pipeline's load-bearing stages —
-level alignment, time alignment, Bark-band loudness with an absolute
-hearing threshold, masked disturbance aggregation, and a logistic mapping
-onto [1.0, 4.5] — so the score is a *monotone* function of perceptual
-degradation, which is what the paper's comparisons (overlay ~= 2,
-cooperative ~= 4) rely on.
+Full P.862 conformance is out of scope for this reproduction; this
+module implements the pipeline's load-bearing stages — level alignment,
+time alignment, Bark-band loudness with an absolute hearing threshold,
+masked disturbance aggregation, and a logistic mapping onto [1.0, 4.5] —
+so the score is a *monotone* function of perceptual degradation, which
+is what the paper's comparisons (overlay ~= 2, cooperative ~= 4) rely on.
 
 Calibration anchors (see tests/audio/test_pesq.py): identical signals
 score 4.5; speech over equal-level competing speech (the overlay

@@ -1,9 +1,10 @@
 """RF channel models: noise, path loss, multipath, fading, link budgets.
 
 These substitute for the paper's physical testbed (USRP transmitter,
-posters, bus stops, moving users) per DESIGN.md section 2. Distances and
-powers reproduce the evaluation's knobs: ambient power at the backscatter
-device (-20 to -60 dBm) and device-to-receiver distance in feet.
+posters, bus stops, moving users), which this reproduction simulates
+rather than builds. Distances and powers reproduce the evaluation's
+knobs: ambient power at the backscatter device (-20 to -60 dBm) and
+device-to-receiver distance in feet.
 """
 
 from repro.channel.noise import awgn, complex_awgn, noise_power_dbm

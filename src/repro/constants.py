@@ -85,7 +85,7 @@ DEEMPHASIS_EU_SECONDS = 50e-6
 """European FM de-emphasis time constant (50 microseconds)."""
 
 # ---------------------------------------------------------------------------
-# Default simulation sample rates (DESIGN.md section 5)
+# Default simulation sample rates
 # ---------------------------------------------------------------------------
 
 AUDIO_RATE_HZ = 48_000

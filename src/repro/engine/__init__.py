@@ -6,9 +6,9 @@ separates the *what* from the *how*: a :class:`Scenario` declares the
 grid, the per-point RNG derivation, the transmission payload and the
 measurement — as plain data (:class:`AxisRef` templates, ``chain_axes``,
 module-level measures), so a grid point can be shipped across a process
-boundary. A :class:`SweepRunner` executes it ``serial``, ``batched`` or
-— the default — ``auto`` (see ``REPRO_SWEEP_BACKEND``). Every setting
-is a plan (:func:`plan_sweep`): the grid's partitions, each run as one
+boundary. A :class:`SweepRunner` executes it ``serial`` or — the
+default — ``auto`` (see ``REPRO_SWEEP_BACKEND``). Both settings are
+plans (:func:`plan_sweep`): the grid's partitions, each run as one
 vectorized stack (``batched``) or as a stack of one per point
 (``serial``; ``auto`` picks per partition by row length), all through
 one executor on one thread pool, with every decision recorded on
@@ -39,7 +39,7 @@ also runs on the distributed launcher's worker processes)::
         measure=score_ber,
         measure_params={"modem": modem},
     )
-    result = SweepRunner(scenario, rng=2017, backend="batched").run()
+    result = SweepRunner(scenario, rng=2017).run()
     series = result.series(along="distance_ft", power_dbm=-40.0)
 
 Fading on a scenario's chain is a declarative spec
@@ -65,7 +65,7 @@ submissions share one warm :class:`CacheStore`.
 
 Determinism contract: the per-point streams are pre-derived from the
 sweep generator in grid order (exactly the draws the legacy nested loops
-consumed), so results are bit-identical across all three settings, the
+consumed), so results are bit-identical across both settings, the
 launcher and any worker count. Set ``REPRO_SWEEP_WORKERS=<n>`` / ``REPRO_SWEEP_BACKEND=
 <backend>`` to change execution for every figure sweep without touching
 call sites.

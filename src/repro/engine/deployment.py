@@ -19,9 +19,9 @@ workload:
   placement, compiled by :meth:`DeploymentScenario.compile` into an
   ordinary picklable :class:`~repro.engine.scenario.Scenario`, so device
   count, per-device power, ALOHA slot count and sign density are sweep
-  axes like any other: they run under every ``REPRO_SWEEP_BACKEND``
-  setting and on the launcher, their per-point streams are pre-derived
-  (bit-identical results everywhere), and the ambient station is synthesized once per
+  axes like any other: they run under ``serial``, ``auto`` and on the
+  launcher, their per-point streams are pre-derived (bit-identical
+  results everywhere), and the ambient station is synthesized once per
   grid — not once per device — through the runner's
   :class:`~repro.engine.cache.AmbientCache`.
 

@@ -71,6 +71,7 @@ from __future__ import annotations
 
 import logging
 import multiprocessing
+import numbers
 import os
 import pickle
 import shutil
@@ -199,6 +200,14 @@ def default_shard_points(n_points: int, n_workers: int) -> int:
     return max(1, -(-n_points // (4 * n_workers)))
 
 
+def check_count(name: str, value: object, least: int) -> None:
+    """Raise :class:`ConfigurationError` unless ``value`` is an int (not a
+    bool) of at least ``least``, naming the setting."""
+    is_int = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if not is_int or value < least:
+        raise ConfigurationError(f"{name} must be an int >= {least}, got {value!r}")
+
+
 def check_launch_settings(
     n_workers: int,
     shard_points: Optional[int],
@@ -212,15 +221,13 @@ def check_launch_settings(
     bad setting fails where it was given, not inside a later job.
 
     Raises:
-        ConfigurationError: naming the first setting out of range.
+        ConfigurationError: naming the first setting of the wrong type
+            or out of range.
     """
-    for name, value, least in (
-        ("n_workers", n_workers, 1),
-        ("shard_points", shard_points, 1),
-        ("max_retries", max_retries, 0),
-    ):
-        if value is not None and value < least:
-            raise ConfigurationError(f"{name} must be >= {least}, got {value}")
+    check_count("n_workers", n_workers, 1)
+    if shard_points is not None:
+        check_count("shard_points", shard_points, 1)
+    check_count("max_retries", max_retries, 0)
     for name, value in (
         ("shard_deadline_s", shard_deadline_s),
         ("job_deadline_s", job_deadline_s),

@@ -10,35 +10,32 @@ one stack of its members in the plan's chunk rows, and a serial point as
 a stack of one, so the plan on
 :attr:`~repro.engine.results.SweepResult.plan` is what executed.
 
-Every setting is a plan. Each partition gets one
-:class:`PlanDecision` — backend, chunk rows and the rule that chose
-them:
+Both settings are plans. Each partition gets one :class:`PlanDecision`
+— backend, chunk rows and the rule that chose them:
 
 - ``serial`` runs every point as a stack of one (reason
   ``"requested"``), and so does a grid of at most one point
   (``"single-point"``), where stacking buys nothing.
-- ``batched`` stacks every partition (``"requested"``), unless the grid
-  cannot batch at all: a *measure-driven* grid's measure transmits
-  itself, so there is nothing to stack (``"measure-driven"``), and an
-  *uncached* grid has no shared composite envelope (``"uncached"``),
-  so each point synthesizes its own. Both are properties of the whole
-  grid, decided here, so no stack of more than one row ever lacks a
-  shared composite.
-- ``auto`` applies the same two grid rules, then a row-length rule per
-  partition (:func:`choose_backend`): stacking wins on short rows, where
-  per-point Python dispatch amortizes across the stack, but loses on
-  long ones, where the memory-capped chunks narrow the stack until
-  nothing is left to amortize while one-row stacks run on every core.
+- ``auto`` runs every point serially when the grid cannot batch at all:
+  a *measure-driven* grid's measure transmits itself, so there is
+  nothing to stack (``"measure-driven"``), and an *uncached* grid has no
+  shared composite envelope (``"uncached"``), so each point synthesizes
+  its own. Both are properties of the whole grid, decided here, so no
+  stack of more than one row ever lacks a shared composite. Otherwise a
+  row-length rule picks per partition (:func:`choose_backend`): stacking
+  wins on short rows, where per-point Python dispatch amortizes across
+  the stack, but loses on long ones, where the memory-capped chunks
+  narrow the stack until nothing is left to amortize while one-row
+  stacks run on every core.
 
 The plan's *units*, each a tuple of :class:`Stack` run in turn, go to
 the runner's thread pool (:func:`~repro.engine.runner.run_units`): all
 batched partitions together are one unit (so one partition's stacks are
-live at a time); under ``auto`` each serial point is a unit of its own,
-and under the other settings all serial points are one unit. Each unit
-runs on the same pre-derived per-point seeds (fading included: a
-scenario's chain carries only declarative fading specs, which each point
-resolves from its own stream), so results stay bit-identical in grid
-order at any pool size.
+live at a time) and each serial point is a unit of its own; under
+``serial`` all points are one unit. Each unit runs on the same
+pre-derived per-point seeds (fading included: a scenario's chain carries
+only declarative fading specs, which each point resolves from its own
+stream), so results stay bit-identical in grid order at any pool size.
 """
 
 from __future__ import annotations
@@ -145,8 +142,8 @@ class SweepPlan:
 
     Attributes:
         decisions: one decision per partition, grid order.
-        label: the result's backend label — ``serial``,
-            ``batched[n/N]`` or ``auto[batched:n+serial:m]``.
+        label: the result's backend label — ``serial`` or
+            ``auto[batched:n+serial:m]``.
         units: the work for :func:`~repro.engine.runner.run_units`.
     """
 
@@ -222,7 +219,7 @@ def plan_sweep(
     """The plan that runs ``points`` under ``setting``.
 
     Args:
-        setting: ``"serial"``, ``"batched"`` or ``"auto"``.
+        setting: ``"serial"`` or ``"auto"``.
     """
     if len(points) <= 1:
         setting, grid_reason = "serial", "single-point"
@@ -243,8 +240,6 @@ def plan_sweep(
         partitions = partition_points(scenario, data, points)
     if grid_reason is not None:
         choices = [("serial", grid_reason)] * len(partitions)
-    elif setting == "batched":
-        choices = [("batched", "requested")] * len(partitions)
     else:
         choices = [
             choose_backend(n_samples, stereo) for _, n_samples, stereo, _ in partitions
@@ -285,8 +280,6 @@ def plan_sweep(
         label = "auto[" + "+".join(
             f"{backend}:{count}" for backend, count in counts.items() if count
         ) + "]"
-    elif setting == "batched":
-        label = f"batched[{n_batched}/{len(points)}]"
     else:
         label = "serial"
     return SweepPlan(decisions=decisions, label=label, units=units)

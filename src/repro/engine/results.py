@@ -73,7 +73,7 @@ class SweepResult:
         points: the grid points, ``spec.points()`` order.
         values: ``measure``'s return value for each point, same order.
         elapsed_s: wall-clock execution time of the grid.
-        n_workers: pool workers used (1 == serial / batched).
+        n_workers: pool workers used (1 == run inline).
         cache_stats: ambient-cache counters for this run (``hits`` /
             ``misses`` / ``items``, plus ``disk_hits`` / ``syntheses``
             when a persistent store is attached), or ``None`` when
@@ -81,10 +81,10 @@ class SweepResult:
         data: the shared dict returned by the scenario's ``prepare``
             (payload bits, reference audio, ...), for post-grid steps
             like MRC combining or BER scoring.
-        backend: the plan's label for how the grid ran — ``serial``,
-            ``batched[n/N]`` (``n`` of the ``N`` points vectorized) or
-            ``auto[batched:n+serial:m]``; merged and launcher results
-            carry their own labels.
+        backend: the plan's label for how the grid ran — ``serial`` or
+            ``auto[batched:n+serial:m]`` (``n`` points stacked, ``m`` run
+            one by one); merged and launcher results carry their own
+            labels.
         plan: the plan's per-partition decisions
             (:class:`~repro.engine.planner.PlanDecision` records — the
             partition's points, executor, chunk rows and the rule's

@@ -1,4 +1,4 @@
-"""Sweep execution: serial, batched or auto — always seed-stable.
+"""Sweep execution: serial or auto — always seed-stable.
 
 :class:`SweepRunner` turns a declarative
 :class:`~repro.engine.scenario.Scenario` into results:
@@ -10,7 +10,7 @@
    via :func:`~repro.utils.rand.child_generator` — and mixed with the
    scenario's per-point keys through the pure
    :func:`~repro.utils.rand.derive_seed`. Every point's stream is
-   therefore fixed before execution starts, so all settings are
+   therefore fixed before execution starts, so both settings are
    bit-identical to the serial loop and to the hand-rolled loops they
    replaced.
 3. :func:`~repro.engine.planner.plan_sweep` turns the selected setting
@@ -22,22 +22,19 @@
 
    - ``serial`` — one unit of one-row stacks, every point in turn (the
      reference semantics).
-   - ``batched`` — one unit with one stack per partition, whose link +
-     receive math (fading, mono and stereo decode alike — via per-row
-     envelope stacks and the multi-waveform pilot PLL — plus de-emphasis
-     and receiver output effects) runs vectorized over a
-     ``(points, samples)`` stack; a measure-driven or uncached grid,
-     which has nothing to stack, is one unit of one-row stacks instead.
-   - ``auto`` (the default) — each partition goes to ``batched`` or
-     ``serial`` by a measured row-length rule (one crossover for mono
-     rows, one for stereo): short-row partitions ride the vectorized
-     stack while long rows run per point. Each serial point is then one
-     unit, and all batched partitions together are one more.
+   - ``auto`` (the default) — each partition is stacked (``batched``)
+     or run per point (``serial``) by a measured row-length rule (one
+     crossover for mono rows, one for stereo). A stack's link + receive
+     math (fading, mono and stereo decode, de-emphasis and receiver
+     output effects) runs vectorized over a ``(points, samples)`` array;
+     a measure-driven or uncached grid has nothing to stack. Each serial
+     point is then one unit, and all batched partitions together are one
+     more.
 
 :func:`run_units` is a thread pool with one thread per available CPU,
 capped at the number of units; ``max_workers`` or
 ``REPRO_SWEEP_WORKERS`` sets the count instead, and a pool of one (as
-for the single unit of ``serial`` and ``batched``) runs inline. Units
+for the single unit of ``serial``) runs inline. Units
 may run concurrently: each point's stream is derived before execution
 (a fading spec on the chain resolves from it too), and the ambient
 cache and the DSP plan cache lock. Multi-process execution is
@@ -84,7 +81,7 @@ BACKEND_ENV_VAR = "REPRO_SWEEP_BACKEND"
 AUTO_BACKEND = "auto"
 """The default: planned per-partition execution (:mod:`repro.engine.planner`)."""
 
-BACKEND_CHOICES = ("serial", "batched", AUTO_BACKEND)
+BACKEND_CHOICES = ("serial", AUTO_BACKEND)
 """Everything ``backend=`` / ``REPRO_SWEEP_BACKEND`` accepts."""
 
 

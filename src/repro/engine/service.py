@@ -55,7 +55,7 @@ from typing import Dict, List, Optional
 
 from repro.engine.journal import JobJournal
 from repro.errors import ConfigurationError
-from repro.engine.launcher import LaunchReport, check_launch_settings, launch_sweep
+from repro.engine.launcher import LaunchReport, check_count, check_launch_settings, launch_sweep
 from repro.engine.scenario import Scenario
 from repro.engine.store import env_cache_dir
 from repro.utils.rand import RngLike, as_generator
@@ -178,6 +178,7 @@ class SweepService:
             job_deadline_s=job_deadline_s,
         )
         check_launch_settings(**self._launch)
+        check_count("max_parallel_jobs", max_parallel_jobs, 1)
         self._scratch: Optional[str] = None
         explicit = cache_dir or env_cache_dir()
         if explicit is None:

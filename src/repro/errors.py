@@ -24,10 +24,6 @@ class SignalError(ReproError):
     """
 
 
-class SampleRateError(SignalError):
-    """Two signals (or a signal and a component) disagree on sample rate."""
-
-
 class DemodulationError(ReproError):
     """The receiver could not extract the requested information.
 

@@ -1,9 +1,10 @@
 """Wideband multi-station FM band simulation.
 
-The per-channel complex-baseband model (DESIGN.md §5) is the efficient
-path; this module is the physically-faithful one: a slice of the FM band
-with several stations at their channel offsets, synthesized at a wideband
-rate. It backs three things the narrowband path cannot:
+The per-channel complex-baseband model (one station's channel at
+``MPX_RATE_HZ``) is the efficient path; this module is the
+physically-faithful one: a slice of the FM band with several stations at
+their channel offsets, synthesized at a wideband rate. It backs three
+things the narrowband path cannot:
 
 * scanner integration — measure per-channel powers from actual IQ and
   let :class:`repro.receiver.scanner.BandScanner` choose ``fback``;

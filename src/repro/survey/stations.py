@@ -15,7 +15,7 @@ from typing import Dict
 
 import numpy as np
 
-from repro.constants import FM_NUM_CHANNELS, fm_channel_centers_hz
+from repro.constants import FM_NUM_CHANNELS
 from repro.errors import ConfigurationError
 from repro.utils.rand import RngLike, as_generator
 
@@ -85,11 +85,3 @@ def generate_band_plan(
     # Fall back to a deterministic evenly-spaced plan with jitter.
     base = np.linspace(0, FM_NUM_CHANNELS - 1, n_stations).astype(int)
     return np.unique(base)
-
-
-def band_plan_frequencies_hz(channels: np.ndarray) -> np.ndarray:
-    """Center frequencies (Hz) of a channel-index band plan."""
-    channels = np.asarray(channels, dtype=int)
-    if np.any(channels < 0) or np.any(channels >= FM_NUM_CHANNELS):
-        raise ConfigurationError("channel index out of range 0-99")
-    return fm_channel_centers_hz()[channels]

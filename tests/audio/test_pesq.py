@@ -1,4 +1,4 @@
-"""Perceptual metric calibration tests — the anchors DESIGN.md names."""
+"""Perceptual metric calibration tests — the anchors ``repro.audio.pesq`` names."""
 
 import numpy as np
 import pytest

@@ -1,12 +1,12 @@
 """Golden-seed equivalence of the sweep backends.
 
 The engine's contract: the per-point streams are pre-derived from the
-sweep generator, so ``serial`` and ``batched`` execution — and ``auto``,
-which may split one grid across both and run the pieces on a thread
-pool of any size — return bit-identical results: on a data-BER scenario
-(Fig. 8), an audio-metric scenario (Fig. 7) and the stereo-decoding
-scenarios (Fig. 10/13, whose pilot PLL the batched backend vectorizes
-through the multi-waveform ``track_batch``) alike.
+sweep generator, so ``serial`` and ``auto`` — which stacks short-row
+partitions, runs long rows point by point, and runs the pieces on a
+thread pool of any size — return bit-identical results: on a data-BER
+scenario (Fig. 8), an audio-metric scenario (Fig. 7) and the
+stereo-decoding scenarios (Fig. 10/13, whose pilot PLL a stack
+vectorizes through the multi-waveform ``track_batch``) alike.
 """
 
 import re
@@ -24,6 +24,7 @@ from repro.engine import (
     SweepSpec,
     default_backend,
 )
+from repro.engine import planner
 from repro.errors import ConfigurationError
 from repro.experiments import fig07_snr_distance as fig07
 from repro.experiments import fig08_ber_overlay as fig08
@@ -31,7 +32,7 @@ from repro.experiments import fig10_stereo_ber as fig10
 from repro.experiments import fig13_pesq_stereo as fig13
 
 SEED = 2017
-BACKENDS = ("serial", "auto:2", "auto:4", "batched", "auto")
+BACKENDS = ("serial", "auto:2", "auto:4", "auto")
 """Rows ``backend[:REPRO_SWEEP_WORKERS]``, serial first."""
 
 FIG08_KWARGS = dict(
@@ -127,7 +128,7 @@ class TestBackendEquivalence:
 
     def test_batched_handles_mixed_receivers_in_one_front_end_group(self):
         # A receiver-kind axis shares one front end across phone and car
-        # points; the batched backend must partition the group — the mono
+        # points; auto must stack each partition of the group — the mono
         # phone half through receive_mono_batch, the car half (whose
         # radio always runs its stereo decoder) through the
         # multi-waveform-PLL stereo batch — and stay bit-identical to
@@ -152,10 +153,10 @@ class TestBackendEquivalence:
             scenario, rng=SEED, cache=AmbientCache(), backend="serial"
         ).run()
         batched = SweepRunner(
-            scenario, rng=SEED, cache=AmbientCache(), backend="batched"
+            scenario, rng=SEED, cache=AmbientCache(), backend="auto"
         ).run()
         assert batched.values == serial.values
-        assert batched.backend == "batched[4/4]"
+        assert batched.backend == "auto[batched:4]"
         # Two partitions (phone mono, car stereo), both on the stack; the
         # serial setting records the same partitions, run per point.
         assert [d.backend for d in batched.plan] == ["batched", "batched"]
@@ -174,13 +175,16 @@ class TestBackendEquivalence:
             scenario, rng=SEED, cache=AmbientCache(), backend="serial"
         ).run()
         batched = SweepRunner(
-            scenario, rng=SEED, cache=AmbientCache(), backend="batched"
+            scenario, rng=SEED, cache=AmbientCache(), backend="auto"
         ).run()
-        assert batched.backend == "batched[4/4]"
+        assert batched.backend == "auto[batched:4]"
         assert all(d.backend == "batched" for d in batched.plan)
         assert batched.values == serial.values
 
-    def test_fig13_batched_takes_zero_stereo_fallbacks(self):
+    def test_fig13_batched_takes_zero_stereo_fallbacks(self, monkeypatch):
+        # 0.2 s clips are 96,000-sample stereo rows, which auto runs per
+        # point; raising the crossover to them makes auto stack the grid.
+        monkeypatch.setattr(planner, "STEREO_CROSSOVER_SAMPLES", 96_000)
         scenario = fig13.build_scenario(
             "stereo_station",
             powers_dbm=(-20.0, -40.0),
@@ -191,9 +195,9 @@ class TestBackendEquivalence:
             scenario, rng=SEED, cache=AmbientCache(), backend="serial"
         ).run()
         batched = SweepRunner(
-            scenario, rng=SEED, cache=AmbientCache(), backend="batched"
+            scenario, rng=SEED, cache=AmbientCache(), backend="auto"
         ).run()
-        assert batched.backend == "batched[4/4]"
+        assert batched.backend == "auto[batched:4]"
         assert all(d.backend == "batched" for d in batched.plan)
         assert batched.values == serial.values
         # The grid must actually exercise the stereo decoder.
@@ -211,9 +215,9 @@ class TestBackendEquivalence:
             measure=_mean_abs,
         )
         result = SweepRunner(
-            scenario, rng=SEED, cache=AmbientCache(), backend="batched"
+            scenario, rng=SEED, cache=AmbientCache(), backend="auto"
         ).run()
-        assert result.backend == "batched[4/4]"
+        assert result.backend == "auto[batched:4]"
         assert result.n_workers == 1
 
 
@@ -238,12 +242,12 @@ class TestBackendConfiguration:
         with pytest.raises(ConfigurationError):
             SweepRunner(scenario, backend="fiber")
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["thread", "process", "batched"])
     def test_deleted_backends_rejected(self, backend, monkeypatch):
         scenario = Scenario(
             name="x", sweep=SweepSpec.grid(a=(1,)), measure=_mean_abs
         )
-        choices = re.escape("('serial', 'batched', 'auto')")
+        choices = re.escape("('serial', 'auto')")
         with pytest.raises(ConfigurationError, match=choices):
             SweepRunner(scenario, backend=backend)
         monkeypatch.setenv("REPRO_SWEEP_BACKEND", backend)
@@ -275,7 +279,7 @@ class TestBackendConfiguration:
             measure=lambda run: run.point["a"],
             cache_ambient=False,
         )
-        result = SweepRunner(scenario, rng=SEED, backend="batched").run()
+        result = SweepRunner(scenario, rng=SEED, backend="auto").run()
         assert result.backend == "serial"
         assert result.values == [1]
 

@@ -179,18 +179,25 @@ class TestCachedAmbient:
         # Two composites, one shared ambient MPX between them.
         assert ambient.cache.stats["misses"] == 3
 
-    @pytest.mark.parametrize("backend, hits", [("serial", 3), ("auto", 3), ("batched", 0)])
+    @pytest.mark.parametrize(
+        "backend, crossover, hits",
+        [("serial", None, 3), ("auto", None, 3), ("auto", 192_000, 0)],
+        ids=["serial", "auto", "auto-stacked"],
+    )
     def test_fig08_grid_synthesizes_once_on_a_cold_default_cache(
-        self, monkeypatch, backend, hits
+        self, monkeypatch, backend, crossover, hits
     ):
         # A whole grid synthesizes one ambient MPX plus one modulated
         # composite, not one front end per point. Every later stack reads
         # the composite back: 0.4 s rows are past the mono crossover, so
-        # auto, like serial, runs each point as its own stack, while
-        # batched runs the grid as one.
+        # auto, like serial, runs each point as its own stack, unless the
+        # crossover is raised to them and auto runs the grid as one.
         import repro.engine.cache as cache_mod
+        from repro.engine import planner
         from repro.experiments import fig08_ber_overlay as fig08
 
+        if crossover is not None:
+            monkeypatch.setattr(planner, "CROSSOVER_SAMPLES", crossover)
         monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
         monkeypatch.setattr(cache_mod, "_DEFAULT_CACHE", None)
         scenario = fig08.build_scenario(

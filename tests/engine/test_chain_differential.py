@@ -4,9 +4,10 @@ The golden grids pin a handful of hand-picked configurations. This suite
 draws small link-budget scenarios over every chain knob the sweep
 backends treat differently — backscatter mode, receiver kind, stereo
 decoding, the phone's AGC, body-motion fading, power and distance — and
-asserts the one contract all of them rest on: the ``serial``,
-``batched`` and ``auto`` backends return bit-identical values, and each
-batched row is exactly the point's own :meth:`ExperimentChain.transmit`.
+asserts the one contract all of them rest on: ``serial`` and ``auto``
+return bit-identical values, and each row of ``auto``'s stacks (every
+generated row is short enough to stack) is exactly the point's own
+:meth:`ExperimentChain.transmit`.
 The distributed launcher is held to the same contract: two workers under
 each setting, and once with a worker killed mid-grid. A fixed grid with
 fading on two partitions checks that each partition's own envelope
@@ -92,19 +93,14 @@ def scenarios(draw):
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(scenario=scenarios())
 def test_backends_and_per_point_transmit_agree(scenario):
-    results = {
-        backend: SweepRunner(scenario, rng=SEED, cache=CACHE, backend=backend).run()
-        for backend in ("serial", "batched", "auto")
-    }
-    n = len(results["batched"].points)
-    assert all(d.backend == "batched" for d in results["batched"].plan)
-    assert results["batched"].backend == f"batched[{n}/{n}]"
-    serial = results["serial"].values
-    for backend in ("batched", "auto"):
-        values = results[backend].values
-        assert len(values) == len(serial)
-        for i, (got, want) in enumerate(zip(values, serial)):
-            assert _same(got, want), (backend, i)
+    serial = SweepRunner(scenario, rng=SEED, cache=CACHE, backend="serial").run()
+    auto = SweepRunner(scenario, rng=SEED, cache=CACHE, backend="auto").run()
+    n = len(auto.points)
+    assert all(d.backend == "batched" for d in auto.plan)
+    assert auto.backend == f"auto[batched:{n}]"
+    assert len(auto.values) == len(serial.values)
+    for i, (got, want) in enumerate(zip(auto.values, serial.values)):
+        assert _same(got, want), i
 
     data, points, seeds, ambient_master = derive_streams(
         scenario, np.random.default_rng(SEED)
@@ -113,7 +109,7 @@ def test_backends_and_per_point_transmit_agree(scenario):
         chain = ExperimentChain(**scenario.chain_kwargs(point))
         chain.ambient_source = make_ambient(scenario, point, CACHE, ambient_master)
         received = chain.transmit(data["payload"], np.random.default_rng(seeds[i]))
-        assert _same(results["batched"].values[i], _reception(received)), i
+        assert _same(auto.values[i], _reception(received)), i
 
 
 def test_spec_fading_over_two_partitions_agrees():
@@ -140,16 +136,11 @@ def test_spec_fading_over_two_partitions_agrees():
         payload=PayloadSelector("row", {"short": "short", "long": "long"}),
         measure=_capture,
     )
-    results = {
-        backend: SweepRunner(scenario, rng=SEED, cache=CACHE, backend=backend).run()
-        for backend in ("serial", "batched", "auto")
-    }
-    for backend in ("batched", "auto"):
-        assert [d.backend for d in results[backend].plan] == ["batched", "batched"]
-    serial = results["serial"].values
-    for backend in ("batched", "auto"):
-        for i, (got, want) in enumerate(zip(results[backend].values, serial)):
-            assert _same(got, want), (backend, i)
+    serial = SweepRunner(scenario, rng=SEED, cache=CACHE, backend="serial").run().values
+    auto = SweepRunner(scenario, rng=SEED, cache=CACHE, backend="auto").run()
+    assert [d.backend for d in auto.plan] == ["batched", "batched"]
+    for i, (got, want) in enumerate(zip(auto.values, serial)):
+        assert _same(got, want), i
 
     data, points, seeds, ambient_master = derive_streams(
         scenario, np.random.default_rng(SEED)
@@ -189,7 +180,7 @@ def test_uncached_one_row_stacks_agree():
     )
     results = {
         backend: SweepRunner(scenario, rng=SEED, backend=backend).run()
-        for backend in ("serial", "batched", "auto")
+        for backend in ("serial", "auto")
     }
     for backend, result in results.items():
         reason = "requested" if backend == "serial" else "uncached"
@@ -212,9 +203,8 @@ def test_launcher_agrees_with_serial(scenario):
     serial = SweepRunner(scenario, rng=SEED, cache=CACHE, backend="serial").run()
     runs = [
         {BACKEND_ENV_VAR: "serial"},
-        {BACKEND_ENV_VAR: "batched"},
         {BACKEND_ENV_VAR: "auto"},
-        {BACKEND_ENV_VAR: "batched", FAULTS_ENV_VAR: "kill-shard:0"},
+        {BACKEND_ENV_VAR: "auto", FAULTS_ENV_VAR: "kill-shard:0"},
     ]
     for env in runs:
         with pytest.MonkeyPatch.context() as patch:

@@ -2,9 +2,9 @@
 
 The acceptance bars from the deployment work:
 
-- same seed -> identical per-device frame outcomes on the serial and
-  batched backends and on ``auto`` at several pool sizes (the engine's
-  pre-derived-stream contract extended to many-device points);
+- same seed -> identical per-device frame outcomes on ``serial`` and on
+  ``auto`` at several pool sizes (the engine's pre-derived-stream
+  contract extended to many-device points);
 - one ambient synthesis per grid, not per device;
 - a warm ``REPRO_CACHE_DIR`` run performs zero ambient syntheses
   regardless of device count.
@@ -26,7 +26,7 @@ from repro.data.mac import SlottedAlohaSimulator
 from repro.errors import ConfigurationError
 
 SEED = 2017
-RUNS = (("serial", None), ("auto", 2), ("auto", 4), ("batched", None))
+RUNS = (("serial", None), ("auto", 2), ("auto", 4))
 """``(backend, max_workers)`` rows, serial first."""
 
 # Two free channels in reach => three devices already force ALOHA

@@ -119,17 +119,15 @@ class TestLaunchMatchesSerial:
         "shard_points, decisions",
         [
             (1, {("serial", "single-point")}),
-            (3, {("batched", "requested"), ("serial", "single-point")}),
-            (4, {("batched", "requested")}),
+            (3, {("batched", "short-rows"), ("serial", "single-point")}),
+            (4, {("batched", "short-rows")}),
         ],
     )
-    def test_batched_shards_bit_identical_to_serial(
-        self, monkeypatch, shard_points, decisions
-    ):
-        # Each shard is planned under the parent's setting: multi-point
-        # fig09 shards stack, a one-point shard has nothing to stack.
+    def test_batched_shards_bit_identical_to_serial(self, shard_points, decisions):
+        # Each shard is planned under the parent's setting (auto): the
+        # short-row multi-point fig09 shards stack, a one-point shard has
+        # nothing to stack.
         serial = SweepRunner(fig09_scenario(), rng=SEED, backend="serial").run()
-        monkeypatch.setenv(BACKEND_ENV_VAR, "batched")
         report = launch_sweep(
             fig09_scenario(), rng=SEED, n_workers=2, shard_points=shard_points
         )
@@ -166,7 +164,6 @@ class TestInjectedFailure:
         # The whole grid is one batched shard; its worker dies, and the
         # two re-sliced halves run batched on the survivors.
         monkeypatch.setenv(FAULTS_ENV_VAR, "kill-shard:0")
-        monkeypatch.setenv(BACKEND_ENV_VAR, "batched")
         serial = SweepRunner(fig09_scenario(), rng=SEED, backend="serial").run()
         report = launch_sweep(fig09_scenario(), rng=SEED, n_workers=2, shard_points=4)
         assert report.failures >= 1
@@ -290,9 +287,13 @@ class TestFailureModes:
             raise AssertionError("the launcher forked")
 
         monkeypatch.setattr(launcher, "_mp_context", no_fork)
-        monkeypatch.setenv(BACKEND_ENV_VAR, "thread")
-        with pytest.raises(ConfigurationError, match=BACKEND_ENV_VAR):
-            launch_sweep(rng_scenario(), rng=SEED, n_workers=2)
+        for backend in ("thread", "batched"):
+            monkeypatch.setenv(BACKEND_ENV_VAR, backend)
+            with pytest.raises(
+                ConfigurationError,
+                match=rf"{BACKEND_ENV_VAR}.*\('serial', 'auto'\)",
+            ):
+                launch_sweep(rng_scenario(), rng=SEED, n_workers=2)
 
     def test_live_fading_model_refused_before_fork(self, monkeypatch):
         # Each worker would draw from its own unpickled copy of the
@@ -304,15 +305,27 @@ class TestFailureModes:
         with pytest.raises(ConfigurationError, match="BodyMotionFading.*MotionFadingSpec"):
             launch_sweep(live_fading_scenario(), rng=SEED, n_workers=2, shard_points=1)
 
-    def test_bad_parameters_rejected(self):
+    def test_bad_parameters_rejected(self, monkeypatch):
+        # Every check runs before any synthesis or fork.
+        def no_fork():
+            raise AssertionError("the launcher forked")
+
+        monkeypatch.setattr(launcher, "_mp_context", no_fork)
         for kwargs in (
             dict(n_workers=0),
             dict(max_retries=-1),
             dict(shard_deadline_s=0.0),
             dict(shard_points=0),
+            dict(n_workers=2.5),
+            dict(n_workers=True),
+            dict(n_workers=None),
+            dict(shard_points=1.5),
+            dict(max_retries=1.0),
+            dict(max_retries=False),
         ):
-            with pytest.raises(ConfigurationError):
-                launch_sweep(rng_scenario(), rng=SEED, **kwargs)
+            (name,) = kwargs
+            with pytest.raises(ConfigurationError, match=name):
+                launch_sweep(fig09_scenario(), rng=SEED, **kwargs)
 
 
 class TestSharding:

@@ -1,4 +1,4 @@
-"""The sweep plan: partitions, the backend rule, every setting's plan.
+"""The sweep plan: partitions, the backend rule, both settings' plans.
 
 The non-timing acceptance gates for ``REPRO_SWEEP_BACKEND=auto`` live
 here: the planner must route the long-row Fig. 8 and Fig. 13 grids away
@@ -114,12 +114,11 @@ class TestFeatureExtraction:
             measure=lambda run: run.point["a"],
             cache_ambient=False,
         )
-        for setting in ("batched", "auto"):
-            plan = plan_sweep(scenario, {}, scenario.sweep.points(), None, setting)
-            (decision,) = plan.decisions
-            assert decision.partition == "measure-driven"
-            assert (decision.backend, decision.reason) == ("serial", "measure-driven")
-            assert decision.point_indices == (0, 1, 2)
+        plan = plan_sweep(scenario, {}, scenario.sweep.points(), None, "auto")
+        (decision,) = plan.decisions
+        assert decision.partition == "measure-driven"
+        assert (decision.backend, decision.reason) == ("serial", "measure-driven")
+        assert decision.point_indices == (0, 1, 2)
 
 
 def _mono_row_decision(n_audio_samples):
@@ -137,11 +136,8 @@ class TestCostModel:
         scenario = _tone_scenario()
         scenario.cache_ambient = False
         data, points = _prepared(scenario)
-        for setting in ("batched", "auto"):
-            plan = plan_sweep(scenario, data, points, None, setting)
-            assert [(d.backend, d.reason) for d in plan.decisions] == [
-                ("serial", "uncached")
-            ]
+        plan = plan_sweep(scenario, data, points, None, "auto")
+        assert [(d.backend, d.reason) for d in plan.decisions] == [("serial", "uncached")]
 
     def test_mono_row_at_crossover_goes_batched(self):
         decision = _mono_row_decision(CROSSOVER_SAMPLES // 10)
@@ -292,7 +288,7 @@ class TestPlanExecution:
 
     def test_single_point_grid_runs_serial_with_plan(self):
         scenario = _tone_scenario(n_points=1)
-        for setting in ("serial", "batched", "auto"):
+        for setting in ("serial", "auto"):
             result = SweepRunner(
                 scenario, rng=SEED, cache=AmbientCache(), backend=setting
             ).run()
@@ -383,7 +379,7 @@ class TestPlanMatchesExecutor:
     at its chunk rows, and each serial decision one 1-row stack per
     member."""
 
-    @pytest.mark.parametrize("setting", ["batched", "auto"])
+    @pytest.mark.parametrize("setting", ["auto"])
     @pytest.mark.parametrize("rows", [AGC_ROWS, CAR_ROWS], ids=["agc", "car-stereo-decode"])
     def test_each_batched_decision_is_one_stack(self, monkeypatch, setting, rows):
         stacks = _record_stacks(monkeypatch)
@@ -397,12 +393,23 @@ class TestPlanMatchesExecutor:
         # stereo, so all four rows are one stack and one decision.
         batched = [d for d in result.plan if d.backend == "batched"]
         assert [len(d.point_indices) for d in batched] == [4]
-        assert result.backend in ("batched[4/4]", "auto[batched:4]")
+        assert result.backend == "auto[batched:4]"
 
-    @pytest.mark.parametrize("setting", ["serial", "batched", "auto"])
-    def test_split_grid_runs_its_plan(self, monkeypatch, setting):
+    @pytest.mark.parametrize(
+        "setting, crossover, expected",
+        [
+            ("serial", None, ["serial", "serial"]),
+            ("auto", 240_000, ["batched", "batched"]),
+            ("auto", None, ["batched", "serial"]),
+        ],
+        ids=["serial", "batched", "auto"],
+    )
+    def test_split_grid_runs_its_plan(self, monkeypatch, setting, crossover, expected):
         # auto stacks the short rows and runs each long row as a stack of
-        # one; the other settings run every partition their one way.
+        # one; serial runs every point on its own, and auto stacks both
+        # partitions once the crossover is raised to the long rows.
+        if crossover is not None:
+            monkeypatch.setattr(planner, "CROSSOVER_SAMPLES", crossover)
         stacks = _record_stacks(monkeypatch)
         short = tone(1000.0, 0.02, AUDIO_RATE_HZ, amplitude=0.9)
         long_ = tone(1000.0, 0.5, AUDIO_RATE_HZ, amplitude=0.9)
@@ -420,12 +427,7 @@ class TestPlanMatchesExecutor:
         ).run()
         distance = {p.index: p["distance_ft"] for p in result.points}
         assert sorted(stacks) == _planned_stacks(result, distance)
-        expected = {
-            "serial": ["serial", "serial"],
-            "batched": ["batched", "batched"],
-            "auto": ["batched", "serial"],
-        }
-        assert [d.backend for d in result.plan] == expected[setting]
+        assert [d.backend for d in result.plan] == expected
 
 
 class TestForcedChunking:
@@ -443,7 +445,7 @@ class TestForcedChunking:
     def test_chunked_stack_matches_unchunked(self, monkeypatch, rows):
         def run():
             return SweepRunner(
-                _row_scenario(rows), rng=SEED, cache=AmbientCache(), backend="batched"
+                _row_scenario(rows), rng=SEED, cache=AmbientCache(), backend="auto"
             ).run()
 
         whole = run()

@@ -173,7 +173,7 @@ class TestLiveFadingBackends:
             fading=BodyMotionFading("running", rng=7),
         )
 
-    @pytest.mark.parametrize("backend", ["serial", "batched", "auto"])
+    @pytest.mark.parametrize("backend", ["serial", "auto"])
     def test_live_model_in_chain_kwargs_raises(self, backend):
         # A shared stateful model would draw its stream in execution
         # order across points; every setting refuses it before running.

@@ -251,8 +251,19 @@ class TestFailures:
         assert exc is not None and "measure always fails" in str(exc)
 
     def test_bad_launch_settings_rejected_at_construction(self):
-        for kwargs in (dict(max_retries=-1), dict(job_deadline_s=0)):
-            with pytest.raises(ConfigurationError):
+        for kwargs in (
+            dict(max_retries=-1),
+            dict(job_deadline_s=0),
+            dict(n_workers=1.5),
+            dict(n_workers=True),
+            dict(shard_points=2.0),
+            dict(max_retries=0.5),
+            dict(max_parallel_jobs=0),
+            dict(max_parallel_jobs=1.5),
+            dict(max_parallel_jobs=True),
+        ):
+            (name,) = kwargs
+            with pytest.raises(ConfigurationError, match=name):
                 SweepService(**kwargs)
 
 

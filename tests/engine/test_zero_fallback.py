@@ -1,15 +1,15 @@
-"""Zero-fallback coverage of the batched backend.
+"""Zero-fallback coverage of the vectorized stack.
 
-The acceptance bar for the vectorized sweep path: on the paper grids —
-Fig. 9 (MRC receptions), Fig. 10/13 (stereo decode), Fig. 12
-(cooperative listening) and the deployment scale-out — running with
-``REPRO_SWEEP_BACKEND=batched`` plans **every** point of a batch-eligible
-grid onto the vectorized stack (every
+The acceptance bar for the vectorized sweep path: on short-row paper
+grids — Fig. 9 (MRC receptions), Fig. 10/13 (stereo decode) — ``auto``
+plans **every** point onto the stack (every
 :attr:`~repro.engine.results.SweepResult.plan` decision is ``batched``
-and the label is ``batched[N/N]``), and a fading grid — the case that
-used to fall back 100% — is bit-identical across every runner setting
-and pool size. CI runs this file as a fast, non-timing gate so a
-coverage regression is caught without relying on wall-clock numbers.
+and the label is ``auto[batched:N]``); the measure-driven Fig. 12
+(cooperative listening) and deployment grids say in their plan that
+they have nothing to stack; and a fading grid — the case that used to
+fall back 100% — is bit-identical across both runner settings and every
+pool size. CI runs this file as a fast, non-timing gate so a coverage
+regression is caught without relying on wall-clock numbers.
 """
 
 from dataclasses import dataclass
@@ -22,6 +22,7 @@ from repro.channel.fading import MotionFadingSpec
 from repro.constants import AUDIO_RATE_HZ
 from repro.data.fdm import FdmFskModem
 from repro.engine import AmbientCache, Scenario, SweepRunner, SweepSpec
+from repro.engine import planner
 from repro.errors import LinkBudgetError
 from repro.experiments import deployment_scale
 from repro.experiments import fig09_mrc as fig09
@@ -30,7 +31,7 @@ from repro.experiments import fig12_pesq_cooperative as fig12
 from repro.experiments import fig13_pesq_stereo as fig13
 
 SEED = 2017
-RUNS = (("serial", None), ("auto", 2), ("auto", 4), ("batched", None), ("auto", None))
+RUNS = (("serial", None), ("auto", 2), ("auto", 4), ("auto", None))
 """``(backend, max_workers)`` rows, serial first."""
 
 
@@ -43,14 +44,13 @@ def _run(scenario, backend, **kwargs):
 def _assert_fully_batched(result):
     """Every decision of a batch-eligible grid runs on the batched stack."""
     assert result.plan and all(d.backend == "batched" for d in result.plan)
-    n = len(result.points)
-    assert result.backend == f"batched[{n}/{n}]"
+    assert result.backend == f"auto[batched:{len(result.points)}]"
 
 
 def _assert_measure_driven(result):
     """A measure-driven grid has nothing to stack: one serial decision."""
     assert [(d.backend, d.reason) for d in result.plan] == [("serial", "measure-driven")]
-    assert result.backend == f"batched[0/{len(result.points)}]"
+    assert result.backend == f"auto[serial:{len(result.points)}]"
 
 
 def _mean_abs(run):
@@ -88,7 +88,7 @@ class TestZeroFallbackGrids:
             FdmFskModem(symbol_rate=200), distances_ft=(4, 8), max_factor=2, n_bits=48
         )
         serial = _run(scenario, "serial")
-        batched = _run(scenario, "batched")
+        batched = _run(scenario, "auto")
         _assert_fully_batched(batched)
         assert all(
             np.array_equal(b, s) for b, s in zip(batched.values, serial.values)
@@ -98,33 +98,36 @@ class TestZeroFallbackGrids:
         scenario = fig10.build_scenario(
             "1.6k", FdmFskModem(symbol_rate=200), distances_ft=(2, 4), n_bits=48
         )
-        batched = _run(scenario, "batched")
+        batched = _run(scenario, "auto")
         _assert_fully_batched(batched)
 
     def test_fig12_grid_reports_zero_fallbacks(self):
         # Fig. 12 is measure-driven (the two-phone cancellation happens
-        # inside the measure), so the batched backend has no declared
-        # transmission to vectorize: the plan says so, not a fallback.
+        # inside the measure), so there is no declared transmission to
+        # vectorize: the plan says so, not a fallback.
         scenario = fig12.build_scenario(
             powers_dbm=(-30.0,), distances_ft=(4, 8), duration_s=0.3
         )
         serial = _run(scenario, "serial")
-        batched = _run(scenario, "batched")
+        batched = _run(scenario, "auto")
         _assert_measure_driven(batched)
         assert batched.values == serial.values
 
-    def test_fig13_grid_fully_vectorizes(self):
+    def test_fig13_grid_fully_vectorizes(self, monkeypatch):
+        # 0.2 s clips are 96,000-sample stereo rows, which auto runs per
+        # point; raising the crossover to them makes auto stack the grid.
+        monkeypatch.setattr(planner, "STEREO_CROSSOVER_SAMPLES", 96_000)
         scenario = fig13.build_scenario(
             "stereo_station", powers_dbm=(-20.0, -40.0), distances_ft=(1, 4), duration_s=0.2
         )
-        batched = _run(scenario, "batched")
+        batched = _run(scenario, "auto")
         _assert_fully_batched(batched)
 
     def test_deployment_scale_grid_reports_zero_fallbacks(self):
         deployment = deployment_scale.build_deployment(device_counts=(1, 2))
         scenario = deployment.compile()
         serial = _run(scenario, "serial")
-        batched = _run(scenario, "batched")
+        batched = _run(scenario, "auto")
         _assert_measure_driven(batched)
         assert batched.values == serial.values
 
@@ -144,9 +147,9 @@ class TestFadingGridAllBackends:
             assert by_backend[run].values == serial.values, run
 
     def test_batched_plans_every_fading_point(self, by_backend):
-        batched = by_backend[("batched", None)]
+        batched = by_backend[("auto", None)]
         _assert_fully_batched(batched)
-        assert batched.backend == "batched[6/6]"
+        assert batched.backend == "auto[batched:6]"
 
     def test_old_numerics_variable_changes_no_bit(self, by_backend, monkeypatch):
         # REPRO_NUMERICS once selected a second numerics tier whose
@@ -189,7 +192,7 @@ class _FixedShapeFadingSpec:
 
 class TestWrongShapeFading:
     @pytest.mark.parametrize("shape", [(1,), (3,)])
-    @pytest.mark.parametrize("backend", ["serial", "batched"])
+    @pytest.mark.parametrize("backend", ["serial", "auto"])
     def test_wrong_length_envelope_raises_on_every_backend(self, shape, backend):
         # A length-1 envelope used to broadcast over the whole row on
         # both paths and scale it without error.

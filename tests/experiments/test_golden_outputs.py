@@ -8,8 +8,8 @@ element — against a committed JSON fixture under
 ``tests/experiments/golden/``.
 Any DSP, engine or backend change that drifts a figure's numbers fails
 loudly here, whichever execution backend runs the suite (the engine's
-settings are bit-identical by contract, so one fixture serves all three —
-CI exercises the default and ``REPRO_SWEEP_BACKEND=batched`` legs).
+``serial`` and ``auto`` settings are bit-identical by contract, so one
+fixture serves both).
 
 Intentional output changes are recorded by regenerating the fixtures:
 
