@@ -35,10 +35,12 @@ job-queue orchestrator that:
   range, attempt count, worker exit codes and the partial merged result)
   is reserved for the case where even the in-process salvage fails —
   a deterministic bug in the measure, not an infrastructure fault;
-- optionally journals every shard completion (point ranges + values) to
-  a :class:`~repro.engine.journal.JobJournal`, and *resumes* from one:
-  ``resume_values`` pre-covers journaled-complete points so they are
-  reloaded, never recomputed — only missing ranges are re-launched;
+- reports each dispatch, shard completion (with the fresh points'
+  indices and values) and re-queue as one ``progress`` event, which the
+  service (:mod:`repro.engine.service`, the journal's one writer) turns
+  into journal records, and *resumes* from a journal: ``resume_values``
+  pre-covers journaled-complete points so they are reloaded, never
+  recomputed — only missing ranges are re-launched;
 - merges accepted shard results into one whole-grid
   :class:`~repro.engine.results.SweepResult` (merge-aware cache
   counters; ``elapsed_s`` sums per-shard compute time while
@@ -79,16 +81,17 @@ import tempfile
 import time
 import traceback
 from collections import deque
-from itertools import groupby
+from itertools import count, groupby
 from multiprocessing import connection as mp_connection
 from dataclasses import dataclass, replace
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.engine.cache import AmbientCache, stats_delta
 from repro.engine.faults import active_plan
-from repro.engine.journal import JobJournal
 from repro.engine.results import SweepResult
-from repro.engine.runner import AUTO_BACKEND, default_backend, derive_streams, run_points
+from repro.engine.runner import (
+    AUTO_BACKEND, check_count, default_backend, derive_streams, run_points,
+)
 from repro.engine.scenario import Scenario
 from repro.engine.store import CacheStore, env_cache_dir
 from repro.errors import ConfigurationError, LauncherError
@@ -200,14 +203,6 @@ def default_shard_points(n_points: int, n_workers: int) -> int:
     return max(1, -(-n_points // (4 * n_workers)))
 
 
-def check_count(name: str, value: object, least: int) -> None:
-    """Raise :class:`ConfigurationError` unless ``value`` is an int (not a
-    bool) of at least ``least``, naming the setting."""
-    is_int = isinstance(value, numbers.Integral) and not isinstance(value, bool)
-    if not is_int or value < least:
-        raise ConfigurationError(f"{name} must be an int >= {least}, got {value!r}")
-
-
 def check_launch_settings(
     n_workers: int,
     shard_points: Optional[int],
@@ -232,8 +227,12 @@ def check_launch_settings(
         ("shard_deadline_s", shard_deadline_s),
         ("job_deadline_s", job_deadline_s),
     ):
-        if value is not None and value <= 0:
-            raise ConfigurationError(f"{name} must be positive, got {value}")
+        # NaN fails every comparison, so ``> 0`` rejects it too.
+        is_real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        if value is not None and not (is_real and value > 0):
+            raise ConfigurationError(
+                f"{name} must be a number > 0 or None, got {value!r}"
+            )
 
 
 def _keep(result: SweepResult, positions: Sequence[int]) -> SweepResult:
@@ -280,9 +279,9 @@ def _worker_main(
     :class:`AmbientCache` attached to the shared store directory, so the
     first worker to need a composite loads (or synthesizes and spills) it
     and everyone else reads bytes. Messages out carry only what the
-    parent lacks, ``("done", worker_id, shard, values, elapsed, stats,
-    plan)`` or ``("error", worker_id, shard, traceback_text)``, and go
-    over this worker's *private* result pipe — never a shared queue. A shared
+    parent lacks, ``("done", shard, values, elapsed, stats, plan)`` or
+    ``("error", shard, traceback_text)``, and go over this worker's
+    *private* result pipe — never a shared queue. A shared
     ``multiprocessing.Queue`` serializes writers through one cross-process
     lock held by a background feeder thread, so a worker hard-killed just
     after reporting (exactly what ``kill-shard`` injects, and what a real
@@ -325,7 +324,7 @@ def _worker_main(
             )
         except Exception:
             try:
-                result_conn.send(("error", worker_id, task, traceback.format_exc()))
+                result_conn.send(("error", task, traceback.format_exc()))
             except (BrokenPipeError, OSError):
                 return  # parent is gone; nothing left to report to
             continue
@@ -336,7 +335,7 @@ def _worker_main(
             continue
         try:
             result_conn.send((
-                "done", worker_id, task, result.values, result.elapsed_s,
+                "done", task, result.values, result.elapsed_s,
                 result.cache_stats, result.plan,
             ))
         except (BrokenPipeError, OSError):
@@ -389,8 +388,6 @@ def launch_sweep(
     progress: Optional[Callable[[dict], None]] = None,
     job_deadline_s: Optional[float] = None,
     resume_values: Optional[Dict[int, object]] = None,
-    journal: Optional[JobJournal] = None,
-    job_id: Optional[str] = None,
 ) -> LaunchReport:
     """Execute one scenario's grid across worker processes, shard by shard.
 
@@ -417,12 +414,17 @@ def launch_sweep(
         cache_dir: shared spill directory workers attach to; defaults to
             ``REPRO_CACHE_DIR``, then a run-scoped scratch. Point it (or
             the env var) at a shared filesystem to span machines.
-        progress: optional callback receiving event dicts
-            (``kind`` in ``dispatch`` / ``shard-done`` / ``requeue`` /
-            ``worker-died`` / ``degraded``) from the orchestration
-            thread; each also carries ``points_total`` and
-            ``shards_running`` (shards a live worker holds right now).
-            The async service uses it for live job status.
+        progress: optional callback receiving event dicts from the
+            orchestration thread, each before the launch moves on — so
+            a record written from it (the service's journal) is durable
+            before the next dispatch. ``kind`` is ``dispatch`` (with
+            ``worker``), ``shard-done`` (``fresh``, ``points_done``,
+            ``degraded``, and the fresh points' ``indices``, ``values``
+            and ``elapsed_s``; a discarded duplicate has ``fresh == 0``),
+            ``requeue`` (``reason``), ``worker-died`` or ``degraded``.
+            Shard events carry the ``shard`` range and its ``attempt``;
+            every event carries ``points_total`` and ``shards_running``
+            (shards a live worker holds right now).
         job_deadline_s: wall-clock budget for the whole launch; when
             exceeded, the launcher stops waiting on workers, salvages
             completed shards and finishes every uncovered point
@@ -432,18 +434,10 @@ def launch_sweep(
             same seed*. Those points are reloaded, never re-executed —
             only uncovered ranges are dispatched. The caller owns the
             same-seed contract, exactly as for ``SweepResult.merge``.
-        journal: optional :class:`~repro.engine.journal.JobJournal`;
-            shard dispatches, completions (ranges + values), retries and
-            degradations are journaled durably, making the launch
-            resumable after a crash. Terminal job state is the caller's
-            record to write (the service does).
-        job_id: journal key for this launch; required with ``journal``.
     """
     check_launch_settings(
         n_workers, shard_points, shard_deadline_s, max_retries, job_deadline_s
     )
-    if journal is not None and job_id is None:
-        raise ConfigurationError("journal= requires job_id= to key the records")
     active_plan()  # fail fast on a malformed chaos knob, before any fork
     blob = scenario.require_picklable()
     # Resolved once, here, so a malformed REPRO_SWEEP_BACKEND fails before
@@ -458,30 +452,33 @@ def launch_sweep(
     if shard_points is None:
         shard_points = default_shard_points(n_points, n_workers)
     shards = _initial_shards(n_points, shard_points)
+    # Counters update in place; ``result`` and ``wall_s`` land at the end.
+    report = LaunchReport(
+        result=None, wall_s=0.0, n_workers=n_workers, n_points=n_points,
+        n_shards=len(shards),
+    )
 
     # The shared spill directory is what lets workers (local processes
     # today, other machines via a shared filesystem) skip synthesis: the
     # parent warms it with every composite the grid will request.
     scratch: Optional[str] = None
     store_dir: Optional[str] = None
-    warm_syntheses = 0
     parent_cache: Optional[AmbientCache] = None
     if scenario.cache_ambient:
-        store_dir = cache_dir or env_cache_dir()
+        store_dir = report.store_dir = cache_dir or env_cache_dir()
         if store_dir is None:
-            scratch = tempfile.mkdtemp(prefix="repro-launcher-spill-")
-            store_dir = scratch
+            store_dir = scratch = tempfile.mkdtemp(prefix="repro-launcher-spill-")
         from repro.engine.process_backend import warm_store
 
         store = CacheStore(store_dir)
         parent_cache = AmbientCache(store=store)
         warm_store(store, parent_cache, scenario, data, points, ambient_master)
-        warm_syntheses = int(parent_cache.stats.get("syntheses", 0))
+        report.warm_syntheses = int(parent_cache.stats.get("syntheses", 0))
 
     ctx = _mp_context()
     init_args = (blob, data, list(seeds), ambient_master, store_dir, setting)
-    next_worker_id = 0
-    next_shard_id = len(shards)
+    worker_ids = count()
+    shard_ids = count(len(shards))
     workers: Dict[int, _Worker] = {}
 
     def emit(kind: str, task: Optional[Shard] = None, **event) -> None:
@@ -493,15 +490,9 @@ def launch_sweep(
             event.update(kind=kind, points_total=n_points, shards_running=running)
             progress(event)
 
-    taken = [False] * n_points
-    n_covered = 0
+    taken: Set[int] = set()  # every covered point index
     shard_results: List[SweepResult] = []
     pending: Deque[Shard] = deque(shards)
-    retries = failures = stragglers = duplicates = 0
-    degraded = False
-    degraded_points = 0
-    resumed_points = 0
-    exit_codes: List[int] = []
 
     def cover(task: Optional[Shard], result: SweepResult, degraded=False) -> int:
         """Record the not-yet-covered points of the slice ``result``.
@@ -510,28 +501,22 @@ def launch_sweep(
         in-process salvage (``degraded``) and, with ``task=None``, the
         points reloaded from ``resume_values``. The slice keeps only its
         fresh points and their plan decisions, so the merged plan names
-        each computed point once. A computed slice is journaled and
-        reported as a ``shard-done`` event — a duplicate too, with
-        ``fresh == 0``; reloaded points are in the journal already.
-        Returns how many points were fresh.
+        each computed point once. A computed slice is reported as a
+        ``shard-done`` event carrying its fresh points — a duplicate
+        too, with ``fresh == 0``; reloaded points are in the journal
+        already. Returns how many points were fresh.
         """
-        nonlocal n_covered
-        fresh = [k for k, point in enumerate(result.points) if not taken[point.index]]
-        n_covered += len(fresh)
+        fresh = [k for k, point in enumerate(result.points) if point.index not in taken]
+        result = _keep(result, fresh)
+        indices = [point.index for point in result.points]
+        taken.update(indices)
         if fresh:
-            result = _keep(result, fresh)
-            indices = [point.index for point in result.points]
-            for index in indices:
-                taken[index] = True
             shard_results.append(result)
-            if task is not None and journal is not None:
-                journal.shard_completed(
-                    job_id, indices, result.values, result.elapsed_s, degraded=degraded
-                )
         if task is not None:
             emit(
                 "shard-done", task,
-                fresh=len(fresh), points_done=n_covered, degraded=degraded,
+                fresh=len(fresh), points_done=len(taken), degraded=degraded,
+                indices=indices, values=result.values, elapsed_s=result.elapsed_s,
             )
         return len(fresh)
 
@@ -562,7 +547,7 @@ def launch_sweep(
             # every slice has them.
             stats = stats_delta(parent_cache.stats, parent_cache.stats)
         values = [resume_values[i] for i in resumed]
-        resumed_points = cover(None, slice_result(resumed, values, stats=stats))
+        report.resumed_points = cover(None, slice_result(resumed, values, stats=stats))
 
     def reslice(task: Shard) -> List[Shard]:
         """The uncovered remainder of ``task``, split for re-queueing.
@@ -572,9 +557,8 @@ def launch_sweep(
         in half, so a retried range spreads across the pool instead of
         landing back on a single worker.
         """
-        nonlocal next_shard_id
         sliced = []
-        for covered, run in groupby(range(task.start, task.stop), taken.__getitem__):
+        for covered, run in groupby(range(task.start, task.stop), taken.__contains__):
             if covered:
                 continue
             run = list(run)
@@ -582,15 +566,12 @@ def launch_sweep(
             mid = (start + stop) // 2
             halves = [(start, mid), (mid, stop)] if mid > start else [(start, stop)]
             for lo, hi in halves:
-                sliced.append(Shard(next_shard_id, lo, hi, attempt=task.attempt + 1))
-                next_shard_id += 1
+                sliced.append(Shard(next(shard_ids), lo, hi, attempt=task.attempt + 1))
         return sliced
 
     def spawn_worker() -> None:
-        nonlocal next_worker_id
-        worker = _Worker(next_worker_id, ctx, init_args)
+        worker = _Worker(next(worker_ids), ctx, init_args)
         workers[worker.worker_id] = worker
-        next_worker_id += 1
 
     def degrade(task: Shard, reason: str) -> None:
         """Last resort: finish ``task``'s uncovered points in-process.
@@ -606,10 +587,9 @@ def launch_sweep(
         :class:`~repro.errors.LauncherError` with full provenance plus
         the partial merged result for salvage.
         """
-        nonlocal degraded, degraded_points
-        degraded = True
+        report.degraded = True
         emit("degraded", task, reason=reason)
-        indices = [i for i in range(task.start, task.stop) if not taken[i]]
+        indices = [i for i in range(task.start, task.stop) if i not in taken]
         try:
             result = run_points(
                 scenario, data, [points[i] for i in indices],
@@ -633,72 +613,70 @@ def launch_sweep(
                 shard_id=task.shard_id,
                 point_range=(task.start, task.stop),
                 attempts=task.attempt + 1,
-                exit_codes=tuple(exit_codes),
+                exit_codes=report.exit_codes,
                 partial_result=partial,
             ) from exc
         logger.warning(
             "scenario %r: ran points %s of [%d:%d) in-process after %d attempts (%s)",
             scenario.name, indices, task.start, task.stop, task.attempt + 1, reason,
         )
-        degraded_points += cover(task, result, degraded=True)
+        report.degraded_points += cover(task, result, degraded=True)
 
     def requeue(task: Shard, reason: str) -> None:
-        nonlocal retries
-        if all(taken[i] for i in range(task.start, task.stop)):
+        if all(i in taken for i in range(task.start, task.stop)):
             return  # a speculative copy already covered the whole range
         if task.attempt >= max_retries:
             degrade(task, f"retry budget exhausted: {reason}")
             return
-        retries += 1
+        report.retries += 1
         logger.warning(
             "scenario %r: re-queueing points [%d:%d), retry %d of %d: %s",
             scenario.name, task.start, task.stop, task.attempt + 1,
             max_retries, reason,
         )
         pending.extend(reslice(task))
-        if journal is not None:
-            journal.shard_retried(job_id, task.start, task.stop, task.attempt, reason)
         emit("requeue", task, reason=reason)
 
     def pop_needed() -> Optional[Shard]:
         """Next pending shard with a point still uncovered."""
         while pending:
             candidate = pending.popleft()
-            if any(not taken[i] for i in range(candidate.start, candidate.stop)):
+            if any(i not in taken for i in range(candidate.start, candidate.stop)):
                 return candidate
         return None
 
-    def handle_message(message) -> None:
-        """Fold one worker report (done/error) into the launch state."""
-        nonlocal duplicates
-        kind, worker_id, task = message[0], message[1], message[2]
-        worker = workers.get(worker_id)
-        if worker is not None and worker.assignment == task:
+    def receive(worker: _Worker) -> bool:
+        """Fold one report (done/error) from ``worker``'s pipe into the
+        launch state; ``False`` when a dead worker tore the pipe (the
+        reap step handles what it held)."""
+        try:
+            message = worker.conn.recv()
+        except (EOFError, OSError):
+            return False
+        kind, task = message[0], message[1]
+        if worker.assignment == task:
             worker.assignment = None
         if kind == "done":
-            _, _, _, values, elapsed, stats, plan = message
+            _, _, values, elapsed, stats, plan = message
             span = range(task.start, task.stop)
             if cover(task, slice_result(span, values, elapsed, stats, plan)) == 0:
-                duplicates += 1
+                report.duplicates += 1
         else:  # "error": the measure raised inside the worker
-            tb = message[3]
-            requeue(task, f"measure raised:\n{tb}")
+            requeue(task, f"measure raised:\n{message[2]}")
+        return True
 
     try:
-        if n_covered < n_points:  # a full resume forks no workers at all
+        if len(taken) < n_points:  # a full resume forks no workers at all
             for _ in range(min(n_workers, max(1, len(shards)))):
                 spawn_worker()
 
-        while n_covered < n_points:
+        while len(taken) < n_points:
             # 0) Job deadline: stop waiting on the pool, salvage in-process.
             if (
                 job_deadline_s is not None
                 and time.perf_counter() - wall_start > job_deadline_s
             ):
-                probe = Shard(
-                    shard_id=-1, start=0, stop=n_points, attempt=max_retries
-                )
-                degrade(probe, "job deadline exceeded")
+                degrade(Shard(-1, 0, n_points, attempt=max_retries), "job deadline exceeded")
                 break
 
             # 1) Drain one result (bounded wait: this is also the tick).
@@ -707,35 +685,26 @@ def launch_sweep(
             ready = mp_connection.wait(
                 [w.conn for w in workers.values()], timeout=_POLL_S
             )
-            for conn in ready:
-                try:
-                    message = conn.recv()
-                except (EOFError, OSError):
-                    continue  # torn by a dead worker; the reap step handles it
-                handle_message(message)
-                break
+            for worker in workers.values():
+                if worker.conn in ready and receive(worker):
+                    break
 
             # 2) Reap dead workers; their in-flight shard gets re-queued.
             #    A worker may die *after* reporting (the kill-on-pickup
             #    faults do exactly this), so drain its pipe before judging
             #    what was lost — those reports are real completed work.
             for worker in [w for w in workers.values() if not w.process.is_alive()]:
-                while worker.conn.poll():
-                    try:
-                        message = worker.conn.recv()
-                    except (EOFError, OSError):
-                        break
-                    handle_message(message)
+                while worker.conn.poll() and receive(worker):
+                    pass
                 del workers[worker.worker_id]
                 worker.conn.close()
-                lost = worker.assignment
                 exit_code = worker.process.exitcode
-                exit_codes.append(exit_code if exit_code is not None else -1)
-                failures += 1
+                report.exit_codes += (exit_code if exit_code is not None else -1,)
+                report.failures += 1
                 emit("worker-died", worker=worker.worker_id)
                 spawn_worker()
-                if lost is not None:
-                    requeue(lost, f"worker died (exit code {exit_code})")
+                if worker.assignment is not None:
+                    requeue(worker.assignment, f"worker died (exit code {exit_code})")
 
             # 3) Straggler speculation: past-deadline shards are re-queued
             #    while the original keeps running; first finish wins.
@@ -750,7 +719,7 @@ def launch_sweep(
                         and task.attempt < max_retries
                     ):
                         worker.speculated = True
-                        stragglers += 1
+                        report.stragglers += 1
                         requeue(task, "straggler past deadline")
 
             # 4) Dispatch pending work to idle workers, skipping shards
@@ -762,49 +731,26 @@ def launch_sweep(
                 if task is None:
                     break
                 worker.assign(task)
-                if journal is not None:
-                    journal.shard_dispatched(
-                        job_id, task.start, task.stop, task.attempt, worker.worker_id
-                    )
                 emit("dispatch", task, worker=worker.worker_id)
 
             # 5) Self-heal any lost-task race: nothing queued, nothing
             #    in flight, yet points uncovered -> requeue the gaps.
             if (
-                n_covered < n_points
+                len(taken) < n_points
                 and not pending
                 and all(w.assignment is None for w in workers.values())
             ):
-                probe = Shard(
-                    shard_id=next_shard_id, start=0, stop=n_points, attempt=0
-                )
-                next_shard_id += 1
-                pending.extend(reslice(probe))
+                pending.extend(reslice(Shard(next(shard_ids), 0, n_points)))
     finally:
         _shutdown(workers)
         if scratch is not None:
             shutil.rmtree(scratch, ignore_errors=True)
 
-    merged = SweepResult.merge(*shard_results)
-    merged.backend = f"launcher[shards={len(shards)},workers={n_workers}]"
-    merged.n_workers = n_workers
-    return LaunchReport(
-        result=merged,
-        wall_s=time.perf_counter() - wall_start,
-        n_workers=n_workers,
-        n_points=n_points,
-        n_shards=len(shards),
-        retries=retries,
-        failures=failures,
-        stragglers=stragglers,
-        duplicates=duplicates,
-        warm_syntheses=warm_syntheses,
-        store_dir=None if scratch is not None else store_dir,
-        degraded=degraded,
-        degraded_points=degraded_points,
-        resumed_points=resumed_points,
-        exit_codes=tuple(exit_codes),
-    )
+    report.result = SweepResult.merge(*shard_results)
+    report.result.backend = f"launcher[shards={len(shards)},workers={n_workers}]"
+    report.result.n_workers = n_workers
+    report.wall_s = time.perf_counter() - wall_start
+    return report
 
 
 def _shutdown(workers: Dict[int, _Worker]) -> None:

@@ -85,6 +85,14 @@ BACKEND_CHOICES = ("serial", AUTO_BACKEND)
 """Everything ``backend=`` / ``REPRO_SWEEP_BACKEND`` accepts."""
 
 
+def check_count(name: str, value: object, least: int) -> None:
+    """Raise :class:`ConfigurationError` unless ``value`` is an int (not a
+    bool) of at least ``least``, naming the setting."""
+    is_int = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if not is_int or value < least:
+        raise ConfigurationError(f"{name} must be an int >= {least}, got {value!r}")
+
+
 def default_max_workers() -> int:
     """Worker count used when a runner is built without ``max_workers``.
 
@@ -249,8 +257,9 @@ class SweepRunner:
         cache: ambient cache to share; defaults to the process-wide one,
             so repeated runs with the same seed hit instead of refill.
         max_workers: size of the thread pool :func:`run_units` runs
-            ``auto``'s units on, a positive int (anything else raises
-            :class:`~repro.errors.ConfigurationError`); ``None`` reads
+            ``auto``'s units on, a positive int and not a bool (anything
+            else raises :class:`~repro.errors.ConfigurationError`, see
+            :func:`check_count`); ``None`` reads
             ``REPRO_SWEEP_WORKERS``, and when that is unset too, the pool
             sizes itself to the CPUs (see :func:`pool_size`). Results are
             identical at any count.
@@ -273,12 +282,8 @@ class SweepRunner:
         self.cache = cache
         if max_workers is None and os.environ.get(WORKERS_ENV_VAR, "").strip():
             max_workers = default_max_workers()
-        if max_workers is not None and (
-            not isinstance(max_workers, numbers.Integral) or max_workers < 1
-        ):
-            raise ConfigurationError(
-                f"max_workers must be a positive int, got {max_workers!r}"
-            )
+        if max_workers is not None:
+            check_count("max_workers", max_workers, 1)
         self.max_workers = max_workers
         if backend is not None and backend not in BACKEND_CHOICES:
             raise ConfigurationError(

@@ -21,15 +21,17 @@ Typical use::
     finally:
         await service.close()
 
-With ``journal_dir`` set, the service is *crash-safe*: every submission
-is journaled (scenario + seed pickled in), every completed shard's point
-ranges and values land durably before the next dispatch, and terminal
-states are recorded. A restarted service calls :meth:`SweepService.
-recover` to reload the journal directory and resume every unfinished
-job — journaled-complete shards are **not** recomputed (their points
-reload bit-identically, and front-end composites come back through the
-still-warm :class:`~repro.engine.store.CacheStore`); only missing ranges
-re-launch::
+With ``journal_dir`` set, the service is *crash-safe*, and it is the
+journal's one writer: every submission is journaled (scenario + seed
+pickled in); the launcher's ``progress`` events become the dispatch,
+shard-done (point ranges and values) and retry records, each durable
+before the launch moves on, so a completed shard lands before the next
+dispatch; and terminal states are recorded. A restarted service calls
+:meth:`SweepService.recover` to reload the journal directory and resume
+every unfinished job — journaled-complete shards are **not** recomputed
+(their points reload bit-identically, and front-end composites come back
+through the still-warm :class:`~repro.engine.store.CacheStore`); only
+missing ranges re-launch::
 
     service = SweepService(journal_dir="jobs/", cache_dir="spill/")
     resumed = await service.recover()          # job ids picked back up
@@ -55,7 +57,8 @@ from typing import Dict, List, Optional
 
 from repro.engine.journal import JobJournal
 from repro.errors import ConfigurationError
-from repro.engine.launcher import LaunchReport, check_count, check_launch_settings, launch_sweep
+from repro.engine.launcher import LaunchReport, check_launch_settings, launch_sweep
+from repro.engine.runner import check_count
 from repro.engine.scenario import Scenario
 from repro.engine.store import env_cache_dir
 from repro.utils.rand import RngLike, as_generator
@@ -105,12 +108,25 @@ class _Job:
     (single writer, so plain attributes under the GIL are race-free
     enough for a status snapshot).
 
+    The same callback writes the job's ``dispatch``, ``shard-done`` and
+    ``retry`` journal records when ``journal`` is set, so the service
+    alone writes the journal. It runs on the orchestration thread before
+    the launch moves on, so a completed shard is durable before the next
+    dispatch.
+
     ``shards_running`` is the launcher's own count, carried on every
     event: a straggler's speculative ``requeue`` leaves the original
     running, which the events' shard ranges alone cannot tell."""
 
-    def __init__(self, job_id: str, scenario_name: str, points_total: int) -> None:
+    def __init__(
+        self,
+        job_id: str,
+        scenario_name: str,
+        points_total: int,
+        journal: Optional[JobJournal] = None,
+    ) -> None:
         self.status = JobStatus(job_id, scenario_name, "queued", points_total)
+        self.journal = journal
         self.started_at: Optional[float] = None
         self.finished_at: Optional[float] = None
         self.report: Optional[LaunchReport] = None
@@ -118,15 +134,24 @@ class _Job:
         self.done_event = asyncio.Event()
 
     def on_progress(self, event: dict) -> None:
-        status = self.status
+        status, journal, job_id = self.status, self.journal, self.status.job_id
         kind = event.get("kind")
         status.shards_running = event.get("shards_running", status.shards_running)
-        if kind == "shard-done":
+        if kind == "dispatch" and journal is not None:
+            journal.shard_dispatched(job_id, *event["shard"], event["attempt"], event["worker"])
+        elif kind == "shard-done":
             status.points_done = event.get("points_done", status.points_done)
             if event.get("fresh"):  # a discarded duplicate is not accepted
                 status.shards_done += 1
+                if journal is not None:
+                    journal.shard_completed(
+                        job_id, event["indices"], event["values"],
+                        event["elapsed_s"], degraded=event["degraded"],
+                    )
         elif kind == "requeue":
             status.retries += 1
+            if journal is not None:
+                journal.shard_retried(job_id, *event["shard"], event["attempt"], event["reason"])
         elif kind == "degraded":
             status.degraded = True
 
@@ -243,7 +268,7 @@ class SweepService:
             self.journal.job_submitted(
                 job_id, blob, gen, scenario.name, scenario.sweep.n_points
             )
-        job = _Job(job_id, scenario.name, scenario.sweep.n_points)
+        job = _Job(job_id, scenario.name, scenario.sweep.n_points, self.journal)
         self._jobs[job_id] = job
         self._tasks[job_id] = asyncio.create_task(
             self._execute(job, scenario, gen), name=f"sweep-{job_id}"
@@ -269,7 +294,7 @@ class SweepService:
                 continue
             scenario = record.scenario()
             rng = record.rng()
-            job = _Job(job_id, record.scenario_name, record.n_points)
+            job = _Job(job_id, record.scenario_name, record.n_points, self.journal)
             job.status.points_done = len(record.values)
             job.status.resumed_points = len(record.values)
             job.status.degraded = record.degraded
@@ -302,8 +327,6 @@ class SweepService:
                         cache_dir=self.cache_dir,
                         progress=job.on_progress,
                         resume_values=resume_values,
-                        journal=self.journal,
-                        job_id=job_id if self.journal is not None else None,
                         **self._launch,
                     ),
                 )

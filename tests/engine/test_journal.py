@@ -16,6 +16,7 @@ import pytest
 
 from repro.data.fdm import FdmFskModem
 from repro.engine import Scenario, SweepRunner, SweepSpec, SweepService, launch_sweep
+from repro.engine.faults import FAULTS_ENV_VAR
 from repro.engine.journal import (
     JOURNAL_VERSION,
     JobJournal,
@@ -170,22 +171,32 @@ class TestCorruption:
 
 
 class TestLauncherJournaling:
-    def test_launch_journals_dispatch_completion_and_values(self, tmp_path):
-        journal = JobJournal(tmp_path)
+    def test_launch_journals_dispatch_completion_and_values(self, tmp_path, monkeypatch):
+        # The service writes every record from the launcher's events; a
+        # worker killed on its first shard adds a retry record.
+        monkeypatch.setenv(FAULTS_ENV_VAR, "kill-shard:0")
         serial = SweepRunner(rng_scenario(), rng=SEED, backend="serial").run()
-        launch_sweep(
-            rng_scenario(), rng=SEED, n_workers=2, shard_points=2,
-            journal=journal, job_id="jrnl-0001",
-        )
-        job = journal.replay_job("jrnl-0001")
+
+        async def drive():
+            service = SweepService(n_workers=2, shard_points=2, journal_dir=str(tmp_path))
+            try:
+                job_id = await service.submit(rng_scenario(), rng=SEED)
+                return job_id, await service.fetch(job_id)
+            finally:
+                await service.close()
+
+        job_id, report = asyncio.run(drive())
+        journal = JobJournal(tmp_path)
+        job = journal.replay_job(job_id)
         assert sorted(job.values) == list(range(6))
         assert [job.values[i] for i in range(6)] == serial.values
-        # Terminal state is the service's record, not the launcher's.
-        assert not job.finished
-
-    def test_journal_requires_job_id(self, tmp_path):
-        with pytest.raises(ConfigurationError, match="job_id"):
-            launch_sweep(rng_scenario(), rng=SEED, journal=JobJournal(tmp_path))
+        assert report.retries >= 1
+        assert job.retries == report.retries
+        assert job.state == "done"
+        lines = journal.path_for(job_id).read_bytes().splitlines()
+        kinds = [json.loads(line)["kind"] for line in lines]
+        assert kinds[0] == "submit" and kinds[-1] == "done"
+        assert kinds.count("dispatch") >= 3  # every initial shard, at least
 
     def test_resume_skips_journaled_points_entirely(self):
         # Sentinel values prove the contract: resumed points are

@@ -322,6 +322,11 @@ class TestFailureModes:
             dict(shard_points=1.5),
             dict(max_retries=1.0),
             dict(max_retries=False),
+            dict(shard_deadline_s=float("nan")),
+            dict(job_deadline_s=float("nan")),
+            dict(shard_deadline_s=True),
+            dict(job_deadline_s="5"),
+            dict(job_deadline_s=-1.0),
         ):
             (name,) = kwargs
             with pytest.raises(ConfigurationError, match=name):
@@ -447,3 +452,19 @@ class TestOneFanOut:
             if path != launcher_path and (names := _process_pool_imports(path))
         }
         assert offenders == {}
+
+
+class TestOneJournalWriter:
+    def test_the_launcher_imports_nothing_from_the_journal(self):
+        # The service writes every journal record from the launcher's
+        # progress events; the launcher itself never touches the journal.
+        path = Path(repro.__file__).parent / "engine" / "launcher.py"
+        imported = []
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                imported += [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                module = node.module or ""
+                imported += [module] + [f"{module}.{a.name}" for a in node.names]
+        assert "repro.engine.runner" in imported  # the scan sees imports
+        assert not [n for n in imported if n.startswith("repro.engine.journal")]

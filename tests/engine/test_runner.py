@@ -164,7 +164,7 @@ class TestWorkerConfiguration:
         with pytest.raises(ConfigurationError):
             default_max_workers()
 
-    @pytest.mark.parametrize("count", [0, -3, 2.7, "2"])
+    @pytest.mark.parametrize("count", [0, -3, 2.7, "2", True])
     def test_argument_rejects_anything_but_a_positive_int(self, count):
         # The argument is as strict as the environment variable: no
         # silent clamp to one worker, no truncation of 2.7 to 2.

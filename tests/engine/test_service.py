@@ -261,6 +261,10 @@ class TestFailures:
             dict(max_parallel_jobs=0),
             dict(max_parallel_jobs=1.5),
             dict(max_parallel_jobs=True),
+            dict(shard_deadline_s=float("nan")),
+            dict(job_deadline_s=float("nan")),
+            dict(job_deadline_s=True),
+            dict(shard_deadline_s="5"),
         ):
             (name,) = kwargs
             with pytest.raises(ConfigurationError, match=name):
