@@ -260,8 +260,9 @@ class CachedAmbient:
 
         The one place the key is derived: :meth:`modulated_composite` and
         the launcher's store warm-up
-        (:func:`~repro.engine.process_backend.warm_store`) both call it,
-        so the warm-up fills exactly the entries the workers will ask for.
+        (:func:`~repro.engine.process_backend.composite_shares`) both call
+        it, so the warm-up deals out exactly the entries the workers will
+        ask for.
         """
         duration_s = payload_audio.size / self.audio_rate
         return (

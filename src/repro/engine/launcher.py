@@ -51,11 +51,11 @@ job-queue orchestrator that:
 
 Cross-machine runs fall out of the shared on-disk
 :class:`~repro.engine.store.CacheStore`: point ``REPRO_CACHE_DIR`` (or
-``cache_dir=``) at a shared filesystem, and the parent pre-warms it with
-every front-end composite the grid needs (one synthesis per distinct
-front end, via :func:`~repro.engine.process_backend.warm_store`);
-workers anywhere then load bytes instead of synthesizing, and a warm
-re-run performs zero syntheses.
+``cache_dir=``) at a shared filesystem. The initial workers warm it
+(:mod:`~repro.engine.process_backend`), each synthesizing its share of
+the composites the uncovered points need, and no shard is dispatched
+until every one has warmed or died; workers anywhere then load bytes,
+and a warm re-run performs zero syntheses.
 
 It is the engine's one multi-process fan-out;
 :meth:`~repro.engine.scenario.Scenario.require_picklable` refuses an
@@ -86,8 +86,9 @@ from multiprocessing import connection as mp_connection
 from dataclasses import dataclass, replace
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.engine.cache import AmbientCache, stats_delta
+from repro.engine.cache import AmbientCache
 from repro.engine.faults import active_plan
+from repro.engine.process_backend import composite_shares, warm_store
 from repro.engine.results import SweepResult
 from repro.engine.runner import (
     AUTO_BACKEND, check_count, default_backend, derive_streams, run_points,
@@ -144,8 +145,8 @@ class LaunchReport:
             ``elapsed_s`` sums per-shard compute time (including any
             duplicated speculative work); ``wall_s`` here is the
             launcher's actual wall-clock.
-        wall_s: wall-clock duration of the whole launch (derive + warm +
-            fan-out + merge).
+        wall_s: wall-clock duration of the whole launch (derive +
+            fan-out, the workers' store warm-up included, + merge).
         n_workers: size of the worker pool.
         n_points: grid size.
         n_shards: initial shard count (before any re-slicing).
@@ -155,10 +156,11 @@ class LaunchReport:
         stragglers: shards that blew their deadline and were speculated.
         duplicates: completed shard copies discarded because every point
             they carried was already covered.
-        warm_syntheses: syntheses the *parent's* store warm-up performed
-            before fan-out (the workers' own counters live on
-            ``result.cache_stats``). Zero on a warm shared store — the
-            whole-run "zero syntheses" claim is
+        warm_syntheses: syntheses the initial workers' store warm-up
+            performed before their first shard, each composite and its
+            MPX ingredient counting one each (the shards' own counters
+            live on ``result.cache_stats``). Zero on a warm shared store
+            — the whole-run "zero syntheses" claim is
             ``warm_syntheses + result.cache_stats["syntheses"] == 0``.
         store_dir: the shared spill directory workers attached to, or
             ``None`` when it was a run-scoped scratch (already removed)
@@ -268,18 +270,22 @@ def _worker_main(
     ambient_master: int,
     store_dir: Optional[str],
     setting: str,
+    share: Sequence[int],
     task_q,
     result_conn,
 ) -> None:
-    """Worker loop: pull shards, run each through :func:`run_points`, report.
+    """Worker loop: warm a share of the store, then run shards and report.
 
+    ``share`` names the composites (by the first grid point needing each)
+    this worker synthesizes into the shared store before its first shard.
     A shard is one :func:`~repro.engine.runner.run_points` call on its
     slice of the pre-derived seeds, planned under ``setting`` and run on
     one thread (the pool is the processes). Each worker owns a private
-    :class:`AmbientCache` attached to the shared store directory, so the
-    first worker to need a composite loads (or synthesizes and spills) it
-    and everyone else reads bytes. Messages out carry only what the
-    parent lacks, ``("done", shard, values, elapsed, stats, plan)`` or
+    :class:`AmbientCache` attached to the shared store directory, so a
+    composite the warm-up left out is synthesized and spilled by the
+    first worker to need it, and everyone else reads bytes. Messages
+    out carry only what the parent lacks, ``("warmed", syntheses)``,
+    ``("done", shard, values, elapsed, stats, plan)`` or
     ``("error", shard, traceback_text)``, and go over this worker's
     *private* result pipe — never a shared queue. A shared
     ``multiprocessing.Queue`` serializes writers through one cross-process
@@ -305,6 +311,13 @@ def _worker_main(
     if scenario.cache_ambient:
         cache = AmbientCache(store=CacheStore(store_dir) if store_dir else None)
     points = scenario.sweep.points()
+    if share:
+        warm = [points[i] for i in share]
+        syntheses = warm_store(cache.store, scenario, data, warm, ambient_master)
+        try:
+            result_conn.send(("warmed", syntheses))
+        except (BrokenPipeError, OSError):
+            return  # parent is gone; nothing left to report to
     while True:
         task = task_q.get()
         if task is None:
@@ -345,7 +358,7 @@ def _worker_main(
 class _Worker:
     """Parent-side handle: process, task queue, result pipe, assignment."""
 
-    def __init__(self, worker_id: int, ctx, init_args: tuple) -> None:
+    def __init__(self, worker_id: int, ctx, init_args: tuple, share) -> None:
         self.worker_id = worker_id
         self.task_q = ctx.Queue()
         # One result pipe per worker (see _worker_main: a shared queue's
@@ -353,7 +366,7 @@ class _Worker:
         self.conn, child_conn = ctx.Pipe(duplex=False)
         self.process = ctx.Process(
             target=_worker_main,
-            args=(worker_id, *init_args, self.task_q, child_conn),
+            args=(worker_id, *init_args, share, self.task_q, child_conn),
             daemon=True,
         )
         self.process.start()
@@ -361,6 +374,7 @@ class _Worker:
         self.assignment: Optional[Shard] = None
         self.assigned_at = 0.0
         self.speculated = False
+        self.warming = bool(share)  # until its ("warmed", n) report
 
     def assign(self, shard: Shard) -> None:
         self.assignment = shard
@@ -448,6 +462,12 @@ def launch_sweep(
     gen = as_generator(rng)
     data, points, seeds, ambient_master = derive_streams(scenario, gen)
     n_points = len(points)
+    resumed = sorted(int(i) for i in resume_values or ())
+    bad = [i for i in resumed if not 0 <= i < n_points]
+    if bad:
+        raise ConfigurationError(
+            f"resume_values indices {bad[:8]} outside the grid's {n_points} points"
+        )
 
     if shard_points is None:
         shard_points = default_shard_points(n_points, n_workers)
@@ -458,25 +478,6 @@ def launch_sweep(
         n_shards=len(shards),
     )
 
-    # The shared spill directory is what lets workers (local processes
-    # today, other machines via a shared filesystem) skip synthesis: the
-    # parent warms it with every composite the grid will request.
-    scratch: Optional[str] = None
-    store_dir: Optional[str] = None
-    parent_cache: Optional[AmbientCache] = None
-    if scenario.cache_ambient:
-        store_dir = report.store_dir = cache_dir or env_cache_dir()
-        if store_dir is None:
-            store_dir = scratch = tempfile.mkdtemp(prefix="repro-launcher-spill-")
-        from repro.engine.process_backend import warm_store
-
-        store = CacheStore(store_dir)
-        parent_cache = AmbientCache(store=store)
-        warm_store(store, parent_cache, scenario, data, points, ambient_master)
-        report.warm_syntheses = int(parent_cache.stats.get("syntheses", 0))
-
-    ctx = _mp_context()
-    init_args = (blob, data, list(seeds), ambient_master, store_dir, setting)
     worker_ids = count()
     shard_ids = count(len(shards))
     workers: Dict[int, _Worker] = {}
@@ -533,22 +534,6 @@ def launch_sweep(
             plan=list(plan),
         )
 
-    if resume_values:
-        bad = [i for i in resume_values if not 0 <= int(i) < n_points]
-        if bad:
-            raise ConfigurationError(
-                f"resume_values indices {sorted(bad)[:8]} outside the grid's "
-                f"{n_points} points"
-            )
-        resumed = sorted(int(i) for i in resume_values)
-        stats = None
-        if parent_cache is not None:
-            # Zero counters, not none: merge keeps cache stats only when
-            # every slice has them.
-            stats = stats_delta(parent_cache.stats, parent_cache.stats)
-        values = [resume_values[i] for i in resumed]
-        report.resumed_points = cover(None, slice_result(resumed, values, stats=stats))
-
     def reslice(task: Shard) -> List[Shard]:
         """The uncovered remainder of ``task``, split for re-queueing.
 
@@ -569,8 +554,8 @@ def launch_sweep(
                 sliced.append(Shard(next(shard_ids), lo, hi, attempt=task.attempt + 1))
         return sliced
 
-    def spawn_worker() -> None:
-        worker = _Worker(next(worker_ids), ctx, init_args)
+    def spawn_worker(share: Sequence[int] = ()) -> None:
+        worker = _Worker(next(worker_ids), ctx, init_args, share)
         workers[worker.worker_id] = worker
 
     def degrade(task: Shard, reason: str) -> None:
@@ -578,8 +563,8 @@ def launch_sweep(
 
         The fan-out failed this range ``max_retries + 1`` times (or the
         job deadline passed); rather than throwing away every completed
-        shard via an exception, the parent — whose cache is the warm
-        store itself — runs the remaining points as one
+        shard via an exception, the parent — its cache attached to the
+        shared store — runs the remaining points as one
         :func:`~repro.engine.runner.run_points` call on one thread. The grid
         stays complete and bit-identical; only parallelism was lost,
         reported on ``LaunchReport.degraded``. A failure *here* is a
@@ -646,7 +631,7 @@ def launch_sweep(
         return None
 
     def receive(worker: _Worker) -> bool:
-        """Fold one report (done/error) from ``worker``'s pipe into the
+        """Fold one report (warmed/done/error) from ``worker``'s pipe into the
         launch state; ``False`` when a dead worker tore the pipe (the
         reap step handles what it held)."""
         try:
@@ -654,6 +639,10 @@ def launch_sweep(
         except (EOFError, OSError):
             return False
         kind, task = message[0], message[1]
+        if kind == "warmed":
+            worker.warming = False
+            report.warm_syntheses += message[1]
+            return True
         if worker.assignment == task:
             worker.assignment = None
         if kind == "done":
@@ -665,10 +654,31 @@ def launch_sweep(
             requeue(task, f"measure raised:\n{message[2]}")
         return True
 
+    scratch = store_dir = parent_cache = None
+    if scenario.cache_ambient:
+        store_dir = report.store_dir = cache_dir or env_cache_dir()
+        if store_dir is None:
+            store_dir = scratch = tempfile.mkdtemp(prefix="repro-launcher-spill-")
     try:
+        if store_dir is not None:
+            # Holds nothing unless a range degrades: the in-process
+            # salvage is the only reader of its contents.
+            parent_cache = AmbientCache(store=CacheStore(store_dir))
+        if resumed:
+            # The empty cache's zero counters, not none: merge keeps cache
+            # stats only when every slice has them.
+            stats = None if parent_cache is None else parent_cache.stats
+            values = [resume_values[i] for i in resumed]
+            report.resumed_points = cover(None, slice_result(resumed, values, stats=stats))
         if len(taken) < n_points:  # a full resume forks no workers at all
-            for _ in range(min(n_workers, max(1, len(shards)))):
-                spawn_worker()
+            ctx = _mp_context()
+            init_args = (blob, data, list(seeds), ambient_master, store_dir, setting)
+            uncovered = [p for p in points if p.index not in taken]
+            for share in composite_shares(
+                parent_cache, scenario, data, uncovered, ambient_master,
+                min(n_workers, max(1, len(shards))),
+            ):
+                spawn_worker(share)
 
         while len(taken) < n_points:
             # 0) Job deadline: stop waiting on the pool, salvage in-process.
@@ -723,10 +733,13 @@ def launch_sweep(
                         requeue(task, "straggler past deadline")
 
             # 4) Dispatch pending work to idle workers, skipping shards
-            #    whose points were meanwhile covered by another copy.
-            for worker in workers.values():
-                if worker.assignment is not None:
-                    continue
+            #    whose points were meanwhile covered by another copy. No
+            #    shard goes out while an initial worker is still warming
+            #    its share, so no two workers synthesize one composite.
+            idle = [w for w in workers.values() if w.assignment is None]
+            if any(w.warming for w in workers.values()):
+                idle = []
+            for worker in idle:
                 task = pop_needed()
                 if task is None:
                     break

@@ -1,21 +1,17 @@
-"""Store warm-up for the distributed launcher's worker processes.
+"""Store warm-up for the distributed launcher.
 
-:func:`warm_store` is the parent-side half of the launcher's shared
-spill directory (:func:`~repro.engine.launcher.launch_sweep`): before
-any worker forks, the parent fills a disk
-:class:`~repro.engine.store.CacheStore` with every front-end composite
-the grid will need (one synthesis per distinct front end, the same as an
-in-process run), and each worker's cache attaches to that store, so
-workers load ``.npz`` bytes instead of resynthesizing per worker.
-
-The module's name predates the launcher: the benchmark's tracer
-(``perfbench/spans.py``) patches :func:`warm_store` at this import path,
-and the launcher looks it up here at call time.
+Each front-end composite a launch needs is synthesized once, by one
+worker, into the shared :class:`~repro.engine.store.CacheStore` every
+process loads it from: the launcher's parent deals the missing
+composites into one share per initial worker (:func:`composite_shares`),
+and each worker synthesizes its share before its first shard
+(:func:`warm_store`). The benchmark's tracer (``perfbench/spans.py``)
+patches :func:`warm_store` at this import path.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.engine.cache import AmbientCache
 from repro.engine.execution import make_ambient
@@ -23,49 +19,58 @@ from repro.engine.scenario import GridPoint, Scenario
 from repro.engine.store import CacheStore
 
 
-def warm_store(
-    store: CacheStore,
-    cache: AmbientCache,
-    scenario: Scenario,
-    data: Dict[str, object],
-    points: Sequence[GridPoint],
-    ambient_master: int,
-) -> int:
-    """Pre-fill ``store`` with every composite the grid will request.
-
-    Only scenarios that declare their payload can be warmed (the runner
-    then knows each point's front end + waveform up front); measures that
-    transmit internally warm the store lazily from whichever worker
-    synthesizes first. Returns the number of entries ensured.
-    """
+def _composites(scenario, data, points, cache, ambient_master):
+    """Each point with its (ambient source, front end, payload)."""
     from repro.experiments.common import ExperimentChain
 
-    ensured = 0
-    seen = set()
-    if not scenario.cache_ambient or scenario.measure_driven:
-        return ensured
-
     for point in points:
-        payload = scenario.payload_for(point, data)
         front_end = ExperimentChain(**scenario.chain_kwargs(point)).front_end()
         ambient = make_ambient(scenario, point, cache, ambient_master)
-        key = ambient.composite_key(front_end, payload)
-        if key in seen:
-            continue
-        seen.add(key)
-        ensured += 1
-        # Presence check by path, not load: deserializing a multi-MB
-        # composite just to discard it would dominate warm starts. A
-        # corrupt file self-heals in the workers (their load-miss falls
-        # back to synthesis).
-        if store.path_for(key).exists():
-            continue
-        value = ambient.modulated_composite(front_end, payload)
-        # A synthesis through a store-attached cache persists itself;
-        # re-check so a memory-served composite still lands on disk
-        # (e.g. the spill directory was cleared mid-session) without
-        # writing the archive twice on the common cold path.
-        if not store.path_for(key).exists():
-            store.save(key, value)
-    return ensured
+        yield point, ambient, front_end, scenario.payload_for(point, data)
 
+
+def composite_shares(
+    cache: Optional[AmbientCache], scenario: Scenario, data: Dict[str, object],
+    points: Sequence[GridPoint], ambient_master: int, n_shares: int,
+) -> List[List[int]]:
+    """Deal the composites ``points`` need and ``cache``'s store lacks
+    round-robin into ``n_shares`` shares, each named by the index of the
+    first point needing it.
+
+    Only scenarios that declare their payload can be warmed; measures
+    that transmit internally fill the store lazily from whichever worker
+    synthesizes first, so their shares are empty (as without a cache).
+    """
+    first: Dict[tuple, Optional[int]] = {}
+    if cache is not None and not scenario.measure_driven:
+        composites = _composites(scenario, data, points, cache, ambient_master)
+        for point, ambient, front_end, payload in composites:
+            key = ambient.composite_key(front_end, payload)
+            if key not in first:
+                # Presence by path, not load: a corrupt file self-heals
+                # in the workers (their load-miss falls back to synthesis).
+                present = cache.store.path_for(key).exists()
+                first[key] = None if present else point.index
+    missing = [index for index in first.values() if index is not None]
+    return [missing[k::n_shares] for k in range(n_shares)]
+
+
+def warm_store(
+    store: CacheStore, scenario: Scenario, data: Dict[str, object],
+    points: Sequence[GridPoint], ambient_master: int,
+) -> int:
+    """Synthesize ``points``' composites into ``store``; returns how many
+    syntheses that took (each composite and its MPX ingredient).
+
+    Through a cache of its own, dropped after, so the caller's cache
+    holds only what its shards load. A synthesis that raises is skipped:
+    the shard needing that composite raises it again, as its error.
+    """
+    cache = AmbientCache(store=store)
+    composites = _composites(scenario, data, points, cache, ambient_master)
+    for _, ambient, front_end, payload in composites:
+        try:
+            ambient.modulated_composite(front_end, payload)
+        except Exception:
+            continue  # resurfaces, with its traceback, from the shard
+    return cache.syntheses

@@ -7,8 +7,7 @@ multi-user front door: many concurrent submissions — each a compiled
 the caller's event loop stays free. All jobs share one spill directory
 (:attr:`SweepService.cache_dir`), so every submission after the first
 finds the grid's front-end composites already on disk and performs zero
-syntheses; the parent-side warm-up runs in this process, where the LRU
-DSP plan cache is shared across jobs too.
+syntheses.
 
 Typical use::
 

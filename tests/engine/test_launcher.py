@@ -10,6 +10,8 @@ pre-derived, so retried shards recompute identical bytes.
 
 import ast
 import logging
+import os
+import tempfile
 import time
 from pathlib import Path
 
@@ -24,8 +26,10 @@ from repro.engine import launcher
 from repro.engine.faults import FAULTS_ENV_VAR
 from repro.engine.launcher import Shard, default_shard_points
 from repro.engine.runner import BACKEND_ENV_VAR
+from repro.engine.store import CACHE_DIR_ENV_VAR
 from repro.errors import ConfigurationError, LauncherError
 from repro.experiments import fig09_mrc as fig09
+from repro.fm.station import FMStation
 
 SEED = 2017
 
@@ -77,6 +81,10 @@ def fig09_scenario() -> Scenario:
         max_factor=2,
         n_bits=40,
     )
+
+
+def no_fork():
+    raise AssertionError("the launcher forked")
 
 
 def live_fading_scenario() -> Scenario:
@@ -283,9 +291,6 @@ class TestFailureModes:
             launch_sweep(closure, rng=SEED)
 
     def test_malformed_backend_fails_before_fork(self, monkeypatch):
-        def no_fork():
-            raise AssertionError("the launcher forked")
-
         monkeypatch.setattr(launcher, "_mp_context", no_fork)
         for backend in ("thread", "batched"):
             monkeypatch.setenv(BACKEND_ENV_VAR, backend)
@@ -298,18 +303,12 @@ class TestFailureModes:
     def test_live_fading_model_refused_before_fork(self, monkeypatch):
         # Each worker would draw from its own unpickled copy of the
         # model, so the merged grid would silently differ from serial.
-        def no_fork():
-            raise AssertionError("the launcher forked")
-
         monkeypatch.setattr(launcher, "_mp_context", no_fork)
         with pytest.raises(ConfigurationError, match="BodyMotionFading.*MotionFadingSpec"):
             launch_sweep(live_fading_scenario(), rng=SEED, n_workers=2, shard_points=1)
 
     def test_bad_parameters_rejected(self, monkeypatch):
         # Every check runs before any synthesis or fork.
-        def no_fork():
-            raise AssertionError("the launcher forked")
-
         monkeypatch.setattr(launcher, "_mp_context", no_fork)
         for kwargs in (
             dict(n_workers=0),
@@ -363,6 +362,97 @@ class TestSharedStore:
         assert warm.result.cache_stats["disk_hits"] > 0
         for ours, reference in zip(warm.result.values, cold.result.values):
             assert np.array_equal(ours, reference)
+
+
+@pytest.fixture(scope="module")
+def fig09_serial():
+    return SweepRunner(fig09_scenario(), rng=SEED, backend="serial").run()
+
+
+def n_composites(scenario) -> int:
+    """Distinct front-end composites of the fig09 grid: one per repetition."""
+    return len({point["rep"] for point in scenario.sweep.points()})
+
+
+class TestWorkersWarmTheStore:
+    """The initial workers, not the parent, synthesize the grid's composites."""
+
+    def test_parent_runs_no_synthesis(self, tmp_path, monkeypatch, fig09_serial):
+        parent, mpx = os.getpid(), FMStation.mpx
+
+        def workers_only(station, *args, **kwargs):
+            assert os.getpid() != parent, "the launcher's parent synthesized"
+            return mpx(station, *args, **kwargs)
+
+        monkeypatch.setattr(FMStation, "mpx", workers_only)
+        report = launch_sweep(
+            fig09_scenario(), rng=SEED, n_workers=2, shard_points=1,
+            cache_dir=str(tmp_path),
+        )
+        assert_same_values(report.result, fig09_serial)
+        # Each composite and its MPX ingredient, once, in a worker's warm-up.
+        assert report.warm_syntheses == 2 * n_composites(fig09_scenario())
+        assert report.result.cache_stats["syntheses"] == 0
+
+    def test_barrier_releases_when_a_warming_worker_dies(
+        self, monkeypatch, fig09_serial
+    ):
+        # Worker 0 dies before warming its share; worker 1 warms the
+        # other composite, and the shards synthesize the lost one lazily.
+        monkeypatch.setenv(FAULTS_ENV_VAR, "init-fail:0")
+        report = launch_sweep(fig09_scenario(), rng=SEED, n_workers=2, shard_points=1)
+        assert report.failures >= 1
+        assert report.warm_syntheses == 2
+        assert_same_values(report.result, fig09_serial)
+
+    def test_failed_warm_up_surfaces_through_the_shards(self, monkeypatch):
+        def broken(station, *args, **kwargs):
+            raise ValueError("station off the air")
+
+        monkeypatch.setattr(FMStation, "mpx", broken)
+        with pytest.raises(LauncherError, match="gave up after") as excinfo:
+            launch_sweep(fig09_scenario(), rng=SEED, n_workers=2, max_retries=0)
+        assert "station off the air" in str(excinfo.value.__cause__)
+
+    def test_full_resume_warms_nothing(self, tmp_path, monkeypatch, fig09_serial):
+        monkeypatch.setattr(launcher, "_mp_context", no_fork)
+        report = launch_sweep(
+            fig09_scenario(), rng=SEED, n_workers=2, shard_points=1,
+            cache_dir=str(tmp_path),
+            resume_values=dict(enumerate(fig09_serial.values)),
+        )
+        assert report.resumed_points == 4
+        assert report.warm_syntheses == 0
+        assert not list(tmp_path.iterdir())
+        assert_same_values(report.result, fig09_serial)
+
+    def test_partial_resume_warms_only_the_uncovered_composites(
+        self, tmp_path, fig09_serial
+    ):
+        # Point 3 (4 ft, second repetition) is the one uncovered shard.
+        report = launch_sweep(
+            fig09_scenario(), rng=SEED, n_workers=2, shard_points=1,
+            cache_dir=str(tmp_path),
+            resume_values=dict(enumerate(fig09_serial.values[:3])),
+        )
+        assert report.resumed_points == 3
+        assert report.warm_syntheses == 2  # its composite and that one's MPX
+        assert len(list(tmp_path.glob("*.npz"))) == 2
+        assert report.result.cache_stats["syntheses"] == 0
+        assert_same_values(report.result, fig09_serial)
+
+    def test_run_scoped_spill_directory_removed_on_error(self, tmp_path, monkeypatch):
+        def broken_context():
+            # Raised after the spill directory is made.
+            assert list(tmp_path.glob("repro-launcher-spill-*"))
+            raise RuntimeError("no process context")
+
+        monkeypatch.delenv(CACHE_DIR_ENV_VAR, raising=False)
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        monkeypatch.setattr(launcher, "_mp_context", broken_context)
+        with pytest.raises(RuntimeError, match="no process context"):
+            launch_sweep(fig09_scenario(), rng=SEED, n_workers=2, shard_points=1)
+        assert not list(tmp_path.glob("repro-launcher-spill-*"))
 
 
 class TestLaunchSettings:
